@@ -124,12 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_criterion(text: str):
     if text == "topical":
         return TopicalGrouping()
+    bad = SocialGraphError(f"bad --criterion: {text!r}")
     kind, _, arg = text.partition(":")
     if kind == "social" and arg:
-        return SocialGrouping(theta=float(arg))
+        try:
+            theta = float(arg)
+        except ValueError:
+            raise bad from None
+        return SocialGrouping(theta=theta)
     if kind == "structural" and arg:
         return StructuralGrouping(attr=arg)
-    raise SocialGraphError(f"bad --criterion: {text!r}")
+    raise bad
 
 
 def _load_items(path: str) -> list:
@@ -331,10 +336,8 @@ def run_command(argv, out=None, err=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args, out)
-    except SocialGraphError as e:
-        print(f"error: {e}", file=err)
-        return 1
-    except OSError as e:
+    except (SocialGraphError, OSError, ValueError) as e:
+        # ValueError: every argument check in the package raises it
         print(f"error: {e}", file=err)
         return 1
 

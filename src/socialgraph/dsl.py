@@ -70,21 +70,43 @@ from .errors import (
     UnboundReferenceError,
     UnknownOperatorError,
 )
-from .graph import Condition, DirectionalCondition, SocialContentGraph, StructPredicate
-
-OPS = (
-    "nsel",
-    "lsel",
-    "union",
-    "intersect",
-    "nminus",
-    "lminus",
-    "compose",
-    "semijoin",
-    "naggr",
-    "laggr",
-    "paggr",
+from .graph import (
+    COMPARISON_OPS,
+    CONTAINS_ALL,
+    Condition,
+    DirectionalCondition,
+    SocialContentGraph,
+    StructPredicate,
 )
+
+# Every operator of the language: the ``algebra`` function it runs (looked
+# up by name at call time), the constant arguments passed before its
+# operands, and its argument shapes in order. Shape "e" is a
+# sub-expression; any other shape names a ``_Parser.parse_<shape>`` method.
+OPS = {
+    "nsel": ("node_select", (), ("e", "condition")),
+    "lsel": ("link_select", (), ("e", "condition")),
+    "union": ("set_op", (SetOpKind.UNION,), ("e", "e")),
+    "intersect": ("set_op", (SetOpKind.INTERSECT,), ("e", "e")),
+    "nminus": ("set_op", (SetOpKind.NODE_MINUS,), ("e", "e")),
+    "lminus": ("link_minus", (), ("e", "e")),
+    "compose": ("compose", (), ("e", "e", "delta", "compfn")),
+    "semijoin": ("semi_join", (), ("e", "e", "delta")),
+    "naggr": ("node_aggregate", (), ("e", "condition", "direction", "attr", "aggspec")),
+    "laggr": ("link_aggregate", (), ("e", "condition", "specmap")),
+    "paggr": ("pattern_aggregate", (), ("e", "pattern", "specmap")),
+}
+
+# Aggregates written ``name(aref)`` (``const`` takes a string instead).
+_AGGREGATES = {
+    "sum": sum_of,
+    "avg": avg_of,
+    "min": min_of,
+    "max": max_of,
+    "set": SafExpr,
+    "any": CopyAny,
+    "const": ConstString,
+}
 
 _SIDES = {
     "l": "left-link",
@@ -191,21 +213,37 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, value: str) -> Token:
-        if self.cur.kind == "PUNCT" and self.cur.value == value:
-            return self.take()
-        self.fail(f"{value!r}")
+    def accept(self, value: str) -> bool:
+        """Take the current token if it is the punctuation or word ``value``."""
+        if self.cur.kind in ("PUNCT", "NAME") and self.cur.value == value:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_name(self, what: str = "a name") -> Token:
-        if self.cur.kind == "NAME":
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            self.fail(f"{value!r}")
+
+    def expect_kind(self, kind: str, what: str) -> Token:
+        if self.cur.kind == kind:
             return self.take()
         self.fail(what)
 
-    def at(self, value: str) -> bool:
-        return self.cur.kind == "PUNCT" and self.cur.value == value
+    def expect_name(self, what: str) -> Token:
+        return self.expect_kind("NAME", what)
 
-    def at_name(self, value: str) -> bool:
-        return self.cur.kind == "NAME" and self.cur.value == value
+    def expect_choice(self, choices, what: str) -> str:
+        tok = self.expect_name(what)
+        if tok.value not in choices:
+            raise DslSyntaxError(tok.line, tok.col, what)
+        return tok.value
+
+    def parse_list(self, parse_item) -> tuple:
+        """item (',' item)*"""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        return tuple(items)
 
     # -- expressions --------------------------------------------------------
 
@@ -219,121 +257,54 @@ class _Parser:
 
     def parse_expr(self):
         tok = self.expect_name("a graph reference or operator")
-        if not self.at("("):
+        if not self.accept("("):
             return Ref(tok.value)
         if tok.value not in OPS:
             raise UnknownOperatorError(tok.value, tok.line, tok.col)
-        self.expect("(")
-        op = tok.value
-        if op in ("nsel", "lsel"):
-            e = self.parse_expr()
-            self.expect(",")
-            cond = self.parse_condition()
-            args = (e, cond)
-        elif op in ("union", "intersect", "nminus", "lminus"):
-            e1 = self.parse_expr()
-            self.expect(",")
-            e2 = self.parse_expr()
-            args = (e1, e2)
-        elif op == "semijoin":
-            e1 = self.parse_expr()
-            self.expect(",")
-            e2 = self.parse_expr()
-            self.expect(",")
-            delta = self.parse_delta()
-            args = (e1, e2, delta)
-        elif op == "compose":
-            e1 = self.parse_expr()
-            self.expect(",")
-            e2 = self.parse_expr()
-            self.expect(",")
-            delta = self.parse_delta()
-            self.expect(",")
-            fn = self.parse_compfn()
-            args = (e1, e2, delta, fn)
-        elif op == "naggr":
-            e = self.parse_expr()
-            self.expect(",")
-            cond = self.parse_condition()
-            self.expect(",")
-            d = self.parse_direction()
-            self.expect(",")
-            att = self.expect_name("a destination attribute").value
-            self.expect(",")
-            spec = self.parse_aggspec()
-            args = (e, cond, d, att, spec)
-        elif op == "laggr":
-            e = self.parse_expr()
-            self.expect(",")
-            cond = self.parse_condition()
-            self.expect(",")
-            specs = self.parse_specmap()
-            args = (e, cond, specs)
-        else:  # paggr
-            e = self.parse_expr()
-            self.expect(",")
-            pattern = self.parse_pattern()
-            self.expect(",")
-            specs = self.parse_specmap()
-            args = (e, pattern, specs)
+        _, _, shapes = OPS[tok.value]
+        args = []
+        for i, shape in enumerate(shapes):
+            if i:
+                self.expect(",")
+            args.append(self.parse_expr() if shape == "e" else getattr(self, f"parse_{shape}")())
         self.expect(")")
-        return OpCall(op, args)
+        return OpCall(tok.value, tuple(args))
 
     # -- parameter forms ----------------------------------------------------
 
     def parse_literal(self):
         if self.cur.kind == "STRING":
             return self.take().value
-        negate = False
-        if self.at("-"):
-            self.take()
-            negate = True
-        if self.cur.kind == "NUMBER":
-            value = float(self.take().value)
-            return -value if negate else value
-        self.fail("a string or number literal")
+        negate = self.accept("-")
+        value = float(self.expect_kind("NUMBER", "a string or number literal").value)
+        return -value if negate else value
 
     def parse_condition(self) -> Condition:
         self.expect("[")
         preds = []
         while self.cur.kind == "NAME":
             attr = self.take().value
-            if self.at_name("has"):
-                self.take()
+            if self.accept("has"):
                 self.expect("{")
-                operands = [self.parse_literal()]
-                while self.at(","):
-                    self.take()
-                    operands.append(self.parse_literal())
+                preds.append(StructPredicate(attr, CONTAINS_ALL, self.parse_list(self.parse_literal)))
                 self.expect("}")
-                preds.append(StructPredicate(attr, "contains-all", tuple(operands)))
-            elif self.cur.kind == "PUNCT" and self.cur.value in ("=", "!=", "<", "<=", ">", ">="):
+            elif self.cur.kind == "PUNCT" and self.cur.value in COMPARISON_OPS:
                 op = self.take().value
                 preds.append(StructPredicate(attr, op, (self.parse_literal(),)))
             else:
                 self.fail("a comparison operator or 'has'")
-            if self.at(","):
-                self.take()
-            else:
+            if not self.accept(","):
                 break
         keywords = ()
-        if self.at(";"):
-            self.take()
-            if not self.at_name("kw"):
-                self.fail("'kw'")
-            self.take()
+        if self.accept(";"):
+            self.expect("kw")
             self.expect(":")
-            if self.cur.kind != "STRING":
-                self.fail("a quoted keyword string")
-            keywords = tuple(self.take().value.split())
+            keywords = tuple(self.expect_kind("STRING", "a quoted keyword string").value.split())
         self.expect("]")
         return Condition(preds=tuple(preds), keywords=keywords)
 
     def parse_direction(self) -> str:
-        tok = self.expect_name("'src' or 'tgt'")
-        if tok.value not in ("src", "tgt"):
-            raise DslSyntaxError(tok.line, tok.col, "'src' or 'tgt'")
-        return tok.value
+        return self.expect_choice(("src", "tgt"), "'src' or 'tgt'")
 
     def parse_delta(self) -> DirectionalCondition:
         self.expect("(")
@@ -343,121 +314,77 @@ class _Parser:
         self.expect(")")
         return DirectionalCondition(d1, d2)
 
+    def parse_attr(self) -> str:
+        return self.expect_name("a destination attribute").value
+
     def parse_aref(self):
         attr = self.expect_name("an attribute name").value
         step = None
-        if self.at("@"):
-            self.take()
-            if self.cur.kind != "NUMBER":
-                self.fail("a chain position")
-            step = int(float(self.take().value))
+        if self.accept("@"):
+            step = int(float(self.expect_kind("NUMBER", "a chain position").value))
         return attr, step
 
     def parse_aggspec(self) -> AggSpec:
-        tok = self.expect_name("an aggregate (count/sum/avg/min/max/set/any/const)")
-        kind = tok.value
+        what = "an aggregate (count/sum/avg/min/max/set/any/const)"
+        kind = self.expect_choice(("count", *_AGGREGATES), what)
         if kind == "count":
             return COUNT
-        makers = {"sum": sum_of, "avg": avg_of, "min": min_of, "max": max_of}
-        if kind in makers:
-            self.expect("(")
-            attr, step = self.parse_aref()
-            self.expect(")")
-            return makers[kind](attr, step)
-        if kind == "set":
-            self.expect("(")
-            attr, step = self.parse_aref()
-            self.expect(")")
-            return SafExpr(attr, step)
-        if kind == "any":
-            self.expect("(")
-            attr, step = self.parse_aref()
-            self.expect(")")
-            return CopyAny(attr, step)
-        if kind == "const":
-            self.expect("(")
-            if self.cur.kind != "STRING":
-                self.fail("a quoted string")
-            value = self.take().value
-            self.expect(")")
-            return ConstString(value)
-        raise DslSyntaxError(tok.line, tok.col, "an aggregate (count/sum/avg/min/max/set/any/const)")
+        self.expect("(")
+        args = (self.expect_kind("STRING", "a quoted string").value,) if kind == "const" else self.parse_aref()
+        self.expect(")")
+        return _AGGREGATES[kind](*args)
+
+    def parse_map(self, key_what: str, parse_value) -> tuple:
+        """'{' NAME ':' value (',' NAME ':' value)* '}'"""
+
+        def entry():
+            key = self.expect_name(key_what).value
+            self.expect(":")
+            return key, parse_value()
+
+        self.expect("{")
+        entries = self.parse_list(entry)
+        self.expect("}")
+        return entries
 
     def parse_specmap(self) -> tuple:
-        self.expect("{")
-        specs = [self.parse_spec_entry()]
-        while self.at(","):
-            self.take()
-            specs.append(self.parse_spec_entry())
-        self.expect("}")
-        return tuple(specs)
+        return self.parse_map("a destination attribute", self.parse_aggspec)
 
-    def parse_spec_entry(self):
-        att = self.expect_name("a destination attribute").value
-        self.expect(":")
-        return att, self.parse_aggspec()
-
-    def parse_side(self) -> str:
-        tok = self.expect_name("a side (l/r/lsrc/ltgt/rsrc/rtgt)")
-        side = _SIDES.get(tok.value)
-        if side is None:
-            raise DslSyntaxError(tok.line, tok.col, "a side (l/r/lsrc/ltgt/rsrc/rtgt)")
-        return side
+    def parse_operand(self):
+        """side '.' NAME, with the side spelled out for aggfn."""
+        side = _SIDES[self.expect_choice(_SIDES, "a side (l/r/lsrc/ltgt/rsrc/rtgt)")]
+        self.expect(".")
+        return side, self.expect_name("an attribute name").value
 
     def parse_cexpr(self):
-        if self.at_name("copy"):
-            self.take()
+        if self.accept("copy"):
             self.expect("(")
-            side = self.parse_side()
-            self.expect(".")
-            attr = self.expect_name("an attribute name").value
+            operand = self.parse_operand()
             self.expect(")")
-            return CopyFrom(side, attr)
-        if self.at_name("jaccard"):
-            self.take()
+            return CopyFrom(*operand)
+        if self.accept("jaccard"):
             self.expect("(")
-            ls = self.parse_side()
-            self.expect(".")
-            la = self.expect_name("an attribute name").value
+            left = self.parse_operand()
             self.expect(",")
-            rs = self.parse_side()
-            self.expect(".")
-            ra = self.expect_name("an attribute name").value
+            right = self.parse_operand()
             self.expect(")")
-            return JaccardOf(ls, la, rs, ra)
+            return JaccardOf(*left, *right)
         return self.parse_aggspec()
 
     def parse_compfn(self) -> CompositionFn:
-        self.expect("{")
-        outputs = [self.parse_compfn_entry()]
-        while self.at(","):
-            self.take()
-            outputs.append(self.parse_compfn_entry())
-        self.expect("}")
-        return CompositionFn(tuple(outputs))
-
-    def parse_compfn_entry(self):
-        att = self.expect_name("an output attribute").value
-        self.expect(":")
-        return att, self.parse_cexpr()
+        return CompositionFn(self.parse_map("an output attribute", self.parse_cexpr))
 
     def parse_pattern(self) -> GraphPattern:
-        if not self.at_name("path"):
-            self.fail("'path'")
-        self.take()
+        self.expect("path")
         self.expect("(")
-        steps = [self.parse_pattern_step()]
-        while self.at(","):
-            self.take()
-            steps.append(self.parse_pattern_step())
+        steps = self.parse_list(self.parse_pattern_step)
         self.expect(")")
-        return GraphPattern(tuple(steps))
+        return GraphPattern(steps)
 
     def parse_pattern_step(self):
         cond = self.parse_condition()
         self.expect("@")
-        d = self.parse_direction()
-        return cond, d
+        return cond, self.parse_direction()
 
 
 def _references(expr) -> list:
@@ -565,38 +492,15 @@ def _run_node(node: PlanNode, inputs: dict, memo: dict) -> SocialContentGraph:
     cached = memo.get(node)
     if cached is not None:
         return cached
-    args = [_run_node(child, inputs, memo) for child in node.inputs]
-    kind, params = node.kind, node.params
-    if kind == "input":
-        name = params[0]
+    if node.kind == "input":
+        name = node.params[0]
         if name not in inputs:
             raise UnboundReferenceError(name)
         result = inputs[name]
-    elif kind == "nsel":
-        result = algebra.node_select(args[0], params[0])
-    elif kind == "lsel":
-        result = algebra.link_select(args[0], params[0])
-    elif kind == "union":
-        result = algebra.set_op(SetOpKind.UNION, args[0], args[1])
-    elif kind == "intersect":
-        result = algebra.set_op(SetOpKind.INTERSECT, args[0], args[1])
-    elif kind == "nminus":
-        result = algebra.set_op(SetOpKind.NODE_MINUS, args[0], args[1])
-    elif kind == "lminus":
-        result = algebra.link_minus(args[0], args[1])
-    elif kind == "semijoin":
-        result = algebra.semi_join(args[0], args[1], params[0])
-    elif kind == "compose":
-        result = algebra.compose(args[0], args[1], params[0], params[1])
-    elif kind == "naggr":
-        cond, d, att, spec = params
-        result = algebra.node_aggregate(args[0], cond, d, att, spec)
-    elif kind == "laggr":
-        cond, specs = params
-        result = algebra.link_aggregate(args[0], cond, specs)
-    else:  # paggr
-        pattern, specs = params
-        result = algebra.pattern_aggregate(args[0], pattern, specs)
+    else:
+        fn, lead, _ = OPS[node.kind]
+        args = [_run_node(child, inputs, memo) for child in node.inputs]
+        result = getattr(algebra, fn)(*lead, *args, *node.params)
     memo[node] = result
     return result
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -51,6 +52,8 @@ def as_attr_value(value) -> AttrValue:
     """Normalize a scalar or an iterable of scalars into a value set."""
     if isinstance(value, (str, int, float, bool)):
         values = frozenset({as_scalar(value)})
+    elif isinstance(value, Mapping):
+        raise ValueError(f"attribute values may not be objects: {value!r}")
     else:
         values = frozenset(as_scalar(v) for v in value)
     if not values:

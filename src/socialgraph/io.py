@@ -17,6 +17,8 @@ cluster) inverted list, each section sorted for byte stability.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 from .errors import GraphFileError
 from .graph import Link, Node, SocialContentGraph, as_attr_value, build_graph, sorted_values
@@ -34,21 +36,23 @@ def _coerce_id(value) -> str:
     return str(value)
 
 
-def _parse_records(path: str):
-    out = []
+def _read_jsonl(path: str):
+    """Yield (line number, record) for each non-blank JSON line."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
-            if not isinstance(record, dict) or "id" not in record:
-                raise GraphFileError(path, line_no, "records need an 'id' field")
-            out.append((line_no, record))
-    return out
+            if text:
+                try:
+                    yield line_no, json.loads(text)
+                except json.JSONDecodeError as e:
+                    raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
+
+
+def _graph_records(path: str):
+    for line_no, record in _read_jsonl(path):
+        if not isinstance(record, dict) or "id" not in record:
+            raise GraphFileError(path, line_no, "records need an 'id' field")
+        yield line_no, record
 
 
 def _parse_attrs(path: str, line_no: int, record: dict) -> dict:
@@ -64,14 +68,14 @@ def _parse_attrs(path: str, line_no: int, record: dict) -> dict:
 def load_graph(node_path: str, link_path: str) -> SocialContentGraph:
     """Read the two JSON-lines files and build a validated graph."""
     nodes = []
-    for line_no, record in _parse_records(node_path):
+    for line_no, record in _graph_records(node_path):
         try:
             nid = _coerce_id(record["id"])
         except ValueError as e:
             raise GraphFileError(node_path, line_no, str(e)) from e
         nodes.append(Node(id=nid, attrs=_parse_attrs(node_path, line_no, record)))
     links = []
-    for line_no, record in _parse_records(link_path):
+    for line_no, record in _graph_records(link_path):
         try:
             lid = _coerce_id(record["id"])
             src = _coerce_id(record.get("src"))
@@ -148,13 +152,70 @@ def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
             )
 
 
+# The exact JSON types each leaf shape admits; being exact, a boolean is
+# never a number.
+_LEAF_TYPES = {str: {str}, float: {int, float}}
+
+
+def _all_fit(values: list, shape) -> bool:
+    """Whether every loaded JSON value in ``values`` has ``shape``: ``str``;
+    ``float`` for any number; ``[s]`` for an array of ``s``; ``(s1, s2)``
+    for a pair; ``{str: s}`` for an object of ``s`` values; any other dict
+    for an object with at least those fields. The check goes a column at
+    a time, not value by value: a snapshot holds hundreds of thousands."""
+    if isinstance(shape, type):
+        return set(map(type, values)) <= _LEAF_TYPES[shape]
+    if isinstance(shape, (list, tuple)):
+        if not set(map(type, values)) <= {list}:
+            return False
+        if isinstance(shape, list):
+            return _all_fit(list(chain.from_iterable(values)), shape[0])
+        return set(map(len, values)) <= {len(shape)} and all(
+            _all_fit(list(map(itemgetter(i), values)), s) for i, s in enumerate(shape)
+        )
+    if not set(map(type, values)) <= {dict}:
+        return False
+    if str in shape:
+        return _all_fit(list(chain.from_iterable(map(dict.values, values))), shape[str])
+    # a missing field reads as None, which fits no shape
+    return all(_all_fit([v.get(k) for v in values], s) for k, s in shape.items())
+
+
+_MODEL_LINE = {"model": {"assignment": {str: str}, "leaders": {str: str}}}
+_SETS_LINE = {
+    "sets": {
+        "network": {str: [str]},
+        "items": {str: [str]},
+        "taggers": [{"item": str, "tag": str, "users": [str]}],
+    }
+}
+_LIST_LINE = {"tag": str, "cluster": str, "entries": [(str, float)]}
+
+
 def load_index_snapshot(path: str) -> ClusteredIndex:
-    lines = _parse_records_loose(path)
-    header = lines[0]
-    if header.get("format") != SNAPSHOT_FORMAT or header.get("version") != SNAPSHOT_VERSION:
-        raise GraphFileError(path, 1, "not a recognized index snapshot")
-    model_rec = lines[1]["model"]
-    sets_rec = lines[2]["sets"]
+    """Read a snapshot written by save_index_snapshot. A line whose
+    section, field or list entry is missing or mistyped raises
+    GraphFileError with its line number; scores keep their JSON type."""
+    lines = list(_read_jsonl(path))
+    if len(lines) < 3:
+        raise GraphFileError(path, 1, "truncated index snapshot")
+    head_no, header = lines[0]
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != SNAPSHOT_FORMAT
+        or header.get("version") != SNAPSHOT_VERSION
+    ):
+        raise GraphFileError(path, head_no, "not a recognized index snapshot")
+    for what, shape, group in (
+        ("model", _MODEL_LINE, lines[1:2]),
+        ("sets", _SETS_LINE, lines[2:3]),
+        ("inverted list", _LIST_LINE, lines[3:]),
+    ):
+        if not _all_fit([record for _, record in group], shape):
+            line_no = next(n for n, record in group if not _all_fit([record], shape))
+            raise GraphFileError(path, line_no, f"malformed {what} line")
+    model_rec = lines[1][1]["model"]
+    sets_rec = lines[2][1]["sets"]
     model = ClusterModel(
         assignment=dict(model_rec["assignment"]), leaders=dict(model_rec["leaders"])
     )
@@ -168,22 +229,6 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     )
     lists = {
         (rec["tag"], rec["cluster"]): tuple((item, score) for item, score in rec["entries"])
-        for rec in lines[3:]
+        for _, rec in lines[3:]
     }
     return ClusteredIndex(lists=lists, model=model, sets=sets)
-
-
-def _parse_records_loose(path: str) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                out.append(json.loads(text))
-            except json.JSONDecodeError as e:
-                raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
-    if len(out) < 3:
-        raise GraphFileError(path, 1, "truncated index snapshot")
-    return out

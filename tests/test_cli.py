@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -8,7 +9,7 @@ from socialgraph.discovery import DiscoveryConfig, cf_recommend, content_recomme
 from socialgraph.dsl import parse_condition
 from socialgraph.fixtures import cf_fixture, jazz_fixture, random_tagging_graph, rng_from
 from socialgraph.index import ClusteringStrategy, build_index, cluster_users, social_sets, topk_query
-from socialgraph.io import save_graph
+from socialgraph.io import save_graph, save_index_snapshot
 from socialgraph.presentation import SocialGrouping, explain_item, group_items, select_groups
 
 
@@ -203,3 +204,52 @@ def test_score_formatting_is_six_places(cf_files):
     _, out, _ = run("recommend", "--nodes", np, "--links", lp, "--user", "101")
     score = out.split("\t")[1].strip()
     assert score == "0.666667"
+
+
+@pytest.fixture
+def malformed_inputs(tmp_path, jazz_files):
+    """Jazz graph files, its index snapshot, and broken variants of each."""
+    np, lp = jazz_files
+    p = lambda name: str(tmp_path / name)  # noqa: E731
+    sets = social_sets(jazz_fixture())
+    model = cluster_users(sets, ClusteringStrategy("network", 0.5))
+    save_index_snapshot(build_index(sets, model, ["jazz"]), p("jazz.snap"))
+    records = [json.loads(line) for line in (tmp_path / "jazz.snap").read_text("utf-8").splitlines()]
+    with open(p("nomodel.snap"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records if "model" not in r)
+    records[3]["entries"][0][1] = "x"
+    with open(p("badscore.snap"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+    with open(np, encoding="utf-8") as fh:
+        nodes = [json.loads(line) for line in fh]
+    nodes[0]["attrs"]["x"] = {"a": 1}
+    with open(p("objattr.nodes"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in nodes)
+    with open(p("jazz.items"), "w", encoding="utf-8") as fh:
+        fh.write('{"id": "i1", "score": 1.0}\n')
+    return {"nodes": np, "links": lp, **{name: p(name) for name in (
+        "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap"
+    )}}
+
+
+MALFORMED = [
+    ("object-valued attribute", ["recommend", "--nodes", "objattr.nodes", "--links", "links", "--user", "u1"]),
+    ("snapshot without model", ["topk", "--index", "nomodel.snap", "--user", "u1", "--keywords", "jazz"]),
+    ("non-numeric snapshot score", ["topk", "--index", "badscore.snap", "--user", "u1", "--keywords", "jazz"]),
+    ("topk --k 0", ["topk", "--index", "jazz.snap", "--user", "u1", "--keywords", "jazz", "--k", "0"]),
+    ("discover --alpha 2", ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1", "--alpha", "2"]),
+    ("build-index --theta 1.5", ["build-index", "--nodes", "nodes", "--links", "links",
+                                 "--strategy", "network", "--theta", "1.5", "--out", "never.snap"]),
+    ("group --criterion social:x", ["group", "--nodes", "nodes", "--links", "links",
+                                    "--items", "jazz.items", "--criterion", "social:x"]),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in MALFORMED], ids=[name for name, _ in MALFORMED])
+def test_malformed_input_gives_one_error_line(malformed_inputs, argv):
+    code, out, err = run(*(malformed_inputs.get(a, a) for a in argv))
+    assert code in (1, 2)
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert not os.path.exists(malformed_inputs["never.snap"])

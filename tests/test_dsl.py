@@ -3,7 +3,8 @@ import string
 import pytest
 
 from script_corpus import CORPUS, read_script
-from socialgraph import dsl
+from socialgraph import algebra, dsl
+from socialgraph.algebra import SetOpKind
 from socialgraph.dsl import OpCall, Ref, compile, execute, parse, parse_condition
 from socialgraph.errors import (
     DslSyntaxError,
@@ -143,3 +144,65 @@ def test_corpus_scripts_match_hand_pipelines(script, inputs, hand):
     assert set(results) == set(expected)
     for name, graph in expected.items():
         assert results[name] == graph, f"binding {name} differs"
+
+
+# One well-formed call per operator; '|' marks where it is cut short: at
+# the start of each argument and before the closing parenthesis. The
+# expected text names what the argument's shape parser looks for first.
+E = "a graph reference or operator"
+CLOSE = "')'"
+CUT_CALLS = [
+    ("nsel(|G, |[]|)", [E, "'['", CLOSE]),
+    ("lsel(|G, |[]|)", [E, "'['", CLOSE]),
+    ("union(|G, |G|)", [E, E, CLOSE]),
+    ("intersect(|G, |G|)", [E, E, CLOSE]),
+    ("nminus(|G, |G|)", [E, E, CLOSE]),
+    ("lminus(|G, |G|)", [E, E, CLOSE]),
+    ("semijoin(|G, |G, |(src,tgt)|)", [E, E, "'('", CLOSE]),
+    ("compose(|G, |G, |(tgt,src), |{s: jaccard(l.a, r.a)}|)", [E, E, "'('", "'{'", CLOSE]),
+    (
+        "naggr(|G, |[], |src, |n, |sum(w@1)|)",
+        [E, "'['", "'src' or 'tgt'", "a destination attribute",
+         "an aggregate (count/sum/avg/min/max/set/any/const)", CLOSE],
+    ),
+    ("laggr(|G, |[type='a'], |{n: count, t: const('x')}|)", [E, "'['", "'{'", CLOSE]),
+    ("paggr(|G, |path([]@tgt, [x>1]@src), |{n: avg(w)}|)", [E, "'path'", "'{'", CLOSE]),
+]
+
+
+def _cuts(call: str) -> list:
+    """The call's text (without markers) up to each '|'."""
+    parts = call.split("|")
+    return ["".join(parts[: i + 1]) for i in range(len(parts) - 1)]
+
+
+CUT_CASES = [
+    case for call, expecteds in CUT_CALLS for case in zip(_cuts(call), expecteds, strict=True)
+]
+
+
+def test_cut_calls_parse_whole():
+    parse("\n".join(f"A{i} = {call.replace('|', '')}" for i, (call, _) in enumerate(CUT_CALLS)))
+    assert {call.split("(")[0] for call, _ in CUT_CALLS} == set(dsl.OPS)
+
+
+@pytest.mark.parametrize("prefix,expected", CUT_CASES, ids=[p for p, _ in CUT_CASES])
+def test_cut_short_at_each_argument(prefix, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(f"B = nsel(G, [])\nA = {prefix}")
+    assert (err.value.line, err.value.col, err.value.expected) == (2, len(prefix) + 5, expected)
+
+
+def test_execute_calls_algebra_functions_as_bound_at_call_time(monkeypatch):
+    calls = []
+    real = algebra.set_op
+
+    def spy(kind, g1, g2):
+        calls.append(kind)
+        return real(kind, g1, g2)
+
+    monkeypatch.setattr(algebra, "set_op", spy)
+    g = cf_fixture()
+    results = dsl.run_script("A = nminus(G, nsel(G, [type='user']))", {"G": g})
+    assert calls == [SetOpKind.NODE_MINUS]
+    assert results["A"] == real(SetOpKind.NODE_MINUS, g, algebra.node_select(g, parse_condition("[type='user']")))

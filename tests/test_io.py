@@ -3,7 +3,7 @@ import json
 import pytest
 
 from socialgraph.errors import DanglingEndpointError, GraphFileError
-from socialgraph.fixtures import random_plain_graph, random_tagging_graph, rng_from
+from socialgraph.fixtures import jazz_fixture, random_plain_graph, random_tagging_graph, rng_from
 from socialgraph.graph import build_graph, node
 from socialgraph.index import ClusteringStrategy, build_index, cluster_users, social_sets
 from socialgraph.io import load_graph, load_index_snapshot, save_graph, save_index_snapshot
@@ -120,3 +120,76 @@ def test_index_snapshot_rejects_other_files(tmp_path):
         fh.write('{"format":"other"}\n{}\n{}\n')
     with pytest.raises(GraphFileError):
         load_index_snapshot(path)
+
+
+def _jazz_snapshot_lines(tmp_path) -> list:
+    sets = social_sets(jazz_fixture())
+    model = cluster_users(sets, ClusteringStrategy("network", 0.5))
+    path = str(tmp_path / "jazz.snap")
+    save_index_snapshot(build_index(sets, model, ["jazz"]), path)
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _write_lines(tmp_path, records) -> str:
+    path = str(tmp_path / "edited.snap")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+    return path
+
+
+def test_index_snapshot_keeps_score_types(tmp_path):
+    records = _jazz_snapshot_lines(tmp_path)
+    loaded = load_index_snapshot(_write_lines(tmp_path, records))
+    scores = [score for entries in loaded.lists.values() for _, score in entries]
+    assert scores and all(type(s) is int for s in scores)  # stored as 2, printed as "2"
+
+
+def test_index_snapshot_missing_model_line(tmp_path):
+    records = [r for r in _jazz_snapshot_lines(tmp_path) if "model" not in r]
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(_write_lines(tmp_path, records))
+    assert err.value.line == 2 and "model" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rs: rs[1]["model"].pop("leaders"),
+        lambda rs: rs[1]["model"]["assignment"].update(u1=7),
+        lambda rs: rs[2]["sets"].update(network=[]),
+        lambda rs: rs[2]["sets"]["items"].update(u2="i1"),
+        lambda rs: rs[2]["sets"]["taggers"][0].pop("tag"),
+    ],
+    ids=["no-leaders", "numeric-cluster", "network-array", "items-string", "tagger-no-tag"],
+)
+def test_index_snapshot_mistyped_section(tmp_path, edit):
+    records = _jazz_snapshot_lines(tmp_path)
+    edit(records)
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(_write_lines(tmp_path, records))
+    assert err.value.line in (2, 3)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["i1", "x"], ["i1", True], ["i1"], [3, 2], ["i1", 2, 0], "i1"],
+    ids=["string-score", "bool-score", "short", "numeric-item", "long", "not-array"],
+)
+def test_index_snapshot_rejects_bad_list_entry(tmp_path, entry):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[-1]["entries"].append(entry)
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(_write_lines(tmp_path, records))
+    assert err.value.line == len(records)
+
+
+def test_object_valued_attribute_rejected(tmp_path):
+    np, lp = paths(tmp_path)
+    with open(np, "w") as fh:
+        fh.write(json.dumps({"id": "a", "attrs": {"type": "user"}}) + "\n")
+        fh.write(json.dumps({"id": "b", "attrs": {"type": "user", "x": {"a": 1}}}) + "\n")
+    open(lp, "w").close()
+    with pytest.raises(GraphFileError) as err:
+        load_graph(np, lp)
+    assert err.value.line == 2
