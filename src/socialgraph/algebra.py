@@ -32,9 +32,9 @@ from .graph import (
     SocialContentGraph,
     as_scalar,
     build_graph,
+    compile_condition,
     default_keyword_score,
     opposite,
-    satisfies,
 )
 
 DEFAULT_MAX_PATTERN_STEPS = 4
@@ -111,7 +111,8 @@ def node_select(
 ) -> SocialContentGraph:
     """Null graph of the nodes satisfying ``c``; keyword conditions
     attach a ``score`` attribute (default scoring unless overridden)."""
-    selected = [v for v in g.nodes.values() if satisfies(v, c)]
+    holds = compile_condition(c)
+    selected = [v for v in g.nodes.values() if holds(v)]
     if c.keywords:
         s = scoring or (lambda v: default_keyword_score(v, c.keywords))
         selected = [_scored(v, s(v)) for v in selected]
@@ -123,7 +124,8 @@ def link_select(
 ) -> SocialContentGraph:
     """Subgraph induced by the links satisfying ``c`` (their endpoints
     become the node set); keyword scores land on the links."""
-    selected = [l for l in g.links.values() if satisfies(l, c)]
+    holds = compile_condition(c)
+    selected = [l for l in g.links.values() if holds(l)]
     if c.keywords:
         s = scoring or (lambda l: default_keyword_score(l, c.keywords))
         selected = [_scored(l, s(l)) for l in selected]
@@ -225,10 +227,13 @@ def compose(
     nodes: dict = {}
     links = []
     far1, far2 = opposite(delta.d1), opposite(delta.d2)
+    # Hash join: g2 links bucketed by their d2 endpoint in g2 order, so
+    # the g1-outer loop yields pairs in nested-loop order.
+    buckets: dict = {}
+    for l2 in g2.links.values():
+        buckets.setdefault(l2.endpoint(delta.d2), []).append(l2)
     for l1 in g1.links.values():
-        for l2 in g2.links.values():
-            if l1.endpoint(delta.d1) != l2.endpoint(delta.d2):
-                continue
+        for l2 in buckets.get(l1.endpoint(delta.d1), ()):
             u, v = l1.endpoint(far1), l2.endpoint(far2)
             attrs = apply_composition(
                 f,
@@ -280,9 +285,10 @@ def node_aggregate(
         raise ValueError("node aggregation takes a set or numerical aggregate")
     if d not in ("src", "tgt"):
         raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
+    holds = compile_condition(c)
     groups: dict = {}
     for l in g.links.values():
-        if satisfies(l, c):
+        if holds(l):
             groups.setdefault(l.endpoint(d), []).append(l)
     nodes = []
     for nid, n in g.nodes.items():
@@ -308,10 +314,11 @@ def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentG
     if not specs:
         raise ValueError("link aggregation needs at least one (attribute, spec) pair")
     chash = condition_hash(c)
+    holds = compile_condition(c)
     kept = []
     groups: dict = {}
     for l in g.links.values():
-        if satisfies(l, c):
+        if holds(l):
             groups.setdefault((l.src, l.tgt), []).append(l)
         else:
             kept.append(l)
@@ -332,7 +339,8 @@ def _match_chains(g: SocialContentGraph, gp: GraphPattern):
 
     Node repetition is allowed; link repetition within one chain is not.
     """
-    step_links = [[l for l in g.links.values() if satisfies(l, cond)] for cond, _ in gp.steps]
+    tests = [compile_condition(cond) for cond, _ in gp.steps]
+    step_links = [[l for l in g.links.values() if holds(l)] for holds in tests]
     chains = []
 
     def extend(step: int, cursor: str, used: tuple):

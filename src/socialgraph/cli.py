@@ -24,7 +24,13 @@ from .index import (
     social_sets,
     topk_query,
 )
-from .io import load_graph, load_index_snapshot, save_graph, save_index_snapshot
+from .io import (
+    load_graph,
+    load_index_snapshot,
+    load_scored_items,
+    save_graph,
+    save_index_snapshot,
+)
 from .presentation import (
     SocialGrouping,
     StructuralGrouping,
@@ -137,17 +143,6 @@ def _parse_criterion(text: str):
     raise bad
 
 
-def _load_items(path: str) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            text = raw.strip()
-            if text:
-                record = json.loads(text)
-                out.append((str(record["id"]), float(record.get("score", 1.0))))
-    return out
-
-
 def _cmd_query(args, out) -> int:
     with open(args.script, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -258,7 +253,7 @@ def _cmd_topk(args, out) -> int:
 
 def _cmd_group(args, out) -> int:
     g = load_graph(args.nodes, args.links)
-    groups = group_items(_load_items(args.items), g, _parse_criterion(args.criterion))
+    groups = group_items(load_scored_items(args.items), g, _parse_criterion(args.criterion))
     for grp in select_groups(groups, args.max_groups):
         if args.json:
             print(

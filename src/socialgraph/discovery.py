@@ -23,8 +23,8 @@ from .graph import (
     attr_gt,
     attr_ne,
     build_graph,
+    compile_condition,
     default_keyword_score,
-    satisfies,
 )
 
 VISIT = Condition(preds=(attr_eq("type", "visit"),))
@@ -32,6 +32,7 @@ FRIEND = Condition(preds=(attr_eq("type", "friend"),))
 ACT = Condition(preds=(attr_eq("type", "act"),))
 MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
+_is_visit = compile_condition(VISIT)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,7 @@ def cf_pipeline(g: SocialContentGraph, user_id: str, sim_threshold: float) -> di
 
 def visited_items(g: SocialContentGraph, user_id: str) -> frozenset:
     """Destinations the user already has a 'visit' link to."""
-    return frozenset(
-        l.tgt for l in g.links.values() if l.src == user_id and satisfies(l, VISIT)
-    )
+    return frozenset(l.tgt for l in g.out_links.get(user_id, ()) if _is_visit(l))
 
 
 def _link_score(l) -> float:
@@ -147,11 +146,9 @@ def cf_recommend(g: SocialContentGraph, user_id: str, cfg: DiscoveryConfig | Non
 
 def acted_items(g: SocialContentGraph, user_id: str) -> frozenset:
     """Items the user has any link to (tagging, visiting, rating...)."""
-    out = set()
-    for l in g.links.values():
-        if l.src == user_id and "item" in g.nodes[l.tgt].attrs["type"]:
-            out.add(l.tgt)
-    return frozenset(out)
+    return frozenset(
+        l.tgt for l in g.out_links.get(user_id, ()) if "item" in g.nodes[l.tgt].attrs["type"]
+    )
 
 
 def rating(g: SocialContentGraph, user_id: str, item_id: str) -> float:
@@ -159,8 +156,8 @@ def rating(g: SocialContentGraph, user_id: str, item_id: str) -> float:
     their links to it, 1.0 when linked without a rating, else 0.0."""
     seen = False
     best = None
-    for l in g.links.values():
-        if l.src != user_id or l.tgt != item_id:
+    for l in g.out_links.get(user_id, ()):
+        if l.tgt != item_id:
             continue
         seen = True
         for v in l.attrs.get("rating", ()):
@@ -186,6 +183,7 @@ def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     of tagger sets. Returns at most k positive (item, score) pairs."""
     _require_user(g, user_id)
     mine = acted_items(g, user_id)
+    ratings = {other: rating(g, user_id, other) for other in mine}
     taggers = _tagger_sets(g)
     scored = []
     for n in g.nodes.values():
@@ -195,7 +193,7 @@ def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
         for other in mine:
             sim = jaccard(taggers.get(n.id, ()), taggers.get(other, ()))
             if sim > 0:
-                best = max(best, sim * rating(g, user_id, other))
+                best = max(best, sim * ratings[other])
         if best > 0:
             scored.append((n.id, best))
     scored.sort(key=lambda e: (-e[1], e[0]))
@@ -217,12 +215,12 @@ def discover(
     """
     cfg = cfg or DiscoveryConfig()
     _require_user(g, user_id)
-    scope = Condition(preds=query.preds)
+    in_scope = compile_condition(Condition(preds=query.preds))
     skip = visited_items(g, user_id)
     candidates = [
         n
         for n in g.nodes.values()
-        if "item" in n.attrs["type"] and n.id not in skip and satisfies(n, scope)
+        if "item" in n.attrs["type"] and n.id not in skip and in_scope(n)
     ]
     stages = cf_pipeline(g, user_id, cfg.sim_threshold)
     cf_scores = {
@@ -267,14 +265,11 @@ def _provenance_graph(g, user_id, ranking, match_graph) -> SocialContentGraph:
     links = {}
     ranked_set = set(ranked_ids)
     contributing = set()
-    visit_links = [
-        l
-        for l in g.links.values()
-        if satisfies(l, VISIT) and l.tgt in ranked_set
-    ]
     for ml in match_graph.links.values():
         peer = ml.tgt
-        peer_visits = [l for l in visit_links if l.src == peer]
+        peer_visits = [
+            l for l in g.out_links.get(peer, ()) if l.tgt in ranked_set and _is_visit(l)
+        ]
         if peer_visits:
             contributing.add(peer)
             links[ml.id] = ml

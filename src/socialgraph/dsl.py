@@ -43,8 +43,10 @@ to running the corresponding algebra calls by hand.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import algebra
 from .aggfn import (
@@ -196,6 +198,18 @@ class Program:
     stmts: tuple  # of (name, Expr)
 
 
+def _whole_number(text: str):
+    """The value of a NUMBER token if it is exactly a whole number within
+    float range, else None: 1e3 gives 1000; 1.5, 1e-400 and 1e400 give None."""
+    if not math.isfinite(float(text)):
+        return None
+    try:
+        value = Decimal(text)
+    except ArithmeticError:  # an exponent beyond Decimal's range
+        return None
+    return int(value) if value == value.to_integral_value() else None
+
+
 class _Parser:
     def __init__(self, tokens: list):
         self.tokens = tokens
@@ -321,7 +335,10 @@ class _Parser:
         attr = self.expect_name("an attribute name").value
         step = None
         if self.accept("@"):
-            step = int(float(self.expect_kind("NUMBER", "a chain position").value))
+            tok = self.expect_kind("NUMBER", "a chain position")
+            step = _whole_number(tok.value)
+            if step is None:
+                raise DslSyntaxError(tok.line, tok.col, "a chain position")
         return attr, step
 
     def parse_aggspec(self) -> AggSpec:

@@ -16,6 +16,7 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .errors import (
@@ -122,6 +123,16 @@ class SocialContentGraph:
     def is_null(self) -> bool:
         """True when the graph has no links (a null graph of nodes)."""
         return not self.links
+
+    @cached_property
+    def out_links(self) -> dict:
+        """node id -> list of the links leaving it, in ``links`` order;
+        nodes without outgoing links are absent. Built on first use and
+        kept, which is sound only because graphs are never mutated."""
+        out: dict = {}
+        for l in self.links.values():
+            out.setdefault(l.src, []).append(l)
+        return out
 
 
 EMPTY_GRAPH = SocialContentGraph(nodes={}, links={})
@@ -294,6 +305,30 @@ def satisfies(element: Element, condition: Condition) -> bool:
         toks = element_tokens(element)
         return any(k in toks for k in condition.keywords)
     return True
+
+
+_PSEUDO_ATTRS = ("id", "src", "tgt")
+
+
+def compile_condition(condition: Condition) -> Callable[[Element], bool]:
+    """A one-argument predicate equal to ``satisfies(·, condition)``,
+    built once so a scan does not re-dispatch on every predicate per
+    element. An ``=`` on a stored attribute is a set-membership test; a
+    condition with keywords or a pseudo-attribute predicate defers to
+    ``satisfies``."""
+    if condition.keywords or any(p.attr in _PSEUDO_ATTRS for p in condition.preds):
+        return lambda e: satisfies(e, condition)
+    tests = [_compile_pred(p) for p in condition.preds]
+    return tests[0] if len(tests) == 1 else lambda e: all(t(e) for t in tests)
+
+
+def _compile_pred(pred: StructPredicate) -> Callable[[Element], bool]:
+    attr = pred.attr
+    if pred.op == "=":
+        # values are str or float sets; a str never equals a float, as in _compare
+        operand = pred.operands[0]
+        return lambda e: operand in e.attrs.get(attr, ())
+    return lambda e: pred_holds(e, pred)
 
 
 def default_keyword_score(element: Element, keywords) -> float:

@@ -11,6 +11,7 @@ member's true score and keeps threshold-style pruning safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .aggfn import jaccard
 from .errors import UnknownUserError
@@ -34,11 +35,15 @@ class SocialSets:
 
     def all_taggers(self, item: str) -> frozenset:
         """taggers(i): union over tags of taggers(i, k)."""
-        out = set()
+        return self._item_taggers.get(item, frozenset())
+
+    @cached_property
+    def _item_taggers(self) -> dict:
+        """item id -> taggers(i), built on first use (sets are never mutated)."""
+        out: dict = {}
         for (iid, _), users in self.taggers.items():
-            if iid == item:
-                out.update(users)
-        return frozenset(out)
+            out.setdefault(iid, set()).update(users)
+        return {iid: frozenset(users) for iid, users in out.items()}
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ cluster) inverted list, each section sorted for byte stability.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from operator import itemgetter
 
@@ -116,6 +117,25 @@ def save_graph(g: SocialContentGraph, node_path: str, link_path: str) -> None:
             )
 
 
+def load_scored_items(path: str) -> list:
+    """Read (item id, score) pairs from JSON lines of ``{"id", "score"}``;
+    a missing score reads as 1.0. A record that is not an object, lacks
+    an id, or has a score that is not a finite number (booleans
+    included) raises GraphFileError with its line number."""
+    out = []
+    for line_no, record in _graph_records(path):
+        score = record.get("score", 1.0)
+        try:
+            item = _coerce_id(record["id"])
+            number = isinstance(score, (int, float)) and not isinstance(score, bool)
+            if not (number and math.isfinite(score)):
+                raise ValueError(f"scores must be finite numbers, got {score!r}")
+        except (ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
+            raise GraphFileError(path, line_no, str(e)) from e
+        out.append((item, float(score)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Index snapshots
 
@@ -194,8 +214,9 @@ _LIST_LINE = {"tag": str, "cluster": str, "entries": [(str, float)]}
 
 def load_index_snapshot(path: str) -> ClusteredIndex:
     """Read a snapshot written by save_index_snapshot. A line whose
-    section, field or list entry is missing or mistyped raises
-    GraphFileError with its line number; scores keep their JSON type."""
+    section, field or list entry is missing or mistyped, a list out of
+    order, or a list of a cluster without a leader raises GraphFileError
+    with its line number; scores keep their JSON type."""
     lines = list(_read_jsonl(path))
     if len(lines) < 3:
         raise GraphFileError(path, 1, "truncated index snapshot")
@@ -227,8 +248,19 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
             for entry in sets_rec["taggers"]
         },
     )
-    lists = {
-        (rec["tag"], rec["cluster"]): tuple((item, score) for item, score in rec["entries"])
-        for _, rec in lines[3:]
-    }
+    lists = {}
+    for line_no, rec in lines[3:]:
+        if rec["cluster"] not in model.leaders:
+            raise GraphFileError(path, line_no, f"cluster {rec['cluster']!r} has no leader")
+        entries = rec["entries"]
+        if not _ranked(entries):
+            raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
+        lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
     return ClusteredIndex(lists=lists, model=model, sets=sets)
+
+
+def _ranked(entries: list) -> bool:
+    """Whether [item, score] entries run by score descending, then item id."""
+    return all(
+        s1 > s2 or (s1 == s2 and i1 <= i2) for (i1, s1), (i2, s2) in zip(entries, entries[1:])
+    )

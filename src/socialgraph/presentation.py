@@ -85,6 +85,9 @@ def group_items(items, g: SocialContentGraph, criterion: GroupingCriterion) -> l
     items = list(items)
     if not items:
         raise ValueError("group_items needs a non-empty item list")
+    for item, _ in items:
+        if item not in g.nodes:
+            raise UnknownItemError(item)
     if isinstance(criterion, SocialGrouping):
         return _social_groups(items, g, criterion.theta)
     if isinstance(criterion, TopicalGrouping):
@@ -112,9 +115,7 @@ def _social_groups(items, g, theta) -> list:
 
 
 def _topics_of(g, item_id) -> list:
-    return sorted(
-        l.tgt for l in g.links.values() if l.src == item_id and "belong" in l.attrs["type"]
-    )
+    return sorted(l.tgt for l in g.out_links.get(item_id, ()) if "belong" in l.attrs["type"])
 
 
 def _topical_groups(items, g) -> list:
@@ -164,10 +165,6 @@ def _item_sim(sets, a: str, b: str) -> float:
     return jaccard(sets.all_taggers(a), sets.all_taggers(b))
 
 
-def _user_sim(g, a: str, b: str) -> float:
-    return jaccard(acted_items(g, a), acted_items(g, b))
-
-
 def _require(g, user_id, item_id):
     if user_id not in g.nodes:
         raise UnknownUserError(user_id)
@@ -187,9 +184,10 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
     if strategy not in ("content", "collaborative"):
         raise ValueError(f"unknown explanation strategy: {strategy!r}")
     sets = social_sets(g)
+    mine = acted_items(g, user_id)
     evidence = []
     if strategy == "content":
-        for other in acted_items(g, user_id):
+        for other in mine:
             sim = _item_sim(sets, item_id, other)
             if sim > 0:
                 weight = sim * rating(g, user_id, other)
@@ -199,15 +197,16 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
         for n in g.nodes.values():
             if "user" not in n.attrs["type"] or n.id == user_id:
                 continue
-            if item_id not in acted_items(g, n.id):
+            theirs = acted_items(g, n.id)
+            if item_id not in theirs:
                 continue
-            sim = _user_sim(g, user_id, n.id)
+            sim = jaccard(mine, theirs)
             if sim > 0:
                 weight = sim * rating(g, n.id, item_id)
                 if weight > 0:
                     evidence.append((n.id, weight))
     evidence.sort(key=lambda e: (-e[1], e[0]))
-    summary, _ = aggregate_explanations(g, user_id, item_id, strategy)
+    summary, _ = _aggregate(sets, g, user_id, item_id, strategy)
     return Explanation(
         subject=(user_id, item_id),
         strategy=strategy,
@@ -223,9 +222,13 @@ def aggregate_explanations(g: SocialContentGraph, user_id: str, target, strategy
     of its members' ratios). Percentages are rounded only in the
     sentence, never in the returned ratio.
     """
+    return _aggregate(social_sets(g), g, user_id, target, strategy)
+
+
+def _aggregate(sets, g, user_id: str, target, strategy: str):
     if isinstance(target, ItemGroup):
         ratios = [
-            _aggregate_ratio(g, user_id, member, strategy) for member in target.members
+            _aggregate_ratio(sets, g, user_id, member, strategy) for member in target.members
         ]
         ratio = sum(ratios) / len(ratios)
         pct = round(ratio * 100)
@@ -235,18 +238,17 @@ def aggregate_explanations(g: SocialContentGraph, user_id: str, target, strategy
             f"items in group '{target.label}' are similar to {pct}% of items you visited before",
             ratio,
         )
-    ratio = _aggregate_ratio(g, user_id, target, strategy)
+    ratio = _aggregate_ratio(sets, g, user_id, target, strategy)
     pct = round(ratio * 100)
     if strategy == "collaborative":
         return f"{pct}% of your friends endorsed this item", ratio
     return f"similar to {pct}% of items you visited before", ratio
 
 
-def _aggregate_ratio(g, user_id, item_id, strategy) -> float:
+def _aggregate_ratio(sets, g, user_id, item_id, strategy) -> float:
     _require(g, user_id, item_id)
     if strategy not in ("content", "collaborative"):
         raise ValueError(f"unknown explanation strategy: {strategy!r}")
-    sets = social_sets(g)
     if strategy == "collaborative":
         network = sets.network.get(user_id, frozenset())
         if not network:

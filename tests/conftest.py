@@ -7,9 +7,18 @@ they are direct dict/set traversals over the raw graph.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from socialgraph.fixtures import cf_fixture, jazz_fixture, minus_pair, travel_pair
 from socialgraph.graph import build_graph, satisfies
+
+
+# Property tests run the same fixed examples on every run, so the suite
+# cannot flake or slow down from one run to the next; no example database.
+settings.register_profile(
+    "deterministic", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -227,8 +227,21 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.writelines(json.dumps(r) + "\n" for r in nodes)
     with open(p("jazz.items"), "w", encoding="utf-8") as fh:
         fh.write('{"id": "i1", "score": 1.0}\n')
+    bad_items = {
+        "noid.items": '{"score": 0.5}',
+        "array.items": "[1]",
+        "nullscore.items": '{"id": "i1", "score": null}',
+        "boolscore.items": '{"id": "i1", "score": true}',
+        "unknown.items": '{"id": "i1"}\n{"id": "nope"}',
+    }
+    for name, text in bad_items.items():
+        with open(p(name), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    with open(p("overflow.sgs"), "w", encoding="utf-8") as fh:
+        fh.write("X = laggr(G, [], {s: sum(w@1e400)})\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
-        "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap"
+        "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap",
+        "overflow.sgs", *bad_items,
     )}}
 
 
@@ -242,6 +255,17 @@ MALFORMED = [
                                  "--strategy", "network", "--theta", "1.5", "--out", "never.snap"]),
     ("group --criterion social:x", ["group", "--nodes", "nodes", "--links", "links",
                                     "--items", "jazz.items", "--criterion", "social:x"]),
+    *(
+        (f"group --items {name}", ["group", "--nodes", "nodes", "--links", "links",
+                                   "--items", name, "--criterion", "topical"])
+        for name in ("noid.items", "array.items", "nullscore.items", "boolscore.items")
+    ),
+    *(
+        (f"group unknown item {criterion}", ["group", "--nodes", "nodes", "--links", "links",
+                                             "--items", "unknown.items", "--criterion", criterion])
+        for criterion in ("social:0.5", "topical", "structural:name")
+    ),
+    ("query chain position 1e400", ["query", "--nodes", "nodes", "--links", "links", "--script", "overflow.sgs"]),
 ]
 
 

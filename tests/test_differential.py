@@ -1,0 +1,233 @@
+"""Differential tests: the adjacency view, the hash-join ``compose`` and
+compiled conditions against the naive references in ``reference.py``.
+
+Graphs come from the seeded fixtures and from Hypothesis (small graphs
+with multi-valued types, float and string values, and stored attributes
+named like the ``id``/``src``/``tgt`` pseudo-attributes).
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference import (
+    acted_items_scan,
+    all_taggers_scan,
+    compose_nested,
+    provenance_scan,
+    rating_scan,
+    satisfies_predicate,
+    visited_items_scan,
+)
+from socialgraph import algebra, discovery
+from socialgraph.aggfn import COUNT, CompositionFn, ConstString, CopyFrom, JaccardOf, SafExpr
+from socialgraph.algebra import compose, link_aggregate, link_select, node_aggregate, node_select
+from socialgraph.discovery import (
+    DESTINATION,
+    DiscoveryConfig,
+    acted_items,
+    cf_pipeline,
+    cf_recommend,
+    discover,
+    rating,
+    visited_items,
+)
+from socialgraph.fixtures import random_tagging_graph, random_travel_graph, rng_from
+from socialgraph.graph import (
+    COMPARISON_OPS,
+    CONTAINS_ALL,
+    Condition,
+    DirectionalCondition,
+    Link,
+    Node,
+    StructPredicate,
+    build_graph,
+    compile_condition,
+    satisfies,
+)
+from socialgraph.index import social_sets
+
+STRINGS = ("visit", "tag", "user", "item", "n0", "n1", "l0", "jazz")
+FLOATS = (-1.5, 0.0, 0.5, 1.0, 2.0)
+NODE_TYPES = (("user",), ("item",), ("user", "item"), ("item", "destination"), ("topic", 1.0))
+LINK_TYPES = (("visit",), ("act", "visit"), ("connect", "friend"), ("act", "tag"), ("belong",), ("tag", 0.5))
+
+values = st.frozensets(st.sampled_from(STRINGS + FLOATS), min_size=1, max_size=3)
+
+
+def _attrs(draw, types, names) -> dict:
+    attrs = {"type": frozenset(draw(st.sampled_from(types)))}
+    attrs.update(draw(st.dictionaries(st.sampled_from(names), values, max_size=3)))
+    return attrs
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 5))
+    ids = [f"n{i}" for i in range(n)]
+    nodes = [Node(nid, _attrs(draw, NODE_TYPES, ("w", "name", "id", "score"))) for nid in ids]
+    links = []
+    for j in range(draw(st.integers(0, 8))):
+        src, tgt = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        links.append(Link(f"l{j}", src, tgt, _attrs(draw, LINK_TYPES, ("rating", "tags", "w", "src", "score"))))
+    return build_graph(nodes, links)
+
+
+preds = st.builds(
+    lambda attr, op, operands: StructPredicate(attr, op, operands if op == CONTAINS_ALL else operands[:1]),
+    st.sampled_from(("type", "w", "rating", "name", "id", "src", "tgt", "missing")),
+    st.sampled_from(COMPARISON_OPS + (CONTAINS_ALL,)),
+    st.lists(st.sampled_from(STRINGS + FLOATS), min_size=1, max_size=2).map(tuple),
+)
+conditions = st.builds(
+    Condition,
+    st.lists(preds, max_size=3).map(tuple),
+    st.lists(st.sampled_from(("jazz", "visit", "n0", "nothing")), max_size=2).map(tuple),
+)
+
+DELTAS = [DirectionalCondition(a, b) for a in ("src", "tgt") for b in ("src", "tgt")]
+COMPOSITION_FNS = [
+    CompositionFn((("sim", JaccardOf("left-src", "type", "right-tgt", "type")),)),
+    CompositionFn((("kind", ConstString("c")), ("via", CopyFrom("left-link", "id")))),
+    CompositionFn((("type", SafExpr("type")),)),
+]
+
+
+def outcome(fn, *args):
+    """The graph a call returns with its node and link order, or the
+    error it raises."""
+    try:
+        g = fn(*args)
+    except Exception as e:  # both sides must fail alike
+        return ("error", type(e).__name__, str(e))
+    return g, list(g.nodes), list(g.links)
+
+
+def fixture_graphs():
+    return [random_travel_graph(rng_from(seed), 8, 12) for seed in (1, 2, 3)] + [
+        random_tagging_graph(rng_from(seed), 12, 30, n_tags=6, n_communities=3) for seed in (4, 5)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Compiled conditions
+
+
+def _condition_ops(g, c):
+    return [
+        (node_select, g, c),
+        (link_select, g, c),
+        (node_aggregate, g, c, "src", "agg", SafExpr("tgt")),
+        (link_aggregate, g, c, (("n", COUNT),)),
+    ]
+
+
+def check_condition(g, c):
+    holds = compile_condition(c)
+    for e in [*g.nodes.values(), *g.links.values()]:
+        assert holds(e) == satisfies(e, c), (e, c)
+    fast = [outcome(*op) for op in _condition_ops(g, c)]
+    with mock.patch.object(algebra, "compile_condition", satisfies_predicate):
+        slow = [outcome(*op) for op in _condition_ops(g, c)]
+    assert fast == slow
+
+
+@given(graphs(), conditions)
+def test_compiled_conditions_match_satisfies(g, c):
+    check_condition(g, c)
+
+
+@pytest.mark.parametrize("g", fixture_graphs())
+@given(c=conditions)
+def test_compiled_conditions_match_satisfies_on_fixtures(g, c):
+    check_condition(g, c)
+
+
+def test_equality_on_floats_and_multivalued_types():
+    g = build_graph(
+        [Node("a", {"type": frozenset({"user", "item"}), "w": frozenset({1.0, "1.0"})})],
+        [Link("l", "a", "a", {"type": frozenset({"act", "visit"}), "w": frozenset({0.5})})],
+    )
+    for attr, operand in (("type", "item"), ("type", "visit"), ("w", 1.0), ("w", "1.0"), ("w", 0.5), ("w", "0.5")):
+        check_condition(g, Condition(preds=(StructPredicate(attr, "=", (operand,)),)))
+
+
+# ---------------------------------------------------------------------------
+# Hash-join composition
+
+
+@given(graphs(), graphs(), st.sampled_from(DELTAS), st.sampled_from(COMPOSITION_FNS))
+def test_compose_matches_nested_loop(g1, g2, delta, f):
+    for a, b in ((g1, g2), (g2, g1), (g1, g1)):
+        assert outcome(compose, a, b, delta, f) == outcome(compose_nested, a, b, delta, f)
+
+
+@pytest.mark.parametrize("g", fixture_graphs())
+@pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"{d.d1}-{d.d2}")
+def test_self_compose_matches_nested_loop_on_fixtures(g, delta):
+    for f in COMPOSITION_FNS:
+        assert outcome(compose, g, g, delta, f) == outcome(compose_nested, g, g, delta, f)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cf_plan_matches_nested_loop_compose(seed):
+    g = random_travel_graph(rng_from(seed), 15, 25)
+    cfg = DiscoveryConfig(sim_threshold=0.1)
+    users = sorted(nid for nid, n in g.nodes.items() if "user" in n.attrs["type"])
+    fast = [cf_recommend(g, u, cfg) for u in users]
+    with mock.patch.object(discovery, "compose", compose_nested):
+        slow = [cf_recommend(g, u, cfg) for u in users]
+    assert fast == slow
+    for (scored, _), (ref, _) in zip(fast, slow):
+        assert list(scored.links) == list(ref.links)
+
+
+# ---------------------------------------------------------------------------
+# Reads through the adjacency view
+
+
+def check_adjacency_reads(g):
+    ids = list(g.nodes) + ["absent"]
+    for u in ids:
+        assert visited_items(g, u) == visited_items_scan(g, u)
+        assert acted_items(g, u) == acted_items_scan(g, u)
+        for i in ids:
+            assert rating(g, u, i) == rating_scan(g, u, i)
+    sets = social_sets(g)
+    for item in ids:
+        assert sets.all_taggers(item) == all_taggers_scan(sets, item)
+
+
+@given(graphs())
+def test_adjacency_reads_match_full_scans(g):
+    check_adjacency_reads(g)
+
+
+@pytest.mark.parametrize("g", fixture_graphs())
+def test_adjacency_reads_match_full_scans_on_fixtures(g):
+    check_adjacency_reads(g)
+
+
+@given(graphs())
+def test_out_links_view_groups_links_in_order(g):
+    by_src = {}
+    for l in g.links.values():
+        by_src.setdefault(l.src, []).append(l)
+    assert g.out_links == by_src
+    assert g.out_links is g.out_links  # built once
+    assert g == build_graph(g.nodes.values(), g.links.values())  # the view is not part of equality
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_discover_provenance_matches_full_scan(seed):
+    g = random_travel_graph(rng_from(seed), 15, 25)
+    cfg = DiscoveryConfig(sim_threshold=0.1, k=8)
+    query = Condition(preds=DESTINATION.preds, keywords=("food", "beach"))
+    for u in sorted(nid for nid, n in g.nodes.items() if "user" in n.attrs["type"]):
+        msg = discover(g, u, query, cfg)
+        match = cf_pipeline(g, u, cfg.sim_threshold)["match"]
+        assert outcome(lambda: msg.graph) == outcome(provenance_scan, g, u, msg.ranking, match)

@@ -206,3 +206,19 @@ def test_execute_calls_algebra_functions_as_bound_at_call_time(monkeypatch):
     results = dsl.run_script("A = nminus(G, nsel(G, [type='user']))", {"G": g})
     assert calls == [SetOpKind.NODE_MINUS]
     assert results["A"] == real(SetOpKind.NODE_MINUS, g, algebra.node_select(g, parse_condition("[type='user']")))
+
+
+@pytest.mark.parametrize("position", ["1e400", "1.5", "1e-400", "25e-1"])
+def test_chain_position_must_be_a_finite_whole_number(position):
+    script = f"X = laggr(G, [], {{s: sum(w@{position})}})"
+    with pytest.raises(DslSyntaxError) as err:
+        parse(script)
+    assert (err.value.line, err.value.col, err.value.expected) == (1, script.index(position) + 1, "a chain position")
+
+
+@pytest.mark.parametrize("position, step", [("1e3", 1000), ("2.0", 2), ("0", 0), ("30e-1", 3)])
+def test_chain_position_whole_number_forms(position, step):
+    script = f"X = laggr(G, [], {{s: sum(w@{position})}})"
+    ((_, expr),) = parse(script).stmts
+    ((_, spec),) = expr.args[-1]
+    assert spec.step == step

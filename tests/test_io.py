@@ -6,7 +6,13 @@ from socialgraph.errors import DanglingEndpointError, GraphFileError
 from socialgraph.fixtures import jazz_fixture, random_plain_graph, random_tagging_graph, rng_from
 from socialgraph.graph import build_graph, node
 from socialgraph.index import ClusteringStrategy, build_index, cluster_users, social_sets
-from socialgraph.io import load_graph, load_index_snapshot, save_graph, save_index_snapshot
+from socialgraph.io import (
+    load_graph,
+    load_index_snapshot,
+    load_scored_items,
+    save_graph,
+    save_index_snapshot,
+)
 
 
 def paths(tmp_path, stem="g"):
@@ -192,4 +198,56 @@ def test_object_valued_attribute_rejected(tmp_path):
     open(lp, "w").close()
     with pytest.raises(GraphFileError) as err:
         load_graph(np, lp)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entries: entries.append(["i0", entries[-1][1] + 1]),
+        lambda entries: entries.append(["", entries[-1][1]]),
+    ],
+    ids=["score-rises", "tie-out-of-id-order"],
+)
+def test_index_snapshot_rejects_unsorted_list(tmp_path, edit):
+    records = _jazz_snapshot_lines(tmp_path)
+    edit(records[-1]["entries"])
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(_write_lines(tmp_path, records))
+    assert err.value.line == len(records) and "sorted" in str(err.value)
+
+
+def test_index_snapshot_accepts_ties_in_id_order(tmp_path):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[-1]["entries"].append(["zz", records[-1]["entries"][-1][1]])
+    loaded = load_index_snapshot(_write_lines(tmp_path, records))
+    assert loaded.lists[(records[-1]["tag"], records[-1]["cluster"])][-1] == ("zz", 2)
+
+
+def test_index_snapshot_rejects_cluster_without_leader(tmp_path):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[-1]["cluster"] = "nobody"
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(_write_lines(tmp_path, records))
+    assert err.value.line == len(records) and "nobody" in str(err.value)
+
+
+def test_scored_items_load(tmp_path):
+    path = tmp_path / "items.jsonl"
+    path.write_text('{"id": "a", "score": 2}\n\n{"id": 7}\n', encoding="utf-8")
+    assert load_scored_items(str(path)) == [("a", 2.0), ("7", 1.0)]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"score": 1.0}', "[1]", '{"id": "a", "score": null}', '{"id": "a", "score": true}',
+     '{"id": "a", "score": "0.5"}', '{"id": null}', '{"id": "a", "score": NaN}',
+     '{"id": "a", "score": 1' + "0" * 400 + "}"],
+    ids=["no-id", "array", "null-score", "bool-score", "string-score", "null-id", "nan-score", "huge-int"],
+)
+def test_scored_items_reject_malformed_lines(tmp_path, line):
+    path = tmp_path / "items.jsonl"
+    path.write_text('{"id": "a"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(GraphFileError) as err:
+        load_scored_items(str(path))
     assert err.value.line == 2

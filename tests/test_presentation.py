@@ -230,3 +230,14 @@ def test_aggregate_ratio_never_rounded():
     g = friends_endorse_graph()
     _, ratio = aggregate_explanations(g, "u", "i", "collaborative")
     assert ratio == 0.6  # exactly 3/5, not a rounded percentage
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [SocialGrouping(theta=0.5), TopicalGrouping(), StructuralGrouping(attr="name")],
+    ids=["social", "topical", "structural"],
+)
+def test_group_items_rejects_unknown_item(criterion):
+    with pytest.raises(UnknownItemError) as err:
+        group_items([("i1", 1.0), ("nope", 0.5)], tagging_graph(), criterion)
+    assert err.value.item_id == "nope"
