@@ -393,27 +393,24 @@ def jaccard(a, b) -> float:
 
 
 def apply_composition(f: CompositionFn, left: LinkCtx, right: LinkCtx) -> dict:
-    """Evaluate a composition function into the new link's attribute map."""
-    pair = [left.link, right.link]
+    """Evaluate a composition function into the new link's attribute map.
+    Aggregate outputs are evaluated over the pair (left link, right link)
+    exactly as ``apply_agg`` evaluates them over any collection."""
     out: dict = {}
     for name, expr in f.outputs:
-        if isinstance(expr, ConstString):
-            out[name] = frozenset({expr.value})
-        elif isinstance(expr, CopyFrom):
-            out[name] = _side_values(expr.side, expr.attr, left, right, name)
+        if isinstance(expr, CopyFrom):
+            values = _side_values(expr.side, expr.attr, left, right, name)
         elif isinstance(expr, JaccardOf):
             a = _side_values(expr.left_side, expr.left_attr, left, right, name)
             b = _side_values(expr.right_side, expr.right_attr, left, right, name)
-            out[name] = frozenset({jaccard(a, b)})
-        elif isinstance(expr, SafExpr):
-            values = eval_saf(expr, pair)
-            if values:
-                out[name] = values
+            values = frozenset({jaccard(a, b)})
         else:
             try:
-                out[name] = frozenset({eval_naf(expr, pair)})
+                values = apply_agg(expr, (left.link, right.link))
             except AggEvalError as e:
                 raise CompositionFnError(str(e), attr=name) from e
+        if values is not None:
+            out[name] = values
     if not out:
         raise CompositionFnError("composition function produced no attributes")
     return out

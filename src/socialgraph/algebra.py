@@ -225,6 +225,7 @@ def compose(
     does not set "type" default to type='composed'.
     """
     nodes: dict = {}
+    merged: dict = {}  # node id -> the operand node last merged into it
     links = []
     far1, far2 = opposite(delta.d1), opposite(delta.d2)
     # Hash join: g2 links bucketed by their d2 endpoint in g2 order, so
@@ -243,9 +244,12 @@ def compose(
             if "type" not in attrs:
                 attrs["type"] = frozenset({"composed"})
             links.append(Link(f"gen:compose:{l1.id}:{l2.id}", u, v, attrs))
-            for nid, source in ((u, g1), (v, g2)):
-                n = source.nodes[nid]
-                nodes[nid] = _merge_nodes(nodes[nid], n) if nid in nodes else n
+            for nid, n in ((u, g1.nodes[u]), (v, g2.nodes[v])):
+                if nid not in nodes:
+                    nodes[nid] = n
+                elif merged.get(nid) is not n:  # re-merging the node last merged adds nothing
+                    nodes[nid] = _merge_nodes(nodes[nid], n)
+                    merged[nid] = n
     return build_graph(nodes.values(), links)
 
 

@@ -49,48 +49,44 @@ def _jline(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def _add_graph_args(p: argparse.ArgumentParser):
-    p.add_argument("--nodes", required=True, help="node JSON-lines file")
-    p.add_argument("--links", required=True, help="link JSON-lines file")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="socialgraph", description=__doc__)
+    parser.set_defaults(json=False)  # for estimate-index, which has no --json
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("query", help="run a query script against a graph")
-    _add_graph_args(p)
+    def command(name: str, run, help: str, graph: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if graph:
+            p.add_argument("--nodes", required=True, help="node JSON-lines file")
+            p.add_argument("--links", required=True, help="link JSON-lines file")
+        return p
+
+    p = command("query", _cmd_query, "run a query script against a graph")
     p.add_argument("--script", required=True, help="script file")
     p.add_argument("--name", default="G", help="input graph name used by the script")
     p.add_argument("--out-dir", help="write every binding as graph files here")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("recommend", help="recommend items for a user")
-    _add_graph_args(p)
+    p = command("recommend", _cmd_recommend, "recommend items for a user")
     p.add_argument("--user", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--method", choices=("cf", "content"), default="cf")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("discover", help="combined semantic+social discovery")
-    _add_graph_args(p)
+    p = command("discover", _cmd_discover, "combined semantic+social discovery")
     p.add_argument("--user", required=True)
     p.add_argument("--query", default="[]", help="condition, e.g. \"[type='destination'; kw:'ski']\"")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("build-index", help="build and save a clustered tag index")
-    _add_graph_args(p)
+    p = command("build-index", _cmd_build_index, "build and save a clustered tag index")
     p.add_argument("--strategy", choices=("network", "behavior", "hybrid"), required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--out", required=True, help="snapshot path")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("topk", help="network-aware top-k tag search")
+    p = command("topk", _cmd_topk, "network-aware top-k tag search", graph=False)
     p.add_argument("--index", help="index snapshot path")
     p.add_argument("--nodes")
     p.add_argument("--links")
@@ -99,31 +95,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", required=True)
     p.add_argument("--keywords", required=True, help="comma-separated tags")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("group", help="group a scored item list")
-    _add_graph_args(p)
+    p = command("group", _cmd_group, "group a scored item list")
     p.add_argument("--items", required=True, help="JSON-lines of {id, score}")
     p.add_argument(
         "--criterion", required=True, help="social:<theta> | topical | structural:<attr>"
     )
     p.add_argument("--max-groups", type=int, default=10)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("explain", help="explain an item for a user")
-    _add_graph_args(p)
+    p = command("explain", _cmd_explain, "explain an item for a user")
     p.add_argument("--user", required=True)
     p.add_argument("--item", required=True)
     p.add_argument("--strategy", choices=("content", "collaborative"), default="collaborative")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("estimate-index", help="per-(tag,user) index sizing")
+    p = command("estimate-index", _cmd_estimate_index, "per-(tag,user) index sizing", graph=False)
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--tags-per-item", type=int, required=True)
     p.add_argument("--tagger-fraction", type=float, required=True)
     p.add_argument("--bytes", type=int, required=True)
 
+    for name, p in sub.choices.items():
+        if name != "estimate-index":
+            p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -143,185 +137,126 @@ def _parse_criterion(text: str):
     raise bad
 
 
-def _cmd_query(args, out) -> int:
+# Each subcommand maps its parsed arguments to (JSON records, text lines)
+# and prints nothing; run_command prints one or the other.
+
+
+def _ranked(ranking, fmt=_score):
+    """(item, score) pairs as records and as item<TAB>score lines."""
+    return (
+        [{"item": item, "score": score} for item, score in ranking],
+        [f"{item}\t{fmt(score)}" for item, score in ranking],
+    )
+
+
+def _index_from_graph(args):
+    """Social sets, clustering and an index over every tag of the graph files."""
+    sets = social_sets(load_graph(args.nodes, args.links))
+    model = cluster_users(sets, ClusteringStrategy(kind=args.strategy, theta=args.theta))
+    return build_index(sets, model, {tag for (_, tag) in sets.taggers})
+
+
+def _cmd_query(args):
     with open(args.script, "r", encoding="utf-8") as fh:
         text = fh.read()
-    g = load_graph(args.nodes, args.links)
-    results = dsl.run_script(text, {args.name: g})
+    results = dsl.run_script(text, {args.name: load_graph(args.nodes, args.links)})
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    for name, graph in results.items():
-        if args.out_dir:
-            save_graph(
-                graph,
-                os.path.join(args.out_dir, f"{name}.nodes.jsonl"),
-                os.path.join(args.out_dir, f"{name}.links.jsonl"),
-            )
-        if args.json:
-            print(
-                _jline({"binding": name, "nodes": len(graph.nodes), "links": len(graph.links)}),
-                file=out,
-            )
-        else:
-            print(f"{name}\tnodes={len(graph.nodes)}\tlinks={len(graph.links)}", file=out)
-    return 0
+        for name, graph in results.items():
+            path = os.path.join(args.out_dir, name)
+            save_graph(graph, f"{path}.nodes.jsonl", f"{path}.links.jsonl")
+    records = [
+        {"binding": name, "nodes": len(g.nodes), "links": len(g.links)} for name, g in results.items()
+    ]
+    return records, [f"{r['binding']}\tnodes={r['nodes']}\tlinks={r['links']}" for r in records]
 
 
-def _cmd_recommend(args, out) -> int:
+def _cmd_recommend(args):
     g = load_graph(args.nodes, args.links)
-    if args.method == "cf":
-        cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=max(args.k, 1))
-        _, ranking = cf_recommend(g, args.user, cfg)
-        ranking = ranking[: args.k]
-    else:
-        ranking = content_recommend(g, args.user, args.k)
-    for item, score in ranking:
-        if args.json:
-            print(_jline({"item": item, "score": score}), file=out)
-        else:
-            print(f"{item}\t{_score(score)}", file=out)
-    return 0
+    if args.method == "content":
+        return _ranked(content_recommend(g, args.user, args.k))
+    cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=args.k)
+    return _ranked(cf_recommend(g, args.user, cfg)[1][: args.k])
 
 
-def _cmd_discover(args, out) -> int:
+def _cmd_discover(args):
     g = load_graph(args.nodes, args.links)
     cond = dsl.parse_condition(args.query)
-    cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=max(args.k, 1))
+    cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=args.k)
     msg = discover(g, args.user, cond, cfg)
-    for item, combined, semantic, social in msg.ranking:
-        if args.json:
-            print(
-                _jline(
-                    {
-                        "item": item,
-                        "combined": combined,
-                        "semantic": semantic,
-                        "social": social,
-                    }
-                ),
-                file=out,
-            )
-        else:
-            print(
-                f"{item}\t{_score(combined)}\tsemantic={_score(semantic)}\tsocial={_score(social)}",
-                file=out,
-            )
-    if not args.json:
-        print(
-            f"# provenance: {len(msg.graph.nodes)} nodes, {len(msg.graph.links)} links",
-            file=out,
-        )
-    return 0
+    records = [dict(zip(("item", "combined", "semantic", "social"), e)) for e in msg.ranking]
+    lines = [
+        f"{item}\t{_score(combined)}\tsemantic={_score(semantic)}\tsocial={_score(social)}"
+        for item, combined, semantic, social in msg.ranking
+    ]
+    lines.append(f"# provenance: {len(msg.graph.nodes)} nodes, {len(msg.graph.links)} links")
+    return records, lines
 
 
-def _cmd_build_index(args, out) -> int:
-    g = load_graph(args.nodes, args.links)
-    sets = social_sets(g)
-    model = cluster_users(sets, ClusteringStrategy(kind=args.strategy, theta=args.theta))
-    tags = {tag for (_, tag) in sets.taggers}
-    index = build_index(sets, model, tags)
+def _cmd_build_index(args):
+    index = _index_from_graph(args)
     save_index_snapshot(index, args.out)
     record = {
         "clusters": len(index.model.leaders),
         "lists": len(index.lists),
         "users": len(index.model.assignment),
     }
-    print(_jline(record) if args.json else
-          f"clusters={record['clusters']}\tlists={record['lists']}\tusers={record['users']}",
-          file=out)
-    return 0
+    return [record], ["\t".join(f"{key}={value}" for key, value in record.items())]
 
 
-def _cmd_topk(args, out) -> int:
+def _cmd_topk(args):
     if args.index:
         index = load_index_snapshot(args.index)
     elif args.nodes and args.links:
-        g = load_graph(args.nodes, args.links)
-        sets = social_sets(g)
-        model = cluster_users(sets, ClusteringStrategy(kind=args.strategy, theta=args.theta))
-        index = build_index(sets, model, {tag for (_, tag) in sets.taggers})
+        index = _index_from_graph(args)
     else:
         raise SocialGraphError("topk needs --index or both --nodes and --links")
     keywords = [k for k in args.keywords.split(",") if k]
-    for item, score in topk_query(index, args.user, keywords, args.k):
-        if args.json:
-            print(_jline({"item": item, "score": score}), file=out)
-        else:
-            print(f"{item}\t{score}", file=out)
-    return 0
+    return _ranked(topk_query(index, args.user, keywords, args.k), str)
 
 
-def _cmd_group(args, out) -> int:
+def _cmd_group(args):
     g = load_graph(args.nodes, args.links)
     groups = group_items(load_scored_items(args.items), g, _parse_criterion(args.criterion))
-    for grp in select_groups(groups, args.max_groups):
-        if args.json:
-            print(
-                _jline(
-                    {
-                        "id": grp.id,
-                        "label": grp.label,
-                        "quality": grp.quality,
-                        "size": grp.size,
-                        "members": list(grp.members),
-                    }
-                ),
-                file=out,
-            )
-        else:
-            print(
-                f"{grp.id}\t{grp.label}\tquality={_score(grp.quality)}\tsize={grp.size}\t"
-                f"members={','.join(grp.members)}",
-                file=out,
-            )
-    return 0
+    groups = select_groups(groups, args.max_groups)
+    records = [
+        {"id": grp.id, "label": grp.label, "quality": grp.quality, "size": grp.size,
+         "members": list(grp.members)}
+        for grp in groups
+    ]
+    lines = [
+        f"{grp.id}\t{grp.label}\tquality={_score(grp.quality)}\tsize={grp.size}\t"
+        f"members={','.join(grp.members)}"
+        for grp in groups
+    ]
+    return records, lines
 
 
-def _cmd_explain(args, out) -> int:
-    g = load_graph(args.nodes, args.links)
-    explanation = explain_item(g, args.user, args.item, args.strategy)
-    if args.json:
-        print(
-            _jline(
-                {
-                    "user": explanation.subject[0],
-                    "item": explanation.subject[1],
-                    "strategy": explanation.strategy,
-                    "summary": explanation.summary,
-                    "evidence": [[eid, w] for eid, w in explanation.evidence],
-                }
-            ),
-            file=out,
-        )
-    else:
-        print(explanation.summary, file=out)
-        for eid, weight in explanation.evidence:
-            print(f"{eid}\t{_score(weight)}", file=out)
-    return 0
+def _cmd_explain(args):
+    e = explain_item(load_graph(args.nodes, args.links), args.user, args.item, args.strategy)
+    record = {
+        "user": e.subject[0],
+        "item": e.subject[1],
+        "strategy": e.strategy,
+        "summary": e.summary,
+        "evidence": [[eid, w] for eid, w in e.evidence],
+    }
+    return [record], [e.summary, *(f"{eid}\t{_score(w)}" for eid, w in e.evidence)]
 
 
-def _cmd_estimate_index(args, out) -> int:
+def _cmd_estimate_index(args):
     size = estimate_index_size(
         args.users, args.items, args.tags_per_item, args.tagger_fraction, args.bytes
     )
-    print(size, file=out)
-    return 0
-
-
-_COMMANDS = {
-    "query": _cmd_query,
-    "recommend": _cmd_recommend,
-    "discover": _cmd_discover,
-    "build-index": _cmd_build_index,
-    "topk": _cmd_topk,
-    "group": _cmd_group,
-    "explain": _cmd_explain,
-    "estimate-index": _cmd_estimate_index,
-}
+    return [], [str(size)]
 
 
 def run_command(argv, out=None, err=None) -> int:
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code.
+
+    The subcommand computes its whole result before anything is
+    written, so a failing call prints its error line and nothing on
+    ``out``."""
     out = out or sys.stdout
     err = err or sys.stderr
     parser = _build_parser()
@@ -330,11 +265,15 @@ def run_command(argv, out=None, err=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args, out)
+        records, lines = args.run(args)
+        if args.json:
+            lines = [_jline(record) for record in records]
+        out.write("".join(f"{line}\n" for line in lines))
     except (SocialGraphError, OSError, ValueError) as e:
         # ValueError: every argument check in the package raises it
         print(f"error: {e}", file=err)
         return 1
+    return 0
 
 
 def main() -> None:

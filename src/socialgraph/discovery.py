@@ -181,6 +181,8 @@ def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     """Content strategy: score unseen items by their best
     similarity-weighted rated neighbor; item similarity is the Jaccard
     of tagger sets. Returns at most k positive (item, score) pairs."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     _require_user(g, user_id)
     mine = acted_items(g, user_id)
     ratings = {other: rating(g, user_id, other) for other in mine}

@@ -42,7 +42,10 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, str):
         return value
     if isinstance(value, (int, float)):
-        out = float(value)
+        try:
+            out = float(value)
+        except OverflowError:  # an int beyond float range
+            raise ValueError("attribute numbers must be within float range") from None
         if not math.isfinite(out):
             raise ValueError(f"attribute floats must be finite, got {value!r}")
         return out

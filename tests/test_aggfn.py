@@ -194,6 +194,16 @@ def test_composition_errors():
     assert err.value.attr == "out"
 
 
+def test_composition_any_copies_the_shared_value():
+    f = CompositionFn((("x", CopyAny("type")),))
+    left = ctx(link("a", "u", "v", type=("act", "visit")))
+    out = apply_composition(f, left, ctx(link("b", "w", "v", type=("act", "visit"))))
+    assert out == {"x": frozenset({"act", "visit"})}
+    with pytest.raises(CompositionFnError) as err:
+        apply_composition(f, left, ctx(link("b", "w", "v", type="tag")))
+    assert err.value.attr == "x"
+
+
 def test_composition_numeric_output():
     f = CompositionFn((("total", sum_of("w")),))
     left = ctx(weighted("a", 1.5))

@@ -199,6 +199,29 @@ def test_explain_equals_api(cf_files):
     assert [(e[0], e[1]) for e in record["evidence"]] == list(want.evidence)
 
 
+def test_query_compose_any_keeps_the_shared_value(tmp_path, jazz_files):
+    np, lp = jazz_files
+    script = tmp_path / "any.sgs"
+    script.write_text("A = compose(G, G, (tgt,tgt), {x: any(type)})\n")
+    code, out, err = run("query", "--nodes", np, "--links", lp, "--script", str(script), "--out-dir", str(tmp_path))
+    assert (code, out, err) == (0, "A\tnodes=3\tlinks=6\n", "")
+    from socialgraph.io import load_graph
+
+    a = load_graph(str(tmp_path / "A.nodes.jsonl"), str(tmp_path / "A.links.jsonl"))
+    assert a.links["gen:compose:t2:t3"].attrs["x"] == frozenset({"act", "tag"})
+
+
+def test_failed_out_dir_save_prints_nothing(tmp_path, cf_files):
+    np, lp = cf_files
+    script = tmp_path / "s.sgs"
+    script.write_text("A = nsel(G, [type='user'])\nB = lsel(G, [type='visit'])\n")
+    (tmp_path / "out" / "B.nodes.jsonl").mkdir(parents=True)  # saving binding B fails
+    code, out, err = run("query", "--nodes", np, "--links", lp, "--script", str(script),
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_score_formatting_is_six_places(cf_files):
     np, lp = cf_files
     _, out, _ = run("recommend", "--nodes", np, "--links", lp, "--user", "101")
@@ -239,9 +262,14 @@ def malformed_inputs(tmp_path, jazz_files):
             fh.write(text + "\n")
     with open(p("overflow.sgs"), "w", encoding="utf-8") as fh:
         fh.write("X = laggr(G, [], {s: sum(w@1e400)})\n")
+    with open(p("anydiff.sgs"), "w", encoding="utf-8") as fh:
+        fh.write("A = compose(G, G, (src,tgt), {x: any(type)})\n")
+    with open(p("hugeint.nodes"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
+        fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap",
-        "overflow.sgs", *bad_items,
+        "overflow.sgs", "anydiff.sgs", "hugeint.nodes", *bad_items,
     )}}
 
 
@@ -266,6 +294,15 @@ MALFORMED = [
         for criterion in ("social:0.5", "topical", "structural:name")
     ),
     ("query chain position 1e400", ["query", "--nodes", "nodes", "--links", "links", "--script", "overflow.sgs"]),
+    ("query compose any() disagreeing", ["query", "--nodes", "nodes", "--links", "links", "--script", "anydiff.sgs"]),
+    ("integer attribute beyond float range", ["recommend", "--nodes", "hugeint.nodes", "--links", "links",
+                                              "--user", "u1"]),
+    *(
+        (f"{' '.join(argv)} --k {k}", [argv[0], "--nodes", "nodes", "--links", "links",
+                                       "--user", "u1", *argv[1:], "--k", k])
+        for argv in (["recommend", "--method", "cf"], ["recommend", "--method", "content"], ["discover"])
+        for k in ("0", "-1")
+    ),
 ]
 
 

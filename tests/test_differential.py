@@ -47,6 +47,8 @@ from socialgraph.graph import (
     StructPredicate,
     build_graph,
     compile_condition,
+    link,
+    node,
     satisfies,
 )
 from socialgraph.index import social_sets
@@ -162,8 +164,37 @@ def test_equality_on_floats_and_multivalued_types():
 
 @given(graphs(), graphs(), st.sampled_from(DELTAS), st.sampled_from(COMPOSITION_FNS))
 def test_compose_matches_nested_loop(g1, g2, delta, f):
+    """Also pins the merged endpoints' attribute key order; the operands
+    share ids n0..n4 with differing attributes and mixed-type scores."""
     for a, b in ((g1, g2), (g2, g1), (g1, g1)):
-        assert outcome(compose, a, b, delta, f) == outcome(compose_nested, a, b, delta, f)
+        fast, slow = outcome(compose, a, b, delta, f), outcome(compose_nested, a, b, delta, f)
+        assert fast == slow
+        if fast[0] != "error":
+            assert attribute_order(fast[0]) == attribute_order(slow[0])
+
+
+def attribute_order(g) -> list:
+    return [(nid, list(n.attrs)) for nid, n in g.nodes.items()]
+
+
+def test_compose_merges_again_when_the_side_changes():
+    """n0 is a far endpoint from g1, g1, g1, g2, g1 in turn. Two merges of
+    g1's n0 collapse its float scores to 0.5; the string score from g2
+    stops the collapse, so the last g1 merge brings 0.3 back. k comes
+    from g2 alone and keeps only its highest score."""
+    g1 = build_graph(
+        [node("n0", type="user", score=(0.3, 0.5)), node("h", type="user"), node("k", type="user")],
+        [link(i, src, "n0", type="e") for i, src in (("a", "h"), ("b", "h"), ("c", "k"), ("z", "h"))],
+    )
+    g2 = build_graph(
+        [node("n0", type="user", score="x"), node("h", type="user"), node("k", type="user", score=(0.1, 0.2))],
+        [link("d", "h", "k", type="e"), link("e", "k", "n0", type="e")],
+    )
+    args = (g1, g2, DirectionalCondition("src", "src"), COMPOSITION_FNS[1])
+    got = compose(*args)
+    assert got.nodes["n0"].attrs["score"] == frozenset({0.3, 0.5, "x"})
+    assert got.nodes["k"].attrs["score"] == frozenset({0.2})
+    assert outcome(compose, *args) == outcome(compose_nested, *args)
 
 
 @pytest.mark.parametrize("g", fixture_graphs())

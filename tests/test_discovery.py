@@ -142,6 +142,12 @@ def test_content_recommend_no_rated_items():
     assert content_recommend(g, "u", 5) == []
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_content_recommend_rejects_k_below_one(cf_graph, k):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        content_recommend(cf_graph, "101", k)
+
+
 def test_content_recommend_matches_exhaustive_random():
     from socialgraph.aggfn import jaccard
 

@@ -201,6 +201,18 @@ def test_object_valued_attribute_rejected(tmp_path):
     assert err.value.line == 2
 
 
+def test_attribute_integer_beyond_float_range_rejected(tmp_path):
+    np, lp = paths(tmp_path)
+    with open(np, "w") as fh:
+        fh.write(json.dumps({"id": "a", "attrs": {"type": "user"}}) + "\n")
+        fh.write('{"id": "b", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
+    open(lp, "w").close()
+    with pytest.raises(GraphFileError) as err:
+        load_graph(np, lp)
+    assert err.value.line == 2
+    assert "within float range" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
