@@ -173,9 +173,9 @@ def _cmd_query(args):
 
 def _cmd_recommend(args):
     g = load_graph(args.nodes, args.links)
-    if args.method == "content":
-        return _ranked(content_recommend(g, args.user, args.k))
     cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=args.k)
+    if args.method == "content":
+        return _ranked(content_recommend(g, args.user, cfg.k))
     return _ranked(cf_recommend(g, args.user, cfg)[1][: args.k])
 
 

@@ -48,6 +48,8 @@ class DiscoveryConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha!r}")
+        if not 0.0 <= self.sim_threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {self.sim_threshold!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 

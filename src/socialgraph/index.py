@@ -10,6 +10,7 @@ member's true score and keeps threshold-style pruning safe.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,26 +149,25 @@ def cluster_users(sets: SocialSets, strategy: ClusteringStrategy) -> ClusterMode
     return ClusterModel(assignment=assignment, leaders=leaders)
 
 
-def _exact_tag_scores(sets: SocialSets) -> dict:
-    """(item, tag) -> {user -> exact score}, nonzero entries only.
+def _exact_tag_scores(sets: SocialSets):
+    """Yield ((item, tag), {user -> exact score}) pairs, nonzero entries only.
 
     A user's score is |network(u) ∩ taggers(i, k)|, counted by walking
     each tagger's inverted friend set so the cost scales with tagging
-    activity rather than the user population.
+    activity rather than the user population. The pairs are streamed, so
+    only one key's counts are held at a time.
     """
     befriended: dict = {}  # v -> users whose network contains v
     for u, net in sets.network.items():
         for v in net:
             befriended.setdefault(v, []).append(u)
-    out: dict = {}
     for key, tagger_set in sets.taggers.items():
         counts: dict = {}
         for t in tagger_set:
             for u in befriended.get(t, ()):
                 counts[u] = counts.get(u, 0) + 1
         if counts:
-            out[key] = counts
-    return out
+            yield key, counts
 
 
 def build_index(sets: SocialSets, model: ClusterModel, tags) -> ClusteredIndex:
@@ -175,7 +175,7 @@ def build_index(sets: SocialSets, model: ClusterModel, tags) -> ClusteredIndex:
     given tag vocabulary; zero-score entries are omitted."""
     tags = set(tags)
     best: dict = {}  # (tag, cluster) -> {item -> max score}
-    for (item, tag), counts in _exact_tag_scores(sets).items():
+    for (item, tag), counts in _exact_tag_scores(sets):
         if tag not in tags:
             continue
         for u, score in counts.items():
@@ -204,7 +204,8 @@ def exact_score(sets: SocialSets, item: str, user: str, keywords) -> int:
 def exhaustive_topk(sets: SocialSets, user: str, keywords, k: int) -> list:
     """Reference top-k by exact scoring of every item; positive scores
     only, ordered by score descending then item id ascending."""
-    candidates = {item for (item, tag) in sets.taggers if tag in set(keywords)}
+    wanted = set(keywords)
+    candidates = {item for (item, tag) in sets.taggers if tag in wanted}
     scored = []
     for item in candidates:
         s = exact_score(sets, item, user, keywords)
@@ -218,10 +219,13 @@ def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
     """Threshold-algorithm top-k over the user's cluster lists.
 
     Round-robin sorted access over the per-keyword lists; every newly
-    seen item is exact-scored immediately (random access). The scan
-    stops once k items are in hand and the k-th best exact score
-    strictly beats the sum of the current list frontiers, which is safe
-    because stored scores upper-bound every member's exact score.
+    seen item is exact-scored immediately (random access). Only the best
+    k positive scores are kept, as (-score, item) pairs in answer order,
+    so each access costs O(log k) and a query O(accesses * log k) rather
+    than a re-sort of every seen item per round. The scan stops, checked
+    once per round, once k items are in hand and the k-th best exact
+    score strictly beats the sum of the current list frontiers, which is
+    safe because stored scores upper-bound every member's exact score.
     Strictness matters: an unseen item may still tie the k-th score and
     win the item-id tiebreak, so a tie with the frontier cannot stop.
     """
@@ -233,7 +237,8 @@ def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
         raise UnknownUserError(user)
     lists = [index.lists.get((kw, cluster), ()) for kw in keywords]
     pos = [0] * len(lists)
-    seen: dict = {}
+    seen: set = set()
+    top: list = []  # at most k (-score, item) pairs, ascending
     while True:
         progressed = False
         for j, entries in enumerate(lists):
@@ -242,17 +247,16 @@ def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
                 pos[j] += 1
                 progressed = True
                 if item not in seen:
-                    seen[item] = exact_score(index.sets, item, user, keywords)
+                    seen.add(item)
+                    s = exact_score(index.sets, item, user, keywords)
+                    if s > 0 and (len(top) < k or (-s, item) < top[-1]):
+                        insort(top, (-s, item))
+                        del top[k:]
         frontier = sum(
             entries[pos[j]][1] for j, entries in enumerate(lists) if pos[j] < len(entries)
         )
-        ranked = sorted(
-            ((item, s) for item, s in seen.items() if s > 0), key=lambda e: (-e[1], e[0])
-        )
-        if len(ranked) >= k and ranked[k - 1][1] > frontier:
-            return ranked[:k]
-        if not progressed:
-            return ranked[:k]
+        if not progressed or (len(top) == k and -top[-1][0] > frontier):
+            return [(item, -neg) for neg, item in top]
 
 
 def estimate_index_size(

@@ -1,16 +1,19 @@
 """Naive references for the engine's indexed and compiled code paths.
 
-Each function here is the plain full-scan or nested-loop version of
-something the package now does through a derived view, a hash join or a
-compiled predicate. ``test_differential.py`` checks the two agree on
-results, link order and generated ids.
+Each function here is the plain full-scan, nested-loop, re-sorting or
+materialising version of something the package now does through a
+derived view, a hash join, a compiled predicate, a k-bounded ranked list
+or a stream. ``test_differential.py`` checks the two agree on results,
+link order, generated ids and the number of exact-score calls.
 """
 
 from __future__ import annotations
 
+from socialgraph import index as sgindex
 from socialgraph.aggfn import LinkCtx, apply_composition
 from socialgraph.algebra import _merge_nodes
 from socialgraph.discovery import VISIT
+from socialgraph.errors import UnknownUserError
 from socialgraph.graph import Link, build_graph, opposite, satisfies
 
 
@@ -102,3 +105,56 @@ def provenance_scan(g, user_id, ranking, match_graph):
     for peer in contributing:
         nodes[peer] = g.nodes[peer]
     return build_graph(nodes.values(), links.values())
+
+
+def topk_resort(index, user, keywords, k):
+    """``topk_query`` keeping every seen item and re-sorting all of them
+    after each round-robin round. Exact scores go through the module
+    global ``index.exact_score``, as in ``topk_query``, so a counter
+    patched in there sees both."""
+    keywords = list(keywords)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    cluster = index.model.assignment.get(user)
+    if cluster is None:
+        raise UnknownUserError(user)
+    lists = [index.lists.get((kw, cluster), ()) for kw in keywords]
+    pos = [0] * len(lists)
+    seen: dict = {}
+    while True:
+        progressed = False
+        for j, entries in enumerate(lists):
+            if pos[j] < len(entries):
+                item, _ = entries[pos[j]]
+                pos[j] += 1
+                progressed = True
+                if item not in seen:
+                    seen[item] = sgindex.exact_score(index.sets, item, user, keywords)
+        frontier = sum(
+            entries[pos[j]][1] for j, entries in enumerate(lists) if pos[j] < len(entries)
+        )
+        ranked = sorted(
+            ((item, s) for item, s in seen.items() if s > 0), key=lambda e: (-e[1], e[0])
+        )
+        if len(ranked) >= k and ranked[k - 1][1] > frontier:
+            return ranked[:k]
+        if not progressed:
+            return ranked[:k]
+
+
+def exact_tag_scores_dict(sets):
+    """Every (item, tag) -> {user -> exact score} at once, nonzero entries
+    only: the materialised form of ``index._exact_tag_scores``."""
+    befriended: dict = {}
+    for u, net in sets.network.items():
+        for v in net:
+            befriended.setdefault(v, []).append(u)
+    out: dict = {}
+    for key, tagger_set in sets.taggers.items():
+        counts: dict = {}
+        for t in tagger_set:
+            for u in befriended.get(t, ()):
+                counts[u] = counts.get(u, 0) + 1
+        if counts:
+            out[key] = counts
+    return out

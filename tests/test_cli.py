@@ -303,7 +303,31 @@ MALFORMED = [
         for argv in (["recommend", "--method", "cf"], ["recommend", "--method", "content"], ["discover"])
         for k in ("0", "-1")
     ),
+    ("recommend --method content --alpha 2", ["recommend", "--nodes", "nodes", "--links", "links",
+                                              "--user", "u1", "--method", "content", "--alpha", "2"]),
+    *(
+        (f"{' '.join(argv)} --threshold {t}", [argv[0], "--nodes", "nodes", "--links", "links",
+                                               "--user", "u1", *argv[1:], "--threshold", t])
+        for argv in (["recommend", "--method", "cf"], ["recommend", "--method", "content"], ["discover"])
+        for t in ("nan", "inf", "-5")
+    ),
 ]
+
+
+OPTION_ERRORS = [
+    (["recommend", "--method", "content", "--alpha", "2"], "alpha must be in [0, 1], got 2.0"),
+    *(
+        ([*argv, "--threshold", t], f"threshold must be in [0, 1], got {float(t)!r}")
+        for argv in (["recommend", "--method", "cf"], ["recommend", "--method", "content"], ["discover"])
+        for t in ("nan", "inf", "-5")
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", OPTION_ERRORS, ids=[" ".join(argv) for argv, _ in OPTION_ERRORS])
+def test_discovery_options_are_checked_for_every_method(cf_files, argv, message):
+    np, lp = cf_files
+    assert run(argv[0], "--nodes", np, "--links", lp, "--user", "101", *argv[1:]) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in MALFORMED], ids=[name for name, _ in MALFORMED])

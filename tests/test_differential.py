@@ -1,9 +1,11 @@
-"""Differential tests: the adjacency view, the hash-join ``compose`` and
-compiled conditions against the naive references in ``reference.py``.
+"""Differential tests: the adjacency view, the hash-join ``compose``,
+compiled conditions, the k-bounded ``topk_query`` and the streamed
+``build_index`` against the naive references in ``reference.py``.
 
 Graphs come from the seeded fixtures and from Hypothesis (small graphs
 with multi-valued types, float and string values, and stored attributes
-named like the ``id``/``src``/``tgt`` pseudo-attributes).
+named like the ``id``/``src``/``tgt`` pseudo-attributes; small social
+sets with tied scores, repeated keywords and tags without a list).
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from reference import (
     acted_items_scan,
     all_taggers_scan,
     compose_nested,
+    exact_tag_scores_dict,
     provenance_scan,
     rating_scan,
     satisfies_predicate,
+    topk_resort,
     visited_items_scan,
 )
-from socialgraph import algebra, discovery
+from socialgraph import algebra, discovery, index
 from socialgraph.aggfn import COUNT, CompositionFn, ConstString, CopyFrom, JaccardOf, SafExpr
 from socialgraph.algebra import compose, link_aggregate, link_select, node_aggregate, node_select
 from socialgraph.discovery import (
@@ -51,7 +55,17 @@ from socialgraph.graph import (
     node,
     satisfies,
 )
-from socialgraph.index import social_sets
+from socialgraph.index import (
+    STRATEGIES,
+    ClusteringStrategy,
+    SocialSets,
+    build_index,
+    cluster_users,
+    exhaustive_topk,
+    social_sets,
+    topk_query,
+)
+from socialgraph.io import save_index_snapshot
 
 STRINGS = ("visit", "tag", "user", "item", "n0", "n1", "l0", "jazz")
 FLOATS = (-1.5, 0.0, 0.5, 1.0, 2.0)
@@ -262,3 +276,156 @@ def test_discover_provenance_matches_full_scan(seed):
         msg = discover(g, u, query, cfg)
         match = cf_pipeline(g, u, cfg.sim_threshold)["match"]
         assert outcome(lambda: msg.graph) == outcome(provenance_scan, g, u, msg.ranking, match)
+
+
+# ---------------------------------------------------------------------------
+# k-bounded top-k and the streamed index build
+
+
+def counted(query, idx, user, keywords, k):
+    """The answer of a top-k query, or the error it raises, with the
+    number of ``exact_score`` calls (random accesses) it made."""
+    calls = 0
+    real = index.exact_score
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with mock.patch.object(index, "exact_score", counting):
+        try:
+            got = query(idx, user, keywords, k)
+        except Exception as e:
+            got = ("error", type(e).__name__, str(e))
+    return got, calls
+
+
+def check_topk(idx, user, keywords, k, vocabulary):
+    """Equal to the re-sorting reference in answer and random accesses;
+    equal to the exhaustive ranking when every keyword with taggers was
+    indexed."""
+    fast = counted(topk_query, idx, user, keywords, k)
+    assert fast == counted(topk_resort, idx, user, keywords, k), (user, keywords, k)
+    tagged = {tag for _, tag in idx.sets.taggers}
+    if isinstance(fast[0], list) and set(keywords) & tagged <= set(vocabulary):
+        assert fast[0] == exhaustive_topk(idx.sets, user, keywords, k)
+
+
+def check_build(sets, model, tags, tmp_path):
+    assert list(index._exact_tag_scores(sets)) == list(exact_tag_scores_dict(sets).items())
+    fast = build_index(sets, model, tags)
+    with mock.patch.object(index, "_exact_tag_scores", lambda s: exact_tag_scores_dict(s).items()):
+        slow = build_index(sets, model, tags)
+    assert list(fast.lists.items()) == list(slow.lists.items())
+    save_index_snapshot(fast, tmp_path / "fast.snap")
+    save_index_snapshot(slow, tmp_path / "slow.snap")
+    assert (tmp_path / "fast.snap").read_bytes() == (tmp_path / "slow.snap").read_bytes()
+
+
+USERS = [f"u{i}" for i in range(5)]
+TAGS = ("jazz", "rock", "pop")
+
+
+@st.composite
+def social_sets_st(draw):
+    """Small social sets: a few friends and taggers per user, so exact
+    and stored scores are 0-3 and ties at the k-th score and with the
+    frontier are common."""
+    users = st.frozensets(st.sampled_from(USERS), max_size=3)
+    network = draw(st.dictionaries(st.sampled_from(USERS), users, max_size=5))
+    keys = st.tuples(st.sampled_from([f"i{i}" for i in range(5)]), st.sampled_from(TAGS))
+    taggers = draw(st.dictionaries(keys, users.filter(bool), max_size=10))
+    items: dict = {}
+    for (item, _), tagger_set in taggers.items():
+        for u in tagger_set:
+            items.setdefault(u, set()).add(item)
+    return SocialSets(
+        network=network, items={u: frozenset(v) for u, v in items.items()}, taggers=taggers
+    )
+
+
+strategies_st = st.builds(
+    ClusteringStrategy, st.sampled_from(STRATEGIES), st.sampled_from((0.0, 0.3, 0.5, 1.0))
+)
+
+
+@given(
+    social_sets_st(),
+    strategies_st,
+    # "pop" may be left out of the vocabulary and "ghost" never has a list
+    st.sampled_from((TAGS, TAGS[:2])),
+    st.lists(st.lists(st.sampled_from(TAGS + ("ghost",)), max_size=3), min_size=1, max_size=4),
+    st.integers(1, 7),
+)
+def test_topk_matches_resort_and_exhaustive(sets, strategy, vocabulary, queries, k):
+    idx = build_index(sets, cluster_users(sets, strategy), vocabulary)
+    for user in USERS + ["ghost"]:
+        for keywords in queries:
+            check_topk(idx, user, keywords, k, vocabulary)
+
+
+@given(sets=social_sets_st(), strategy=strategies_st)
+def test_build_index_matches_materialised_scores(tmp_path_factory, sets, strategy):
+    check_build(sets, cluster_users(sets, strategy), TAGS[:2], tmp_path_factory.mktemp("snap"))
+
+
+def _tie_sets():
+    """u0 and u1 share a cluster under network theta=0. u0's friend f1
+    tagged a, b and c with jazz; u1 also has f2, who tagged b, so b's
+    stored bound is 2 while u0 scores 1 on every item."""
+    return SocialSets(
+        network={"u0": frozenset({"f1"}), "u1": frozenset({"f1", "f2"})},
+        items={"f1": frozenset("abc"), "f2": frozenset("b")},
+        taggers={
+            ("a", "jazz"): frozenset({"f1"}),
+            ("b", "jazz"): frozenset({"f1", "f2"}),
+            ("c", "jazz"): frozenset({"f1"}),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "keywords, k, want, calls",
+    [
+        # the k-th score 1 ties the frontier 1 after round one: only the
+        # strict test goes on to find a, which wins b's tie on its id
+        (["jazz"], 1, [("a", 1)], 3),
+        # ties at the k-th score: a, b and c all score 1
+        (["jazz"], 2, [("a", 1), ("b", 1)], 3),
+        # k beyond the number of candidates
+        (["jazz"], 10, [("a", 1), ("b", 1), ("c", 1)], 3),
+        # a repeated keyword doubles every score and scores each item once
+        (["jazz", "jazz"], 2, [("a", 2), ("b", 2)], 3),
+        ([], 3, [], 0),
+        # a tag with no list adds nothing
+        (["ghost"], 3, [], 0),
+        (["jazz", "ghost"], 1, [("a", 1)], 3),
+    ],
+)
+def test_topk_edge_cases(keywords, k, want, calls):
+    sets = _tie_sets()
+    idx = build_index(sets, cluster_users(sets, ClusteringStrategy("network", 0.0)), ["jazz"])
+    assert idx.lists[("jazz", idx.model.assignment["u0"])][0] == ("b", 2)
+    assert counted(topk_query, idx, "u0", keywords, k) == (want, calls)
+    check_topk(idx, "u0", keywords, k, ["jazz"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_topk_matches_resort_on_fixtures(seed):
+    sets = social_sets(random_tagging_graph(rng_from(seed), 40, 80, n_tags=6, n_communities=3))
+    tags = sorted({tag for _, tag in sets.taggers})
+    for theta in (0.05, 0.3):
+        idx = build_index(sets, cluster_users(sets, ClusteringStrategy("network", theta)), tags)
+        for user in sets.users[::3]:
+            for keywords in ([tags[0]], tags[1:3], [tags[2], tags[2]], tags[:4]):
+                for k in (1, 5, 20):
+                    check_topk(idx, user, keywords, k, tags)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", STRATEGIES)
+def test_build_index_matches_materialised_scores_on_fixtures(seed, kind, tmp_path):
+    sets = social_sets(random_tagging_graph(rng_from(seed), 30, 60, n_tags=6, n_communities=3))
+    tags = sorted({tag for _, tag in sets.taggers})
+    check_build(sets, cluster_users(sets, ClusteringStrategy(kind, 0.3)), tags, tmp_path)

@@ -225,3 +225,14 @@ def test_discover_combined_is_alpha_blend(cf_graph):
 def test_discover_unknown_user(cf_graph):
     with pytest.raises(UnknownUserError):
         discover(cf_graph, "ghost", Condition())
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -5.0, 1.5])
+def test_config_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+        DiscoveryConfig(sim_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_config_accepts_threshold_bounds(threshold):
+    assert DiscoveryConfig(sim_threshold=threshold).sim_threshold == threshold
