@@ -9,7 +9,6 @@ six decimal places (round-half-even).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,6 +24,7 @@ from .index import (
     topk_query,
 )
 from .io import (
+    json_line,
     load_graph,
     load_index_snapshot,
     load_scored_items,
@@ -43,10 +43,6 @@ from .presentation import (
 
 def _score(x: float) -> str:
     return f"{x:.6f}"
-
-
-def _jline(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,7 +263,7 @@ def run_command(argv, out=None, err=None) -> int:
     try:
         records, lines = args.run(args)
         if args.json:
-            lines = [_jline(record) for record in records]
+            lines = [json_line(record) for record in records]
         out.write("".join(f"{line}\n" for line in lines))
     except (SocialGraphError, OSError, ValueError) as e:
         # ValueError: every argument check in the package raises it

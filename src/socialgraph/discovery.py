@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggfn import CompositionFn, ConstString, CopyAny, CopyFrom, JaccardOf, SafExpr, avg_of, jaccard
+from .aggfn import CompositionFn, ConstString, CopyAny, CopyFrom, JaccardOf, SafExpr, avg_of
 from .algebra import SetOpKind, link_select, node_select, semi_join, set_op, compose, link_aggregate, node_aggregate
 from .errors import UnknownUserError
 from .graph import (
@@ -26,6 +26,7 @@ from .graph import (
     compile_condition,
     default_keyword_score,
 )
+from .index import SocialSets, social_sets
 
 VISIT = Condition(preds=(attr_eq("type", "visit"),))
 FRIEND = Condition(preds=(attr_eq("type", "friend"),))
@@ -170,36 +171,35 @@ def rating(g: SocialContentGraph, user_id: str, item_id: str) -> float:
     return 1.0 if seen else 0.0
 
 
-def _tagger_sets(g: SocialContentGraph) -> dict:
-    """item id -> set of users with a 'tag' link to it."""
-    out: dict = {}
-    for l in g.links.values():
-        if "tag" in l.attrs["type"]:
-            out.setdefault(l.tgt, set()).add(l.src)
+def content_evidence(sets: SocialSets, ratings: dict, item: str) -> list:
+    """Content evidence for an item: (acted item, similarity x rating)
+    for each entry of ``ratings`` (a user's acted items and their
+    ratings), positive weights only."""
+    out = []
+    for other, r in ratings.items():
+        weight = sets.item_similarity(item, other) * r
+        if weight > 0:
+            out.append((other, weight))
     return out
 
 
 def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
-    """Content strategy: score unseen items by their best
-    similarity-weighted rated neighbor; item similarity is the Jaccard
-    of tagger sets. Returns at most k positive (item, score) pairs."""
+    """Content strategy: score unseen items by their best content
+    evidence (``content_evidence``). Returns at most k positive
+    (item, score) pairs."""
     if k < 1:
         raise ValueError("k must be at least 1")
     _require_user(g, user_id)
+    sets = social_sets(g)
     mine = acted_items(g, user_id)
     ratings = {other: rating(g, user_id, other) for other in mine}
-    taggers = _tagger_sets(g)
     scored = []
     for n in g.nodes.values():
         if "item" not in n.attrs["type"] or n.id in mine:
             continue
-        best = 0.0
-        for other in mine:
-            sim = jaccard(taggers.get(n.id, ()), taggers.get(other, ()))
-            if sim > 0:
-                best = max(best, sim * ratings[other])
-        if best > 0:
-            scored.append((n.id, best))
+        evidence = content_evidence(sets, ratings, n.id)
+        if evidence:
+            scored.append((n.id, max(w for _, w in evidence)))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
 

@@ -138,9 +138,6 @@ class SocialContentGraph:
         return out
 
 
-EMPTY_GRAPH = SocialContentGraph(nodes={}, links={})
-
-
 def build_graph(nodes: Iterable[Node], links: Iterable[Link]) -> SocialContentGraph:
     """Assemble and validate a graph.
 

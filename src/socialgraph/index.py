@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .aggfn import jaccard
 from .errors import UnknownUserError
@@ -37,6 +37,10 @@ class SocialSets:
     def all_taggers(self, item: str) -> frozenset:
         """taggers(i): union over tags of taggers(i, k)."""
         return self._item_taggers.get(item, frozenset())
+
+    def item_similarity(self, a: str, b: str) -> float:
+        """The similarity of two items: Jaccard of their taggers."""
+        return jaccard(self.all_taggers(a), self.all_taggers(b))
 
     @cached_property
     def _item_taggers(self) -> dict:
@@ -81,8 +85,13 @@ def social_sets(g: SocialContentGraph) -> SocialSets:
     Friendship ('friend' links) is treated as symmetric; items(u) and
     taggers(i, k) come from 'tag' links, whose ``tags`` attribute holds
     the tag strings. Every 'user'-typed node gets an entry even when it
-    has no activity.
+    has no activity. Derived on first use and kept in the graph's
+    instance dict, next to ``out_links``, which is sound only because
+    graphs are never mutated.
     """
+    kept = vars(g).get("social_sets")
+    if kept is not None:
+        return kept
     network: dict = {}
     items: dict = {}
     taggers: dict = {}
@@ -100,11 +109,31 @@ def social_sets(g: SocialContentGraph) -> SocialSets:
             for tag in l.attrs.get("tags", ()):
                 if isinstance(tag, str):
                     taggers.setdefault((l.tgt, tag), set()).add(l.src)
-    return SocialSets(
+    sets = vars(g)["social_sets"] = SocialSets(
         network={u: frozenset(v) for u, v in network.items()},
         items={u: frozenset(v) for u, v in items.items()},
         taggers={key: frozenset(v) for key, v in taggers.items()},
     )
+    return sets
+
+
+def greedy_leaders(keys, joins) -> list:
+    """Greedy leader clustering of a sequence: each key, in order, joins
+    the earliest-founded leader for which ``joins(key, leader)`` holds,
+    else founds a cluster of its own. Returns the position in ``keys``
+    of each key's leader, so repeated keys may lead clusters of their own.
+    """
+    founders: list = []  # leader positions, in founding order
+    out: list = []
+    for pos, key in enumerate(keys):
+        for f in founders:
+            if joins(key, keys[f]):
+                out.append(f)
+                break
+        else:
+            founders.append(pos)
+            out.append(pos)
+    return out
 
 
 def _predicate(strategy: ClusteringStrategy, sets: SocialSets, u: str, leader: str) -> bool:
@@ -124,29 +153,17 @@ def _predicate(strategy: ClusteringStrategy, sets: SocialSets, u: str, leader: s
 
 
 def cluster_users(sets: SocialSets, strategy: ClusteringStrategy) -> ClusterModel:
-    """Greedy leader clustering: users are scanned in ascending id
-    order and join the first cluster whose leader satisfies the
-    strategy predicate, else found their own.
+    """Greedy leader clustering (``greedy_leaders``) of the users in
+    ascending id order under the strategy predicate.
 
-    Hybrid clustering forces users with an empty network into singleton
+    Hybrid clustering puts users with an empty network into singleton
     clusters (the universal quantifier would otherwise be vacuous).
     """
-    assignment: dict = {}
-    leaders: dict = {}
-    order: list = []  # leader ids, in founding order
-    for u in sets.users:
-        placed = None
-        if not (strategy.kind == "hybrid" and not sets.network.get(u)):
-            for leader in order:
-                if _predicate(strategy, sets, u, leader):
-                    placed = leader
-                    break
-        if placed is None:
-            leaders[u] = u
-            order.append(u)
-            placed = u
-        assignment[u] = placed
-    return ClusterModel(assignment=assignment, leaders=leaders)
+    users = sets.users
+    leaders = greedy_leaders(users, partial(_predicate, strategy, sets))
+    assignment = {u: users[pos] for u, pos in zip(users, leaders)}
+    # a leader is its own first member, so this is founding order
+    return ClusterModel(assignment=assignment, leaders={l: l for l in assignment.values()})
 
 
 def _exact_tag_scores(sets: SocialSets):

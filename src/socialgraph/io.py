@@ -95,7 +95,9 @@ def _attrs_record(attrs: dict) -> dict:
     return out
 
 
-def _dump(record: dict) -> str:
+def json_line(record: dict) -> str:
+    """One JSON-lines record: sorted keys, non-ASCII text as is, compact
+    separators, so equal records always give the same bytes."""
     return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -105,12 +107,12 @@ def save_graph(g: SocialContentGraph, node_path: str, link_path: str) -> None:
     with open(node_path, "w", encoding="utf-8", newline="\n") as fh:
         for nid in sorted(g.nodes):
             n = g.nodes[nid]
-            fh.write(_dump({"id": n.id, "attrs": _attrs_record(n.attrs)}) + "\n")
+            fh.write(json_line({"id": n.id, "attrs": _attrs_record(n.attrs)}) + "\n")
     with open(link_path, "w", encoding="utf-8", newline="\n") as fh:
         for lid in sorted(g.links):
             l = g.links[lid]
             fh.write(
-                _dump(
+                json_line(
                     {"id": l.id, "src": l.src, "tgt": l.tgt, "attrs": _attrs_record(l.attrs)}
                 )
                 + "\n"
@@ -144,12 +146,12 @@ def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
     """Write a ClusteredIndex: header line, model line, sets line, then
     one line per (tag, cluster) list in sorted key order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}) + "\n")
+        fh.write(json_line({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}) + "\n")
         model = {
             "assignment": dict(sorted(index.model.assignment.items())),
             "leaders": dict(sorted(index.model.leaders.items())),
         }
-        fh.write(_dump({"model": model}) + "\n")
+        fh.write(json_line({"model": model}) + "\n")
         sets = {
             "network": {u: sorted(v) for u, v in sorted(index.sets.network.items())},
             "items": {u: sorted(v) for u, v in sorted(index.sets.items.items())},
@@ -158,10 +160,10 @@ def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
                 for (item, tag), users in sorted(index.sets.taggers.items())
             ],
         }
-        fh.write(_dump({"sets": sets}) + "\n")
+        fh.write(json_line({"sets": sets}) + "\n")
         for (tag, cluster), entries in sorted(index.lists.items()):
             fh.write(
-                _dump(
+                json_line(
                     {
                         "tag": tag,
                         "cluster": cluster,

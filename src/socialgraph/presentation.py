@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Union
 
 from .aggfn import jaccard
-from .discovery import acted_items, rating
+from .discovery import acted_items, content_evidence, rating
 from .errors import UnknownCriterionAttrError, UnknownItemError, UnknownUserError
 from .graph import SocialContentGraph, sorted_values
-from .index import social_sets
+from .index import greedy_leaders, social_sets
 
 RESIDUAL = "(none)"
 
@@ -73,10 +73,18 @@ def _label_from(g: SocialContentGraph, element_id: str) -> str:
     return element_id
 
 
-def _make_group(g, gid, label, members_scores) -> ItemGroup:
+def _make_group(gid, label, members_scores) -> ItemGroup:
     members = tuple(i for i, _ in members_scores)
     quality = sum(s for _, s in members_scores) / len(members_scores)
     return ItemGroup(id=gid, members=members, label=label, quality=quality, size=len(members))
+
+
+def _buckets(pairs) -> dict:
+    """(key, member) pairs -> key -> [member], keys in first-seen order."""
+    out: dict = {}
+    for key, member in pairs:
+        out.setdefault(key, []).append(member)
+    return out
 
 
 def group_items(items, g: SocialContentGraph, criterion: GroupingCriterion) -> list:
@@ -97,60 +105,37 @@ def group_items(items, g: SocialContentGraph, criterion: GroupingCriterion) -> l
 
 def _social_groups(items, g, theta) -> list:
     sets = social_sets(g)
-    groups: list = []  # (leader id, [(item, score)])
-    for item, score in items:
-        taggers = sets.all_taggers(item)
-        placed = False
-        for leader, members in groups:
-            if jaccard(taggers, sets.all_taggers(leader)) >= theta:
-                members.append((item, score))
-                placed = True
-                break
-        if not placed:
-            groups.append((item, [(item, score)]))
+    ids = [item for item, _ in items]
+    leaders = greedy_leaders(ids, lambda a, b: sets.item_similarity(a, b) >= theta)
     return [
-        _make_group(g, f"social:{leader}", _label_from(g, leader), members)
-        for leader, members in groups
+        _make_group(f"social:{ids[pos]}", _label_from(g, ids[pos]), members)
+        for pos, members in _buckets(zip(leaders, items)).items()
     ]
 
 
-def _topics_of(g, item_id) -> list:
-    return sorted(l.tgt for l in g.out_links.get(item_id, ()) if "belong" in l.attrs["type"])
+def _topic_of(g, item_id) -> str:
+    """The item's smallest topic id, else RESIDUAL."""
+    topics = (l.tgt for l in g.out_links.get(item_id, ()) if "belong" in l.attrs["type"])
+    return min(topics, default=RESIDUAL)
 
 
 def _topical_groups(items, g) -> list:
-    buckets: dict = {}
-    order: list = []
-    for item, score in items:
-        topics = _topics_of(g, item)
-        key = topics[0] if topics else RESIDUAL
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append((item, score))
-    out = []
-    for key in order:
-        label = RESIDUAL if key == RESIDUAL else _label_from(g, key)
-        out.append(_make_group(g, f"topic:{key}", label, buckets[key]))
-    return out
+    buckets = _buckets((_topic_of(g, item), (item, score)) for item, score in items)
+    return [
+        _make_group(f"topic:{key}", RESIDUAL if key == RESIDUAL else _label_from(g, key), members)
+        for key, members in buckets.items()
+    ]
 
 
 def _structural_groups(items, g, attr) -> list:
     if all(attr not in g.nodes[item].attrs for item, _ in items):
         raise UnknownCriterionAttrError(attr)
-    buckets: dict = {}
-    order: list = []
-    for item, score in items:
-        values = g.nodes[item].attrs.get(attr)
-        keys = [str(v) for v in sorted_values(values)] if values else [RESIDUAL]
-        for key in keys:
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append((item, score))
-    return [
-        _make_group(g, f"attr:{attr}={key}", key, buckets[key]) for key in order
-    ]
+    buckets = _buckets(
+        (key, (item, score))
+        for item, score in items
+        for key in [str(v) for v in sorted_values(g.nodes[item].attrs.get(attr, ()))] or [RESIDUAL]
+    )
+    return [_make_group(f"attr:{attr}={key}", key, members) for key, members in buckets.items()]
 
 
 def select_groups(groups, max_n: int) -> list:
@@ -159,10 +144,6 @@ def select_groups(groups, max_n: int) -> list:
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     return sorted(groups, key=lambda grp: (-grp.quality, -grp.size, grp.id))[:max_n]
-
-
-def _item_sim(sets, a: str, b: str) -> float:
-    return jaccard(sets.all_taggers(a), sets.all_taggers(b))
 
 
 def _require(g, user_id, item_id):
@@ -185,15 +166,11 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
         raise ValueError(f"unknown explanation strategy: {strategy!r}")
     sets = social_sets(g)
     mine = acted_items(g, user_id)
-    evidence = []
     if strategy == "content":
-        for other in mine:
-            sim = _item_sim(sets, item_id, other)
-            if sim > 0:
-                weight = sim * rating(g, user_id, other)
-                if weight > 0:
-                    evidence.append((other, weight))
+        ratings = {other: rating(g, user_id, other) for other in mine}
+        evidence = content_evidence(sets, ratings, item_id)
     else:
+        evidence = []
         for n in g.nodes.values():
             if "user" not in n.attrs["type"] or n.id == user_id:
                 continue
@@ -257,5 +234,5 @@ def _aggregate_ratio(sets, g, user_id, item_id, strategy) -> float:
     mine = acted_items(g, user_id)
     if not mine:
         return 0.0
-    similar = sum(1 for other in mine if _item_sim(sets, item_id, other) > 0)
+    similar = sum(1 for other in mine if sets.item_similarity(item_id, other) > 0)
     return similar / len(mine)

@@ -2,19 +2,22 @@
 
 Each function here is the plain full-scan, nested-loop, re-sorting or
 materialising version of something the package now does through a
-derived view, a hash join, a compiled predicate, a k-bounded ranked list
-or a stream. ``test_differential.py`` checks the two agree on results,
-link order, generated ids and the number of exact-score calls.
+derived view, a hash join, a compiled predicate, a k-bounded ranked list,
+a stream or one shared helper (the greedy-leader loop, item similarity,
+the ordered group-by). ``test_differential.py`` checks the two agree on
+results, link order, generated ids and the number of exact-score calls.
 """
 
 from __future__ import annotations
 
 from socialgraph import index as sgindex
-from socialgraph.aggfn import LinkCtx, apply_composition
+from socialgraph.aggfn import LinkCtx, apply_composition, jaccard
 from socialgraph.algebra import _merge_nodes
-from socialgraph.discovery import VISIT
+from socialgraph.discovery import VISIT, acted_items, rating
 from socialgraph.errors import UnknownUserError
-from socialgraph.graph import Link, build_graph, opposite, satisfies
+from socialgraph.graph import Link, build_graph, opposite, satisfies, sorted_values
+from socialgraph.index import ClusterModel, social_sets
+from socialgraph.presentation import RESIDUAL, _label_from, _make_group
 
 
 def satisfies_predicate(condition):
@@ -158,3 +161,105 @@ def exact_tag_scores_dict(sets):
         if counts:
             out[key] = counts
     return out
+
+
+def cluster_users_scan(sets, strategy):
+    """``cluster_users`` as its own greedy-leader loop over leader ids;
+    hybrid users with an empty network found a cluster unasked."""
+    assignment: dict = {}
+    leaders: dict = {}
+    order: list = []  # leader ids, in founding order
+    for u in sets.users:
+        placed = None
+        if not (strategy.kind == "hybrid" and not sets.network.get(u)):
+            for leader in order:
+                if sgindex._predicate(strategy, sets, u, leader):
+                    placed = leader
+                    break
+        if placed is None:
+            leaders[u] = u
+            order.append(u)
+            placed = u
+        assignment[u] = placed
+    return ClusterModel(assignment=assignment, leaders=leaders)
+
+
+def social_groups_scan(items, g, theta):
+    """Social grouping as its own greedy-leader loop, with the Jaccard of
+    ``all_taggers`` written out."""
+    sets = social_sets(g)
+    groups: list = []  # (leader id, [(item, score)])
+    for item, score in items:
+        taggers = sets.all_taggers(item)
+        placed = False
+        for leader, members in groups:
+            if jaccard(taggers, sets.all_taggers(leader)) >= theta:
+                members.append((item, score))
+                placed = True
+                break
+        if not placed:
+            groups.append((item, [(item, score)]))
+    return [
+        _make_group(f"social:{leader}", _label_from(g, leader), members)
+        for leader, members in groups
+    ]
+
+
+def topical_groups_scan(items, g):
+    buckets: dict = {}
+    order: list = []
+    for item, score in items:
+        topics = sorted(l.tgt for l in g.links.values() if l.src == item and "belong" in l.attrs["type"])
+        key = topics[0] if topics else RESIDUAL
+        if key not in buckets:
+            buckets[key] = []
+            order.append(key)
+        buckets[key].append((item, score))
+    out = []
+    for key in order:
+        label = RESIDUAL if key == RESIDUAL else _label_from(g, key)
+        out.append(_make_group(f"topic:{key}", label, buckets[key]))
+    return out
+
+
+def structural_groups_scan(items, g, attr):
+    buckets: dict = {}
+    order: list = []
+    for item, score in items:
+        values = g.nodes[item].attrs.get(attr)
+        keys = [str(v) for v in sorted_values(values)] if values else [RESIDUAL]
+        for key in keys:
+            if key not in buckets:
+                buckets[key] = []
+                order.append(key)
+            buckets[key].append((item, score))
+    return [_make_group(f"attr:{attr}={key}", key, buckets[key]) for key in order]
+
+
+def tagger_sets_scan(g):
+    """item id -> users with any 'tag' link to it, string tag or not."""
+    out: dict = {}
+    for l in g.links.values():
+        if "tag" in l.attrs["type"]:
+            out.setdefault(l.tgt, set()).add(l.src)
+    return out
+
+
+def content_recommend_scan(g, user_id, k, taggers):
+    """Content recommendation with its own nested loop, item similarity
+    being the Jaccard of the given item -> taggers map."""
+    mine = acted_items(g, user_id)
+    ratings = {other: rating(g, user_id, other) for other in mine}
+    scored = []
+    for n in g.nodes.values():
+        if "item" not in n.attrs["type"] or n.id in mine:
+            continue
+        best = 0.0
+        for other in mine:
+            sim = jaccard(taggers.get(n.id, ()), taggers.get(other, ()))
+            if sim > 0:
+                best = max(best, sim * ratings[other])
+        if best > 0:
+            scored.append((n.id, best))
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored[:k]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -355,7 +356,7 @@ def test_criterion_11_round_trip_persistence(tmp_path):
         save_graph(g, np1, lp1)
         assert load_graph(np1, lp1) == g
         save_graph(g, np2, lp2)
-        assert open(np1, "rb").read() == open(np2, "rb").read()
-        assert open(lp1, "rb").read() == open(lp2, "rb").read()
+        assert Path(np1).read_bytes() == Path(np2).read_bytes()
+        assert Path(lp1).read_bytes() == Path(lp2).read_bytes()
     elapsed = time.perf_counter() - t0
     _report(11, "save/load exact on 100 random graphs; identical bytes", elapsed)

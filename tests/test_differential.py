@@ -1,6 +1,9 @@
 """Differential tests: the adjacency view, the hash-join ``compose``,
-compiled conditions, the k-bounded ``topk_query`` and the streamed
-``build_index`` against the naive references in ``reference.py``.
+compiled conditions, the k-bounded ``topk_query``, the streamed
+``build_index``, the shared greedy-leader loop, item similarity and
+ordered group-by, and the per-graph social sets against the naive
+references in ``reference.py``; and the agreement of content
+recommendation with its explanation.
 
 Graphs come from the seeded fixtures and from Hypothesis (small graphs
 with multi-valued types, float and string values, and stored attributes
@@ -19,23 +22,31 @@ from hypothesis import strategies as st
 from reference import (
     acted_items_scan,
     all_taggers_scan,
+    cluster_users_scan,
     compose_nested,
+    content_recommend_scan,
     exact_tag_scores_dict,
     provenance_scan,
     rating_scan,
     satisfies_predicate,
+    social_groups_scan,
+    structural_groups_scan,
+    tagger_sets_scan,
+    topical_groups_scan,
     topk_resort,
     visited_items_scan,
 )
 from socialgraph import algebra, discovery, index
-from socialgraph.aggfn import COUNT, CompositionFn, ConstString, CopyFrom, JaccardOf, SafExpr
+from socialgraph.aggfn import COUNT, CompositionFn, ConstString, CopyFrom, JaccardOf, SafExpr, jaccard
 from socialgraph.algebra import compose, link_aggregate, link_select, node_aggregate, node_select
 from socialgraph.discovery import (
     DESTINATION,
     DiscoveryConfig,
     acted_items,
     cf_pipeline,
+    FRIEND,
     cf_recommend,
+    content_recommend,
     discover,
     rating,
     visited_items,
@@ -66,6 +77,14 @@ from socialgraph.index import (
     topk_query,
 )
 from socialgraph.io import save_index_snapshot
+from socialgraph.presentation import (
+    SocialGrouping,
+    StructuralGrouping,
+    TopicalGrouping,
+    aggregate_explanations,
+    explain_item,
+    group_items,
+)
 
 STRINGS = ("visit", "tag", "user", "item", "n0", "n1", "l0", "jazz")
 FLOATS = (-1.5, 0.0, 0.5, 1.0, 2.0)
@@ -429,3 +448,156 @@ def test_build_index_matches_materialised_scores_on_fixtures(seed, kind, tmp_pat
     sets = social_sets(random_tagging_graph(rng_from(seed), 30, 60, n_tags=6, n_communities=3))
     tags = sorted({tag for _, tag in sets.taggers})
     check_build(sets, cluster_users(sets, ClusteringStrategy(kind, 0.3)), tags, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# One greedy-leader loop
+
+
+def check_clustering(sets, strategy):
+    fast, slow = cluster_users(sets, strategy), cluster_users_scan(sets, strategy)
+    assert list(fast.assignment.items()) == list(slow.assignment.items())
+    assert list(fast.leaders.items()) == list(slow.leaders.items())  # founding order
+
+
+THETAS = (0.0, 0.3, 1.0)
+
+
+@given(social_sets_st(), st.sampled_from(STRATEGIES), st.sampled_from(THETAS))
+def test_cluster_users_matches_leader_loop(sets, kind, theta):
+    """The sets have users with empty networks and users with no items."""
+    check_clustering(sets, ClusteringStrategy(kind, theta))
+
+
+@pytest.mark.parametrize("kind", STRATEGIES)
+def test_cluster_users_matches_leader_loop_on_fixtures(kind, tmp_path):
+    """Same models, so the same snapshot bytes, under every strategy."""
+    for seed in (1, 2):
+        sets = social_sets(random_tagging_graph(rng_from(seed), 30, 60, n_tags=6, n_communities=3))
+        tags = sorted({tag for _, tag in sets.taggers})
+        for theta in THETAS:
+            strategy = ClusteringStrategy(kind, theta)
+            check_clustering(sets, strategy)
+            save_index_snapshot(build_index(sets, cluster_users(sets, strategy), tags), tmp_path / "fast")
+            save_index_snapshot(build_index(sets, cluster_users_scan(sets, strategy), tags), tmp_path / "slow")
+            assert (tmp_path / "fast").read_bytes() == (tmp_path / "slow").read_bytes()
+
+
+# scored item lists over graphs() ids, with repeats and items nobody tagged
+item_lists = st.lists(
+    st.tuples(st.sampled_from([f"n{i}" for i in range(5)]), st.sampled_from(FLOATS)), min_size=1, max_size=8
+)
+
+
+def check_grouping(g, items):
+    items = [(item, score) for item, score in items if item in g.nodes]
+    if not items:
+        return
+    for theta in THETAS:
+        assert group_items(items, g, SocialGrouping(theta)) == social_groups_scan(items, g, theta)
+    assert group_items(items, g, TopicalGrouping()) == topical_groups_scan(items, g)
+    for attr in ("w", "name", "type"):
+        if any(attr in g.nodes[item].attrs for item, _ in items):
+            assert group_items(items, g, StructuralGrouping(attr)) == structural_groups_scan(items, g, attr)
+
+
+@given(graphs(), item_lists)
+def test_grouping_matches_leader_loop_and_scans(g, items):
+    check_grouping(g, items)
+
+
+def test_repeated_untagged_item_founds_a_second_social_group():
+    """Jaccard of two empty tagger sets is 0, so above theta 0 a repeat of
+    an item nobody tagged does not join its own first copy."""
+    g = build_graph([node("i", type="item")], [])
+    items = [("i", 1.0), ("i", 3.0)]
+    assert [grp.members for grp in group_items(items, g, SocialGrouping(0.3))] == [("i",), ("i",)]
+    assert [grp.members for grp in group_items(items, g, SocialGrouping(0.0))] == [("i", "i")]
+    for theta in THETAS:
+        assert group_items(items, g, SocialGrouping(theta)) == social_groups_scan(items, g, theta)
+
+
+# ---------------------------------------------------------------------------
+# One item similarity, shared by content recommendation and explanation
+
+
+@st.composite
+def tagging_graphs(draw):
+    """Users u0-u2 and items i0-i3 joined by 'tag' links that carry a
+    string tag, only a float, or no tags at all, and maybe a rating."""
+    users, items = ("u0", "u1", "u2"), ("i0", "i1", "i2", "i3")
+    nodes = [node(u, type="user") for u in users] + [node(i, type="item") for i in items]
+    links = []
+    for j in range(draw(st.integers(0, 10))):
+        attrs = {"type": frozenset({"tag"})}
+        tags = draw(st.sampled_from((None, "jazz", 0.5)))
+        if tags is not None:
+            attrs["tags"] = frozenset({tags})
+        if draw(st.booleans()):
+            attrs["rating"] = frozenset({draw(st.sampled_from(FLOATS))})
+        links.append(Link(f"l{j}", draw(st.sampled_from(users)), draw(st.sampled_from(items)), attrs))
+    return build_graph(nodes, links)
+
+
+def string_taggers(g):
+    sets = social_sets(g)
+    return {item: all_taggers_scan(sets, item) for item in g.nodes}
+
+
+@given(st.one_of(tagging_graphs(), graphs()))
+def test_item_similarity_and_content_recommend_match_scans(g):
+    sets, taggers = social_sets(g), string_taggers(g)
+    for a in g.nodes:
+        for b in g.nodes:
+            assert sets.item_similarity(a, b) == jaccard(taggers[a], taggers[b])
+    for u in g.nodes:
+        assert content_recommend(g, u, 10) == content_recommend_scan(g, u, 10, taggers)
+
+
+@pytest.mark.parametrize("g", fixture_graphs())
+def test_content_recommend_unchanged_on_fixtures(g):
+    """Every fixture 'tag' link carries a string tag, so counting only
+    those changes no fixture output."""
+    tag_links = [l for l in g.links.values() if "tag" in l.attrs["type"]]
+    assert all(any(isinstance(t, str) for t in l.attrs["tags"]) for l in tag_links)
+    everyone = tagger_sets_scan(g)
+    for u in g.nodes:
+        assert content_recommend(g, u, 50) == content_recommend_scan(g, u, 50, everyone)
+
+
+def check_content_agrees(g):
+    for u in g.nodes:
+        for item, score in content_recommend(g, u, 10):
+            evidence = explain_item(g, u, item, "content").evidence
+            assert evidence and max(w for _, w in evidence) == score, (u, item)
+            assert aggregate_explanations(g, u, item, "content")[1] > 0, (u, item)
+
+
+@given(st.one_of(tagging_graphs(), graphs()))
+def test_content_recommendation_agrees_with_its_explanation(g):
+    check_content_agrees(g)
+
+
+def test_tag_links_without_a_tag_give_no_content_evidence():
+    g = build_graph(
+        [node("u1", type="user"), node("u2", type="user"), node("i1", type="item"), node("i2", type="item")],
+        [link("t1", "u1", "i1", type="tag"), link("t2", "u2", "i1", type="tag"), link("t3", "u2", "i2", type="tag")],
+    )
+    assert content_recommend(g, "u1", 10) == []
+    assert explain_item(g, "u1", "i2", "content").evidence == ()
+    check_content_agrees(g)
+
+
+# ---------------------------------------------------------------------------
+# Social sets kept per graph
+
+
+@given(graphs())
+def test_social_sets_are_kept_per_graph(g):
+    sets = social_sets(g)
+    assert social_sets(g) is sets
+    assert sets == social_sets(build_graph(g.nodes.values(), g.links.values()))
+    assert g == build_graph(g.nodes.values(), g.links.values())  # not part of equality
+    friends = link_select(g, FRIEND)
+    assert social_sets(friends) is not sets
+    assert social_sets(friends) == social_sets(build_graph(friends.nodes.values(), friends.links.values()))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,14 +35,14 @@ def test_save_bytes_stable(tmp_path):
     np2, lp2 = paths(tmp_path, "b")
     save_graph(g, np1, lp1)
     save_graph(g, np2, lp2)
-    assert open(np1, "rb").read() == open(np2, "rb").read()
-    assert open(lp1, "rb").read() == open(lp2, "rb").read()
+    assert Path(np1).read_bytes() == Path(np2).read_bytes()
+    assert Path(lp1).read_bytes() == Path(lp2).read_bytes()
 
 
 def test_empty_graph_round_trip(tmp_path):
     np, lp = paths(tmp_path)
     save_graph(build_graph([], []), np, lp)
-    assert open(np).read() == "" and open(lp).read() == ""
+    assert Path(np).read_text() == "" and Path(lp).read_text() == ""
     assert load_graph(np, lp) == build_graph([], [])
 
 
@@ -117,7 +118,7 @@ def test_index_snapshot_round_trip(tmp_path):
     assert loaded == index
     path2 = str(tmp_path / "index2.snap")
     save_index_snapshot(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_index_snapshot_rejects_other_files(tmp_path):
