@@ -2,22 +2,21 @@
 content-based recommendation, and the combined semantic+social entry
 point that returns a Meaningful Social Graph.
 
-The search and collaborative-filtering pipelines are straight
-compositions of the algebra operators (the same plans the query
-language can express); the ranking layers on top only read the scored
-links out of the final graph.
+The search and collaborative-filtering pipelines are query scripts,
+compiled on first use and run by ``dsl.execute`` with the caller's
+conditions bound as ``$NAME`` params; the ranking layers on top only
+read the scored links out of the final graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .aggfn import CompositionFn, ConstString, CopyAny, CopyFrom, JaccardOf, SafExpr, avg_of
-from .algebra import SetOpKind, link_select, node_select, semi_join, set_op, compose, link_aggregate, node_aggregate
+from . import dsl
 from .errors import UnknownUserError
 from .graph import (
     Condition,
-    DirectionalCondition,
     SocialContentGraph,
     attr_eq,
     attr_gt,
@@ -29,11 +28,42 @@ from .graph import (
 from .index import SocialSets, social_sets
 
 VISIT = Condition(preds=(attr_eq("type", "visit"),))
-FRIEND = Condition(preds=(attr_eq("type", "friend"),))
-ACT = Condition(preds=(attr_eq("type", "act"),))
-MATCH = Condition(preds=(attr_eq("type", "match"),))
-DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 _is_visit = compile_condition(VISIT)
+
+# Examples 4 and 5, statement for statement as in the script corpus.
+SEARCH_SCRIPT = """
+U  = nsel(G, $user)
+G1 = lsel(semijoin(G, U, (src,src)), [type='friend'])
+P  = nsel(G, $places)
+G2 = lsel(semijoin(G, P, (tgt,src)), [type='visit'])
+G3 = semijoin(G1, G2, (tgt,src))
+G4 = semijoin(G2, G1, (src,tgt))
+G5 = union(G3, G4)
+G6 = lsel(semijoin(G, G3, (src,tgt)), [type='act'])
+G7 = union(G5, G6)
+"""
+
+# Def-10 aggregation (G4) keeps the sub-threshold links around; the
+# match-only G4m is what the final join steps must see.
+CF_SCRIPT = """
+ME  = nsel(G, $user)
+G1  = lsel(semijoin(G, ME, (src,src)), [type='visit'])
+G1v = naggr(G1, [type='visit'], src, vst, set(tgt))
+OTH = nsel(G, $others)
+G2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
+G2v = naggr(G2, [type='visit'], src, vst, set(tgt))
+G3  = compose(G1v, G2v, (tgt,tgt), {sim: jaccard(lsrc.vst, rsrc.vst)})
+G4  = laggr(G3, $over, {type: const('match'), sim: any(sim)})
+G4m = lsel(G4, [type='match'])
+G5  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
+G6  = compose(semijoin(G4m, G5, (tgt,src)), semijoin(G5, G4m, (src,tgt)), (tgt,src), {sim_sc: copy(l.sim)})
+G7  = laggr(G6, [], {score: avg(sim_sc)})
+"""
+
+
+@cache
+def _plan(script: str) -> dsl.Plan:
+    return dsl.compile(dsl.parse(script), inputs=("G",))
 
 
 @dataclass(frozen=True)
@@ -74,15 +104,8 @@ def network_search(
     """Find the user's friends who visited places satisfying the
     condition, the places, and all those friends' activities."""
     _require_user(g, user_id)
-    user = node_select(g, Condition(preds=(attr_eq("id", user_id),)))
-    g1 = link_select(semi_join(g, user, DirectionalCondition("src", "src")), FRIEND)
-    places = node_select(g, place_condition)
-    g2 = link_select(semi_join(g, places, DirectionalCondition("tgt", "src")), VISIT)
-    g3 = semi_join(g1, g2, DirectionalCondition("tgt", "src"))
-    g4 = semi_join(g2, g1, DirectionalCondition("src", "tgt"))
-    g5 = set_op(SetOpKind.UNION, g3, g4)
-    g6 = link_select(semi_join(g, g3, DirectionalCondition("src", "tgt")), ACT)
-    return set_op(SetOpKind.UNION, g5, g6)
+    user = Condition(preds=(attr_eq("id", user_id),))
+    return dsl.execute(_plan(SEARCH_SCRIPT), {"G": g}, {"user": user, "places": place_condition})["G7"]
 
 
 def cf_pipeline(g: SocialContentGraph, user_id: str, sim_threshold: float) -> dict:
@@ -93,29 +116,13 @@ def cf_pipeline(g: SocialContentGraph, user_id: str, sim_threshold: float) -> di
     similarity scores); 'match' holds the over-threshold similarity
     links user->peer.
     """
-    me = node_select(g, Condition(preds=(attr_eq("id", user_id),)))
-    others = node_select(g, Condition(preds=(attr_ne("id", user_id),)))
-    g1 = link_select(semi_join(g, me, DirectionalCondition("src", "src")), VISIT)
-    g1v = node_aggregate(g1, VISIT, "src", "vst", SafExpr("tgt"))
-    g2 = link_select(semi_join(g, others, DirectionalCondition("src", "src")), VISIT)
-    g2v = node_aggregate(g2, VISIT, "src", "vst", SafExpr("tgt"))
-    sim_fn = CompositionFn((("sim", JaccardOf("left-src", "vst", "right-src", "vst")),))
-    g3 = compose(g1v, g2v, DirectionalCondition("tgt", "tgt"), sim_fn)
-    over = Condition(preds=(attr_gt("sim", sim_threshold),))
-    g4 = link_aggregate(g3, over, (("type", ConstString("match")), ("sim", CopyAny("sim"))))
-    # Def-10 aggregation keeps sub-threshold links around; the match-only
-    # subgraph is what the final join steps must see.
-    g4m = link_select(g4, MATCH)
-    g5 = link_select(semi_join(g, node_select(g, DESTINATION), DirectionalCondition("tgt", "src")), VISIT)
-    copy_fn = CompositionFn((("sim_sc", CopyFrom("left-link", "sim")),))
-    g6 = compose(
-        semi_join(g4m, g5, DirectionalCondition("tgt", "src")),
-        semi_join(g5, g4m, DirectionalCondition("src", "tgt")),
-        DirectionalCondition("tgt", "src"),
-        copy_fn,
-    )
-    g7 = link_aggregate(g6, Condition(), (("score", avg_of("sim_sc")),))
-    return {"match": g4m, "visits": g5, "scored": g7}
+    params = {
+        "user": Condition(preds=(attr_eq("id", user_id),)),
+        "others": Condition(preds=(attr_ne("id", user_id),)),
+        "over": Condition(preds=(attr_gt("sim", sim_threshold),)),
+    }
+    stages = dsl.execute(_plan(CF_SCRIPT), {"G": g}, params)
+    return {"match": stages["G4m"], "visits": stages["G5"], "scored": stages["G7"]}
 
 
 def visited_items(g: SocialContentGraph, user_id: str) -> frozenset:
@@ -268,17 +275,14 @@ def _provenance_graph(g, user_id, ranking, match_graph) -> SocialContentGraph:
         nodes[item] = g.nodes[item]
     links = {}
     ranked_set = set(ranked_ids)
-    contributing = set()
     for ml in match_graph.links.values():
         peer = ml.tgt
         peer_visits = [
             l for l in g.out_links.get(peer, ()) if l.tgt in ranked_set and _is_visit(l)
         ]
         if peer_visits:
-            contributing.add(peer)
+            nodes[peer] = g.nodes[peer]
             links[ml.id] = ml
             for l in peer_visits:
                 links[l.id] = l
-    for peer in contributing:
-        nodes[peer] = g.nodes[peer]
     return build_graph(nodes.values(), links.values())

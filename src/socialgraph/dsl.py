@@ -8,7 +8,8 @@ line comments. The grammar (normative, versioned with this module):
     expr      := NAME | op '(' args ')'
     op        := 'nsel'|'lsel'|'union'|'intersect'|'nminus'|'lminus'
                | 'compose'|'semijoin'|'naggr'|'laggr'|'paggr'
-    condition := '[' (pred (',' pred)*)? (';' 'kw' ':' STRING)? ']'
+    condition := bracketed | '$' NAME
+    bracketed := '[' (pred (',' pred)*)? (';' 'kw' ':' STRING)? ']'
     pred      := NAME ('='|'!='|'<'|'<='|'>'|'>=') literal
                | NAME 'has' '{' literal (',' literal)* '}'
     direction := 'src' | 'tgt'
@@ -24,8 +25,8 @@ line comments. The grammar (normative, versioned with this module):
                | aggspec
     side      := 'l' | 'r' | 'lsrc' | 'ltgt' | 'rsrc' | 'rtgt'
     compfn    := '{' NAME ':' cexpr (',' NAME ':' cexpr)* '}'
-    pattern   := 'path' '(' condition '@' direction
-                          (',' condition '@' direction)* ')'
+    pattern   := 'path' '(' bracketed '@' direction
+                          (',' bracketed '@' direction)* ')'
 
 Operator argument shapes:
 
@@ -35,10 +36,16 @@ Operator argument shapes:
     naggr(e, condition, direction, NAME, aggspec)
     laggr(e, condition, specmap)      paggr(e, pattern, specmap)
 
+A ``$NAME`` condition is a parameter: the parser keeps it as a ``Param``
+and ``execute`` substitutes the Condition ``params[NAME]`` when its node
+runs (unbound: UnboundReferenceError). Pattern steps and standalone
+conditions (``parse_condition``) are bracketed only.
+
 ``parse`` builds a Program, ``compile`` folds it into a shared operator
 DAG (structurally equal subexpressions are merged), and ``execute``
 evaluates the DAG strictly in topological order, which is bit-identical
-to running the corresponding algebra calls by hand.
+to running the corresponding algebra calls by hand. The built-in search
+and CF pipelines of ``discovery`` are such plans.
 """
 
 from __future__ import annotations
@@ -119,10 +126,21 @@ _SIDES = {
     "rtgt": "right-tgt",
 }
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_TWO_CHAR = ("!=", "<=", ">=")
-_ONE_CHAR = "()[]{},;:@.<>=-"
+# One token per match, after optional whitespace. A ``#`` outside a string
+# ends the line; OPEN is a quote that never closes and BAD any other
+# character that starts no token.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<END>\#.*|\Z)
+      | (?P<STRING>'[^']*')
+      | (?P<OPEN>')
+      | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<PUNCT>!=|<=|>=|[()\[\]{},;:@.<>=$-])
+      | (?P<BAD>.)
+    )""",
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -135,42 +153,17 @@ class Token:
 
 def _tokenize_line(text: str, line_no: int) -> list:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        col = m.start(kind) + 1
+        if kind == "END":
             break
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise DslSyntaxError(line_no, col, "closing quote")
-            tokens.append(Token("STRING", text[i + 1 : end], line_no, col))
-            i = end + 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(Token("NAME", m.group(), line_no, col))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line_no, col))
-            i = m.end()
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("PUNCT", two, line_no, col))
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("PUNCT", ch, line_no, col))
-            i += 1
-            continue
-        raise DslSyntaxError(line_no, col, f"a token (found {ch!r})")
+        if kind == "OPEN":
+            raise DslSyntaxError(line_no, col, "closing quote")
+        if kind == "BAD":
+            raise DslSyntaxError(line_no, col, f"a token (found {value!r})")
+        tokens.append(Token(kind, value[1:-1] if kind == "STRING" else value, line_no, col))
     tokens.append(Token("EOL", "", line_no, len(text) + 1))
     return tokens
 
@@ -190,12 +183,14 @@ class OpCall:
     args: tuple  # sub-expressions first, then operator parameters
 
 
-Expr = object  # Ref | OpCall
+@dataclass(frozen=True)
+class Param:
+    name: str  # a ``$NAME`` condition, bound by ``execute``'s params
 
 
 @dataclass(frozen=True)
 class Program:
-    stmts: tuple  # of (name, Expr)
+    stmts: tuple  # of (name, Ref | OpCall)
 
 
 def _whole_number(text: str):
@@ -293,7 +288,12 @@ class _Parser:
         value = float(self.expect_kind("NUMBER", "a string or number literal").value)
         return -value if negate else value
 
-    def parse_condition(self) -> Condition:
+    def parse_condition(self):
+        if self.accept("$"):
+            return Param(self.expect_name("a parameter name").value)
+        return self.parse_bracketed()
+
+    def parse_bracketed(self) -> Condition:
         self.expect("[")
         preds = []
         while self.cur.kind == "NAME":
@@ -399,7 +399,7 @@ class _Parser:
         return GraphPattern(steps)
 
     def parse_pattern_step(self):
-        cond = self.parse_condition()
+        cond = self.parse_bracketed()
         self.expect("@")
         return cond, self.parse_direction()
 
@@ -505,8 +505,10 @@ def compile(program: Program, inputs=None) -> Plan:
     return Plan(bindings=tuple(bindings), leaves=tuple(leaves))
 
 
-def _run_node(node: PlanNode, inputs: dict, memo: dict) -> SocialContentGraph:
-    cached = memo.get(node)
+def _run_node(node: PlanNode, inputs: dict, params: dict, memo: dict) -> SocialContentGraph:
+    # Keyed by identity: compile interns equal subtrees, and a frozen
+    # dataclass would re-hash its whole subtree on every lookup.
+    cached = memo.get(id(node))
     if cached is not None:
         return cached
     if node.kind == "input":
@@ -516,19 +518,25 @@ def _run_node(node: PlanNode, inputs: dict, memo: dict) -> SocialContentGraph:
         result = inputs[name]
     else:
         fn, lead, _ = OPS[node.kind]
-        args = [_run_node(child, inputs, memo) for child in node.inputs]
-        result = getattr(algebra, fn)(*lead, *args, *node.params)
-    memo[node] = result
+        args = [_run_node(child, inputs, params, memo) for child in node.inputs]
+        try:
+            args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
+        except KeyError as e:
+            raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
+        result = getattr(algebra, fn)(*lead, *args)
+    memo[id(node)] = result
     return result
 
 
-def execute(plan: Plan, inputs: dict) -> dict:
-    """Evaluate every binding; failures are wrapped with the binding name."""
+def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
+    """Evaluate every binding, each ``$NAME`` condition being
+    ``params[NAME]``; failures are wrapped with the binding name."""
+    params = params or {}
     memo: dict = {}
     results: dict = {}
     for name, node in plan.bindings:
         try:
-            results[name] = _run_node(node, inputs, memo)
+            results[name] = _run_node(node, inputs, params, memo)
         except ExecutionError:
             raise
         except SocialGraphError as e:
@@ -546,7 +554,7 @@ def parse_condition(text: str) -> Condition:
     "[type='destination'; kw:'near denver']"."""
     tokens = _tokenize_line(text, 1)
     parser = _Parser(tokens)
-    cond = parser.parse_condition()
+    cond = parser.parse_bracketed()
     if parser.cur.kind != "EOL":
         parser.fail("end of condition")
     return cond

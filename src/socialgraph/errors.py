@@ -106,8 +106,8 @@ class UnknownOperatorError(SocialGraphError):
 
 
 class UnboundReferenceError(SocialGraphError):
-    def __init__(self, name: str):
-        super().__init__(f"unbound graph reference: {name!r}")
+    def __init__(self, name: str, what: str = "graph reference"):
+        super().__init__(f"unbound {what}: {name!r}")
         self.name = name
 
 

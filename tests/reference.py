@@ -1,21 +1,62 @@
 """Naive references for the engine's indexed and compiled code paths.
 
-Each function here is the plain full-scan, nested-loop, re-sorting or
-materialising version of something the package now does through a
-derived view, a hash join, a compiled predicate, a k-bounded ranked list,
-a stream or one shared helper (the greedy-leader loop, item similarity,
-the ordered group-by). ``test_differential.py`` checks the two agree on
-results, link order, generated ids and the number of exact-score calls.
+Each function here is the plain full-scan, nested-loop, re-sorting,
+hand-wired or materialising version of something the package now does
+through a derived view, a hash join, a compiled predicate, a k-bounded
+ranked list, a stream, a compiled query plan, one pattern or one shared
+helper (the greedy-leader loop, item similarity, the ordered group-by).
+``test_differential.py`` checks the two agree on results, link order,
+generated ids and the number of exact-score calls.
 """
 
 from __future__ import annotations
 
+import re
+
 from socialgraph import index as sgindex
-from socialgraph.aggfn import LinkCtx, apply_composition, jaccard
-from socialgraph.algebra import _merge_nodes
+from socialgraph.aggfn import (
+    CompositionFn,
+    ConstString,
+    CopyAny,
+    CopyFrom,
+    JaccardOf,
+    LinkCtx,
+    SafExpr,
+    apply_composition,
+    avg_of,
+    jaccard,
+)
+from socialgraph.algebra import (
+    SetOpKind,
+    _merge_nodes,
+    compose,
+    link_aggregate,
+    link_select,
+    node_aggregate,
+    node_select,
+    semi_join,
+    set_op,
+)
 from socialgraph.discovery import VISIT, acted_items, rating
-from socialgraph.errors import UnknownUserError
-from socialgraph.graph import Link, build_graph, opposite, satisfies, sorted_values
+from socialgraph.dsl import Token
+from socialgraph.errors import DslSyntaxError, UnknownUserError
+from socialgraph.graph import (
+    Condition,
+    DirectionalCondition,
+    Link,
+    attr_eq,
+    attr_gt,
+    attr_ne,
+    build_graph,
+    opposite,
+    satisfies,
+    sorted_values,
+)
+
+FRIEND = Condition(preds=(attr_eq("type", "friend"),))
+ACT = Condition(preds=(attr_eq("type", "act"),))
+MATCH = Condition(preds=(attr_eq("type", "match"),))
+DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 from socialgraph.index import ClusterModel, social_sets
 from socialgraph.presentation import RESIDUAL, _label_from, _make_group
 
@@ -95,18 +136,15 @@ def provenance_scan(g, user_id, ranking, match_graph):
         nodes[item] = g.nodes[item]
     links = {}
     ranked_set = set(ranked_ids)
-    contributing = set()
     visit_links = [l for l in g.links.values() if satisfies(l, VISIT) and l.tgt in ranked_set]
     for ml in match_graph.links.values():
         peer = ml.tgt
         peer_visits = [l for l in visit_links if l.src == peer]
         if peer_visits:
-            contributing.add(peer)
+            nodes[peer] = g.nodes[peer]
             links[ml.id] = ml
             for l in peer_visits:
                 links[l.id] = l
-    for peer in contributing:
-        nodes[peer] = g.nodes[peer]
     return build_graph(nodes.values(), links.values())
 
 
@@ -263,3 +301,92 @@ def content_recommend_scan(g, user_id, k, taggers):
             scored.append((n.id, best))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
+
+
+def network_search_wired(g, user_id, place_condition):
+    """Example 4 as hand-wired operator calls."""
+    if user_id not in g.nodes:
+        raise UnknownUserError(user_id)
+    user = node_select(g, Condition(preds=(attr_eq("id", user_id),)))
+    g1 = link_select(semi_join(g, user, DirectionalCondition("src", "src")), FRIEND)
+    places = node_select(g, place_condition)
+    g2 = link_select(semi_join(g, places, DirectionalCondition("tgt", "src")), VISIT)
+    g3 = semi_join(g1, g2, DirectionalCondition("tgt", "src"))
+    g4 = semi_join(g2, g1, DirectionalCondition("src", "tgt"))
+    g5 = set_op(SetOpKind.UNION, g3, g4)
+    g6 = link_select(semi_join(g, g3, DirectionalCondition("src", "tgt")), ACT)
+    return set_op(SetOpKind.UNION, g5, g6)
+
+
+def cf_pipeline_wired(g, user_id, sim_threshold):
+    """Example 5 as hand-wired operator calls, returning its named stages."""
+    me = node_select(g, Condition(preds=(attr_eq("id", user_id),)))
+    others = node_select(g, Condition(preds=(attr_ne("id", user_id),)))
+    g1 = link_select(semi_join(g, me, DirectionalCondition("src", "src")), VISIT)
+    g1v = node_aggregate(g1, VISIT, "src", "vst", SafExpr("tgt"))
+    g2 = link_select(semi_join(g, others, DirectionalCondition("src", "src")), VISIT)
+    g2v = node_aggregate(g2, VISIT, "src", "vst", SafExpr("tgt"))
+    sim_fn = CompositionFn((("sim", JaccardOf("left-src", "vst", "right-src", "vst")),))
+    g3 = compose(g1v, g2v, DirectionalCondition("tgt", "tgt"), sim_fn)
+    over = Condition(preds=(attr_gt("sim", sim_threshold),))
+    g4 = link_aggregate(g3, over, (("type", ConstString("match")), ("sim", CopyAny("sim"))))
+    g4m = link_select(g4, MATCH)
+    g5 = link_select(semi_join(g, node_select(g, DESTINATION), DirectionalCondition("tgt", "src")), VISIT)
+    copy_fn = CompositionFn((("sim_sc", CopyFrom("left-link", "sim")),))
+    g6 = compose(
+        semi_join(g4m, g5, DirectionalCondition("tgt", "src")),
+        semi_join(g5, g4m, DirectionalCondition("src", "tgt")),
+        DirectionalCondition("tgt", "src"),
+        copy_fn,
+    )
+    g7 = link_aggregate(g6, Condition(), (("score", avg_of("sim_sc")),))
+    return {"match": g4m, "visits": g5, "scored": g7}
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_TWO_CHAR = ("!=", "<=", ">=")
+_ONE_CHAR = "()[]{},;:@.<>=-$"
+
+
+def tokenize_line_loop(text, line_no):
+    """The script tokenizer as a loop over characters."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "#":
+            break
+        if ch.isspace():
+            i += 1
+            continue
+        col = i + 1
+        if ch == "'":
+            end = text.find("'", i + 1)
+            if end < 0:
+                raise DslSyntaxError(line_no, col, "closing quote")
+            tokens.append(Token("STRING", text[i + 1 : end], line_no, col))
+            i = end + 1
+            continue
+        m = _NAME_RE.match(text, i)
+        if m:
+            tokens.append(Token("NAME", m.group(), line_no, col))
+            i = m.end()
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            tokens.append(Token("NUMBER", m.group(), line_no, col))
+            i = m.end()
+            continue
+        two = text[i : i + 2]
+        if two in _TWO_CHAR:
+            tokens.append(Token("PUNCT", two, line_no, col))
+            i += 2
+            continue
+        if ch in _ONE_CHAR:
+            tokens.append(Token("PUNCT", ch, line_no, col))
+            i += 1
+            continue
+        raise DslSyntaxError(line_no, col, f"a token (found {ch!r})")
+    tokens.append(Token("EOL", "", line_no, len(text) + 1))
+    return tokens

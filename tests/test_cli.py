@@ -264,12 +264,14 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.write("X = laggr(G, [], {s: sum(w@1e400)})\n")
     with open(p("anydiff.sgs"), "w", encoding="utf-8") as fh:
         fh.write("A = compose(G, G, (src,tgt), {x: any(type)})\n")
+    with open(p("param.sgs"), "w", encoding="utf-8") as fh:
+        fh.write("A = nsel(G, $x)\n")
     with open(p("hugeint.nodes"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap",
-        "overflow.sgs", "anydiff.sgs", "hugeint.nodes", *bad_items,
+        "overflow.sgs", "anydiff.sgs", "param.sgs", "hugeint.nodes", *bad_items,
     )}}
 
 
@@ -295,6 +297,8 @@ MALFORMED = [
     ),
     ("query chain position 1e400", ["query", "--nodes", "nodes", "--links", "links", "--script", "overflow.sgs"]),
     ("query compose any() disagreeing", ["query", "--nodes", "nodes", "--links", "links", "--script", "anydiff.sgs"]),
+    ("query unbound $x", ["query", "--nodes", "nodes", "--links", "links", "--script", "param.sgs"]),
+    ("discover --query $x", ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1", "--query", "$x"]),
     ("integer attribute beyond float range", ["recommend", "--nodes", "hugeint.nodes", "--links", "links",
                                               "--user", "u1"]),
     *(

@@ -1,7 +1,8 @@
 """Differential tests: the adjacency view, the hash-join ``compose``,
 compiled conditions, the k-bounded ``topk_query``, the streamed
 ``build_index``, the shared greedy-leader loop, item similarity and
-ordered group-by, and the per-graph social sets against the naive
+ordered group-by, the per-graph social sets, the search and CF query
+plans and the one-pattern script tokenizer against the naive
 references in ``reference.py``; and the agreement of content
 recommendation with its explanation.
 
@@ -13,45 +14,52 @@ sets with tied scores, repeated keywords and tags without a list).
 
 from __future__ import annotations
 
+import os
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import (
+    DESTINATION,
+    FRIEND,
     acted_items_scan,
     all_taggers_scan,
+    cf_pipeline_wired,
     cluster_users_scan,
     compose_nested,
     content_recommend_scan,
     exact_tag_scores_dict,
+    network_search_wired,
     provenance_scan,
     rating_scan,
     satisfies_predicate,
     social_groups_scan,
     structural_groups_scan,
     tagger_sets_scan,
+    tokenize_line_loop,
     topical_groups_scan,
     topk_resort,
     visited_items_scan,
 )
-from socialgraph import algebra, discovery, index
+from script_corpus import SCRIPT_DIR, read_script
+from socialgraph import algebra, dsl, index
 from socialgraph.aggfn import COUNT, CompositionFn, ConstString, CopyFrom, JaccardOf, SafExpr, jaccard
 from socialgraph.algebra import compose, link_aggregate, link_select, node_aggregate, node_select
 from socialgraph.discovery import (
-    DESTINATION,
     DiscoveryConfig,
     acted_items,
     cf_pipeline,
-    FRIEND,
     cf_recommend,
     content_recommend,
     discover,
+    network_search,
     rating,
     visited_items,
 )
-from socialgraph.fixtures import random_tagging_graph, random_travel_graph, rng_from
+from socialgraph.errors import DslSyntaxError
+from socialgraph.fixtures import cf_fixture, random_tagging_graph, random_travel_graph, rng_from
 from socialgraph.graph import (
     COMPARISON_OPS,
     CONTAINS_ALL,
@@ -243,7 +251,7 @@ def test_cf_plan_matches_nested_loop_compose(seed):
     cfg = DiscoveryConfig(sim_threshold=0.1)
     users = sorted(nid for nid, n in g.nodes.items() if "user" in n.attrs["type"])
     fast = [cf_recommend(g, u, cfg) for u in users]
-    with mock.patch.object(discovery, "compose", compose_nested):
+    with mock.patch.object(algebra, "compose", compose_nested):
         slow = [cf_recommend(g, u, cfg) for u in users]
     assert fast == slow
     for (scored, _), (ref, _) in zip(fast, slow):
@@ -601,3 +609,108 @@ def test_social_sets_are_kept_per_graph(g):
     friends = link_select(g, FRIEND)
     assert social_sets(friends) is not sets
     assert social_sets(friends) == social_sets(build_graph(friends.nodes.values(), friends.links.values()))
+
+
+# ---------------------------------------------------------------------------
+# The search and CF pipelines as compiled query plans
+
+
+@st.composite
+def travel_graphs(draw):
+    """Users u0-u3 and places p0-p4 (destinations or plain items, with
+    keywords) joined by friend, visit, act and tag links."""
+    users, places = ("u0", "u1", "u2", "u3"), ("p0", "p1", "p2", "p3", "p4")
+    words = st.frozensets(st.sampled_from(("food", "beach", "jazz")), max_size=2)
+    nodes = [node(u, type="user") for u in users]
+    for p in places:
+        kind = draw(st.sampled_from((("item", "destination"), ("destination",), ("item",))))
+        nodes.append(Node(p, {"type": frozenset(kind), "keywords": draw(words)}))
+    link_kinds = st.sampled_from((("connect", "friend"), ("act", "visit"), ("visit",), ("act", "tag"), ("act",)))
+    links = []
+    for j in range(draw(st.integers(0, 14))):
+        kind = draw(link_kinds)
+        tgt = draw(st.sampled_from(users if "friend" in kind else users + places))
+        attrs = {"type": frozenset(kind)}
+        if draw(st.booleans()):
+            attrs["rating"] = frozenset({draw(st.sampled_from(FLOATS))})
+        links.append(Link(f"l{j}", draw(st.sampled_from(users)), tgt, attrs))
+    return build_graph(nodes, links)
+
+
+THRESHOLDS = (0.0, 0.1, 0.5, 1.0)
+PLACE_CONDITIONS = (
+    DESTINATION,
+    Condition(preds=DESTINATION.preds, keywords=("food", "beach")),
+    Condition(keywords=("jazz",)),
+)
+
+
+def exact(g) -> tuple:
+    """Nodes and links in order, each with its attributes in key order."""
+    return (
+        [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
+        [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
+    )
+
+
+def exact_outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as e:  # both sides must fail alike
+        return ("error", type(e).__name__, str(e))
+    if isinstance(result, dict):
+        return {stage: exact(g) for stage, g in result.items()}
+    return exact(result)
+
+
+def check_plans(g):
+    for u in [*g.nodes, "absent"]:
+        for places in PLACE_CONDITIONS:
+            plan = exact_outcome(network_search, g, u, places)
+            assert plan == exact_outcome(network_search_wired, g, u, places), (u, places)
+        for theta in THRESHOLDS:
+            plan = exact_outcome(cf_pipeline, g, u, theta)
+            assert plan == exact_outcome(cf_pipeline_wired, g, u, theta), (u, theta)
+
+
+@given(st.one_of(travel_graphs(), graphs()))
+def test_plans_match_hand_wired_pipelines(g):
+    check_plans(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_plans_match_hand_wired_pipelines_on_fixtures(seed):
+    check_plans(random_travel_graph(rng_from(seed), 12, 20))
+
+
+def test_plans_match_hand_wired_pipelines_on_cf_fixture():
+    check_plans(cf_fixture())
+
+
+FRAGMENTS = (
+    "nsel", "x_1", "G4m", "'a b'", "'# $x'", "'", "''", "#", "# c", "1", "0.5", "1e3", "2E-4", ".", "e", "+",
+    "-", "!=", "!", "<=", ">=", "<", ">", "=", "(", ")", "[", "]", "{", "}", ",", ";", ":", "@",
+    "$", "$x", " ", "\t", "\x0b", "\x0c", "\r", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
+    "\u0663", "\xb2", "\xe9", "\u212a",
+)
+lines = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.characters()), max_size=12).map("".join)
+
+
+def token_outcome(tokenize, text):
+    try:
+        return tokenize(text, 3)
+    except DslSyntaxError as e:
+        return ("error", e.line, e.col, e.expected)
+
+
+@given(lines)
+@example("A = nsel(G, [kw: '# $x']) # c")
+@example("x\u3000y\x1c'")
+def test_tokenizer_matches_character_loop(text):
+    assert token_outcome(dsl._tokenize_line, text) == token_outcome(tokenize_line_loop, text)
+
+
+def test_tokenizer_matches_character_loop_on_the_corpus():
+    for name in sorted(os.listdir(SCRIPT_DIR)):
+        for text in read_script(name).splitlines():
+            assert token_outcome(dsl._tokenize_line, text) == token_outcome(tokenize_line_loop, text)

@@ -236,3 +236,37 @@ def test_config_rejects_threshold_outside_unit_interval(threshold):
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
 def test_config_accepts_threshold_bounds(threshold):
     assert DiscoveryConfig(sim_threshold=threshold).sim_threshold == threshold
+
+
+_PROVENANCE_SNIPPET = """
+from socialgraph.discovery import DiscoveryConfig, discover
+from socialgraph.fixtures import random_travel_graph, rng_from
+from socialgraph.graph import Condition, attr_eq
+g = random_travel_graph(rng_from(1), 30, 60)
+query = Condition(preds=(attr_eq("type", "destination"),))
+cfg = DiscoveryConfig(sim_threshold=0.1, k=30)
+for u in sorted(nid for nid, n in g.nodes.items() if "user" in n.attrs["type"]):
+    print(u, *discover(g, u, query, cfg).graph.nodes)
+"""
+
+
+def _provenance_orders_subprocess(hash_seed: str) -> str:
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    out = subprocess.run(
+        [sys.executable, "-c", _PROVENANCE_SNIPPET],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return out.stdout
+
+
+def test_provenance_node_order_does_not_depend_on_the_hash_seed():
+    first = _provenance_orders_subprocess("1")
+    assert len(first.splitlines()) == 30
+    assert first == _provenance_orders_subprocess("2")

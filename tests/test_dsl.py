@@ -5,7 +5,8 @@ import pytest
 from script_corpus import CORPUS, read_script
 from socialgraph import algebra, dsl
 from socialgraph.algebra import SetOpKind
-from socialgraph.dsl import OpCall, Ref, compile, execute, parse, parse_condition
+from socialgraph.discovery import CF_SCRIPT, SEARCH_SCRIPT
+from socialgraph.dsl import OpCall, Param, Ref, compile, execute, parse, parse_condition
 from socialgraph.errors import (
     DslSyntaxError,
     DuplicateBindingError,
@@ -15,7 +16,7 @@ from socialgraph.errors import (
     UnknownOperatorError,
 )
 from socialgraph.fixtures import cf_fixture, rng_from
-from socialgraph.graph import StructPredicate
+from socialgraph.graph import Condition, StructPredicate, attr_eq
 
 
 def test_parse_single_statement():
@@ -222,3 +223,47 @@ def test_chain_position_whole_number_forms(position, step):
     ((_, expr),) = parse(script).stmts
     ((_, spec),) = expr.args[-1]
     assert spec.step == step
+
+
+def test_param_condition_is_kept_until_execute():
+    program = parse("A = nsel(G, $who)\nB = lsel(A, $who)")
+    assert program.stmts[0][1].args[1] == Param("who")
+    plan = compile(program)
+    g = cf_fixture()
+    who = Condition(preds=(attr_eq("id", "101"),))
+    results = execute(plan, {"G": g}, {"who": who})
+    assert results == {"A": algebra.node_select(g, who), "B": algebra.link_select(results["A"], who)}
+    other = Condition(preds=(attr_eq("id", "102"),))
+    assert execute(plan, {"G": g}, {"who": other})["A"] == algebra.node_select(g, other)
+
+
+def test_unbound_param_is_wrapped_with_its_binding():
+    plan = compile(parse("A = nsel(G, [])\nB = laggr(A, $over, {n: count})"))
+    for params in (None, {"under": Condition()}):
+        with pytest.raises(ExecutionError) as err:
+            execute(plan, {"G": cf_fixture()}, params)
+        assert err.value.binding == "B"
+        assert isinstance(err.value.cause, UnboundReferenceError)
+        assert err.value.cause.name == "$over"
+        assert str(err.value) == "while evaluating 'B': unbound parameter: '$over'"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A = paggr(G, path($x@src), {n: count})", "A = nsel(G, $)", "A = nsel(G, $'x')", "A = nsel(G, $ [])"],
+)
+def test_param_only_stands_for_a_whole_operator_condition(text):
+    with pytest.raises(DslSyntaxError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text", ["$x", "$", "[type='user']$x"])
+def test_standalone_condition_takes_no_param(text):
+    with pytest.raises(DslSyntaxError):
+        parse_condition(text)
+
+
+@pytest.mark.parametrize("builtin, corpus", [(SEARCH_SCRIPT, "ex4_search.sgs"), (CF_SCRIPT, "ex5_cf.sgs")])
+def test_builtin_plans_keep_the_corpus_statement_names(builtin, corpus):
+    names = [name for name, _ in parse(builtin).stmts]
+    assert names == [name for name, _ in parse(read_script(corpus)).stmts]
