@@ -468,6 +468,16 @@ class Plan:
         return len(seen)
 
 
+def _param_key(p):
+    """A parameter together with the tokens its generated ids hash:
+    ``0.0 == -0.0``, but ``[w > 0]`` and ``[w > -0]`` give different ids."""
+    if isinstance(p, Condition):
+        return p, algebra._condition_token(p)
+    if isinstance(p, GraphPattern):
+        return p, tuple(algebra._condition_token(c) for c, _ in p.steps)
+    return p
+
+
 def compile(program: Program, inputs=None) -> Plan:
     """Fold a Program into a Plan, merging structurally equal subtrees.
 
@@ -480,8 +490,9 @@ def compile(program: Program, inputs=None) -> Plan:
     leaves: list = []
 
     def mk(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
-        candidate = PlanNode(kind, node_inputs, params)
-        return intern.setdefault(candidate, candidate)
+        # Children are interned already, so they key by identity.
+        key = (kind, tuple(map(id, node_inputs)), tuple(map(_param_key, params)))
+        return intern.setdefault(key, PlanNode(kind, node_inputs, params))
 
     def build(expr) -> PlanNode:
         if isinstance(expr, Ref):

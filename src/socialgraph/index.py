@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .aggfn import jaccard
 from .errors import UnknownUserError
@@ -72,11 +72,13 @@ class ClusterModel:
 @dataclass(frozen=True)
 class ClusteredIndex:
     """Per (tag, cluster) inverted lists of (item, upper-bound score),
-    sorted by score descending then item id ascending."""
+    sorted by score descending then item id ascending, for the tags of
+    ``vocabulary``."""
 
     lists: dict  # (tag, cluster id) -> tuple of (item id, score)
     model: ClusterModel
     sets: SocialSets
+    vocabulary: frozenset  # the tags the lists were built for
 
 
 def social_sets(g: SocialContentGraph) -> SocialSets:
@@ -117,50 +119,104 @@ def social_sets(g: SocialContentGraph) -> SocialSets:
     return sets
 
 
-def greedy_leaders(keys, joins) -> list:
-    """Greedy leader clustering of a sequence: each key, in order, joins
-    the earliest-founded leader for which ``joins(key, leader)`` holds,
-    else founds a cluster of its own. Returns the position in ``keys``
-    of each key's leader, so repeated keys may lead clusters of their own.
-    """
-    founders: list = []  # leader positions, in founding order
+def _overlaps(probe, postings) -> dict:
+    """holder -> |probe ∩ holder's set|, for every holder that
+    ``postings`` (element -> holders) lists under an element of probe."""
+    counts: dict = {}
+    for e in probe:
+        for h in postings.get(e, ()):
+            counts[h] = counts.get(h, 0) + 1
+    return counts
+
+
+def _founders(probes, members, joins) -> list:
+    """Greedy leader clustering through an inverted index: key ``pos``
+    joins the earliest founder ``f`` for which ``joins(c, len(probes[pos]),
+    len(members[f]))`` holds, c being the overlap of ``probes[pos]`` with
+    ``members[f]``, else founds a cluster and posts its ``members``. Only
+    founders sharing an element are tested, so ``joins`` must fail at c = 0.
+    Returns each key's leader position."""
+    postings: dict = {}  # element -> founder positions, in founding order
     out: list = []
-    for pos, key in enumerate(keys):
-        for f in founders:
-            if joins(key, keys[f]):
-                out.append(f)
-                break
+    for pos, probe in enumerate(probes):
+        n = len(probe)
+        joined = [f for f, c in _overlaps(probe, postings).items() if joins(c, n, len(members[f]))]
+        if joined:
+            out.append(min(joined))
         else:
-            founders.append(pos)
             out.append(pos)
+            for e in members[pos]:
+                postings.setdefault(e, []).append(pos)
     return out
 
 
-def _predicate(strategy: ClusteringStrategy, sets: SocialSets, u: str, leader: str) -> bool:
-    if strategy.kind == "network":
-        return jaccard(sets.network.get(u, ()), sets.network.get(leader, ())) >= strategy.theta
-    if strategy.kind == "behavior":
-        return jaccard(sets.items.get(u, ()), sets.items.get(leader, ())) >= strategy.theta
-    net_u = sets.network.get(u, frozenset())
-    net_l = sets.network.get(leader, frozenset())
-    if not net_u or not net_l:
-        return False
-    return all(
-        jaccard(sets.items.get(v1, ()), sets.items.get(v2, ())) >= strategy.theta
-        for v1 in net_u
-        for v2 in net_l
-    )
+def greedy_leaders(key_sets, theta: float) -> list:
+    """Greedy leader clustering of a sequence of sets: each, in order,
+    joins the earliest-founded leader with Jaccard >= theta, else founds
+    a cluster of its own. Returns the position of each set's leader, so
+    repeated sets may lead clusters of their own.
+
+    The Jaccard is the overlap count c over |A| + |B| - c, the two ints
+    ``jaccard`` divides, so ties at theta resolve alike. Two empty sets
+    have Jaccard 0, so above theta 0 an empty set never joins, and at
+    theta 0 everything joins the first set.
+    """
+    key_sets = list(key_sets)
+    if theta == 0:
+        return [0] * len(key_sets)
+    return _founders(key_sets, key_sets, lambda c, a, b: c / (a + b - c) >= theta)
+
+
+def _similar_ids(items: dict, ids, theta: float) -> dict:
+    """v -> S(v) = {w in ids : J(items(v), items(w)) >= theta}."""
+    if theta == 0:
+        return dict.fromkeys(ids, frozenset(ids))
+    holders: dict = {}  # item -> ids whose items contain it
+    for v in ids:
+        for i in items.get(v, ()):
+            holders.setdefault(i, []).append(v)
+    out = {}
+    for v in ids:
+        mine = items.get(v, ())
+        out[v] = {
+            w
+            for w, c in _overlaps(mine, holders).items()
+            if c / (len(mine) + len(items[w]) - c) >= theta
+        }
+    return out
+
+
+def _hybrid_leaders(sets: SocialSets, users: list, theta: float) -> list:
+    """u joins the earliest leader l with ∅ ≠ N(l) ⊆ T(u), where
+    T(u) = ⋂ S(v) over v in N(u), and is empty for an empty N(u): the
+    same as every friend pair (v1, v2) in N(u) x N(l) having item-set
+    Jaccard >= theta, with both networks non-empty."""
+    networks = [sets.network.get(u, frozenset()) for u in users]
+    similar = _similar_ids(sets.items, set().union(*networks), theta)
+    targets = []
+    for net in networks:
+        common = None
+        for v in net:
+            common = similar[v] if common is None else common & similar[v]
+            if not common:
+                break
+        targets.append(common or ())
+    return _founders(targets, networks, lambda c, _, size: c == size)
 
 
 def cluster_users(sets: SocialSets, strategy: ClusteringStrategy) -> ClusterModel:
-    """Greedy leader clustering (``greedy_leaders``) of the users in
-    ascending id order under the strategy predicate.
-
-    Hybrid clustering puts users with an empty network into singleton
-    clusters (the universal quantifier would otherwise be vacuous).
+    """Greedy leader clustering of the users in ascending id order:
+    Jaccard of friend sets (network) or of item sets (behavior) at least
+    theta (``greedy_leaders``), or the hybrid rule of ``_hybrid_leaders``,
+    under which a user with an empty network founds a singleton cluster
+    (the universal quantifier would otherwise be vacuous).
     """
     users = sets.users
-    leaders = greedy_leaders(users, partial(_predicate, strategy, sets))
+    if strategy.kind == "hybrid":
+        leaders = _hybrid_leaders(sets, users, strategy.theta)
+    else:
+        field = sets.network if strategy.kind == "network" else sets.items
+        leaders = greedy_leaders([field.get(u, frozenset()) for u in users], strategy.theta)
     assignment = {u: users[pos] for u, pos in zip(users, leaders)}
     # a leader is its own first member, so this is founding order
     return ClusterModel(assignment=assignment, leaders={l: l for l in assignment.values()})
@@ -206,7 +262,7 @@ def build_index(sets: SocialSets, model: ClusterModel, tags) -> ClusteredIndex:
         key: tuple(sorted(bucket.items(), key=lambda e: (-e[1], e[0])))
         for key, bucket in sorted(best.items())
     }
-    return ClusteredIndex(lists=lists, model=model, sets=sets)
+    return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=frozenset(tags))
 
 
 def exact_score(sets: SocialSets, item: str, user: str, keywords) -> int:
@@ -245,6 +301,9 @@ def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
     safe because stored scores upper-bound every member's exact score.
     Strictness matters: an unseen item may still tie the k-th score and
     win the item-id tiebreak, so a tie with the frontier cannot stop.
+    A keyword outside the vocabulary has no lists, so the items it tags
+    are exact-scored up front; every unseen item then scores 0 on it and
+    the frontier still bounds it.
     """
     keywords = list(keywords)
     if k < 1:
@@ -254,8 +313,10 @@ def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
         raise UnknownUserError(user)
     lists = [index.lists.get((kw, cluster), ()) for kw in keywords]
     pos = [0] * len(lists)
-    seen: set = set()
-    top: list = []  # at most k (-score, item) pairs, ascending
+    unindexed = set(keywords) - index.vocabulary
+    seen = {item for item, tag in index.sets.taggers if tag in unindexed} if unindexed else set()
+    scored = ((-exact_score(index.sets, item, user, keywords), item) for item in seen)
+    top = sorted(pair for pair in scored if pair[0] < 0)[:k]  # (-score, item), ascending
     while True:
         progressed = False
         for j, entries in enumerate(lists):

@@ -258,7 +258,9 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         if not _ranked(entries):
             raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
         lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
-    return ClusteredIndex(lists=lists, model=model, sets=sets)
+    # the CLI indexes every tag, so a snapshot is taken to cover them all
+    vocabulary = frozenset(tag for _, tag in sets.taggers)
+    return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
 
 
 def _ranked(entries: list) -> bool:

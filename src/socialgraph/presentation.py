@@ -106,7 +106,7 @@ def group_items(items, g: SocialContentGraph, criterion: GroupingCriterion) -> l
 def _social_groups(items, g, theta) -> list:
     sets = social_sets(g)
     ids = [item for item, _ in items]
-    leaders = greedy_leaders(ids, lambda a, b: sets.item_similarity(a, b) >= theta)
+    leaders = greedy_leaders([sets.all_taggers(item) for item in ids], theta)
     return [
         _make_group(f"social:{ids[pos]}", _label_from(g, ids[pos]), members)
         for pos, members in _buckets(zip(leaders, items)).items()

@@ -3,8 +3,9 @@
 Each function here is the plain full-scan, nested-loop, re-sorting,
 hand-wired or materialising version of something the package now does
 through a derived view, a hash join, a compiled predicate, a k-bounded
-ranked list, a stream, a compiled query plan, one pattern or one shared
-helper (the greedy-leader loop, item similarity, the ordered group-by).
+ranked list, a stream, a compiled query plan, one pattern, an inverted
+index of leaders or one shared helper (the greedy-leader loop, item
+similarity, the ordered group-by).
 ``test_differential.py`` checks the two agree on results, link order,
 generated ids and the number of exact-score calls.
 """
@@ -150,7 +151,8 @@ def provenance_scan(g, user_id, ranking, match_graph):
 
 def topk_resort(index, user, keywords, k):
     """``topk_query`` keeping every seen item and re-sorting all of them
-    after each round-robin round. Exact scores go through the module
+    after each round-robin round; the items of unindexed keywords are
+    scored up front, as there. Exact scores go through the module
     global ``index.exact_score``, as in ``topk_query``, so a counter
     patched in there sees both."""
     keywords = list(keywords)
@@ -161,7 +163,9 @@ def topk_resort(index, user, keywords, k):
         raise UnknownUserError(user)
     lists = [index.lists.get((kw, cluster), ()) for kw in keywords]
     pos = [0] * len(lists)
-    seen: dict = {}
+    unindexed = set(keywords) - index.vocabulary
+    upfront = {item for item, tag in index.sets.taggers if tag in unindexed}
+    seen = {item: sgindex.exact_score(index.sets, item, user, keywords) for item in upfront}
     while True:
         progressed = False
         for j, entries in enumerate(lists):
@@ -201,9 +205,28 @@ def exact_tag_scores_dict(sets):
     return out
 
 
+def _predicate(strategy, sets, u, leader):
+    """Whether user ``u`` joins ``leader`` under the strategy, with every
+    Jaccard computed by ``jaccard``."""
+    if strategy.kind == "network":
+        return jaccard(sets.network.get(u, ()), sets.network.get(leader, ())) >= strategy.theta
+    if strategy.kind == "behavior":
+        return jaccard(sets.items.get(u, ()), sets.items.get(leader, ())) >= strategy.theta
+    net_u = sets.network.get(u, frozenset())
+    net_l = sets.network.get(leader, frozenset())
+    if not net_u or not net_l:
+        return False
+    return all(
+        jaccard(sets.items.get(v1, ()), sets.items.get(v2, ())) >= strategy.theta
+        for v1 in net_u
+        for v2 in net_l
+    )
+
+
 def cluster_users_scan(sets, strategy):
-    """``cluster_users`` as its own greedy-leader loop over leader ids;
-    hybrid users with an empty network found a cluster unasked."""
+    """``cluster_users`` as its own greedy-leader loop over leader ids,
+    testing ``_predicate`` against every earlier leader; hybrid users
+    with an empty network found a cluster unasked."""
     assignment: dict = {}
     leaders: dict = {}
     order: list = []  # leader ids, in founding order
@@ -211,7 +234,7 @@ def cluster_users_scan(sets, strategy):
         placed = None
         if not (strategy.kind == "hybrid" and not sets.network.get(u)):
             for leader in order:
-                if sgindex._predicate(strategy, sets, u, leader):
+                if _predicate(strategy, sets, u, leader):
                     placed = leader
                     break
         if placed is None:

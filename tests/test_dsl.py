@@ -16,7 +16,8 @@ from socialgraph.errors import (
     UnknownOperatorError,
 )
 from socialgraph.fixtures import cf_fixture, rng_from
-from socialgraph.graph import Condition, StructPredicate, attr_eq
+from socialgraph.aggfn import COUNT
+from socialgraph.graph import Condition, StructPredicate, attr_eq, attr_gt, build_graph, link, node
 
 
 def test_parse_single_statement():
@@ -97,6 +98,18 @@ def test_compile_merges_shared_subexpressions():
     # two unions are structurally identical, so they merge too
     assert plan.node_count() == 3
     assert plan.leaves == ("G",)
+
+
+def test_compile_keeps_negative_zero_apart():
+    """0.0 == -0.0, but the two conditions hash to different link ids, so
+    interning must not merge them: B gets the id it gets on its own and
+    through the API."""
+    g = build_graph([node("a", type="user"), node("b", type="user")], [link("l", "a", "b", type="friend", w=1.0)])
+    both = dsl.run_script("A = laggr(G, [w > 0], {n: count})\nB = laggr(G, [w > -0], {n: count})", {"G": g})
+    alone = dsl.run_script("B = laggr(G, [w > -0], {n: count})", {"G": g})
+    api = algebra.link_aggregate(g, Condition(preds=(attr_gt("w", -0.0),)), [("n", COUNT)])
+    assert list(both["B"].links) == list(alone["B"].links) == list(api.links)
+    assert list(both["A"].links) != list(both["B"].links)
 
 
 def test_compile_sharing_does_not_change_results():

@@ -15,6 +15,7 @@ from socialgraph.index import (
     social_sets,
     topk_query,
 )
+from socialgraph.io import load_index_snapshot, save_index_snapshot
 
 
 def sets_of(**kwargs):
@@ -194,6 +195,31 @@ def test_topk_missing_tag_is_empty_list(jazz_graph):
     model = cluster_users(sets, ClusteringStrategy("network", 0.5))
     index = build_index(sets, model, {"jazz"})
     assert topk_query(index, "u1", ["unknown"], 3) == []
+
+
+def test_topk_keyword_outside_the_vocabulary():
+    """An index built for jazz and rock has no list for pop, but the items
+    tagged pop still count in the exact score, so they are scored up front."""
+    sets = sets_of(
+        network={"u0": {"f"}, "f": {"u0"}},
+        items={"f": {"i0", "i1"}},
+        taggers={("i0", "pop"): {"f"}, ("i1", "jazz"): {"f"}, ("i1", "pop"): {"u0"}},
+    )
+    index = build_index(sets, cluster_users(sets, ClusteringStrategy("network", 0.3)), ["jazz", "rock"])
+    assert topk_query(index, "u0", ["pop"], 3) == exhaustive_topk(sets, "u0", ["pop"], 3) == [("i0", 1)]
+    assert index.vocabulary == {"jazz", "rock"}
+    both = exhaustive_topk(sets, "u0", ["jazz", "pop"], 3)
+    assert topk_query(index, "u0", ["jazz", "pop"], 3) == both == [("i0", 1), ("i1", 1)]
+    assert topk_query(index, "u0", ["pop", "ghost"], 1) == [("i0", 1)]
+
+
+def test_snapshot_of_every_tag_loads_with_its_vocabulary(tmp_path):
+    """The CLI indexes every tag, and its snapshots load with that vocabulary."""
+    sets = social_sets(random_tagging_graph(rng_from(5), n_users=20, n_items=40, n_tags=4))
+    tags = {tag for _, tag in sets.taggers}
+    index = build_index(sets, cluster_users(sets, ClusteringStrategy("network", 0.3)), tags)
+    save_index_snapshot(index, tmp_path / "all.snap")
+    assert load_index_snapshot(tmp_path / "all.snap").vocabulary == index.vocabulary == tags
 
 
 def test_topk_matches_exhaustive_random():
