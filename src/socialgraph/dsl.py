@@ -42,17 +42,18 @@ runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
 ``parse`` builds a Program, ``compile`` folds it into a shared operator
-DAG (structurally equal subexpressions are merged), and ``execute``
-evaluates the DAG strictly in topological order, which is bit-identical
-to running the corresponding algebra calls by hand. The built-in search
-and CF pipelines of ``discovery`` are such plans.
+DAG (structurally equal subexpressions are merged, after the rewrite
+rules of ``_REWRITES``), and ``execute`` evaluates the DAG strictly in
+topological order, which is bit-identical to running the corresponding
+algebra calls by hand. The built-in search and CF pipelines of
+``discovery`` are such plans.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 from . import algebra
@@ -441,17 +442,24 @@ def parse(text: str) -> Program:
 
 @dataclass(frozen=True)
 class PlanNode:
-    """One operator (or input leaf) in the compiled DAG."""
+    """One operator (or input leaf) in the compiled DAG.
+
+    ``shared`` is (input name, structural key) when the node reads one
+    input graph and no ``Param``, else None. The key is built from the
+    children's keys and the parameters, never from ids, so it names the
+    same subplan in every plan, and no other."""
 
     kind: str
     inputs: tuple  # of PlanNode
     params: tuple
+    shared: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Plan:
     bindings: tuple  # of (name, PlanNode), in program order
     leaves: tuple  # input graph names, in first-use order
+    params: tuple = ()  # ``$NAME`` parameter names, in first-use order
 
     def node_count(self) -> int:
         seen = set()
@@ -478,8 +486,50 @@ def _param_key(p):
     return p
 
 
+def _shared(kind: str, node_inputs: tuple, param_keys: tuple):
+    """``PlanNode.shared`` for a node about to be interned, given the
+    ``_param_key`` of each of its parameters."""
+    if any(isinstance(p, Param) for p in param_keys):
+        return None
+    if kind == "input":
+        name = param_keys[0]
+    else:
+        names = {c.shared and c.shared[0] for c in node_inputs}
+        if len(names) != 1 or None in names:
+            return None
+        (name,) = names
+    return name, (kind, tuple(c.shared[1] for c in node_inputs), param_keys)
+
+
+def _push_select(mk, kind: str, node_inputs: tuple, params: tuple):
+    """Select pushdown: lsel(semijoin(G, X, δ), c) -> semijoin(lsel(G, c), X, δ).
+
+    Both sides keep the links of G that satisfy c and whose δ endpoint
+    matches X, in G order, with the endpoint nodes in first-link order:
+    the semi-join tests only a link's endpoint and the selection only
+    the link, so the order of the two filters does not matter. A keyword
+    c scores the same link objects on both sides. A link-less G gives the
+    empty graph on both sides (the semi-join's null-graph result has no
+    links to select, and lsel of G is empty), and so does a G with no
+    link satisfying c; a link-less X is matched by node id on both sides.
+    ``lsel(G, c)`` no longer depends on X, so plans that select from the
+    same G share it (and keep it, see ``execute``)."""
+    if kind == "lsel" and node_inputs[0].kind == "semijoin":
+        inner = node_inputs[0]
+        g, x = inner.inputs
+        return mk("semijoin", (mk("lsel", (g,), params), x), inner.params)
+    return None
+
+
+# Rewrite rules, tried in order on every node before it is interned: a
+# rule returns the node to use instead, or None. Each rule carries its
+# equivalence argument and a differential test with and without it.
+_REWRITES = (_push_select,)
+
+
 def compile(program: Program, inputs=None) -> Plan:
-    """Fold a Program into a Plan, merging structurally equal subtrees.
+    """Fold a Program into a Plan, rewriting by ``_REWRITES`` and merging
+    structurally equal subtrees.
 
     Free names become input leaves. When ``inputs`` (a collection of
     permitted input names) is given, any other free name raises
@@ -488,11 +538,20 @@ def compile(program: Program, inputs=None) -> Plan:
     intern: dict = {}
     env: dict = {}
     leaves: list = []
+    param_names: list = []
 
     def mk(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
+        for rule in _REWRITES:
+            node = rule(mk, kind, node_inputs, params)
+            if node is not None:
+                return node
         # Children are interned already, so they key by identity.
-        key = (kind, tuple(map(id, node_inputs)), tuple(map(_param_key, params)))
-        return intern.setdefault(key, PlanNode(kind, node_inputs, params))
+        param_keys = tuple(map(_param_key, params))
+        key = (kind, tuple(map(id, node_inputs)), param_keys)
+        node = intern.get(key)
+        if node is None:
+            node = intern[key] = PlanNode(kind, node_inputs, params, _shared(kind, node_inputs, param_keys))
+        return node
 
     def build(expr) -> PlanNode:
         if isinstance(expr, Ref):
@@ -506,6 +565,9 @@ def compile(program: Program, inputs=None) -> Plan:
             return leaf
         children = tuple(build(a) for a in expr.args if isinstance(a, (Ref, OpCall)))
         params = tuple(a for a in expr.args if not isinstance(a, (Ref, OpCall)))
+        for p in params:
+            if isinstance(p, Param) and p.name not in param_names:
+                param_names.append(p.name)
         return mk(expr.op, children, params)
 
     bindings = []
@@ -513,10 +575,10 @@ def compile(program: Program, inputs=None) -> Plan:
         node = build(expr)
         env[name] = node
         bindings.append((name, node))
-    return Plan(bindings=tuple(bindings), leaves=tuple(leaves))
+    return Plan(bindings=tuple(bindings), leaves=tuple(leaves), params=tuple(param_names))
 
 
-def _run_node(node: PlanNode, inputs: dict, params: dict, memo: dict) -> SocialContentGraph:
+def _run_node(node: PlanNode, inputs: dict, params: dict, memo: dict, keep: bool) -> SocialContentGraph:
     # Keyed by identity: compile interns equal subtrees, and a frozen
     # dataclass would re-hash its whole subtree on every lookup.
     cached = memo.get(id(node))
@@ -528,26 +590,42 @@ def _run_node(node: PlanNode, inputs: dict, params: dict, memo: dict) -> SocialC
             raise UnboundReferenceError(name)
         result = inputs[name]
     else:
-        fn, lead, _ = OPS[node.kind]
-        args = [_run_node(child, inputs, params, memo) for child in node.inputs]
-        try:
-            args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
-        except KeyError as e:
-            raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
-        result = getattr(algebra, fn)(*lead, *args)
+        # the input graph this node's result may be kept with, if any
+        graph = inputs.get(node.shared[0]) if node.shared else None
+        result = vars(graph).get("plan_results", {}).get(node.shared[1]) if graph is not None else None
+        if result is None:
+            fn, lead, _ = OPS[node.kind]
+            args = [_run_node(child, inputs, params, memo, keep) for child in node.inputs]
+            try:
+                args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
+            except KeyError as e:
+                raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
+            result = getattr(algebra, fn)(*lead, *args)
+            if keep and graph is not None:
+                vars(graph).setdefault("plan_results", {})[node.shared[1]] = result
     memo[id(node)] = result
     return result
 
 
 def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
     """Evaluate every binding, each ``$NAME`` condition being
-    ``params[NAME]``; failures are wrapped with the binding name."""
+    ``params[NAME]``; failures are wrapped with the binding name.
+
+    A node that reads one input graph and no ``$NAME`` gives the same
+    result every time it runs on that graph. A plan with parameters,
+    which is run again and again on one graph, keeps such results in the
+    graph's instance dict (``plan_results``, next to ``out_links``),
+    which is sound only because graphs are never mutated. A plan without
+    parameters keeps nothing, so one-off scripts never pile up on a
+    graph; every plan reuses what is kept.
+    """
     params = params or {}
+    keep = bool(plan.params)
     memo: dict = {}
     results: dict = {}
     for name, node in plan.bindings:
         try:
-            results[name] = _run_node(node, inputs, params, memo)
+            results[name] = _run_node(node, inputs, params, memo, keep)
         except ExecutionError:
             raise
         except SocialGraphError as e:

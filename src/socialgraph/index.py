@@ -168,9 +168,8 @@ def greedy_leaders(key_sets, theta: float) -> list:
 
 
 def _similar_ids(items: dict, ids, theta: float) -> dict:
-    """v -> S(v) = {w in ids : J(items(v), items(w)) >= theta}."""
-    if theta == 0:
-        return dict.fromkeys(ids, frozenset(ids))
+    """v -> S(v) = {w in ids : J(items(v), items(w)) >= theta}, for
+    theta > 0, where only ids sharing an item can qualify."""
     holders: dict = {}  # item -> ids whose items contain it
     for v in ids:
         for i in items.get(v, ()):
@@ -190,8 +189,13 @@ def _hybrid_leaders(sets: SocialSets, users: list, theta: float) -> list:
     """u joins the earliest leader l with ∅ ≠ N(l) ⊆ T(u), where
     T(u) = ⋂ S(v) over v in N(u), and is empty for an empty N(u): the
     same as every friend pair (v1, v2) in N(u) x N(l) having item-set
-    Jaccard >= theta, with both networks non-empty."""
+    Jaccard >= theta, with both networks non-empty. At theta 0 every
+    pair qualifies, so each user with a non-empty network joins the
+    first such user, and each user with an empty one founds a singleton."""
     networks = [sets.network.get(u, frozenset()) for u in users]
+    if theta == 0:
+        first = next((pos for pos, net in enumerate(networks) if net), None)
+        return [first if net else pos for pos, net in enumerate(networks)]
     similar = _similar_ids(sets.items, set().union(*networks), theta)
     targets = []
     for net in networks:

@@ -9,9 +9,10 @@ sorted by id, object keys are sorted, multi-valued attributes are
 written as sorted arrays (strings before numbers) and singletons as
 bare scalars.
 
-Index snapshots are a single JSON-lines file: a versioned header line,
-then the cluster model, the social sets, and one line per (tag,
-cluster) inverted list, each section sorted for byte stability.
+Index snapshots are a single JSON-lines file: a versioned header line
+(with the indexed tags when they are not every tag of the sets), then
+the cluster model, the social sets, and one line per (tag, cluster)
+inverted list, each section sorted for byte stability.
 """
 
 from __future__ import annotations
@@ -144,9 +145,13 @@ def load_scored_items(path: str) -> list:
 
 def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
     """Write a ClusteredIndex: header line, model line, sets line, then
-    one line per (tag, cluster) list in sorted key order."""
+    one line per (tag, cluster) list in sorted key order. The header
+    lists the vocabulary only when it is not every tag of the sets."""
+    header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
+    if index.vocabulary != _tags_of(index.sets):
+        header["vocabulary"] = sorted(index.vocabulary)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_line({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}) + "\n")
+        fh.write(json_line(header) + "\n")
         model = {
             "assignment": dict(sorted(index.model.assignment.items())),
             "leaders": dict(sorted(index.model.leaders.items())),
@@ -229,6 +234,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         or header.get("version") != SNAPSHOT_VERSION
     ):
         raise GraphFileError(path, head_no, "not a recognized index snapshot")
+    if "vocabulary" in header and not _all_fit([header["vocabulary"]], [str]):
+        raise GraphFileError(path, head_no, "malformed vocabulary")
     for what, shape, group in (
         ("model", _MODEL_LINE, lines[1:2]),
         ("sets", _SETS_LINE, lines[2:3]),
@@ -258,9 +265,14 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         if not _ranked(entries):
             raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
         lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
-    # the CLI indexes every tag, so a snapshot is taken to cover them all
-    vocabulary = frozenset(tag for _, tag in sets.taggers)
+    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else _tags_of(sets)
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
+
+
+def _tags_of(sets: SocialSets) -> frozenset:
+    """Every tag the social sets hold: the vocabulary a snapshot without
+    one covers, as the CLI's indexes do."""
+    return frozenset(tag for _, tag in sets.taggers)
 
 
 def _ranked(entries: list) -> bool:

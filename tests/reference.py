@@ -3,9 +3,9 @@
 Each function here is the plain full-scan, nested-loop, re-sorting,
 hand-wired or materialising version of something the package now does
 through a derived view, a hash join, a compiled predicate, a k-bounded
-ranked list, a stream, a compiled query plan, one pattern, an inverted
-index of leaders or one shared helper (the greedy-leader loop, item
-similarity, the ordered group-by).
+ranked list, a stream, a compiled (and rewritten) query plan, one
+pattern, an inverted index of leaders or one shared helper (the
+greedy-leader loop, item similarity, the ordered group-by).
 ``test_differential.py`` checks the two agree on results, link order,
 generated ids and the number of exact-score calls.
 """
@@ -49,6 +49,7 @@ from socialgraph.graph import (
     attr_gt,
     attr_ne,
     build_graph,
+    default_keyword_score,
     opposite,
     satisfies,
     sorted_values,
@@ -88,6 +89,41 @@ def compose_nested(g1, g2, delta, f):
             for nid, source in ((u, g1), (v, g2)):
                 n = source.nodes[nid]
                 nodes[nid] = _merge_nodes(nodes[nid], n) if nid in nodes else n
+    return build_graph(nodes.values(), links)
+
+
+def semi_join_scan(g1, g2, delta):
+    """Semi-join by its definition: the g1 links whose d1 endpoint is
+    the d2 endpoint of some g2 link (of a link-less g2: some g2 node),
+    with their endpoints; a link-less g1 keeps, links aside, the nodes
+    that are d2 endpoints of g2 links."""
+    ends = {l2.endpoint(delta.d2) for l2 in g2.links.values()}
+    if not g1.links:
+        return build_graph([n for n in g1.nodes.values() if n.id in ends], [])
+    if not g2.links:
+        ends = set(g2.nodes)
+    return _induced(g1, [l for l in g1.links.values() if l.endpoint(delta.d1) in ends])
+
+
+def link_select_scan(g, condition):
+    """Link selection by ``satisfies`` per link; a keyword condition sets
+    each kept link's ``score`` to its default keyword score."""
+    links = []
+    for l in g.links.values():
+        if satisfies(l, condition):
+            if condition.keywords:
+                score = default_keyword_score(l, condition.keywords)
+                l = Link(l.id, l.src, l.tgt, {**l.attrs, "score": frozenset({score})})
+            links.append(l)
+    return _induced(g, links)
+
+
+def _induced(g, links):
+    """The graph of ``links`` and their endpoints, in first-link order."""
+    nodes = {}
+    for l in links:
+        for nid in (l.src, l.tgt):
+            nodes.setdefault(nid, g.nodes[nid])
     return build_graph(nodes.values(), links)
 
 

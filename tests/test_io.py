@@ -6,7 +6,14 @@ import pytest
 from socialgraph.errors import DanglingEndpointError, GraphFileError
 from socialgraph.fixtures import jazz_fixture, random_plain_graph, random_tagging_graph, rng_from
 from socialgraph.graph import build_graph, node
-from socialgraph.index import ClusteringStrategy, build_index, cluster_users, social_sets
+from socialgraph.index import (
+    ClusteringStrategy,
+    build_index,
+    cluster_users,
+    exhaustive_topk,
+    social_sets,
+    topk_query,
+)
 from socialgraph.io import (
     load_graph,
     load_index_snapshot,
@@ -264,3 +271,38 @@ def test_scored_items_reject_malformed_lines(tmp_path, line):
     with pytest.raises(GraphFileError) as err:
         load_scored_items(str(path))
     assert err.value.line == 2
+
+
+def test_index_snapshot_keeps_a_partial_vocabulary(tmp_path):
+    """An index of some tags only: after a round trip, a query on a tag
+    it lacks is still exact-scored rather than taken to score 0."""
+    g = random_tagging_graph(rng_from(1), 40, 80, n_tags=6, n_communities=3)
+    sets = social_sets(g)
+    model = cluster_users(sets, ClusteringStrategy("network", 0.3))
+    tags = sorted({t for (_, t) in sets.taggers})
+    index = build_index(sets, model, tags[:2])
+    path = str(tmp_path / "partial.snap")
+    save_index_snapshot(index, path)
+    loaded = load_index_snapshot(path)
+    assert loaded.vocabulary == frozenset(tags[:2])
+    assert loaded == index
+    for u in sets.users:
+        for tag in tags:
+            assert topk_query(loaded, u, [tag], 5) == exhaustive_topk(sets, u, [tag], 5), (u, tag)
+    path2 = str(tmp_path / "partial2.snap")
+    save_index_snapshot(loaded, path2)
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
+
+
+def test_index_snapshot_of_every_tag_lists_no_vocabulary(tmp_path):
+    records = _jazz_snapshot_lines(tmp_path)
+    assert records[0] == {"format": "socialgraph-index", "version": 1}
+
+
+@pytest.mark.parametrize("vocabulary", ["jazz", [1], None, [["jazz"]]], ids=["string", "number", "null", "nested"])
+def test_index_snapshot_rejects_a_malformed_vocabulary(tmp_path, vocabulary):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[0]["vocabulary"] = vocabulary
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(_write_lines(tmp_path, records))
+    assert err.value.line == 1 and "vocabulary" in str(err.value)

@@ -1,0 +1,257 @@
+"""The plan optimiser: the select-pushdown rewrite against the same
+plans compiled without it and against naive scans, and the per-graph
+keeping of parameter-free subplan results.
+
+Plans are the corpus scripts of ``script_corpus.py`` with drawn
+selections over semi-joins appended. Their graphs use the ids and
+attributes the corpus names, and any link may point into a user node
+(the visit link v->u of the aggregate-pushdown counterexample).
+"""
+
+from __future__ import annotations
+
+import gc
+from unittest import mock
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference import cf_pipeline_wired, link_select_scan, network_search_wired, semi_join_scan
+from script_corpus import CORPUS, read_script
+from socialgraph import algebra, dsl
+from socialgraph.discovery import CF_SCRIPT, VISIT, cf_pipeline, network_search
+from socialgraph.fixtures import random_travel_graph, rng_from
+from socialgraph.graph import Condition, Link, Node, attr_eq, build_graph, node
+
+USERS = ("101", "102", "u00", "u01")
+PLACES = ("201", "202", "p0")
+WORDS = ("denver", "skiing", "act", "visit")
+LINK_KINDS = (("connect", "friend"), ("act", "visit"), ("visit",), ("act", "tag"), ("act",), ("edge",))
+DELTAS = ("(src,src)", "(src,tgt)", "(tgt,src)", "(tgt,tgt)")
+NODE_CONDITIONS = ("[type='user']", "[type='destination']", "[id='101']", "[id!='u00']")
+LINK_CONDITIONS = (
+    "[]",
+    "[type='visit']",
+    "[rating>0.5]",
+    "[type='visit'; kw:'denver act']",
+    "[; kw:'skiing visit']",
+    "[; kw:'act friend denver']",
+)
+DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
+
+
+@st.composite
+def corpus_graphs(draw):
+    words = st.frozensets(st.sampled_from(WORDS), min_size=1, max_size=2)
+    nodes = [node(u, type="user", name=u) for u in USERS]
+    for p in PLACES:
+        kind = draw(st.sampled_from((("item", "destination"), ("destination",), ("item",))))
+        attrs = {"type": frozenset(kind), "name": frozenset({draw(st.sampled_from(("P", "Q")))})}
+        if draw(st.booleans()):
+            attrs["keywords"] = draw(words)
+        nodes.append(Node(p, attrs))
+    ids = USERS + PLACES
+    links = []
+    for j in range(draw(st.integers(0, 12))):
+        attrs = {"type": frozenset(draw(st.sampled_from(LINK_KINDS)))}
+        if draw(st.booleans()):
+            attrs["note"] = draw(words)
+        if draw(st.booleans()):
+            attrs["rating"] = frozenset({draw(st.sampled_from((0.0, 0.5, 1.0)))})
+        links.append(Link(f"l{j}", draw(st.sampled_from(USERS)), draw(st.sampled_from(ids)), attrs))
+    return build_graph(nodes, links)
+
+
+@st.composite
+def plans(draw):
+    """(script text, inputs, params): a corpus script followed by a null
+    graph N, a semi-join SJ and two selections over semi-joins, PUSH and
+    PUSH2, over drawn operands (each of N and the first input graph a
+    third of the time, a corpus binding otherwise)."""
+    script, _, _ = draw(st.sampled_from(CORPUS))
+    text = read_script(script)
+    g = draw(corpus_graphs())
+    leaves = dsl.compile(dsl.parse(text)).leaves
+    inputs = {"G": g} if leaves == ("G",) else {"G1": g, "G2": _sub_graph(g, draw)}
+    names = [*leaves, *(name for name, _ in dsl.parse(text).stmts)]
+    operand = st.one_of(st.just("N"), st.just(leaves[0]), st.sampled_from(names))
+    a, b, c = (draw(operand) for _ in range(3))
+    d1, d2 = (draw(st.sampled_from(DELTAS)) for _ in range(2))
+    cond = draw(st.sampled_from((*LINK_CONDITIONS, "$c")))
+    extra = (
+        f"N = nsel({draw(st.sampled_from(names))}, {draw(st.sampled_from(NODE_CONDITIONS))})\n"
+        f"SJ = semijoin({a}, {b}, {d1})\n"
+        f"PUSH = lsel(semijoin({a}, {b}, {d1}), {cond})\n"
+        f"PUSH2 = lsel(semijoin(semijoin({c}, {a}, {d2}), {b}, {d1}), {draw(st.sampled_from(LINK_CONDITIONS))})\n"
+    )
+    params = {"c": dsl.parse_condition(draw(st.sampled_from(LINK_CONDITIONS)))}
+    return text + extra, inputs, params
+
+
+def _sub_graph(g, draw):
+    """The graph of a drawn part of g's links and their endpoints."""
+    links = [l for l in g.links.values() if draw(st.booleans())]
+    return algebra.link_minus(g, build_graph(g.nodes.values(), links))
+
+
+def fresh(inputs) -> dict:
+    """Equal copies of the inputs, with nothing kept on them."""
+    return {name: build_graph(g.nodes.values(), g.links.values()) for name, g in inputs.items()}
+
+
+def exact(g) -> tuple:
+    """Nodes and links in order, each with its attributes in key order."""
+    return (
+        [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
+        [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
+    )
+
+
+def run(plan, inputs, params):
+    try:
+        results = dsl.execute(plan, inputs, params)
+    except Exception as e:  # both sides must fail alike
+        return ("error", type(e).__name__, str(e)), None
+    return {name: exact(g) for name, g in results.items()}, results
+
+
+def compiled(text, rewrites):
+    with mock.patch.object(dsl, "_REWRITES", rewrites):
+        return dsl.compile(dsl.parse(text))
+
+
+@given(plans())
+def test_select_pushdown_keeps_every_binding_exact(case):
+    text, inputs, params = case
+    plain = compiled(text, ())
+    pushed = compiled(text, dsl._REWRITES)
+    want, _ = run(plain, fresh(inputs), params)
+    env = fresh(inputs)
+    got, results = run(pushed, env, params)
+    assert got == want
+    # again on the same graphs: now from the kept results
+    assert run(pushed, env, params)[0] == want
+    if results is None:
+        return
+    operand = {**env, **results}.__getitem__
+    ((_, sj), (_, push)) = [dsl.parse(line).stmts[0] for line in text.splitlines()[-3:-1]]
+    a, b = (operand(r.name) for r in sj.args[:2])
+    cond = params["c"] if isinstance(push.args[1], dsl.Param) else push.args[1]
+    assert exact(results["SJ"]) == exact(semi_join_scan(a, b, sj.args[2]))
+    assert exact(results["PUSH"]) == exact(link_select_scan(semi_join_scan(a, b, sj.args[2]), cond))
+
+
+def test_pushdown_shares_one_visit_selection_in_the_cf_plan():
+    plan = dsl.compile(dsl.parse(CF_SCRIPT))
+    assert plan.node_count() < compiled(CF_SCRIPT, ()).node_count()
+    b = dict(plan.bindings)
+    for name in ("G1", "G2", "G5"):
+        assert b[name].kind == "semijoin"
+    shared = b["G1"].inputs[0]
+    assert shared.kind == "lsel" and shared.params == (VISIT,)
+    assert b["G2"].inputs[0] is shared and b["G5"].inputs[0] is shared
+
+
+def test_pushdown_runs_through_nested_semi_joins():
+    plan = dsl.compile(dsl.parse("A = lsel(semijoin(semijoin(G, X, (src,src)), Y, (tgt,src)), [type='visit'])"))
+    outer = plan.bindings[0][1]
+    assert outer.kind == "semijoin" and outer.inputs[0].kind == "semijoin"
+    assert outer.inputs[0].inputs[0].kind == "lsel"
+    assert outer.inputs[0].inputs[0].inputs[0].params == ("G",)
+
+
+# ---------------------------------------------------------------------------
+# Results kept per graph
+
+
+def kept(g) -> dict:
+    return vars(g).get("plan_results", {})
+
+
+def travel():
+    return random_travel_graph(rng_from(5), n_users=12, n_places=20)
+
+
+def test_a_plan_with_params_keeps_its_parameter_free_subplans():
+    g = travel()
+    u = sorted(n for n in g.nodes if n.startswith("u"))[0]
+    assert dsl.compile(dsl.parse(CF_SCRIPT)).params == ("user", "others", "over")
+    stages = cf_pipeline(g, u, 0.1)
+    # lsel(G, visit), nsel(G, destination) and G5 = semijoin of the two
+    assert len(kept(g)) == 3
+    assert any(v is stages["visits"] for v in kept(g).values())
+    assert algebra.link_select(g, VISIT) in kept(g).values()
+    network_search(g, u, DESTINATION)
+    assert len(kept(g)) == 5  # and lsel(G, friend), lsel(G, act); lsel(G, visit) is shared
+    for v in sorted(g.nodes):
+        for theta in (0.0, 0.5):
+            assert cf_pipeline(g, v, theta) == cf_pipeline_wired(g, v, theta)
+        assert network_search(g, v, DESTINATION) == network_search_wired(g, v, DESTINATION)
+    assert len(kept(g)) == 5
+
+
+def test_scripts_without_params_keep_nothing():
+    g = travel()
+    users = sorted(n for n in g.nodes if n.startswith("u"))
+    cf_pipeline(g, users[0], 0.1)
+    before = dict(kept(g))
+    untouched = travel()
+    cf = read_script("ex5_cf.sgs")
+    thetas = ("0.1", "0.2", "0.3", "0.4", "0.5")
+    texts = sorted({cf.replace("'101'", f"'{u}'").replace("0.5", t) for u in users for t in thetas})[:50]
+    assert len(texts) == 50 and dsl.compile(dsl.parse(texts[0])).params == ()
+    for text in texts:
+        results = dsl.run_script(text, {"G": g})
+        assert dsl.run_script(text, {"G": untouched}) == results
+    assert kept(g).keys() == before.keys()
+    assert all(kept(g)[k] is v for k, v in before.items())
+    assert "plan_results" not in vars(untouched)
+
+
+def test_a_recompiled_plan_never_reads_a_dropped_plans_results():
+    """Keys are structural, so a plan compiled into the memory of a
+    dropped one (and its node ids) reads only its own results."""
+    g = travel()
+    who = {"who": Condition(preds=(attr_eq("type", "user"),))}
+    for i in range(20):
+        kind = ("visit", "friend", "act")[i % 3]
+        plan = dsl.compile(dsl.parse(f"V = lsel(G, [type='{kind}'])\nX = nsel(V, $who)"))
+        results = dsl.execute(plan, {"G": g}, who)
+        assert results["V"] == algebra.link_select(g, Condition(preds=(attr_eq("type", kind),)))
+        del plan, results
+        gc.collect()
+    assert len(kept(g)) == 3
+
+
+def test_a_derived_graph_keeps_its_own_results():
+    g = travel()
+    h = algebra.link_select(g, Condition(preds=(attr_eq("type", "visit"),)))
+    users = sorted(n for n in h.nodes if n.startswith("u"))
+    for u in users:
+        assert cf_pipeline(h, u, 0.1) == cf_pipeline_wired(h, u, 0.1)
+    assert "plan_results" not in vars(g)
+    for u in users:
+        assert cf_pipeline(g, u, 0.1) == cf_pipeline_wired(g, u, 0.1)
+    assert kept(g) is not kept(h)
+    assert kept(g).keys() == kept(h).keys()
+    assert algebra.link_select(h, VISIT) in kept(h).values()
+    assert algebra.link_select(g, VISIT) in kept(g).values()
+
+
+def test_aggregate_pushdown_is_not_a_rule():
+    """naggr(semijoin(V, X, (src,src)), ...) differs from
+    semijoin(naggr(V, ...), X, (src,src)): the aggregate also lands on
+    nodes that the semi-join keeps only as link targets."""
+    g = build_graph(
+        [node("u", type="user"), node("v", type="user"), node("d", type="destination")],
+        [Link("l1", "u", "d", {"type": frozenset({"visit"})}), Link("l2", "v", "u", {"type": frozenset({"visit"})})],
+    )
+    text = (
+        "X = nsel(G, [id!='u'])\n"
+        "A = naggr(semijoin(G, X, (src,src)), [type='visit'], src, vst, set(tgt))\n"
+        "B = semijoin(naggr(G, [type='visit'], src, vst, set(tgt)), X, (src,src))\n"
+    )
+    results = dsl.run_script(text, {"G": g})
+    assert "vst" not in results["A"].nodes["u"].attrs
+    assert results["B"].nodes["u"].attrs["vst"] == frozenset({"d"})
+    assert dsl.compile(dsl.parse(text)).bindings[1][1].kind == "naggr"
