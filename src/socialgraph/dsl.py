@@ -41,12 +41,14 @@ and ``execute`` substitutes the Condition ``params[NAME]`` when its node
 runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
-``parse`` builds a Program, ``compile`` folds it into a shared operator
-DAG (structurally equal subexpressions are merged, after the rewrite
-rules of ``_REWRITES``), and ``execute`` evaluates the DAG strictly in
-topological order, which is bit-identical to running the corresponding
-algebra calls by hand. The built-in search and CF pipelines of
-``discovery`` are such plans.
+``parse`` builds a Program, and ``compile`` folds it into a shared
+operator DAG: after the rewrite rules of ``_REWRITES``, nodes are
+interned on one structural key (``PlanNode.key``), so structurally
+equal subexpressions are merged. ``compile`` also emits the plan's
+schedule: for each binding, the nodes it evaluates first, children
+before parents. ``execute`` is one loop over that schedule, which is
+bit-identical to running the corresponding algebra calls by hand. The
+built-in search and CF pipelines of ``discovery`` are such plans.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .graph import (
     CONTAINS_ALL,
     Condition,
     DirectionalCondition,
-    SocialContentGraph,
     StructPredicate,
 )
 
@@ -286,7 +287,10 @@ class _Parser:
         if self.cur.kind == "STRING":
             return self.take().value
         negate = self.accept("-")
-        value = float(self.expect_kind("NUMBER", "a string or number literal").value)
+        tok = self.expect_kind("NUMBER", "a string or number literal")
+        value = float(tok.value)
+        if math.isinf(value):
+            raise DslSyntaxError(tok.line, tok.col, "a number within float range")
         return -value if negate else value
 
     def parse_condition(self):
@@ -440,40 +444,33 @@ def parse(text: str) -> Program:
 # Plans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanNode:
-    """One operator (or input leaf) in the compiled DAG.
+    """One operator (or input leaf) in the compiled DAG; compile interns
+    nodes, so nodes compare by identity.
 
-    ``shared`` is (input name, structural key) when the node reads one
-    input graph and no ``Param``, else None. The key is built from the
-    children's keys and the parameters, never from ids, so it names the
-    same subplan in every plan, and no other."""
+    ``key`` is the node's structure: its kind, its children's keys and
+    the ``_param_key`` of each parameter. It holds no ids, so it names the
+    same subplan in every plan, and no other. ``source`` is the one input
+    graph the node reads, or None when it reads more than one or has a
+    ``$NAME`` below it."""
 
     kind: str
     inputs: tuple  # of PlanNode
     params: tuple
-    shared: tuple | None = field(default=None, compare=False, repr=False)
+    key: tuple = field(repr=False)
+    source: str | None = field(repr=False)
 
 
 @dataclass(frozen=True)
 class Plan:
     bindings: tuple  # of (name, PlanNode), in program order
+    schedule: tuple  # per binding, the PlanNodes it evaluates first, children before parents
     leaves: tuple  # input graph names, in first-use order
     params: tuple = ()  # ``$NAME`` parameter names, in first-use order
 
     def node_count(self) -> int:
-        seen = set()
-
-        def walk(n: PlanNode):
-            if id(n) in seen:
-                return
-            seen.add(id(n))
-            for child in n.inputs:
-                walk(child)
-
-        for _, n in self.bindings:
-            walk(n)
-        return len(seen)
+        return sum(map(len, self.schedule))
 
 
 def _param_key(p):
@@ -484,21 +481,6 @@ def _param_key(p):
     if isinstance(p, GraphPattern):
         return p, tuple(algebra._condition_token(c) for c, _ in p.steps)
     return p
-
-
-def _shared(kind: str, node_inputs: tuple, param_keys: tuple):
-    """``PlanNode.shared`` for a node about to be interned, given the
-    ``_param_key`` of each of its parameters."""
-    if any(isinstance(p, Param) for p in param_keys):
-        return None
-    if kind == "input":
-        name = param_keys[0]
-    else:
-        names = {c.shared and c.shared[0] for c in node_inputs}
-        if len(names) != 1 or None in names:
-            return None
-        (name,) = names
-    return name, (kind, tuple(c.shared[1] for c in node_inputs), param_keys)
 
 
 def _push_select(mk, kind: str, node_inputs: tuple, params: tuple):
@@ -545,12 +527,16 @@ def compile(program: Program, inputs=None) -> Plan:
             node = rule(mk, kind, node_inputs, params)
             if node is not None:
                 return node
-        # Children are interned already, so they key by identity.
-        param_keys = tuple(map(_param_key, params))
-        key = (kind, tuple(map(id, node_inputs)), param_keys)
+        key = (kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
         node = intern.get(key)
         if node is None:
-            node = intern[key] = PlanNode(kind, node_inputs, params, _shared(kind, node_inputs, param_keys))
+            if kind == "input":
+                source = params[0]
+            else:
+                sources = {c.source for c in node_inputs}
+                parametric = any(isinstance(p, Param) for p in params)
+                source = sources.pop() if len(sources) == 1 and not parametric else None
+            node = intern[key] = PlanNode(kind, node_inputs, params, key, source)
         return node
 
     def build(expr) -> PlanNode:
@@ -570,66 +556,69 @@ def compile(program: Program, inputs=None) -> Plan:
                 param_names.append(p.name)
         return mk(expr.op, children, params)
 
+    scheduled: set = set()
+
+    def order(node: PlanNode, out: list) -> list:
+        """Append to ``out`` the nodes below ``node`` (itself included)
+        that are not scheduled yet, children before parents."""
+        if node not in scheduled:
+            scheduled.add(node)
+            for child in node.inputs:
+                order(child, out)
+            out.append(node)
+        return out
+
     bindings = []
     for name, expr in program.stmts:
         node = build(expr)
         env[name] = node
         bindings.append((name, node))
-    return Plan(bindings=tuple(bindings), leaves=tuple(leaves), params=tuple(param_names))
-
-
-def _run_node(node: PlanNode, inputs: dict, params: dict, memo: dict, keep: bool) -> SocialContentGraph:
-    # Keyed by identity: compile interns equal subtrees, and a frozen
-    # dataclass would re-hash its whole subtree on every lookup.
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
-    if node.kind == "input":
-        name = node.params[0]
-        if name not in inputs:
-            raise UnboundReferenceError(name)
-        result = inputs[name]
-    else:
-        # the input graph this node's result may be kept with, if any
-        graph = inputs.get(node.shared[0]) if node.shared else None
-        result = vars(graph).get("plan_results", {}).get(node.shared[1]) if graph is not None else None
-        if result is None:
-            fn, lead, _ = OPS[node.kind]
-            args = [_run_node(child, inputs, params, memo, keep) for child in node.inputs]
-            try:
-                args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
-            except KeyError as e:
-                raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
-            result = getattr(algebra, fn)(*lead, *args)
-            if keep and graph is not None:
-                vars(graph).setdefault("plan_results", {})[node.shared[1]] = result
-    memo[id(node)] = result
-    return result
+    schedule = tuple(tuple(order(node, [])) for _, node in bindings)
+    return Plan(bindings=tuple(bindings), schedule=schedule, leaves=tuple(leaves), params=tuple(param_names))
 
 
 def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
-    """Evaluate every binding, each ``$NAME`` condition being
-    ``params[NAME]``; failures are wrapped with the binding name.
+    """Evaluate every binding in one loop over ``plan.schedule``, each
+    ``$NAME`` condition being ``params[NAME]``. A failure, including the
+    ValueError of an operator's argument check, is wrapped in an
+    ExecutionError naming the binding being evaluated.
 
-    A node that reads one input graph and no ``$NAME`` gives the same
-    result every time it runs on that graph. A plan with parameters,
-    which is run again and again on one graph, keeps such results in the
-    graph's instance dict (``plan_results``, next to ``out_links``),
+    A node with a ``source`` gives the same result every time it runs on
+    that graph. A plan with parameters, which is run again and again on
+    one graph, keeps such results in the graph's instance dict
+    (``plan_results``, next to ``out_links``) under the node's ``key``,
     which is sound only because graphs are never mutated. A plan without
     parameters keeps nothing, so one-off scripts never pile up on a
     graph; every plan reuses what is kept.
     """
     params = params or {}
     keep = bool(plan.params)
-    memo: dict = {}
+    done: dict = {}  # PlanNode -> its result in this run
     results: dict = {}
-    for name, node in plan.bindings:
+    for (name, root), nodes in zip(plan.bindings, plan.schedule):
         try:
-            results[name] = _run_node(node, inputs, params, memo, keep)
-        except ExecutionError:
-            raise
-        except SocialGraphError as e:
+            for node in nodes:
+                if node.kind == "input":
+                    if node.source not in inputs:
+                        raise UnboundReferenceError(node.source)
+                    done[node] = inputs[node.source]
+                    continue
+                # a node's source is bound: its input leaf ran before it
+                result = vars(inputs[node.source]).get("plan_results", {}).get(node.key) if node.source else None
+                if result is None:
+                    fn, lead, _ = OPS[node.kind]
+                    args = [done[child] for child in node.inputs]
+                    try:
+                        args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
+                    except KeyError as e:
+                        raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
+                    result = getattr(algebra, fn)(*lead, *args)
+                    if keep and node.source:
+                        vars(inputs[node.source]).setdefault("plan_results", {})[node.key] = result
+                done[node] = result
+        except (SocialGraphError, ValueError) as e:
             raise ExecutionError(name, e) from e
+        results[name] = done[root]
     return results
 
 

@@ -353,4 +353,9 @@ def estimate_index_size(
     for value in (users, items, tags_per_item, tagger_fraction, bytes_per_entry):
         if value < 0:
             raise ValueError("index sizing inputs must be non-negative")
-    return round(items * tags_per_item * users * bytes_per_entry * tagger_fraction)
+    if not 0 <= tagger_fraction <= 1:  # NaN fails too
+        raise ValueError(f"tagger fraction must be in [0, 1], got {tagger_fraction!r}")
+    try:
+        return round(items * tags_per_item * users * bytes_per_entry * tagger_fraction)
+    except OverflowError:
+        raise ValueError("index size is beyond float range") from None

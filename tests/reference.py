@@ -1,19 +1,21 @@
 """Naive references for the engine's indexed and compiled code paths.
 
 Each function here is the plain full-scan, nested-loop, re-sorting,
-hand-wired or materialising version of something the package now does
-through a derived view, a hash join, a compiled predicate, a k-bounded
-ranked list, a stream, a compiled (and rewritten) query plan, one
-pattern, an inverted index of leaders or one shared helper (the
-greedy-leader loop, item similarity, the ordered group-by).
-``test_differential.py`` checks the two agree on results, link order,
-generated ids and the number of exact-score calls.
+hand-wired, recursive or materialising version of something the package
+now does through a derived view, a hash join, a compiled predicate, a
+k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
+a loop over a plan's schedule, one pattern, an inverted index of leaders
+or one shared helper (the greedy-leader loop, item similarity, the
+ordered group-by). ``test_differential.py`` and ``test_plan_rules.py``
+check the two agree on results, link order, generated ids and the number
+of exact-score calls.
 """
 
 from __future__ import annotations
 
 import re
 
+from socialgraph import algebra
 from socialgraph import index as sgindex
 from socialgraph.aggfn import (
     CompositionFn,
@@ -39,8 +41,14 @@ from socialgraph.algebra import (
     set_op,
 )
 from socialgraph.discovery import VISIT, acted_items, rating
-from socialgraph.dsl import Token
-from socialgraph.errors import DslSyntaxError, UnknownUserError
+from socialgraph.dsl import OPS, Param, Token
+from socialgraph.errors import (
+    DslSyntaxError,
+    ExecutionError,
+    SocialGraphError,
+    UnboundReferenceError,
+    UnknownUserError,
+)
 from socialgraph.graph import (
     Condition,
     DirectionalCondition,
@@ -401,6 +409,53 @@ def cf_pipeline_wired(g, user_id, sim_threshold):
     g7 = link_aggregate(g6, Condition(), (("score", avg_of("sim_sc")),))
     return {"match": g4m, "visits": g5, "scored": g7}
 
+
+
+def _run_node_recursive(node, inputs, params, memo, keep):
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    if node.kind == "input":
+        name = node.params[0]
+        if name not in inputs:
+            raise UnboundReferenceError(name)
+        result = inputs[name]
+    else:
+        # the input graph this node's result may be kept with, if any
+        graph = inputs.get(node.source) if node.source else None
+        result = vars(graph).get("plan_results", {}).get(node.key) if graph is not None else None
+        if result is None:
+            fn, lead, _ = OPS[node.kind]
+            args = [_run_node_recursive(child, inputs, params, memo, keep) for child in node.inputs]
+            try:
+                args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
+            except KeyError as e:
+                raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
+            result = getattr(algebra, fn)(*lead, *args)
+            if keep and graph is not None:
+                vars(graph).setdefault("plan_results", {})[node.key] = result
+    memo[id(node)] = result
+    return result
+
+
+def execute_recursive(plan, inputs, params=None):
+    """``dsl.execute`` as a recursion from each binding root, probing a
+    memo keyed by node identity for the root and for every child, and
+    skipping the children of a kept result. It keeps and reuses results
+    per graph and wraps failures with the binding name as ``execute``
+    does."""
+    params = params or {}
+    keep = bool(plan.params)
+    memo = {}
+    results = {}
+    for name, node in plan.bindings:
+        try:
+            results[name] = _run_node_recursive(node, inputs, params, memo, keep)
+        except ExecutionError:
+            raise
+        except (SocialGraphError, ValueError) as e:
+            raise ExecutionError(name, e) from e
+    return results
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")

@@ -266,15 +266,19 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.write("A = compose(G, G, (src,tgt), {x: any(type)})\n")
     with open(p("param.sgs"), "w", encoding="utf-8") as fh:
         fh.write("A = nsel(G, $x)\n")
+    with open(p("naggr_id.sgs"), "w", encoding="utf-8") as fh:
+        fh.write("A = naggr(G, [type='visit'], src, id, count)\n")
     with open(p("hugeint.nodes"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap",
-        "overflow.sgs", "anydiff.sgs", "param.sgs", "hugeint.nodes", *bad_items,
+        "overflow.sgs", "anydiff.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
     )}}
 
 
+ESTIMATE_ARGS = ["--users", "10", "--items", "10", "--tags-per-item", "1", "--tagger-fraction", "0.5", "--bytes", "1"]
+HUGE = "1" + "0" * 400  # an int beyond float range
 MALFORMED = [
     ("object-valued attribute", ["recommend", "--nodes", "objattr.nodes", "--links", "links", "--user", "u1"]),
     ("snapshot without model", ["topk", "--index", "nomodel.snap", "--user", "u1", "--keywords", "jazz"]),
@@ -315,6 +319,12 @@ MALFORMED = [
         for argv in (["recommend", "--method", "cf"], ["recommend", "--method", "content"], ["discover"])
         for t in ("nan", "inf", "-5")
     ),
+    *(
+        (f"estimate-index {option} {value[:8]}", ["estimate-index", *ESTIMATE_ARGS, option, value])
+        for option, value in (("--tagger-fraction", "inf"), ("--tagger-fraction", "1e308"),
+                              ("--tagger-fraction", "nan"), ("--tagger-fraction", "2"),
+                              ("--users", HUGE))
+    ),
 ]
 
 
@@ -332,6 +342,33 @@ OPTION_ERRORS = [
 def test_discovery_options_are_checked_for_every_method(cf_files, argv, message):
     np, lp = cf_files
     assert run(argv[0], "--nodes", np, "--links", lp, "--user", "101", *argv[1:]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["query", "--script", "naggr_id.sgs"], "error: while evaluating 'A': aggregation may not overwrite 'id'"),
+        (["discover", "--user", "u1", "--query", "[w > 1e400]"],
+         "error: syntax error at line 1, column 6: expected a number within float range"),
+    ],
+    ids=["query naggr into id", "discover --query 1e400"],
+)
+def test_dsl_errors_name_the_binding_or_position(malformed_inputs, argv, line):
+    graph = ["--nodes", malformed_inputs["nodes"], "--links", malformed_inputs["links"]]
+    assert run(argv[0], *graph, *(malformed_inputs.get(a, a) for a in argv[1:])) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, line",
+    [
+        *(("--tagger-fraction", v, f"error: tagger fraction must be in [0, 1], got {float(v)!r}")
+          for v in ("nan", "inf", "1e308", "2")),
+        ("--users", HUGE, "error: index size is beyond float range"),
+    ],
+    ids=["nan", "inf", "1e308", "2", "huge users"],
+)
+def test_estimate_index_names_a_bad_size_input(option, value, line):
+    assert run("estimate-index", *ESTIMATE_ARGS, option, value) == (1, "", line + "\n")
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in MALFORMED], ids=[name for name, _ in MALFORMED])

@@ -1,6 +1,8 @@
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from script_corpus import CORPUS, read_script
 from socialgraph import algebra, dsl
@@ -280,3 +282,71 @@ def test_standalone_condition_takes_no_param(text):
 def test_builtin_plans_keep_the_corpus_statement_names(builtin, corpus):
     names = [name for name, _ in parse(builtin).stmts]
     assert names == [name for name, _ in parse(read_script(corpus)).stmts]
+
+
+@pytest.mark.parametrize(
+    "dest, agg, message",
+    [
+        ("id", "count", "aggregation may not overwrite 'id'"),
+        ("type", "count", "aggregation may not overwrite 'type'"),
+        ("x", "const('a')", "node aggregation takes a set or numerical aggregate"),
+        ("x", "any(rating)", "node aggregation takes a set or numerical aggregate"),
+    ],
+)
+def test_operator_argument_checks_are_wrapped_with_their_binding(dest, agg, message):
+    text = f"V = lsel(G, [type='visit'])\nA = naggr(V, [type='visit'], src, {dest}, {agg})"
+    with pytest.raises(ExecutionError) as err:
+        dsl.run_script(text, {"G": cf_fixture()})
+    assert err.value.binding == "A" and isinstance(err.value.cause, ValueError)
+    assert str(err.value) == f"while evaluating 'A': {message}"
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "2e308"])
+def test_number_literal_must_be_within_float_range(literal):
+    for parse_it, text in ((parse, f"A = nsel(G, [w > {literal}])"), (parse_condition, f"[w > {literal}]")):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_it(text)
+        col = text.index(literal.lstrip("-")) + 1
+        assert (err.value.col, err.value.expected) == (col, "a number within float range")
+    assert parse_condition("[w > 1e-400]").preds == (StructPredicate("w", ">", (0.0,)),)
+
+
+@st.composite
+def naggr_scripts(draw):
+    """(script text, inputs): a corpus script followed by a node aggregate
+    over a drawn binding, with a drawn condition, destination and
+    aggregate."""
+    script, make_inputs, _ = draw(st.sampled_from(CORPUS))
+    text = read_script(script)
+    program = parse(text)
+    operand = draw(st.sampled_from([*compile(program).leaves, *(name for name, _ in program.stmts)]))
+    attr = draw(st.sampled_from(("type", "id", "rating", "w", "name")))
+    literal = draw(st.sampled_from(("1e400", "-1e400", "0", "-0", "1e-400", "0.5", "3", "'visit'", "'user'")))
+    cond = draw(
+        st.sampled_from(
+            (
+                "[]",
+                f"[{attr} {draw(st.sampled_from(('=', '!=', '<', '>=')))} {literal}]",
+                f"[{attr} has {{{literal}}}]",
+                f"[type='visit'; kw:'{draw(st.sampled_from(('denver', 'act visit')))}']",
+            )
+        )
+    )
+    direction = draw(st.sampled_from(("src", "tgt")))
+    dest = draw(st.sampled_from(("id", "type", "fresh")))
+    agg = draw(
+        st.sampled_from(
+            ("count", "set(tgt)", "set(type)", "const('a')", "any(rating)", "sum(rating)", "avg(w)", "max(rating@1)")
+        )
+    )
+    return f"{text}\nFUZZ = naggr({operand}, {cond}, {direction}, {dest}, {agg})\n", make_inputs()
+
+
+@given(naggr_scripts())
+def test_drawn_node_aggregates_give_results_or_a_typed_error(case):
+    text, inputs = case
+    try:
+        results = dsl.run_script(text, inputs)
+    except SocialGraphError:
+        return
+    assert "FUZZ" in results

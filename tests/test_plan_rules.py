@@ -1,6 +1,7 @@
-"""The plan optimiser: the select-pushdown rewrite against the same
-plans compiled without it and against naive scans, and the per-graph
-keeping of parameter-free subplan results.
+"""The plan optimiser and executor: the select-pushdown rewrite against
+the same plans compiled without it and against naive scans, the
+per-graph keeping of parameter-free subplan results, and the loop over a
+plan's schedule against the recursive executor of ``reference.py``.
 
 Plans are the corpus scripts of ``script_corpus.py`` with drawn
 selections over semi-joins appended. Their graphs use the ids and
@@ -10,18 +11,27 @@ attributes the corpus names, and any link may point into a user node
 
 from __future__ import annotations
 
+import contextlib
 import gc
+from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import cf_pipeline_wired, link_select_scan, network_search_wired, semi_join_scan
+from reference import (
+    cf_pipeline_wired,
+    execute_recursive,
+    link_select_scan,
+    network_search_wired,
+    semi_join_scan,
+)
 from script_corpus import CORPUS, read_script
 from socialgraph import algebra, dsl
-from socialgraph.discovery import CF_SCRIPT, VISIT, cf_pipeline, network_search
-from socialgraph.fixtures import random_travel_graph, rng_from
-from socialgraph.graph import Condition, Link, Node, attr_eq, build_graph, node
+from socialgraph.discovery import CF_SCRIPT, SEARCH_SCRIPT, VISIT, cf_pipeline, network_search
+from socialgraph.fixtures import cf_fixture, random_travel_graph, rng_from
+from socialgraph.graph import Condition, Link, Node, attr_eq, attr_ne, build_graph, node
 
 USERS = ("101", "102", "u00", "u01")
 PLACES = ("201", "202", "p0")
@@ -107,9 +117,9 @@ def exact(g) -> tuple:
     )
 
 
-def run(plan, inputs, params):
+def run(plan, inputs, params, execute=dsl.execute):
     try:
-        results = dsl.execute(plan, inputs, params)
+        results = execute(plan, inputs, params)
     except Exception as e:  # both sides must fail alike
         return ("error", type(e).__name__, str(e)), None
     return {name: exact(g) for name, g in results.items()}, results
@@ -255,3 +265,103 @@ def test_aggregate_pushdown_is_not_a_rule():
     assert "vst" not in results["A"].nodes["u"].attrs
     assert results["B"].nodes["u"].attrs["vst"] == frozenset({"d"})
     assert dsl.compile(dsl.parse(text)).bindings[1][1].kind == "naggr"
+
+
+# ---------------------------------------------------------------------------
+# The executor: one loop over the schedule
+
+
+def twice(execute, plan, inputs, params) -> list:
+    """``execute`` on fresh copies of the inputs and then again on the
+    same copies: each run's exact results (or failure), and the keys then
+    kept on each input graph."""
+    env = fresh(inputs)
+    return [(run(plan, env, params, execute)[0], {name: set(kept(g)) for name, g in env.items()}) for _ in range(2)]
+
+
+@given(plans())
+def test_the_schedule_loop_matches_the_recursive_executor(case):
+    text, inputs, params = case
+    plan = dsl.compile(dsl.parse(text))
+    assert twice(dsl.execute, plan, inputs, params) == twice(execute_recursive, plan, inputs, params)
+
+
+@pytest.mark.parametrize("script, make_inputs", [(script, make) for script, make, _ in CORPUS])
+def test_corpus_scripts_match_the_recursive_executor(script, make_inputs):
+    plan = dsl.compile(dsl.parse(read_script(script)))
+    inputs = make_inputs()
+    assert twice(dsl.execute, plan, inputs, {}) == twice(execute_recursive, plan, inputs, {})
+
+
+def test_builtin_plans_match_the_recursive_executor():
+    """The built-in plans keep results, some below others, on one graph
+    served user after user."""
+    g = travel()
+    envs = {execute: fresh({"G": g}) for execute in (dsl.execute, execute_recursive)}
+    search, cf = (dsl.compile(dsl.parse(text)) for text in (SEARCH_SCRIPT, CF_SCRIPT))
+    over = dsl.parse_condition("[sim > 0.1]")
+    for u in sorted(g.nodes):
+        user = Condition(preds=(attr_eq("id", u),))
+        others = Condition(preds=(attr_ne("id", u),))
+        for plan, params in (
+            (cf, {"user": user, "others": others, "over": over}),
+            (search, {"user": user, "places": DESTINATION}),
+        ):
+            got, want = ((run(plan, env, params, ex)[0], set(kept(env["G"]))) for ex, env in envs.items())
+            assert got == want
+
+
+@contextlib.contextmanager
+def counted_operators():
+    """Count the calls of each algebra function a plan runs, by name."""
+    calls = Counter()
+
+    def counting(fn, real):
+        def call(*args):
+            calls[fn] += 1
+            return real(*args)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for fn in {fn for fn, _, _ in dsl.OPS.values()}:
+            stack.enter_context(mock.patch.object(algebra, fn, counting(fn, getattr(algebra, fn))))
+        yield calls
+
+
+@given(plans())
+def test_each_scheduled_operator_runs_at_most_once_per_execute(case):
+    text, inputs, params = case
+    plan = dsl.compile(dsl.parse(text))
+    ops = [n for nodes in plan.schedule for n in nodes if n.kind != "input"]
+    env = fresh(inputs)
+    # on fresh graphs every operator runs; on the same graphs again, a
+    # plan with params runs only what it could not keep
+    for runs in (ops, [n for n in ops if not (plan.params and n.source)]):
+        want = Counter(dsl.OPS[n.kind][0] for n in runs)
+        with counted_operators() as calls:
+            failed = run(plan, env, params)[1] is None
+        if failed:
+            assert not calls - want
+            return
+        assert calls == want
+
+
+def test_the_semi_join_a_pushdown_replaces_never_runs():
+    plan = dsl.compile(dsl.parse("A = lsel(semijoin(G, X, (src,src)), [type='visit'])"))
+    assert [n.kind for n in plan.schedule[0]] == ["input", "lsel", "input", "semijoin"]
+    g = cf_fixture()
+    x = algebra.node_select(g, Condition(preds=(attr_eq("id", "101"),)))
+    with counted_operators() as calls:
+        result = dsl.execute(plan, {"G": g, "X": x})["A"]
+    assert calls == Counter(link_select=1, semi_join=1)
+    assert exact(result) == exact(link_select_scan(semi_join_scan(g, x, plan.bindings[0][1].params[0]), VISIT))
+
+
+def test_a_plan_with_params_runs_only_what_it_could_not_keep():
+    g = travel()
+    ops = [n for nodes in dsl.compile(dsl.parse(CF_SCRIPT)).schedule for n in nodes if n.kind != "input"]
+    for i, u in enumerate(sorted(n for n in g.nodes if n.startswith("u"))[:3]):
+        with counted_operators() as calls:
+            cf_pipeline(g, u, 0.1)
+        assert calls == Counter(dsl.OPS[n.kind][0] for n in ops if not (i and n.source))
