@@ -218,39 +218,28 @@ def eval_naf(expr: NafExpr, rows, *, max_depth: int = 3) -> float:
     depth = _nesting_depth(expr)
     if depth > max_depth:
         raise ValueError(f"Sum/Prod nesting depth {depth} exceeds limit {max_depth}")
-    rows = list(rows)
-    return _eval_collection(expr, rows)
+    return _eval(expr, list(rows), None)
 
 
-def _eval_collection(expr: NafExpr, rows: list) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Arith):
-        return _arith(expr.op, _eval_collection(expr.left, rows), _eval_collection(expr.right, rows))
-    if isinstance(expr, SumOver):
-        return sum(_eval_element(expr.body, row, rows) for row in rows)
-    if isinstance(expr, ProdOver):
-        out = 1.0
-        for row in rows:
-            out *= _eval_element(expr.body, row, rows)
-        return out
-    if isinstance(expr, Builtin):
-        return _eval_builtin(expr, rows)
-    if isinstance(expr, AttrRef):
-        raise AggEvalError("attribute reference outside Sum/Prod scope", attr=expr.attr)
-    raise TypeError(f"not a numerical aggregate expression: {expr!r}")
-
-
-def _eval_element(expr: NafExpr, row: Row, rows: list) -> float:
+def _eval(expr: NafExpr, rows: list, row: Row | None) -> float:
+    """``expr`` over the collection ``rows``, with ``row`` the row in
+    scope inside a Sum/Prod body (None outside one). Nested aggregates
+    re-iterate the same collection."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, AttrRef):
+        if row is None:
+            raise AggEvalError("attribute reference outside Sum/Prod scope", attr=expr.attr)
         return _numeric_value(row, expr.attr, expr.step)
     if isinstance(expr, Arith):
-        return _arith(expr.op, _eval_element(expr.left, row, rows), _eval_element(expr.right, row, rows))
-    if isinstance(expr, (SumOver, ProdOver)):
-        # Nested aggregates re-iterate the same input collection.
-        return _eval_collection(expr, rows)
+        return _arith(expr.op, _eval(expr.left, rows, row), _eval(expr.right, rows, row))
+    if isinstance(expr, SumOver):
+        return sum(_eval(expr.body, rows, r) for r in rows)
+    if isinstance(expr, ProdOver):
+        out = 1.0
+        for r in rows:
+            out *= _eval(expr.body, rows, r)
+        return out
     if isinstance(expr, Builtin):
         return _eval_builtin(expr, rows)
     raise TypeError(f"not a numerical aggregate expression: {expr!r}")

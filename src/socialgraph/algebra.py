@@ -34,6 +34,7 @@ from .graph import (
     build_graph,
     compile_condition,
     default_keyword_score,
+    links_by,
     opposite,
 )
 
@@ -230,9 +231,7 @@ def compose(
     far1, far2 = opposite(delta.d1), opposite(delta.d2)
     # Hash join: g2 links bucketed by their d2 endpoint in g2 order, so
     # the g1-outer loop yields pairs in nested-loop order.
-    buckets: dict = {}
-    for l2 in g2.links.values():
-        buckets.setdefault(l2.endpoint(delta.d2), []).append(l2)
+    buckets = links_by(g2.links.values(), delta.d2)
     for l1 in g1.links.values():
         for l2 in buckets.get(l1.endpoint(delta.d1), ()):
             u, v = l1.endpoint(far1), l2.endpoint(far2)
@@ -289,11 +288,7 @@ def node_aggregate(
         raise ValueError("node aggregation takes a set or numerical aggregate")
     if d not in ("src", "tgt"):
         raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
-    holds = compile_condition(c)
-    groups: dict = {}
-    for l in g.links.values():
-        if holds(l):
-            groups.setdefault(l.endpoint(d), []).append(l)
+    groups = links_by(g.links.values(), d, compile_condition(c))
     nodes = []
     for nid, n in g.nodes.items():
         rows = groups.get(nid)
@@ -305,6 +300,17 @@ def node_aggregate(
                 n = Node(nid, attrs)
         nodes.append(n)
     return build_graph(nodes, g.links.values())
+
+
+def _aggregate(specs, rows) -> dict:
+    """The attributes ``specs`` (a list of (attribute, AggSpec)) give a
+    group of rows; a spec with nothing to attach is left out."""
+    attrs = {}
+    for att, spec in specs:
+        value = apply_agg(spec, rows)
+        if value is not None:
+            attrs[att] = value
+    return attrs
 
 
 def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentGraph:
@@ -327,44 +333,35 @@ def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentG
         else:
             kept.append(l)
     for (src, tgt), rows in groups.items():
-        attrs = {}
-        for att, spec in specs:
-            value = apply_agg(spec, rows)
-            if value is not None:
-                attrs[att] = value
+        attrs = _aggregate(specs, rows)
         if "type" not in attrs:
             attrs["type"] = frozenset().union(*(l.attrs["type"] for l in rows))
         kept.append(Link(f"gen:laggr:{src}:{tgt}:{chash}", src, tgt, attrs))
     return build_graph(g.nodes.values(), kept)
 
 
-def _match_chains(g: SocialContentGraph, gp: GraphPattern):
-    """Enumerate chains matching the pattern as (start, end, link tuple).
+def _match_chains(g: SocialContentGraph, gp: GraphPattern) -> list:
+    """The chains matching the pattern as (start, end, link tuple), in
+    lexicographic order of link position in ``g.links``.
 
-    Node repetition is allowed; link repetition within one chain is not.
+    Each step is a hash join, as in ``compose``: every partial chain is
+    extended, at its end node, by that step's links bucketed by their
+    attaching endpoint in ``g`` order. Node repetition is allowed; link
+    repetition within one chain is not.
     """
-    tests = [compile_condition(cond) for cond, _ in gp.steps]
-    step_links = [[l for l in g.links.values() if holds(l)] for holds in tests]
-    chains = []
-
-    def extend(step: int, cursor: str, used: tuple):
-        if step == len(gp.steps):
-            chains.append(used)
-            return
-        cond_dir = gp.steps[step][1]
-        for l in step_links[step]:
-            if l.endpoint(cond_dir) == cursor and all(u.id != l.id for u in used):
-                extend(step + 1, l.endpoint(opposite(cond_dir)), used + (l,))
-
-    d0 = gp.steps[0][1]
-    for first in step_links[0]:
-        extend(1, first.endpoint(opposite(d0)), (first,))
-    out = []
-    for chain in chains:
-        start = chain[0].endpoint(gp.steps[0][1])
-        end = chain[-1].endpoint(opposite(gp.steps[-1][1]))
-        out.append((start, end, chain))
-    return out
+    (c0, d0), *rest = gp.steps
+    holds = compile_condition(c0)
+    chains = [(l.endpoint(d0), l.endpoint(opposite(d0)), (l,)) for l in g.links.values() if holds(l)]
+    for cond, d in rest:
+        buckets = links_by(g.links.values(), d, compile_condition(cond))
+        far = opposite(d)
+        chains = [
+            (start, l.endpoint(far), chain + (l,))
+            for start, end, chain in chains
+            for l in buckets.get(end, ())
+            if all(u.id != l.id for u in chain)
+        ]
+    return chains
 
 
 def pattern_aggregate(
@@ -391,11 +388,7 @@ def pattern_aggregate(
         groups.setdefault((start, end), []).append(chain)
     links = list(g.links.values())
     for (start, end), chains in groups.items():
-        attrs = {}
-        for att, spec in specs:
-            value = apply_agg(spec, chains)
-            if value is not None:
-                attrs[att] = value
+        attrs = _aggregate(specs, chains)
         if "type" not in attrs:
             attrs["type"] = frozenset({"path"})
         links.append(Link(f"gen:paggr:{start}:{end}:{phash}", start, end, attrs))

@@ -36,6 +36,10 @@ Operator argument shapes:
     naggr(e, condition, direction, NAME, aggspec)
     laggr(e, condition, specmap)      paggr(e, pattern, specmap)
 
+The ``kw`` STRING holds one or more space-separated keywords, each one
+token of letters and digits (``graph.is_token``), since a keyword with
+any other character could never match.
+
 A ``$NAME`` condition is a parameter: the parser keeps it as a ``Param``
 and ``execute`` substitutes the Condition ``params[NAME]`` when its node
 runs (unbound: UnboundReferenceError). Pattern steps and standalone
@@ -88,6 +92,7 @@ from .graph import (
     Condition,
     DirectionalCondition,
     StructPredicate,
+    is_token,
 )
 
 # Every operator of the language: the ``algebra`` function it runs (looked
@@ -318,7 +323,11 @@ class _Parser:
         if self.accept(";"):
             self.expect("kw")
             self.expect(":")
-            keywords = tuple(self.expect_kind("STRING", "a quoted keyword string").value.split())
+            tok = self.expect_kind("STRING", "a quoted keyword string")
+            keywords = tuple(tok.value.split())
+            for word in keywords or ("",):
+                if not is_token(word):
+                    raise DslSyntaxError(tok.line, tok.col, f"keywords of one token each (found {word!r})")
         self.expect("]")
         return Condition(preds=tuple(preds), keywords=keywords)
 
@@ -444,16 +453,32 @@ def parse(text: str) -> Program:
 # Plans
 
 
+class _Key(tuple):
+    """A plan node's structural key, (hash, kind, children's keys, param
+    keys), hashed once when built by ``_key``: a plain nested tuple would
+    re-hash the node's whole subtree, parameters included, at every
+    interning probe and every ``plan_results`` lookup."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return self[0]
+
+
+def _key(*items) -> _Key:
+    return _Key((hash(items), *items))
+
+
 @dataclass(frozen=True, eq=False)
 class PlanNode:
     """One operator (or input leaf) in the compiled DAG; compile interns
     nodes, so nodes compare by identity.
 
     ``key`` is the node's structure: its kind, its children's keys and
-    the ``_param_key`` of each parameter. It holds no ids, so it names the
-    same subplan in every plan, and no other. ``source`` is the one input
-    graph the node reads, or None when it reads more than one or has a
-    ``$NAME`` below it."""
+    the ``_param_key`` of each parameter, after their hash (``_Key``). It
+    holds no ids, so it names the same subplan in every plan, and no
+    other. ``source`` is the one input graph the node reads, or None when
+    it reads more than one or has a ``$NAME`` below it."""
 
     kind: str
     inputs: tuple  # of PlanNode
@@ -519,7 +544,7 @@ def compile(program: Program, inputs=None) -> Plan:
     """
     intern: dict = {}
     env: dict = {}
-    leaves: list = []
+    leaves: dict = {}  # input name -> its leaf, in first-use order
     param_names: list = []
 
     def mk(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
@@ -527,7 +552,7 @@ def compile(program: Program, inputs=None) -> Plan:
             node = rule(mk, kind, node_inputs, params)
             if node is not None:
                 return node
-        key = (kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
+        key = _key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
         node = intern.get(key)
         if node is None:
             if kind == "input":
@@ -543,14 +568,13 @@ def compile(program: Program, inputs=None) -> Plan:
         if isinstance(expr, Ref):
             if expr.name in env:
                 return env[expr.name]
-            if inputs is not None and expr.name not in inputs:
-                raise UnboundReferenceError(expr.name)
-            leaf = mk("input", (), (expr.name,))
             if expr.name not in leaves:
-                leaves.append(expr.name)
-            return leaf
-        children = tuple(build(a) for a in expr.args if isinstance(a, (Ref, OpCall)))
-        params = tuple(a for a in expr.args if not isinstance(a, (Ref, OpCall)))
+                if inputs is not None and expr.name not in inputs:
+                    raise UnboundReferenceError(expr.name)
+                leaves[expr.name] = mk("input", (), (expr.name,))
+            return leaves[expr.name]
+        split = OPS[expr.op][2].count("e")  # sub-expressions come first
+        children, params = tuple(map(build, expr.args[:split])), expr.args[split:]
         for p in params:
             if isinstance(p, Param) and p.name not in param_names:
                 param_names.append(p.name)

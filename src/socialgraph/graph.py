@@ -17,6 +17,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Union
 
 from .errors import (
@@ -132,10 +133,19 @@ class SocialContentGraph:
         """node id -> list of the links leaving it, in ``links`` order;
         nodes without outgoing links are absent. Built on first use and
         kept, which is sound only because graphs are never mutated."""
-        out: dict = {}
-        for l in self.links.values():
-            out.setdefault(l.src, []).append(l)
-        return out
+        return links_by(self.links.values(), "src")
+
+
+def links_by(links: Iterable[Link], direction: str, holds: Callable | None = None) -> dict:
+    """Endpoint id -> list of the links at that ``direction`` ("src" or
+    "tgt") endpoint, in input order, skipping links that fail ``holds``.
+    The one group-by and hash-join bucketing of the algebra."""
+    endpoint = attrgetter(direction)
+    out: dict = {}
+    for l in links:
+        if holds is None or holds(l):
+            out.setdefault(endpoint(l), []).append(l)
+    return out
 
 
 def build_graph(nodes: Iterable[Node], links: Iterable[Link]) -> SocialContentGraph:
@@ -243,7 +253,8 @@ class Condition:
 
     Empty predicates and empty keywords mean the condition is satisfied
     by every element. A non-empty keyword list both filters (at least
-    one keyword must match) and drives relevance scoring.
+    one keyword must match) and drives relevance scoring. Each keyword
+    must be one token (see ``is_token``): no other keyword could match.
     """
 
     preds: tuple = ()
@@ -251,6 +262,9 @@ class Condition:
 
     def __post_init__(self):
         object.__setattr__(self, "preds", tuple(self.preds))
+        for k in self.keywords:
+            if not is_token(k):
+                raise ValueError(f"a keyword must be exactly one token, got {k!r}")
         object.__setattr__(self, "keywords", tuple(k.lower() for k in self.keywords))
 
     @property
@@ -294,6 +308,12 @@ def element_tokens(element: Element) -> frozenset:
             if isinstance(v, str):
                 toks.update(t for t in _TOKEN_SPLIT.split(v.lower()) if t)
     return frozenset(toks)
+
+
+def is_token(word: str) -> bool:
+    """True iff ``word`` is a whole token of ``element_tokens``, after
+    lowercasing: non-empty, letters and digits only."""
+    return bool(word) and not _TOKEN_SPLIT.search(word.lower())
 
 
 def satisfies(element: Element, condition: Condition) -> bool:

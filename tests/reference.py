@@ -25,6 +25,7 @@ from socialgraph.aggfn import (
     JaccardOf,
     LinkCtx,
     SafExpr,
+    apply_agg,
     apply_composition,
     avg_of,
     jaccard,
@@ -409,6 +410,52 @@ def cf_pipeline_wired(g, user_id, sim_threshold):
     g7 = link_aggregate(g6, Condition(), (("score", avg_of("sim_sc")),))
     return {"match": g4m, "visits": g5, "scored": g7}
 
+
+
+def match_chains_recursive(g, gp):
+    """The pattern matcher as a recursion: each partial chain is extended
+    by a scan of every link of the next step, then a second pass reads
+    off each chain's (start, end)."""
+    tests = [satisfies_predicate(cond) for cond, _ in gp.steps]
+    step_links = [[l for l in g.links.values() if holds(l)] for holds in tests]
+    chains = []
+
+    def extend(step, cursor, used):
+        if step == len(gp.steps):
+            chains.append(used)
+            return
+        cond_dir = gp.steps[step][1]
+        for l in step_links[step]:
+            if l.endpoint(cond_dir) == cursor and all(u.id != l.id for u in used):
+                extend(step + 1, l.endpoint(opposite(cond_dir)), used + (l,))
+
+    d0 = gp.steps[0][1]
+    for first in step_links[0]:
+        extend(1, first.endpoint(opposite(d0)), (first,))
+    out = []
+    for chain in chains:
+        start = chain[0].endpoint(gp.steps[0][1])
+        end = chain[-1].endpoint(opposite(gp.steps[-1][1]))
+        out.append((start, end, chain))
+    return out
+
+
+def pattern_aggregate_recursive(g, gp, specs):
+    """``pattern_aggregate`` over the chains of ``match_chains_recursive``."""
+    groups = {}
+    for start, end, chain in match_chains_recursive(g, gp):
+        groups.setdefault((start, end), []).append(chain)
+    phash = algebra.pattern_hash(gp)
+    links = list(g.links.values())
+    for (start, end), chains in groups.items():
+        attrs = {}
+        for att, spec in specs:
+            value = apply_agg(spec, chains)
+            if value is not None:
+                attrs[att] = value
+        attrs.setdefault("type", frozenset({"path"}))
+        links.append(Link(f"gen:paggr:{start}:{end}:{phash}", start, end, attrs))
+    return build_graph(g.nodes.values(), links)
 
 
 def _run_node_recursive(node, inputs, params, memo, keep):

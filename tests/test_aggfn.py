@@ -211,3 +211,40 @@ def test_composition_numeric_output():
     out = apply_composition(f, left, right)
     assert out["total"] == frozenset({4.0})
     assert all(math.isfinite(v) for v in out["total"])
+
+
+# Each numerical aggregate node evaluated inside a Sum/Prod body, where one
+# row is in scope, and outside one, where only the collection is.
+W = [weighted("l1", 1.0), weighted("l2", 2.0), weighted("l3", 4.0)]
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        (SumOver(Arith("*", AttrRef("w"), AttrRef("w"))), 1.0 + 4.0 + 16.0),
+        (SumOver(Arith("-", AttrRef("w"), ONE)), 0.0 + 1.0 + 3.0),
+        (ProdOver(Arith("+", AttrRef("w"), ONE)), 2.0 * 3.0 * 5.0),
+        (SumOver(COUNT), 9.0),
+        (ProdOver(COUNT), 27.0),
+        (SumOver(sum_of("w")), 21.0),
+        (ProdOver(sum_of("w")), 343.0),
+        (SumOver(Arith("/", AttrRef("w"), sum_of("w"))), 1.0),
+        (ProdOver(SumOver(AttrRef("w"))), 343.0),
+        (ProdOver(SumOver(ONE)), 27.0),
+        (SumOver(Arith("*", AttrRef("w"), SumOver(ONE))), 21.0),
+    ],
+    ids=[
+        "sum of w*w", "sum of w-1", "prod of w+1", "sum of count", "prod of count", "sum of sum(w)",
+        "prod of sum(w)", "sum of w/sum(w)", "prod of sum over w", "prod of sum over 1", "sum of w*sum over 1",
+    ],
+)
+def test_aggregates_inside_a_sum_or_prod_body(expr, value):
+    assert eval_naf(expr, W) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("expr", [AttrRef("w"), Arith("+", AttrRef("w"), ONE), Arith("*", COUNT, AttrRef("w", 0))])
+def test_attribute_reference_outside_sum_or_prod_scope(expr):
+    with pytest.raises(AggEvalError) as err:
+        eval_naf(expr, W)
+    assert str(err.value).startswith("attribute reference outside Sum/Prod scope")
+    assert err.value.attr == "w"

@@ -303,6 +303,11 @@ MALFORMED = [
     ("query compose any() disagreeing", ["query", "--nodes", "nodes", "--links", "links", "--script", "anydiff.sgs"]),
     ("query unbound $x", ["query", "--nodes", "nodes", "--links", "links", "--script", "param.sgs"]),
     ("discover --query $x", ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1", "--query", "$x"]),
+    *(
+        (f"discover --query kw:'{kw}'", ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1",
+                                         "--query", f"[type='item'; kw:'{kw}']"])
+        for kw in ("jazz,", "")
+    ),
     ("integer attribute beyond float range", ["recommend", "--nodes", "hugeint.nodes", "--links", "links",
                                               "--user", "u1"]),
     *(
@@ -350,8 +355,12 @@ def test_discovery_options_are_checked_for_every_method(cf_files, argv, message)
         (["query", "--script", "naggr_id.sgs"], "error: while evaluating 'A': aggregation may not overwrite 'id'"),
         (["discover", "--user", "u1", "--query", "[w > 1e400]"],
          "error: syntax error at line 1, column 6: expected a number within float range"),
+        (["discover", "--user", "u1", "--query", "[type='item'; kw:'jazz,']"],
+         "error: syntax error at line 1, column 18: expected keywords of one token each (found 'jazz,')"),
+        (["discover", "--user", "u1", "--query", "[; kw:'']"],
+         "error: syntax error at line 1, column 7: expected keywords of one token each (found '')"),
     ],
-    ids=["query naggr into id", "discover --query 1e400"],
+    ids=["query naggr into id", "discover --query 1e400", "discover --query kw:'jazz,'", "discover --query kw:''"],
 )
 def test_dsl_errors_name_the_binding_or_position(malformed_inputs, argv, line):
     graph = ["--nodes", malformed_inputs["nodes"], "--links", malformed_inputs["links"]]

@@ -1,15 +1,16 @@
 """Differential tests: the adjacency view, the hash-join ``compose``,
-compiled conditions, the k-bounded ``topk_query``, the streamed
-``build_index``, the shared greedy-leader loop and its inverted index
-of leaders, item similarity and ordered group-by, the per-graph social
+the step-wise pattern matcher, compiled conditions, the k-bounded
+``topk_query``, the streamed ``build_index``, the shared greedy-leader
+loop and its inverted index of leaders, item similarity and ordered group-by, the per-graph social
 sets, the search and CF query plans and the one-pattern script
 tokenizer against the naive references in ``reference.py``; and the
 agreement of content recommendation with its explanation.
 
 Graphs come from the seeded fixtures and from Hypothesis (small graphs
 with multi-valued types, float and string values, and stored attributes
-named like the ``id``/``src``/``tgt`` pseudo-attributes; small social
-sets with tied scores, repeated keywords and tags without a list).
+named like the ``id``/``src``/``tgt`` pseudo-attributes; small seeded
+plain and travel graphs for patterns; small social sets with tied
+scores, repeated keywords and tags without a list).
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from reference import (
     compose_nested,
     content_recommend_scan,
     exact_tag_scores_dict,
+    match_chains_recursive,
     network_search_wired,
+    pattern_aggregate_recursive,
     provenance_scan,
     rating_scan,
     satisfies_predicate,
@@ -45,9 +48,20 @@ from reference import (
 )
 from script_corpus import SCRIPT_DIR, read_script
 from socialgraph import algebra, dsl, index
-from socialgraph.aggfn import COUNT, CompositionFn, ConstString, CopyFrom, JaccardOf, SafExpr, jaccard
-from socialgraph.algebra import compose, link_aggregate, link_select, node_aggregate, node_select
+from socialgraph.aggfn import (
+    COUNT,
+    CompositionFn,
+    ConstString,
+    CopyFrom,
+    JaccardOf,
+    SafExpr,
+    avg_of,
+    jaccard,
+    sum_of,
+)
+from socialgraph.algebra import GraphPattern, compose, link_aggregate, link_select, node_aggregate, node_select
 from socialgraph.discovery import (
+    VISIT,
     DiscoveryConfig,
     acted_items,
     cf_pipeline,
@@ -59,7 +73,7 @@ from socialgraph.discovery import (
     visited_items,
 )
 from socialgraph.errors import DslSyntaxError
-from socialgraph.fixtures import cf_fixture, random_tagging_graph, random_travel_graph, rng_from
+from socialgraph.fixtures import cf_fixture, random_plain_graph, random_tagging_graph, random_travel_graph, rng_from
 from socialgraph.graph import (
     COMPARISON_OPS,
     CONTAINS_ALL,
@@ -68,6 +82,7 @@ from socialgraph.graph import (
     Link,
     Node,
     StructPredicate,
+    attr_eq,
     build_graph,
     compile_condition,
     link,
@@ -256,6 +271,65 @@ def test_cf_plan_matches_nested_loop_compose(seed):
     assert fast == slow
     for (scored, _), (ref, _) in zip(fast, slow):
         assert list(scored.links) == list(ref.links)
+
+
+# ---------------------------------------------------------------------------
+# Step-wise pattern matching
+
+# Patterns some of whose steps can match the same link, so that only the
+# no-repeated-link rule keeps a chain from reusing one.
+REUSE_PATTERNS = [
+    GraphPattern(((FRIEND, "src"), (FRIEND, "tgt"))),
+    GraphPattern(((FRIEND, "tgt"), (FRIEND, "src"), (FRIEND, "tgt"))),
+    GraphPattern(((Condition(), "src"), (Condition(), "tgt"), (Condition(), "src"))),
+]
+PATTERN_SPECS = [
+    (("cnt", COUNT),),
+    (("cnt", COUNT), ("types", SafExpr("type")), ("via", SafExpr("tgt", 0))),
+    (("w", sum_of("w")), ("r", avg_of("rating", 1))),  # fails where a chain lacks them, alike on both sides
+]
+
+pattern_steps = st.tuples(
+    st.one_of(
+        st.just(Condition()),
+        st.sampled_from(("friend", "visit", "act", "tag", "edge")).map(lambda t: Condition(preds=(attr_eq("type", t),))),
+    ),
+    st.sampled_from(("src", "tgt")),
+)
+patterns = st.one_of(
+    st.sampled_from(REUSE_PATTERNS),
+    st.lists(pattern_steps, min_size=1, max_size=3).map(lambda steps: GraphPattern(tuple(steps))),
+)
+
+
+@st.composite
+def pattern_graphs(draw):
+    """Small seeded plain and travel graphs: few nodes, so chains loop back."""
+    rng = rng_from(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        return random_plain_graph(rng, draw(st.integers(1, 6)), draw(st.integers(0, 16)))
+    return random_travel_graph(rng, draw(st.integers(2, 5)), draw(st.integers(1, 6)))
+
+
+def check_pattern(g, gp, specs):
+    assert algebra._match_chains(g, gp) == match_chains_recursive(g, gp)
+    fast = outcome(algebra.pattern_aggregate, g, gp, specs)
+    slow = outcome(pattern_aggregate_recursive, g, gp, specs)
+    assert fast == slow
+    if fast[0] != "error":
+        assert [list(l.attrs) for l in fast[0].links.values()] == [list(l.attrs) for l in slow[0].links.values()]
+
+
+@given(pattern_graphs(), patterns, st.sampled_from(PATTERN_SPECS))
+def test_pattern_matcher_matches_recursive_reference(g, gp, specs):
+    check_pattern(g, gp, specs)
+
+
+@pytest.mark.parametrize("gp", [*REUSE_PATTERNS, GraphPattern(((FRIEND, "src"), (VISIT, "src")))])
+def test_pattern_matcher_matches_recursive_reference_on_fixtures(gp):
+    for g in fixture_graphs():
+        for specs in PATTERN_SPECS:
+            check_pattern(g, gp, specs)
 
 
 # ---------------------------------------------------------------------------

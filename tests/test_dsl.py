@@ -51,6 +51,16 @@ def test_parse_reports_expected_token():
     assert err.value.line == 1 and "','" in str(err.value)
 
 
+@pytest.mark.parametrize("kw", ["skiing,", "", "   ", "denver new-york", "a_b"])
+def test_keyword_string_must_hold_one_token_keywords(kw):
+    text = f"[type='destination'; kw:'{kw}']"
+    with pytest.raises(DslSyntaxError) as err:
+        parse_condition(text)
+    bad = next((w for w in kw.split() if not w.isalnum()), "")
+    assert (err.value.line, err.value.col) == (1, text.index("'", text.index("kw:")) + 1)
+    assert err.value.expected == f"keywords of one token each (found {bad!r})"
+
+
 def test_duplicate_binding():
     with pytest.raises(DuplicateBindingError) as err:
         parse("A = nsel(G, [])\nA = nsel(G, [])")

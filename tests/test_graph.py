@@ -132,3 +132,17 @@ def test_satisfies_monotone_under_pred_removal():
             for drop in range(len(preds)):
                 weaker = Condition(preds=preds[:drop] + preds[drop + 1 :])
                 assert satisfies(n, weaker)
+
+
+@pytest.mark.parametrize("keyword", ["skiing,", "new york", "", "rock-climbing", "a_b", " skiing"])
+def test_keyword_that_is_not_one_token_is_rejected(keyword):
+    # element tokens split on every non-alphanumeric, so such a keyword could never match
+    with pytest.raises(ValueError) as err:
+        Condition(keywords=("skiing", keyword))
+    assert repr(keyword) in str(err.value)
+
+
+def test_one_token_keywords_are_lowercased(travel_graph):
+    cond = Condition(keywords=("Skiing", "DENVER", "42", "café"))
+    assert cond.keywords == ("skiing", "denver", "42", "café")
+    assert satisfies(travel_graph.nodes["2"], cond)
