@@ -69,18 +69,7 @@ class GraphPattern:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic tokens for generated ids
-
-
-def _scalar_token(v) -> str:
-    return f"s:{v}" if isinstance(v, str) else f"f:{v!r}"
-
-
-def _condition_token(c: Condition) -> str:
-    preds = ";".join(
-        f"{p.attr}{p.op}{'|'.join(_scalar_token(v) for v in p.operands)}" for p in c.preds
-    )
-    return f"{preds}#kw:{','.join(c.keywords)}"
+# Deterministic digests for generated ids
 
 
 def _digest(token: str) -> str:
@@ -88,11 +77,11 @@ def _digest(token: str) -> str:
 
 
 def condition_hash(c: Condition) -> str:
-    return _digest(_condition_token(c))
+    return _digest(c.token)
 
 
 def pattern_hash(gp: GraphPattern) -> str:
-    return _digest("->".join(f"{_condition_token(c)}@{d}" for c, d in gp.steps))
+    return _digest("->".join(f"{c.token}@{d}" for c, d in gp.steps))
 
 
 # ---------------------------------------------------------------------------

@@ -502,9 +502,9 @@ def _param_key(p):
     """A parameter together with the tokens its generated ids hash:
     ``0.0 == -0.0``, but ``[w > 0]`` and ``[w > -0]`` give different ids."""
     if isinstance(p, Condition):
-        return p, algebra._condition_token(p)
+        return p, p.token
     if isinstance(p, GraphPattern):
-        return p, tuple(algebra._condition_token(c) for c, _ in p.steps)
+        return p, tuple(c.token for c, _ in p.steps)
     return p
 
 

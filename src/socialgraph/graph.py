@@ -17,7 +17,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt, ne
 from typing import Callable, Iterable, Union
 
 from .errors import (
@@ -271,32 +271,17 @@ class Condition:
     def is_empty(self) -> bool:
         return not self.preds and not self.keywords
 
-
-def _compare(value: Scalar, op: str, operand: Scalar) -> bool:
-    if isinstance(value, str) != isinstance(operand, str):
-        return False
-    if op == "=":
-        return value == operand
-    if op == "!=":
-        return value != operand
-    if op == "<":
-        return value < operand
-    if op == "<=":
-        return value <= operand
-    if op == ">":
-        return value > operand
-    return value >= operand
+    @cached_property
+    def token(self) -> str:
+        """The text generated ids hash for this condition, built once per
+        object. Equal conditions may differ here: ``0.0 == -0.0``, but
+        ``[w > 0]`` and ``[w > -0]`` give different tokens."""
+        preds = ";".join(f"{p.attr}{p.op}{'|'.join(map(_scalar_token, p.operands))}" for p in self.preds)
+        return f"{preds}#kw:{','.join(self.keywords)}"
 
 
-def pred_holds(element: Element, pred: StructPredicate) -> bool:
-    """Evaluate one predicate; an absent attribute is false, never an error."""
-    values = attr_values(element, pred.attr)
-    if values is None:
-        return False
-    if pred.op == CONTAINS_ALL:
-        return values.issuperset(pred.operands)
-    operand = pred.operands[0]
-    return any(_compare(v, pred.op, operand) for v in values)
+def _scalar_token(v: Scalar) -> str:
+    return f"s:{v}" if isinstance(v, str) else f"f:{v!r}"
 
 
 def element_tokens(element: Element) -> frozenset:
@@ -317,38 +302,47 @@ def is_token(word: str) -> bool:
 
 
 def satisfies(element: Element, condition: Condition) -> bool:
-    """True iff every structural predicate holds and, when keywords are
-    present, at least one keyword matches a token of the element."""
-    if not all(pred_holds(element, p) for p in condition.preds):
-        return False
-    if condition.keywords:
-        toks = element_tokens(element)
-        return any(k in toks for k in condition.keywords)
-    return True
+    """True iff ``element`` satisfies ``condition``. It compiles the
+    condition at each call: a scan calls ``compile_condition`` once."""
+    return compile_condition(condition)(element)
 
 
 _PSEUDO_ATTRS = ("id", "src", "tgt")
+_COMPARISONS = {"!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def compile_condition(condition: Condition) -> Callable[[Element], bool]:
-    """A one-argument predicate equal to ``satisfies(·, condition)``,
-    built once so a scan does not re-dispatch on every predicate per
-    element. An ``=`` on a stored attribute is a set-membership test; a
-    condition with keywords or a pseudo-attribute predicate defers to
-    ``satisfies``."""
-    if condition.keywords or any(p.attr in _PSEUDO_ATTRS for p in condition.preds):
-        return lambda e: satisfies(e, condition)
+    """The predicate "``element`` satisfies ``condition``", built once so a
+    scan does not re-dispatch on every predicate per element. Every
+    structural predicate must hold and, when there are keywords, at least
+    one keyword must be a token of the element; the empty condition
+    always holds."""
     tests = [_compile_pred(p) for p in condition.preds]
-    return tests[0] if len(tests) == 1 else lambda e: all(t(e) for t in tests)
+    if condition.keywords:
+        keywords = condition.keywords
+        tests.append(lambda e: not element_tokens(e).isdisjoint(keywords))
+    if len(tests) == 1:
+        return tests[0]
+    return lambda e: all(t(e) for t in tests)
 
 
 def _compile_pred(pred: StructPredicate) -> Callable[[Element], bool]:
-    attr = pred.attr
-    if pred.op == "=":
-        # values are str or float sets; a str never equals a float, as in _compare
-        operand = pred.operands[0]
-        return lambda e: operand in e.attrs.get(attr, ())
-    return lambda e: pred_holds(e, pred)
+    """One predicate; an absent attribute is false, never an error. A
+    comparison holds when any value of the set matches, and a string
+    never compares to a number."""
+    attr, op = pred.attr, pred.op
+    if attr in _PSEUDO_ATTRS:
+        values = lambda e: attr_values(e, attr) or ()
+    else:
+        values = lambda e: e.attrs.get(attr, ())
+    if op == CONTAINS_ALL:
+        operands = frozenset(pred.operands)
+        return lambda e: operands.issubset(values(e))
+    operand = pred.operands[0]
+    if op == "=":  # a str never equals a float
+        return lambda e: operand in values(e)
+    compare, is_str = _COMPARISONS[op], isinstance(operand, str)
+    return lambda e: any(isinstance(v, str) == is_str and compare(v, operand) for v in values(e))
 
 
 def default_keyword_score(element: Element, keywords) -> float:

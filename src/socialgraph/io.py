@@ -4,10 +4,10 @@ Graphs are stored as two JSON-lines files: one node record or link
 record per line. Node records are ``{"id", "attrs"}``; link records add
 ``"src"`` and ``"tgt"``. Attribute values may be a scalar or an array
 of scalars (arrays become value sets, singletons are allowed either
-way). Ids are stringified on load. Writing is byte-stable: records are
-sorted by id, object keys are sorted, multi-valued attributes are
-written as sorted arrays (strings before numbers) and singletons as
-bare scalars.
+way). Numeric ids must be finite and are stringified on load. Writing
+is byte-stable: records are sorted by id, object keys are sorted,
+multi-valued attributes are written as sorted arrays (strings before
+numbers) and singletons as bare scalars.
 
 Index snapshots are a single JSON-lines file: a versioned header line
 (with the indexed tags when they are not every tag of the sets), then
@@ -35,6 +35,8 @@ def _coerce_id(value) -> str:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"ids must be strings or numbers, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"numeric ids must be finite, got {value!r}")
     return str(value)
 
 
@@ -223,7 +225,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     """Read a snapshot written by save_index_snapshot. A line whose
     section, field or list entry is missing or mistyped, a list out of
     order, or a list of a cluster without a leader raises GraphFileError
-    with its line number; scores keep their JSON type."""
+    with its line number, as does a score that is not finite or not
+    within float range; scores keep their JSON type."""
     lines = list(_read_jsonl(path))
     if len(lines) < 3:
         raise GraphFileError(path, 1, "truncated index snapshot")
@@ -262,6 +265,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         if rec["cluster"] not in model.leaders:
             raise GraphFileError(path, line_no, f"cluster {rec['cluster']!r} has no leader")
         entries = rec["entries"]
+        if not _finite(map(itemgetter(1), entries)):
+            raise GraphFileError(path, line_no, "list scores must be finite numbers")
         if not _ranked(entries):
             raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
         lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
@@ -273,6 +278,14 @@ def _tags_of(sets: SocialSets) -> frozenset:
     """Every tag the social sets hold: the vocabulary a snapshot without
     one covers, as the CLI's indexes do."""
     return frozenset(tag for _, tag in sets.taggers)
+
+
+def _finite(numbers) -> bool:
+    """Whether every loaded JSON number is finite and within float range."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _ranked(entries: list) -> bool:

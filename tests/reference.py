@@ -1,7 +1,7 @@
 """Naive references for the engine's indexed and compiled code paths.
 
 Each function here is the plain full-scan, nested-loop, re-sorting,
-hand-wired, recursive or materialising version of something the package
+hand-wired, recursive, interpreting or materialising version of something the package
 now does through a derived view, a hash join, a compiled predicate, a
 k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
 a loop over a plan's schedule, one pattern, an inverted index of leaders
@@ -51,16 +51,18 @@ from socialgraph.errors import (
     UnknownUserError,
 )
 from socialgraph.graph import (
+    CONTAINS_ALL,
     Condition,
     DirectionalCondition,
     Link,
     attr_eq,
     attr_gt,
     attr_ne,
+    attr_values,
     build_graph,
     default_keyword_score,
+    element_tokens,
     opposite,
-    satisfies,
     sorted_values,
 )
 
@@ -72,8 +74,47 @@ from socialgraph.index import ClusterModel, social_sets
 from socialgraph.presentation import RESIDUAL, _label_from, _make_group
 
 
+def _compare(value, op: str, operand) -> bool:
+    if isinstance(value, str) != isinstance(operand, str):
+        return False
+    if op == "=":
+        return value == operand
+    if op == "!=":
+        return value != operand
+    if op == "<":
+        return value < operand
+    if op == "<=":
+        return value <= operand
+    if op == ">":
+        return value > operand
+    return value >= operand
+
+
+def pred_holds(element, pred) -> bool:
+    """Evaluate one predicate; an absent attribute is false, never an error."""
+    values = attr_values(element, pred.attr)
+    if values is None:
+        return False
+    if pred.op == CONTAINS_ALL:
+        return values.issuperset(pred.operands)
+    operand = pred.operands[0]
+    return any(_compare(v, pred.op, operand) for v in values)
+
+
+def satisfies(element, condition) -> bool:
+    """The condition interpreter: True iff every structural predicate
+    holds and, when keywords are present, at least one keyword matches a
+    token of the element. Dispatches on each predicate per element."""
+    if not all(pred_holds(element, p) for p in condition.preds):
+        return False
+    if condition.keywords:
+        toks = element_tokens(element)
+        return any(k in toks for k in condition.keywords)
+    return True
+
+
 def satisfies_predicate(condition):
-    """The generic selection predicate: ``satisfies`` per element."""
+    """The generic selection predicate: the interpreter per element."""
     return lambda e: satisfies(e, condition)
 
 
@@ -115,7 +156,7 @@ def semi_join_scan(g1, g2, delta):
 
 
 def link_select_scan(g, condition):
-    """Link selection by ``satisfies`` per link; a keyword condition sets
+    """Link selection by the interpreter per link; a keyword condition sets
     each kept link's ``score`` to its default keyword score."""
     links = []
     for l in g.links.values():

@@ -243,8 +243,23 @@ def malformed_inputs(tmp_path, jazz_files):
     records[3]["entries"][0][1] = "x"
     with open(p("badscore.snap"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
+    records[3]["entries"][0][1] = float("nan")
+    with open(p("nanscore.snap"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
     with open(np, encoding="utf-8") as fh:
         nodes = [json.loads(line) for line in fh]
+    with open(lp, encoding="utf-8") as fh:
+        links = [json.loads(line) for line in fh]
+    # A non-finite numeric id would read as the string id "nan" or "inf".
+    extra = {
+        "strids.nodes": [*nodes, {"id": "nan", "attrs": {"type": "item"}},
+                         {"id": "inf", "attrs": {"type": "user"}}],
+        "nanid.nodes": [*nodes, {"id": float("nan"), "attrs": {"type": "user"}}],
+        "infsrc.links": [*links, {**links[0], "id": "x", "src": float("inf")}],
+    }
+    for name, rows in extra.items():
+        with open(p(name), "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in rows)
     nodes[0]["attrs"]["x"] = {"a": 1}
     with open(p("objattr.nodes"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in nodes)
@@ -256,6 +271,8 @@ def malformed_inputs(tmp_path, jazz_files):
         "nullscore.items": '{"id": "i1", "score": null}',
         "boolscore.items": '{"id": "i1", "score": true}',
         "unknown.items": '{"id": "i1"}\n{"id": "nope"}',
+        "nanid.items": '{"id": NaN}',
+        "infid.items": '{"id": 1e400}',
     }
     for name, text in bad_items.items():
         with open(p(name), "w", encoding="utf-8") as fh:
@@ -264,6 +281,8 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.write("X = laggr(G, [], {s: sum(w@1e400)})\n")
     with open(p("anydiff.sgs"), "w", encoding="utf-8") as fh:
         fh.write("A = compose(G, G, (src,tgt), {x: any(type)})\n")
+    with open(p("users.sgs"), "w", encoding="utf-8") as fh:
+        fh.write("A = nsel(G, [type='user'])\n")
     with open(p("param.sgs"), "w", encoding="utf-8") as fh:
         fh.write("A = nsel(G, $x)\n")
     with open(p("naggr_id.sgs"), "w", encoding="utf-8") as fh:
@@ -272,8 +291,9 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
-        "jazz.snap", "nomodel.snap", "badscore.snap", "objattr.nodes", "jazz.items", "never.snap",
-        "overflow.sgs", "anydiff.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
+        "jazz.snap", "nomodel.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
+        "never.snap",
+        "overflow.sgs", "anydiff.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
     )}}
 
 
@@ -294,6 +314,14 @@ MALFORMED = [
                                    "--items", name, "--criterion", "topical"])
         for name in ("noid.items", "array.items", "nullscore.items", "boolscore.items")
     ),
+    *(
+        (f"group --items {name}", ["group", "--nodes", "strids.nodes", "--links", "links",
+                                   "--items", name, "--criterion", "topical"])
+        for name in ("nanid.items", "infid.items")
+    ),
+    ("snapshot score NaN", ["topk", "--index", "nanscore.snap", "--user", "u1", "--keywords", "jazz"]),
+    ("node id NaN", ["query", "--nodes", "nanid.nodes", "--links", "links", "--script", "users.sgs"]),
+    ("link src Infinity", ["recommend", "--nodes", "strids.nodes", "--links", "infsrc.links", "--user", "u1"]),
     *(
         (f"group unknown item {criterion}", ["group", "--nodes", "nodes", "--links", "links",
                                              "--items", "unknown.items", "--criterion", criterion])

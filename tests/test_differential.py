@@ -37,6 +37,7 @@ from reference import (
     pattern_aggregate_recursive,
     provenance_scan,
     rating_scan,
+    satisfies,
     satisfies_predicate,
     social_groups_scan,
     structural_groups_scan,
@@ -87,7 +88,6 @@ from socialgraph.graph import (
     compile_condition,
     link,
     node,
-    satisfies,
 )
 from socialgraph.index import (
     STRATEGIES,
@@ -212,6 +212,39 @@ def test_equality_on_floats_and_multivalued_types():
     )
     for attr, operand in (("type", "item"), ("type", "visit"), ("w", 1.0), ("w", "1.0"), ("w", 0.5), ("w", "0.5")):
         check_condition(g, Condition(preds=(StructPredicate(attr, "=", (operand,)),)))
+
+
+MIXED = build_graph(
+    [
+        Node("a", {"type": frozenset({"user", "item"}), "w": frozenset({1.0, "1.0", 2.0}), "id": frozenset({"x"}),
+                   "name": frozenset({"Jazz club"})}),
+        Node("b", {"type": frozenset({"item"}), "w": frozenset({0.5})}),
+        Node("c", {"type": frozenset({"topic", 1.0})}),
+    ],
+    [
+        Link("l", "a", "b", {"type": frozenset({"act", "visit"}), "src": frozenset({"zz"}),
+                             "rating": frozenset({0.5, 2.0})}),
+        Link("m", "b", "c", {"type": frozenset({"tag"}), "tags": frozenset({"jazz", "blues"})}),
+        Link("k", "c", "a", {"type": frozenset({"visit"}), "tgt": frozenset({1.0})}),
+    ],
+)
+
+
+@pytest.mark.parametrize("op", COMPARISON_OPS + (CONTAINS_ALL,))
+def test_every_predicate_form_on_mixed_values(op):
+    """Every operator on multi-valued sets of strings and floats, on the
+    identity fields with and without a stored attribute of their name,
+    and on a missing attribute; then once next to a keyword."""
+    operands = ("item", "visit", "user", "x", "a", "b", "zz", "1.0", 1.0, 0.5, 2.0, 1.5)
+    for attr in ("type", "w", "rating", "id", "src", "tgt", "missing"):
+        for operand in operands:
+            check_condition(MIXED, Condition(preds=(StructPredicate(attr, op, (operand,)),)))
+    check_condition(MIXED, Condition(preds=(StructPredicate("type", op, ("item",)),), keywords=("jazz",)))
+
+
+@pytest.mark.parametrize("keywords", [("jazz",), ("jazz", "nothing"), ("nothing", "blues"), ("club",), ("nothing",)])
+def test_keyword_conditions_need_one_matching_keyword(keywords):
+    check_condition(MIXED, Condition(keywords=keywords))
 
 
 # ---------------------------------------------------------------------------

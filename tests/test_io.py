@@ -77,6 +77,30 @@ def test_numeric_ids_stringified(tmp_path):
     assert g.links["12"].src == "1"
 
 
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]  # JSON numbers Python reads as nan/inf
+
+
+@pytest.mark.parametrize("number", NON_FINITE)
+@pytest.mark.parametrize("which, field", [("nodes", "id"), ("links", "id"), ("links", "src"), ("links", "tgt")])
+def test_non_finite_numeric_ids_rejected(tmp_path, which, field, number):
+    records = {
+        "nodes": [{"id": "a", "attrs": {"type": "user"}}, {"id": "b", "attrs": {"type": "user"}}],
+        "links": [
+            {"id": "k", "src": "a", "tgt": "b", "attrs": {"type": "e"}},
+            {"id": "l", "src": "b", "tgt": "a", "attrs": {"type": "e"}},
+        ],
+    }
+    records[which][1][field] = "@"
+    files = dict(zip(("nodes", "links"), paths(tmp_path)))
+    for name, path in files.items():
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(r).replace('"@"', number) + "\n" for r in records[name])
+    with pytest.raises(GraphFileError) as err:
+        load_graph(files["nodes"], files["links"])
+    assert (err.value.path, err.value.line) == (files[which], 2)
+    assert "finite" in str(err.value)
+
+
 def test_parse_error_carries_location(tmp_path):
     np, lp = paths(tmp_path)
     with open(np, "w") as fh:
@@ -198,6 +222,18 @@ def test_index_snapshot_rejects_bad_list_entry(tmp_path, entry):
     assert err.value.line == len(records)
 
 
+@pytest.mark.parametrize("number", [*NON_FINITE, "1" + "0" * 400], ids=[*NON_FINITE, "huge-int"])
+def test_index_snapshot_rejects_a_score_that_is_not_finite(tmp_path, number):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[-1]["entries"][-1][1] = "@"
+    path = _write_lines(tmp_path, records)
+    text = Path(path).read_text(encoding="utf-8").replace('"@"', number)
+    Path(path).write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(path)
+    assert err.value.line == len(records) and "finite" in str(err.value)
+
+
 def test_object_valued_attribute_rejected(tmp_path):
     np, lp = paths(tmp_path)
     with open(np, "w") as fh:
@@ -262,8 +298,9 @@ def test_scored_items_load(tmp_path):
     "line",
     ['{"score": 1.0}', "[1]", '{"id": "a", "score": null}', '{"id": "a", "score": true}',
      '{"id": "a", "score": "0.5"}', '{"id": null}', '{"id": "a", "score": NaN}',
-     '{"id": "a", "score": 1' + "0" * 400 + "}"],
-    ids=["no-id", "array", "null-score", "bool-score", "string-score", "null-id", "nan-score", "huge-int"],
+     '{"id": "a", "score": 1' + "0" * 400 + "}", *('{"id": %s}' % number for number in NON_FINITE)],
+    ids=["no-id", "array", "null-score", "bool-score", "string-score", "null-id", "nan-score", "huge-int",
+         *(f"{number}-id" for number in NON_FINITE)],
 )
 def test_scored_items_reject_malformed_lines(tmp_path, line):
     path = tmp_path / "items.jsonl"
