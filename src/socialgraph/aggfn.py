@@ -11,19 +11,27 @@ Three small expression languages share this module:
   their endpoint nodes) to the attribute map of a freshly minted link.
 
 Evaluation rows are either plain links or bound pattern chains (tuples
-of links); attribute references may carry the chain position they read
-from, and default to the first link in the chain carrying the attribute.
+of links), and a plain link is a one-step chain: attribute references
+may carry the chain position they read from (only 0 on a link), and
+default to the first link in the chain carrying the attribute.
+
+Each language has one evaluator, compiled once per operator call:
+``compile_agg`` turns an aggregate spec into a closure over a collection
+of rows, ``compile_composition`` a composition function into a closure
+over a pair of links. ``apply_agg``, ``eval_saf``, ``eval_naf`` and
+``apply_composition`` compile and run in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from operator import add, mul, sub
+from typing import Callable, Union
 
 from .errors import AggEvalError, CompositionFnError, DivideByZeroError
-from .graph import Link, Node, attr_values
-
-Row = Union[Link, tuple]
+from .graph import Link, Node
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +113,10 @@ NafExpr = Union[Const, AttrRef, Arith, SumOver, ProdOver, Builtin]
 COUNT = Builtin("COUNT")
 
 
-def sum_of(attr: str, step: int | None = None) -> Builtin:
-    return Builtin("SUM", attr, step)
-
-
-def avg_of(attr: str, step: int | None = None) -> Builtin:
-    return Builtin("AVG", attr, step)
-
-
-def min_of(attr: str, step: int | None = None) -> Builtin:
-    return Builtin("MIN", attr, step)
-
-
-def max_of(attr: str, step: int | None = None) -> Builtin:
-    return Builtin("MAX", attr, step)
+sum_of = partial(Builtin, "SUM")  # sum_of(attr, step=None), and so on
+avg_of = partial(Builtin, "AVG")
+min_of = partial(Builtin, "MIN")
+max_of = partial(Builtin, "MAX")
 
 
 @dataclass(frozen=True)
@@ -141,47 +139,73 @@ AggSpec = Union[SafExpr, NafExpr, ConstString, CopyAny]
 
 
 # ---------------------------------------------------------------------------
-# Row access
+# Evaluation, compiled once per operator call
 
 
-def _row_link(row: Row, attr: str, step: int | None) -> Link | None:
-    """Pick the link of a row an attribute reference reads from."""
-    if isinstance(row, Link):
-        return row
-    if step is not None:
-        if not 0 <= step < len(row):
+def _values(attr: str) -> Callable:
+    """``element -> its value set of attr``, or None; an identity field
+    (``id``, a link's ``src``/``tgt``) stands in unless a stored one shadows it."""
+    if attr not in ("id", "src", "tgt"):
+        return lambda e: e.attrs.get(attr)
+
+    def values(e):
+        v = e.attrs.get(attr)
+        field = getattr(e, attr, None) if v is None else None
+        return v if field is None else frozenset({field})
+
+    return values
+
+
+def _reader(attr: str, step: int | None, chains: bool) -> tuple:
+    """``row -> the link a reference reads`` (None when no link of a chain
+    carries the attribute) and ``row -> that link's value set``, or None."""
+
+    def pick(row):  # a link row is a one-step chain
+        if not 0 <= step < (len(row) if chains else 1):
             raise AggEvalError(f"chain has no step {step}", attr=attr)
-        return row[step]
-    for l in row:
-        if attr_values(l, attr) is not None:
-            return l
-    return None
+        return row[step] if chains else row
+
+    values = _values(attr)
+    if step is None:
+        if not chains:
+            return (lambda row: row), values
+        pick = lambda row: next((l for l in row if values(l) is not None), None)
+    return pick, lambda row: None if (l := pick(row)) is None else values(l)
 
 
-def _numeric_value(row: Row, attr: str, step: int | None) -> float:
-    l = _row_link(row, attr, step)
-    values = attr_values(l, attr) if l is not None else None
-    if values is None:
-        rid = l.id if l is not None else None
-        raise AggEvalError("missing attribute", element_id=rid, attr=attr)
-    if len(values) != 1:
-        raise AggEvalError("attribute is multi-valued", element_id=l.id, attr=attr)
-    (value,) = values
-    if not isinstance(value, float):
-        raise AggEvalError("attribute is not numeric", element_id=l.id, attr=attr)
-    return value
+def _number_reader(attr: str, step: int | None, chains: bool) -> Callable:
+    """``row -> the single float a reference reads``."""
+    pick, read = _reader(attr, step, chains)
+
+    def number(row):
+        v = read(row)
+        if v is not None and len(v) == 1:
+            (value,) = v
+            if isinstance(value, float):
+                return value
+        l = pick(row)
+        problem = "missing attribute" if v is None else "attribute is not numeric" if len(v) == 1 else "attribute is multi-valued"
+        raise AggEvalError(problem, element_id=None if l is None else l.id, attr=attr)
+
+    return number
 
 
-def _arith(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
+def _raising(error: type, *args, **kwargs) -> Callable:
+    """A closure raising ``error(*args, **kwargs)`` once evaluation reaches it."""
+
+    def fail(*_):
+        raise error(*args, **kwargs)
+
+    return fail
+
+
+def _divide(a: float, b: float) -> float:
     if b == 0.0:
         raise DivideByZeroError()
     return a / b
+
+
+_ARITH = {"+": add, "-": sub, "*": mul, "/": _divide}
 
 
 def _nesting_depth(expr: NafExpr) -> int:
@@ -192,101 +216,89 @@ def _nesting_depth(expr: NafExpr) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
+def _compile_naf(expr: NafExpr, chains: bool, scoped: bool) -> Callable:
+    """``expr`` as ``fn(rows, row)``: over the collection ``rows``, with
+    ``row`` in scope when ``scoped`` (inside a Sum/Prod body). Nested
+    aggregates re-iterate the same collection."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda rows, row: value
+    if isinstance(expr, AttrRef):
+        if not scoped:
+            return _raising(AggEvalError, "attribute reference outside Sum/Prod scope", attr=expr.attr)
+        number = _number_reader(expr.attr, expr.step, chains)
+        return lambda rows, row: number(row)
+    if isinstance(expr, Arith):
+        op = _ARITH[expr.op]
+        left, right = _compile_naf(expr.left, chains, scoped), _compile_naf(expr.right, chains, scoped)
+        return lambda rows, row: op(left(rows, row), right(rows, row))
+    if isinstance(expr, (SumOver, ProdOver)):
+        body = _compile_naf(expr.body, chains, True)
+        total = sum if isinstance(expr, SumOver) else partial(math.prod, start=1.0)
+        return lambda rows, row: total(body(rows, r) for r in rows)
+    if not isinstance(expr, Builtin):
+        return _raising(TypeError, f"not a numerical aggregate expression: {expr!r}")
+    if expr.fn == "COUNT":
+        return lambda rows, row: float(len(rows))
+    number = _number_reader(expr.attr, expr.step, chains)
+    if expr.fn == "SUM":
+        return lambda rows, row: sum(map(number, rows))
+    if expr.fn == "AVG":  # an empty collection divides 0 by 0
+        return lambda rows, row: _divide(sum(map(number, rows)), len(rows))
+    pick = min if expr.fn == "MIN" else max
+    empty = _raising(AggEvalError, f"{expr.fn} over an empty collection", attr=expr.attr)
+    return lambda rows, row: pick(map(number, rows)) if rows else empty()
+
+
+def compile_agg(spec: AggSpec, chains: bool = False, max_depth: int = 3) -> Callable:
+    """``spec`` as one closure from a list of rows (links, or chains when
+    ``chains`` is set) to the value set it attaches, or None when there is
+    nothing to attach (empty set extraction, or CopyAny with no carrier)."""
+    if isinstance(spec, SafExpr):
+        read = _reader(spec.attr, spec.step, chains)[1]
+        return lambda rows: frozenset().union(*filter(None, map(read, rows))) or None
+    if isinstance(spec, ConstString):
+        value = frozenset({spec.value})
+        return lambda rows: value
+    if isinstance(spec, CopyAny):
+        read, attr = _reader(spec.attr, spec.step, chains)[1], spec.attr
+
+        def copy(rows):
+            seen = None
+            for v in map(read, rows):
+                if seen is None:
+                    seen = v
+                elif v is not None and v != seen:
+                    raise AggEvalError("copied values disagree across the collection", attr=attr)
+            return seen
+
+        return copy
+    if not isinstance(spec, (Const, AttrRef, Arith, SumOver, ProdOver, Builtin)):
+        return _raising(TypeError, f"not an aggregate spec: {spec!r}")
+    depth = _nesting_depth(spec)
+    if depth > max_depth:
+        return _raising(ValueError, f"Sum/Prod nesting depth {depth} exceeds limit {max_depth}")
+    number = _compile_naf(spec, chains, False)
+    return lambda rows: frozenset({number(rows, None)})
+
+
+def apply_agg(spec: AggSpec, rows) -> frozenset | None:
+    """Evaluate a spec over rows, all links or all chains (``compile_agg``)."""
+    rows = list(rows)
+    return compile_agg(spec, bool(rows) and not isinstance(rows[0], Link))(rows)
 
 
 def eval_saf(expr: SafExpr, rows) -> frozenset:
-    """Union of the attribute's value sets across rows; duplicate-free.
-
-    Rows lacking the attribute contribute nothing; the result may be
-    empty, in which case callers skip attaching the attribute.
-    """
-    out = set()
-    for row in rows:
-        l = _row_link(row, expr.attr, expr.step)
-        if l is None:
-            continue
-        values = attr_values(l, expr.attr)
-        if values is not None:
-            out.update(values)
-    return frozenset(out)
+    """Union of the attribute's value sets across rows; duplicate-free
+    and possibly empty."""
+    return apply_agg(expr, rows) or frozenset()
 
 
 def eval_naf(expr: NafExpr, rows, *, max_depth: int = 3) -> float:
     """Evaluate a numerical aggregate over a collection of rows."""
-    depth = _nesting_depth(expr)
-    if depth > max_depth:
-        raise ValueError(f"Sum/Prod nesting depth {depth} exceeds limit {max_depth}")
-    return _eval(expr, list(rows), None)
-
-
-def _eval(expr: NafExpr, rows: list, row: Row | None) -> float:
-    """``expr`` over the collection ``rows``, with ``row`` the row in
-    scope inside a Sum/Prod body (None outside one). Nested aggregates
-    re-iterate the same collection."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, AttrRef):
-        if row is None:
-            raise AggEvalError("attribute reference outside Sum/Prod scope", attr=expr.attr)
-        return _numeric_value(row, expr.attr, expr.step)
-    if isinstance(expr, Arith):
-        return _arith(expr.op, _eval(expr.left, rows, row), _eval(expr.right, rows, row))
-    if isinstance(expr, SumOver):
-        return sum(_eval(expr.body, rows, r) for r in rows)
-    if isinstance(expr, ProdOver):
-        out = 1.0
-        for r in rows:
-            out *= _eval(expr.body, rows, r)
-        return out
-    if isinstance(expr, Builtin):
-        return _eval_builtin(expr, rows)
-    raise TypeError(f"not a numerical aggregate expression: {expr!r}")
-
-
-def _eval_builtin(expr: Builtin, rows: list) -> float:
-    if expr.fn == "COUNT":
-        return float(len(rows))
-    if expr.fn == "SUM":
-        return sum(_numeric_value(row, expr.attr, expr.step) for row in rows)
-    if expr.fn == "AVG":
-        if not rows:
-            raise DivideByZeroError()
-        return sum(_numeric_value(row, expr.attr, expr.step) for row in rows) / len(rows)
-    values = [_numeric_value(row, expr.attr, expr.step) for row in rows]
-    if not values:
-        raise AggEvalError(f"{expr.fn} over an empty collection", attr=expr.attr)
-    return min(values) if expr.fn == "MIN" else max(values)
-
-
-def apply_agg(spec: AggSpec, rows) -> frozenset | None:
-    """Evaluate an aggregate spec into an attribute value set.
-
-    Returns None when there is nothing to attach (empty set extraction,
-    or CopyAny with no carrier row).
-    """
     rows = list(rows)
-    if isinstance(spec, SafExpr):
-        values = eval_saf(spec, rows)
-        return values or None
-    if isinstance(spec, ConstString):
-        return frozenset({spec.value})
-    if isinstance(spec, CopyAny):
-        seen = None
-        for row in rows:
-            l = _row_link(row, spec.attr, spec.step)
-            values = attr_values(l, spec.attr) if l is not None else None
-            if values is None:
-                continue
-            if seen is None:
-                seen = values
-            elif seen != values:
-                raise AggEvalError("copied values disagree across the collection", attr=spec.attr)
-        return seen
-    if isinstance(spec, (Const, AttrRef, Arith, SumOver, ProdOver, Builtin)):
-        return frozenset({eval_naf(spec, rows)})
-    raise TypeError(f"not an aggregate spec: {spec!r}")
+    (value,) = compile_agg(expr, bool(rows) and not isinstance(rows[0], Link), max_depth)(rows)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +335,6 @@ class JaccardOf:
                 raise ValueError(f"unknown composition side: {side!r}")
 
 
-CompOutput = Union[SafExpr, ConstString, CopyFrom, JaccardOf, Const, AttrRef, Arith, SumOver, ProdOver, Builtin]
-
 _RESERVED_OUTPUTS = ("id", "src", "tgt")
 
 
@@ -353,24 +363,6 @@ class LinkCtx:
     tgt: Node
 
 
-def _side_element(side: str, left: LinkCtx, right: LinkCtx):
-    ctx = left if side.startswith("left") else right
-    kind = side.split("-", 1)[1]
-    if kind == "link":
-        return ctx.link
-    return ctx.src if kind == "src" else ctx.tgt
-
-
-def _side_values(side: str, attr: str, left: LinkCtx, right: LinkCtx, out_attr: str) -> frozenset:
-    element = _side_element(side, left, right)
-    values = attr_values(element, attr)
-    if values is None:
-        raise CompositionFnError(
-            f"{side} element {element.id!r} lacks attribute {attr!r}", attr=out_attr
-        )
-    return values
-
-
 def jaccard(a, b) -> float:
     """|a ∩ b| / |a ∪ b|, with 0 for two empty sets."""
     a = frozenset(a)
@@ -381,25 +373,81 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(union)
 
 
-def apply_composition(f: CompositionFn, left: LinkCtx, right: LinkCtx) -> dict:
-    """Evaluate a composition function into the new link's attribute map.
-    Aggregate outputs are evaluated over the pair (left link, right link)
-    exactly as ``apply_agg`` evaluates them over any collection."""
-    out: dict = {}
-    for name, expr in f.outputs:
-        if isinstance(expr, CopyFrom):
-            values = _side_values(expr.side, expr.attr, left, right, name)
-        elif isinstance(expr, JaccardOf):
-            a = _side_values(expr.left_side, expr.left_attr, left, right, name)
-            b = _side_values(expr.right_side, expr.right_attr, left, right, name)
-            values = frozenset({jaccard(a, b)})
-        else:
+_SIDE_ELEMENTS = {  # side -> (l1, l2, nodes1, nodes2) -> the side's element
+    "left-link": lambda l1, l2, n1, n2: l1,
+    "right-link": lambda l1, l2, n1, n2: l2,
+    "left-src": lambda l1, l2, n1, n2: n1[l1.src],
+    "left-tgt": lambda l1, l2, n1, n2: n1[l1.tgt],
+    "right-src": lambda l1, l2, n1, n2: n2[l2.src],
+    "right-tgt": lambda l1, l2, n1, n2: n2[l2.tgt],
+}
+
+
+def _side_values(side: str, attr: str, out_attr: str) -> Callable:
+    """``(l1, l2, nodes1, nodes2) -> the side's value set of attr``."""
+    element, values = _SIDE_ELEMENTS[side], _values(attr)
+
+    def read(l1, l2, n1, n2):
+        e = element(l1, l2, n1, n2)
+        v = values(e)
+        if v is None:
+            raise CompositionFnError(f"{side} element {e.id!r} lacks attribute {attr!r}", attr=out_attr)
+        return v
+
+    return read
+
+
+def _compile_output(name: str, expr) -> Callable:
+    """One output as ``(l1, l2, nodes1, nodes2) -> value set or None``;
+    one that reads only nodes is evaluated once per tuple of their ids."""
+    if not isinstance(expr, (CopyFrom, JaccardOf)):
+        agg = compile_agg(expr)
+
+        def aggregate(l1, l2, n1, n2):
             try:
-                values = apply_agg(expr, (left.link, right.link))
+                return agg([l1, l2])
             except AggEvalError as e:
                 raise CompositionFnError(str(e), attr=name) from e
-        if values is not None:
-            out[name] = values
-    if not out:
-        raise CompositionFnError("composition function produced no attributes")
-    return out
+
+        return aggregate
+    if isinstance(expr, CopyFrom):
+        sides, fn = (expr.side,), _side_values(expr.side, expr.attr, name)
+    else:
+        sides = (expr.left_side, expr.right_side)
+        a, b = _side_values(expr.left_side, expr.left_attr, name), _side_values(expr.right_side, expr.right_attr, name)
+        # ``jaccard`` is looked up at each call, so a rebinding of it is seen
+        fn = lambda l1, l2, n1, n2: frozenset({jaccard(a(l1, l2, n1, n2), b(l1, l2, n1, n2))})
+    if any(side.endswith("link") for side in sides):
+        return fn
+    nodes, memo = [_SIDE_ELEMENTS[side] for side in sides], {}
+
+    def once(l1, l2, n1, n2):
+        key = tuple([node(l1, l2, n1, n2).id for node in nodes])
+        if key not in memo:
+            memo[key] = fn(l1, l2, n1, n2)
+        return memo[key]
+
+    return once
+
+
+def compile_composition(f: CompositionFn) -> Callable:
+    """``f`` as one closure ``(l1, l2, nodes1, nodes2) -> the new link's
+    attributes``, ``nodes1``/``nodes2`` holding the links' endpoints. Aggregate
+    outputs see the pair (l1, l2) as a collection of links. Outputs reading only
+    nodes are kept per node id tuple: compile once per ``compose`` call."""
+    outputs = [(name, _compile_output(name, expr)) for name, expr in f.outputs]
+
+    def attributes(l1, l2, nodes1, nodes2):
+        out = {name: v for name, fn in outputs if (v := fn(l1, l2, nodes1, nodes2)) is not None}
+        if not out:
+            raise CompositionFnError("composition function produced no attributes")
+        return out
+
+    return attributes
+
+
+def apply_composition(f: CompositionFn, left: LinkCtx, right: LinkCtx) -> dict:
+    """Evaluate a composition function into the new link's attribute map;
+    each context's nodes stand for its link's endpoints by id."""
+    ends = lambda ctx: {ctx.link.src: ctx.src, ctx.link.tgt: ctx.tgt}
+    return compile_composition(f)(left.link, right.link, ends(left), ends(right))

@@ -2,25 +2,29 @@
 semi-join, and the three aggregation operators.
 
 Every operator is a pure function from well-formed graphs to a
-well-formed graph (closure is enforced by finishing through
-``build_graph``). Operators are deterministic, including the ids they
-mint for derived links, so identical inputs replay to identical outputs.
+well-formed graph. Those that output only elements of one operand
+(selections, semi-join, link minus, node aggregation) are closed by
+construction; those that mint or merge elements (composition, set
+operators, link and pattern aggregation) finish through ``build_graph``,
+which checks what they made. Operators are deterministic, including the
+ids they mint for derived links, so identical inputs replay to identical
+outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 
 from .aggfn import (
     AggSpec,
     CompositionFn,
     ConstString,
     CopyAny,
-    LinkCtx,
-    apply_agg,
-    apply_composition,
+    compile_agg,
+    compile_composition,
 )
 from .errors import PatternTooLongError
 from .graph import (
@@ -89,11 +93,7 @@ def pattern_hash(gp: GraphPattern) -> str:
 
 
 def _scored(element, score: float):
-    attrs = dict(element.attrs)
-    attrs["score"] = frozenset({as_scalar(score)})
-    if isinstance(element, Link):
-        return Link(element.id, element.src, element.tgt, attrs)
-    return Node(element.id, attrs)
+    return replace(element, attrs={**element.attrs, "score": frozenset({as_scalar(score)})})
 
 
 def node_select(
@@ -106,7 +106,7 @@ def node_select(
     if c.keywords:
         s = scoring or (lambda v: default_keyword_score(v, c.keywords))
         selected = [_scored(v, s(v)) for v in selected]
-    return build_graph(selected, [])
+    return SocialContentGraph({v.id: v for v in selected}, {})
 
 
 def link_select(
@@ -119,16 +119,18 @@ def link_select(
     if c.keywords:
         s = scoring or (lambda l: default_keyword_score(l, c.keywords))
         selected = [_scored(l, s(l)) for l in selected]
-    return build_graph(_endpoint_nodes(g, selected), selected)
+    return _induced(g, selected)
 
 
-def _endpoint_nodes(g: SocialContentGraph, links) -> list:
-    out = {}
+def _induced(g: SocialContentGraph, links: list) -> SocialContentGraph:
+    """The graph of ``links``, all of ``g``, and their endpoints in ``g``:
+    well-formed because ``g`` is."""
+    nodes = {}
     for l in links:
         for nid in (l.src, l.tgt):
-            if nid not in out:
-                out[nid] = g.nodes[nid]
-    return list(out.values())
+            if nid not in nodes:
+                nodes[nid] = g.nodes[nid]
+    return SocialContentGraph(nodes, {l.id: l for l in links})
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +152,10 @@ def _merge_attrs(a: dict, b: dict) -> dict:
     return out
 
 
-def _merge_nodes(a: Node, b: Node) -> Node:
-    return Node(a.id, _merge_attrs(a.attrs, b.attrs))
-
-
-def _merge_links(a: Link, b: Link) -> Link:
-    return Link(a.id, a.src, a.tgt, _merge_attrs(a.attrs, b.attrs))
+def _merge(a, b):
+    """Node or link ``a`` with the attributes of ``b`` (same id) merged in."""
+    attrs = _merge_attrs(a.attrs, b.attrs)
+    return Link(a.id, a.src, a.tgt, attrs) if isinstance(a, Link) else Node(a.id, attrs)
 
 
 def set_op(kind: SetOpKind, g1: SocialContentGraph, g2: SocialContentGraph) -> SocialContentGraph:
@@ -165,17 +165,17 @@ def set_op(kind: SetOpKind, g1: SocialContentGraph, g2: SocialContentGraph) -> S
     if kind is SetOpKind.UNION:
         nodes = dict(g1.nodes)
         for nid, n in g2.nodes.items():
-            nodes[nid] = _merge_nodes(nodes[nid], n) if nid in nodes else n
+            nodes[nid] = _merge(nodes[nid], n) if nid in nodes else n
         links = dict(g1.links)
         for lid, l in g2.links.items():
-            links[lid] = _merge_links(links[lid], l) if lid in links else l
+            links[lid] = _merge(links[lid], l) if lid in links else l
         return build_graph(nodes.values(), links.values())
     if kind is SetOpKind.INTERSECT:
         nodes = [
-            _merge_nodes(n, g2.nodes[nid]) for nid, n in g1.nodes.items() if nid in g2.nodes
+            _merge(n, g2.nodes[nid]) for nid, n in g1.nodes.items() if nid in g2.nodes
         ]
         links = [
-            _merge_links(l, g2.links[lid]) for lid, l in g1.links.items() if lid in g2.links
+            _merge(l, g2.links[lid]) for lid, l in g1.links.items() if lid in g2.links
         ]
         return build_graph(nodes, links)
     # Node-driven minus: survivors are g1 nodes absent from g2; links of
@@ -192,8 +192,7 @@ def set_op(kind: SetOpKind, g1: SocialContentGraph, g2: SocialContentGraph) -> S
 def link_minus(g1: SocialContentGraph, g2: SocialContentGraph) -> SocialContentGraph:
     """Link-driven minus: keep g1 links absent from g2, inducing the
     node set from the surviving links."""
-    links = [l for lid, l in g1.links.items() if lid not in g2.links]
-    return build_graph(_endpoint_nodes(g1, links), links)
+    return _induced(g1, [l for lid, l in g1.links.items() if lid not in g2.links])
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +220,11 @@ def compose(
     # Hash join: g2 links bucketed by their d2 endpoint in g2 order, so
     # the g1-outer loop yields pairs in nested-loop order.
     buckets = links_by(g2.links.values(), delta.d2)
+    attributes = compile_composition(f)
     for l1 in g1.links.values():
         for l2 in buckets.get(l1.endpoint(delta.d1), ()):
             u, v = l1.endpoint(far1), l2.endpoint(far2)
-            attrs = apply_composition(
-                f,
-                LinkCtx(l1, g1.nodes[l1.src], g1.nodes[l1.tgt]),
-                LinkCtx(l2, g2.nodes[l2.src], g2.nodes[l2.tgt]),
-            )
+            attrs = attributes(l1, l2, g1.nodes, g2.nodes)
             if "type" not in attrs:
                 attrs["type"] = frozenset({"composed"})
             links.append(Link(f"gen:compose:{l1.id}:{l2.id}", u, v, attrs))
@@ -236,7 +232,7 @@ def compose(
                 if nid not in nodes:
                     nodes[nid] = n
                 elif merged.get(nid) is not n:  # re-merging the node last merged adds nothing
-                    nodes[nid] = _merge_nodes(nodes[nid], n)
+                    nodes[nid] = _merge(nodes[nid], n)
                     merged[nid] = n
     return build_graph(nodes.values(), links)
 
@@ -251,15 +247,14 @@ def semi_join(
     matched by node id directly, and a link-less g1 yields the null
     graph of its nodes matched by g2's link endpoints.
     """
-    if not g1.links:
-        targets = {l2.endpoint(delta.d2) for l2 in g2.links.values()}
-        return build_graph([n for nid, n in g1.nodes.items() if nid in targets], [])
-    if not g2.links:
-        targets = set(g2.nodes)
+    if g2.links or not g1.links:
+        targets = set(map(attrgetter(delta.d2), g2.links.values()))
     else:
-        targets = {l2.endpoint(delta.d2) for l2 in g2.links.values()}
-    links = [l for l in g1.links.values() if l.endpoint(delta.d1) in targets]
-    return build_graph(_endpoint_nodes(g1, links), links)
+        targets = g2.nodes
+    if not g1.links:
+        return SocialContentGraph({nid: n for nid, n in g1.nodes.items() if nid in targets}, {})
+    end = attrgetter(delta.d1)
+    return _induced(g1, [l for l in g1.links.values() if end(l) in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +273,12 @@ def node_aggregate(
     if d not in ("src", "tgt"):
         raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
     groups = links_by(g.links.values(), d, compile_condition(c))
-    nodes = []
+    aggregate, nodes = compile_agg(spec), {}
     for nid, n in g.nodes.items():
         rows = groups.get(nid)
-        if rows:
-            value = apply_agg(spec, rows)
-            if value is not None:
-                attrs = dict(n.attrs)
-                attrs[att] = value
-                n = Node(nid, attrs)
-        nodes.append(n)
-    return build_graph(nodes, g.links.values())
-
-
-def _aggregate(specs, rows) -> dict:
-    """The attributes ``specs`` (a list of (attribute, AggSpec)) give a
-    group of rows; a spec with nothing to attach is left out."""
-    attrs = {}
-    for att, spec in specs:
-        value = apply_agg(spec, rows)
-        if value is not None:
-            attrs[att] = value
-    return attrs
+        value = aggregate(rows) if rows else None
+        nodes[nid] = n if value is None else Node(nid, {**n.attrs, att: value})
+    return SocialContentGraph(nodes, g.links)
 
 
 def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentGraph:
@@ -309,7 +288,7 @@ def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentG
     Non-qualifying links and every node are kept. A new link whose specs
     do not set "type" inherits the union of its group's type sets.
     """
-    specs = list(specs)
+    specs = [(att, compile_agg(spec)) for att, spec in specs]
     if not specs:
         raise ValueError("link aggregation needs at least one (attribute, spec) pair")
     chash = condition_hash(c)
@@ -322,7 +301,7 @@ def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentG
         else:
             kept.append(l)
     for (src, tgt), rows in groups.items():
-        attrs = _aggregate(specs, rows)
+        attrs = {att: v for att, fn in specs if (v := fn(rows)) is not None}
         if "type" not in attrs:
             attrs["type"] = frozenset().union(*(l.attrs["type"] for l in rows))
         kept.append(Link(f"gen:laggr:{src}:{tgt}:{chash}", src, tgt, attrs))
@@ -366,7 +345,7 @@ def pattern_aggregate(
     ``step`` field; without one they read the first link in the chain
     carrying the attribute. New links default to type='path'.
     """
-    specs = list(specs)
+    specs = [(att, compile_agg(spec, chains=True)) for att, spec in specs]
     if not specs:
         raise ValueError("pattern aggregation needs at least one (attribute, spec) pair")
     if len(gp.steps) > max_steps:
@@ -377,7 +356,7 @@ def pattern_aggregate(
         groups.setdefault((start, end), []).append(chain)
     links = list(g.links.values())
     for (start, end), chains in groups.items():
-        attrs = _aggregate(specs, chains)
+        attrs = {att: v for att, fn in specs if (v := fn(chains)) is not None}
         if "type" not in attrs:
             attrs["type"] = frozenset({"path"})
         links.append(Link(f"gen:paggr:{start}:{end}:{phash}", start, end, attrs))

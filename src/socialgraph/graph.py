@@ -7,7 +7,9 @@ are immutable values: nothing in this package mutates a graph in place,
 so any number of readers may share one.
 
 A graph with nodes but no links is a legal "null graph"; selection
-operators produce them routinely.
+operators produce them routinely. Conditions and aggregates read the
+identity fields as attributes (``id`` on any element, ``src``/``tgt`` on
+links) where no stored attribute of that name shadows them.
 """
 
 from __future__ import annotations
@@ -175,26 +177,6 @@ def build_graph(nodes: Iterable[Node], links: Iterable[Link]) -> SocialContentGr
     return SocialContentGraph(nodes=node_map, links=link_map)
 
 
-def attr_values(element: Element, name: str):
-    """Look up an attribute value set, or None when absent.
-
-    The identity fields double as pseudo-attributes: ``id`` on any
-    element, ``src``/``tgt`` on links. This is what lets conditions say
-    id=101 and set aggregates collect visited destinations via ``tgt``.
-    """
-    values = element.attrs.get(name)
-    if values is not None:
-        return values
-    if name == "id":
-        return frozenset({element.id})
-    if isinstance(element, Link):
-        if name == "src":
-            return frozenset({element.src})
-        if name == "tgt":
-            return frozenset({element.tgt})
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Conditions
 
@@ -223,28 +205,12 @@ def has_all(attr: str, *values) -> StructPredicate:
     return StructPredicate(attr, CONTAINS_ALL, tuple(values))
 
 
-def attr_eq(attr: str, value) -> StructPredicate:
-    return StructPredicate(attr, "=", (value,))
+def _comparison(op: str) -> Callable:
+    return lambda attr, value: StructPredicate(attr, op, (value,))
 
 
-def attr_ne(attr: str, value) -> StructPredicate:
-    return StructPredicate(attr, "!=", (value,))
-
-
-def attr_lt(attr: str, value) -> StructPredicate:
-    return StructPredicate(attr, "<", (value,))
-
-
-def attr_le(attr: str, value) -> StructPredicate:
-    return StructPredicate(attr, "<=", (value,))
-
-
-def attr_gt(attr: str, value) -> StructPredicate:
-    return StructPredicate(attr, ">", (value,))
-
-
-def attr_ge(attr: str, value) -> StructPredicate:
-    return StructPredicate(attr, ">=", (value,))
+# attr_eq(attr, value) is StructPredicate(attr, "=", (value,)), and so on
+attr_eq, attr_ne, attr_lt, attr_le, attr_gt, attr_ge = map(_comparison, COMPARISON_OPS)
 
 
 @dataclass(frozen=True)
@@ -331,18 +297,25 @@ def _compile_pred(pred: StructPredicate) -> Callable[[Element], bool]:
     comparison holds when any value of the set matches, and a string
     never compares to a number."""
     attr, op = pred.attr, pred.op
-    if attr in _PSEUDO_ATTRS:
-        values = lambda e: attr_values(e, attr) or ()
-    else:
-        values = lambda e: e.attrs.get(attr, ())
     if op == CONTAINS_ALL:
-        operands = frozenset(pred.operands)
-        return lambda e: operands.issubset(values(e))
-    operand = pred.operands[0]
-    if op == "=":  # a str never equals a float
-        return lambda e: operand in values(e)
-    compare, is_str = _COMPARISONS[op], isinstance(operand, str)
-    return lambda e: any(isinstance(v, str) == is_str and compare(v, operand) for v in values(e))
+        test = frozenset(pred.operands).issubset
+    elif op == "=":  # a str never equals a float
+        operand = pred.operands[0]
+        test = lambda values: operand in values
+    else:
+        operand, compare, is_str = pred.operands[0], _COMPARISONS[op], isinstance(pred.operands[0], str)
+        test = lambda values: any(isinstance(v, str) == is_str and compare(v, operand) for v in values)
+    if attr not in _PSEUDO_ATTRS:
+        return lambda e: test(e.attrs.get(attr, ()))
+
+    def holds(e):  # the identity field itself, unless a stored attribute shadows it
+        values = e.attrs.get(attr)
+        if values is None:
+            field = getattr(e, attr, None)  # a node has no src/tgt
+            values = () if field is None else (field,)
+        return test(values)
+
+    return holds
 
 
 def default_keyword_score(element: Element, keywords) -> float:

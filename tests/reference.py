@@ -2,7 +2,8 @@
 
 Each function here is the plain full-scan, nested-loop, re-sorting,
 hand-wired, recursive, interpreting or materialising version of something the package
-now does through a derived view, a hash join, a compiled predicate, a
+now does through a derived view, a hash join, a compiled predicate or
+aggregate or composition function, a
 k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
 a loop over a plan's schedule, one pattern, an inverted index of leaders
 or one shared helper (the greedy-leader loop, item similarity, the
@@ -18,21 +19,26 @@ import re
 from socialgraph import algebra
 from socialgraph import index as sgindex
 from socialgraph.aggfn import (
+    Arith,
+    AttrRef,
+    Builtin,
     CompositionFn,
+    Const,
     ConstString,
     CopyAny,
     CopyFrom,
     JaccardOf,
     LinkCtx,
+    ProdOver,
     SafExpr,
-    apply_agg,
-    apply_composition,
+    SumOver,
+    _nesting_depth,
     avg_of,
     jaccard,
 )
 from socialgraph.algebra import (
     SetOpKind,
-    _merge_nodes,
+    _merge,
     compose,
     link_aggregate,
     link_select,
@@ -44,6 +50,9 @@ from socialgraph.algebra import (
 from socialgraph.discovery import VISIT, acted_items, rating
 from socialgraph.dsl import OPS, Param, Token
 from socialgraph.errors import (
+    AggEvalError,
+    CompositionFnError,
+    DivideByZeroError,
     DslSyntaxError,
     ExecutionError,
     SocialGraphError,
@@ -58,7 +67,6 @@ from socialgraph.graph import (
     attr_eq,
     attr_gt,
     attr_ne,
-    attr_values,
     build_graph,
     default_keyword_score,
     element_tokens,
@@ -72,6 +80,217 @@ MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 from socialgraph.index import ClusterModel, social_sets
 from socialgraph.presentation import RESIDUAL, _label_from, _make_group
+
+
+# ---------------------------------------------------------------------------
+# The aggregate and composition function interpreters: they dispatch on
+# the expression tree for every row and every pair. A link row is a
+# one-step chain, so a position other than 0 on it is an error.
+
+
+def attr_values(element, name: str):
+    """Look up an attribute value set, or None when absent; the identity
+    fields stand in for ``id`` on any element and ``src``/``tgt`` on links."""
+    values = element.attrs.get(name)
+    if values is not None:
+        return values
+    if name == "id":
+        return frozenset({element.id})
+    if isinstance(element, Link):
+        if name == "src":
+            return frozenset({element.src})
+        if name == "tgt":
+            return frozenset({element.tgt})
+    return None
+
+
+def _row_link(row, attr: str, step: int | None) -> Link | None:
+    """Pick the link of a row an attribute reference reads from."""
+    if isinstance(row, Link):
+        if step not in (None, 0):
+            raise AggEvalError(f"chain has no step {step}", attr=attr)
+        return row
+    if step is not None:
+        if not 0 <= step < len(row):
+            raise AggEvalError(f"chain has no step {step}", attr=attr)
+        return row[step]
+    for l in row:
+        if attr_values(l, attr) is not None:
+            return l
+    return None
+
+
+def _numeric_value(row, attr: str, step: int | None) -> float:
+    l = _row_link(row, attr, step)
+    values = attr_values(l, attr) if l is not None else None
+    if values is None:
+        rid = l.id if l is not None else None
+        raise AggEvalError("missing attribute", element_id=rid, attr=attr)
+    if len(values) != 1:
+        raise AggEvalError("attribute is multi-valued", element_id=l.id, attr=attr)
+    (value,) = values
+    if not isinstance(value, float):
+        raise AggEvalError("attribute is not numeric", element_id=l.id, attr=attr)
+    return value
+
+
+def _arith(op: str, a: float, b: float) -> float:
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0.0:
+        raise DivideByZeroError()
+    return a / b
+
+
+def eval_saf(expr, rows) -> frozenset:
+    """Union of the attribute's value sets across rows; duplicate-free."""
+    out = set()
+    for row in rows:
+        l = _row_link(row, expr.attr, expr.step)
+        if l is None:
+            continue
+        values = attr_values(l, expr.attr)
+        if values is not None:
+            out.update(values)
+    return frozenset(out)
+
+
+def eval_naf(expr, rows, *, max_depth: int = 3) -> float:
+    """Evaluate a numerical aggregate over a collection of rows."""
+    depth = _nesting_depth(expr)
+    if depth > max_depth:
+        raise ValueError(f"Sum/Prod nesting depth {depth} exceeds limit {max_depth}")
+    return _eval(expr, list(rows), None)
+
+
+def _eval(expr, rows: list, row) -> float:
+    """``expr`` over the collection ``rows``, with ``row`` the row in
+    scope inside a Sum/Prod body (None outside one). Nested aggregates
+    re-iterate the same collection."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, AttrRef):
+        if row is None:
+            raise AggEvalError("attribute reference outside Sum/Prod scope", attr=expr.attr)
+        return _numeric_value(row, expr.attr, expr.step)
+    if isinstance(expr, Arith):
+        return _arith(expr.op, _eval(expr.left, rows, row), _eval(expr.right, rows, row))
+    if isinstance(expr, SumOver):
+        return sum(_eval(expr.body, rows, r) for r in rows)
+    if isinstance(expr, ProdOver):
+        out = 1.0
+        for r in rows:
+            out *= _eval(expr.body, rows, r)
+        return out
+    if isinstance(expr, Builtin):
+        return _eval_builtin(expr, rows)
+    raise TypeError(f"not a numerical aggregate expression: {expr!r}")
+
+
+def _eval_builtin(expr, rows: list) -> float:
+    if expr.fn == "COUNT":
+        return float(len(rows))
+    if expr.fn == "SUM":
+        return sum(_numeric_value(row, expr.attr, expr.step) for row in rows)
+    if expr.fn == "AVG":
+        if not rows:
+            raise DivideByZeroError()
+        return sum(_numeric_value(row, expr.attr, expr.step) for row in rows) / len(rows)
+    values = [_numeric_value(row, expr.attr, expr.step) for row in rows]
+    if not values:
+        raise AggEvalError(f"{expr.fn} over an empty collection", attr=expr.attr)
+    return min(values) if expr.fn == "MIN" else max(values)
+
+
+def apply_agg(spec, rows) -> frozenset | None:
+    """Evaluate an aggregate spec into an attribute value set, or None
+    when there is nothing to attach."""
+    rows = list(rows)
+    if isinstance(spec, SafExpr):
+        values = eval_saf(spec, rows)
+        return values or None
+    if isinstance(spec, ConstString):
+        return frozenset({spec.value})
+    if isinstance(spec, CopyAny):
+        seen = None
+        for row in rows:
+            l = _row_link(row, spec.attr, spec.step)
+            values = attr_values(l, spec.attr) if l is not None else None
+            if values is None:
+                continue
+            if seen is None:
+                seen = values
+            elif seen != values:
+                raise AggEvalError("copied values disagree across the collection", attr=spec.attr)
+        return seen
+    if isinstance(spec, (Const, AttrRef, Arith, SumOver, ProdOver, Builtin)):
+        return frozenset({eval_naf(spec, rows)})
+    raise TypeError(f"not an aggregate spec: {spec!r}")
+
+
+def _side_element(side: str, left: LinkCtx, right: LinkCtx):
+    ctx = left if side.startswith("left") else right
+    kind = side.split("-", 1)[1]
+    if kind == "link":
+        return ctx.link
+    return ctx.src if kind == "src" else ctx.tgt
+
+
+def _side_values(side: str, attr: str, left: LinkCtx, right: LinkCtx, out_attr: str) -> frozenset:
+    element = _side_element(side, left, right)
+    values = attr_values(element, attr)
+    if values is None:
+        raise CompositionFnError(
+            f"{side} element {element.id!r} lacks attribute {attr!r}", attr=out_attr
+        )
+    return values
+
+
+def apply_composition(f: CompositionFn, left: LinkCtx, right: LinkCtx) -> dict:
+    """Evaluate a composition function into the new link's attribute map.
+    Aggregate outputs are evaluated over the pair (left link, right link)
+    exactly as ``apply_agg`` evaluates them over any collection."""
+    out: dict = {}
+    for name, expr in f.outputs:
+        if isinstance(expr, CopyFrom):
+            values = _side_values(expr.side, expr.attr, left, right, name)
+        elif isinstance(expr, JaccardOf):
+            a = _side_values(expr.left_side, expr.left_attr, left, right, name)
+            b = _side_values(expr.right_side, expr.right_attr, left, right, name)
+            values = frozenset({jaccard(a, b)})
+        else:
+            try:
+                values = apply_agg(expr, (left.link, right.link))
+            except AggEvalError as e:
+                raise CompositionFnError(str(e), attr=name) from e
+        if values is not None:
+            out[name] = values
+    if not out:
+        raise CompositionFnError("composition function produced no attributes")
+    return out
+
+
+def interpreted_agg(spec, chains: bool = False):
+    """``compile_agg`` by the interpreter, which reads each row's kind."""
+    return lambda rows: apply_agg(spec, rows)
+
+
+def interpreted_composition(f: CompositionFn):
+    """``compile_composition`` by the interpreter: every output of every
+    pair evaluated afresh."""
+
+    def attributes(l1, l2, nodes1, nodes2):
+        left = LinkCtx(l1, nodes1[l1.src], nodes1[l1.tgt])
+        return apply_composition(f, left, LinkCtx(l2, nodes2[l2.src], nodes2[l2.tgt]))
+
+    return attributes
+
+
+# ---------------------------------------------------------------------------
 
 
 def _compare(value, op: str, operand) -> bool:
@@ -138,7 +357,7 @@ def compose_nested(g1, g2, delta, f):
             links.append(Link(f"gen:compose:{l1.id}:{l2.id}", u, v, attrs))
             for nid, source in ((u, g1), (v, g2)):
                 n = source.nodes[nid]
-                nodes[nid] = _merge_nodes(nodes[nid], n) if nid in nodes else n
+                nodes[nid] = _merge(nodes[nid], n) if nid in nodes else n
     return build_graph(nodes.values(), links)
 
 

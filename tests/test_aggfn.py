@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 
+from reference import apply_agg as interpreted_apply_agg
+from reference import apply_composition as interpreted_apply_composition
+from socialgraph import aggfn
 from socialgraph.aggfn import (
     COUNT,
     Arith,
@@ -20,6 +24,8 @@ from socialgraph.aggfn import (
     apply_agg,
     apply_composition,
     avg_of,
+    compile_agg,
+    compile_composition,
     eval_naf,
     eval_saf,
     jaccard,
@@ -27,9 +33,10 @@ from socialgraph.aggfn import (
     min_of,
     sum_of,
 )
+from socialgraph.algebra import compose, link_aggregate, node_aggregate
 from socialgraph.errors import AggEvalError, CompositionFnError, DivideByZeroError
-from socialgraph.fixtures import rng_from
-from socialgraph.graph import link, node
+from socialgraph.fixtures import cf_fixture, rng_from
+from socialgraph.graph import Condition, DirectionalCondition, Link, build_graph, link, node
 
 
 def tagged(link_id, tags):
@@ -248,3 +255,114 @@ def test_attribute_reference_outside_sum_or_prod_scope(expr):
         eval_naf(expr, W)
     assert str(err.value).startswith("attribute reference outside Sum/Prod scope")
     assert err.value.attr == "w"
+
+
+# A link row is a one-step chain: position 0 reads the link itself, and
+# any other position is the error a one-step chain gives.
+AT = {
+    "set": SafExpr,
+    "any": CopyAny,
+    "sum": sum_of,
+    "avg": avg_of,
+    "min": min_of,
+    "max": max_of,
+    "sum over": lambda attr, step: SumOver(AttrRef(attr, step)),
+}
+
+
+@pytest.mark.parametrize("make", list(AT.values()), ids=list(AT))
+def test_position_zero_on_a_link_row_reads_the_link(make):
+    links = [weighted("l1", 2.0), weighted("l2", 2.0)]
+    assert apply_agg(make("w", 0), links) == apply_agg(make("w", None), links)
+    assert apply_agg(make("w", 0), links) == apply_agg(make("w", 0), [(l,) for l in links])
+
+
+@pytest.mark.parametrize("step", [1, 7, -1])
+@pytest.mark.parametrize("make", list(AT.values()), ids=list(AT))
+def test_other_positions_on_a_link_row_are_errors(make, step):
+    links = [weighted("l1", 2.0)]
+    with pytest.raises(AggEvalError) as err:
+        apply_agg(make("w", step), links)
+    assert str(err.value) == f"chain has no step {step} (attribute 'w')"
+    with pytest.raises(AggEvalError) as chain_err:
+        apply_agg(make("w", step), [(l,) for l in links])
+    assert str(chain_err.value) == str(err.value)
+    with pytest.raises(AggEvalError) as ref_err:
+        interpreted_apply_agg(make("w", step), links)
+    assert str(ref_err.value) == str(err.value)
+
+
+def test_a_chain_position_on_link_rows_fails_every_operator():
+    g = cf_fixture()
+    visit = Condition()
+    with pytest.raises(AggEvalError, match=r"^chain has no step 7 \(attribute 'tgt'\)$"):
+        link_aggregate(g, visit, (("x", SafExpr("tgt", 7)),))
+    with pytest.raises(AggEvalError, match=r"^chain has no step 1 \(attribute 'tgt'\)$"):
+        node_aggregate(g, visit, "src", "x", SafExpr("tgt", 1))
+    f = CompositionFn((("x", SafExpr("tgt", 2)),))
+    with pytest.raises(CompositionFnError, match=r"^chain has no step 2 \(attribute 'tgt'\) \(attribute 'x'\)$"):
+        compose(g, g, DirectionalCondition("tgt", "tgt"), f)
+    got = link_aggregate(g, visit, (("x", SafExpr("tgt", 0)),))
+    assert got == link_aggregate(g, visit, (("x", SafExpr("tgt")),))
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (AttrRef("w"), AggEvalError),
+        (SumOver(SumOver(SumOver(SumOver(ONE)))), ValueError),
+        (Arith("+", ConstString("x"), ONE), TypeError),
+        ("not a spec", TypeError),
+    ],
+    ids=["attribute outside scope", "too deep", "string in a numeric tree", "not a spec"],
+)
+def test_compile_agg_raises_only_when_evaluation_reaches_an_error(spec, error):
+    """As the interpreter: an aggregation with no group raises nothing."""
+    fn = compile_agg(spec)
+    with pytest.raises(error) as err:
+        fn([weighted("l1", 1.0)])
+    with pytest.raises(error) as ref_err:
+        interpreted_apply_agg(spec, [weighted("l1", 1.0)])
+    assert str(err.value) == str(ref_err.value)
+    g = build_graph([node("u", type="user")], [])
+    assert link_aggregate(g, Condition(), (("x", spec),)) == g
+    assert compile_agg(SumOver(Arith("+", ConstString("x"), ONE)))([]) == frozenset({0})
+
+
+def test_identity_fields_unless_a_stored_attribute_shadows_them():
+    stored = Link("l1", "u", "i", {"type": frozenset({"visit"}), "tgt": frozenset({"elsewhere"})})
+    plain = link("l2", "u", "j", type="visit")
+    assert apply_agg(SafExpr("tgt"), [stored, plain]) == frozenset({"elsewhere", "j"})
+    assert apply_agg(SafExpr("id"), [stored, plain]) == frozenset({"l1", "l2"})
+    assert apply_agg(SafExpr("src"), [(plain,)]) == frozenset({"u"})
+    f = CompositionFn((("a", CopyFrom("left-src", "id")), ("b", CopyFrom("right-link", "src"))))
+    left = ctx(plain)
+    assert apply_composition(f, left, ctx(stored)) == {"a": frozenset({"u"}), "b": frozenset({"u"})}
+    with pytest.raises(CompositionFnError, match="left-src element 'u' lacks attribute 'src'"):
+        apply_composition(CompositionFn((("a", CopyFrom("left-src", "src")),)), left, left)
+
+
+def test_node_side_outputs_are_evaluated_once_per_node_tuple():
+    """jaccard is looked up in the module at each call, so rebinding it
+    (as a tracer does) sees every call: one per distinct (lsrc, rsrc)."""
+    g = cf_fixture()
+    users = {"type": "user"}
+    g = build_graph(
+        [node(nid, **users, vst=tuple(l.tgt for l in g.links.values() if l.src == nid) or "none")
+         if "user" in n.attrs["type"] else n for nid, n in g.nodes.items()],
+        g.links.values(),
+    )
+    f = CompositionFn((("sim", JaccardOf("left-src", "vst", "right-src", "vst")), ("via", CopyFrom("left-link", "id"))))
+    delta = DirectionalCondition("tgt", "tgt")
+    with mock.patch.object(aggfn, "jaccard", wraps=jaccard) as counted:
+        got = compose(g, g, delta, f)
+    pairs = [(l1, l2) for l1 in g.links.values() for l2 in g.links.values() if l1.tgt == l2.tgt]
+    assert len(got.links) == len(pairs) > counted.call_count == len({(l1.src, l2.src) for l1, l2 in pairs})
+    attributes = compile_composition(f)
+    for (l1, l2), new in zip(pairs, got.links.values()):
+        expected = interpreted_apply_composition(f, ctx_of(g, l1), ctx_of(g, l2))
+        assert attributes(l1, l2, g.nodes, g.nodes) == {k: v for k, v in new.attrs.items() if k != "type"} == expected
+
+
+def ctx_of(g, l):
+    return LinkCtx(l, g.nodes[l.src], g.nodes[l.tgt])

@@ -21,7 +21,7 @@ from socialgraph.algebra import (
     semi_join,
     set_op,
 )
-from socialgraph.errors import PatternTooLongError
+from socialgraph.errors import DanglingEndpointError, DuplicateIdError, PatternTooLongError
 from socialgraph.fixtures import random_plain_graph, random_travel_graph, rng_from
 from socialgraph.graph import (
     Condition,
@@ -435,3 +435,32 @@ def test_closure_under_build_graph(cf_graph):
     ]
     for g in outputs:
         assert build_graph(g.nodes.values(), g.links.values()) == g
+
+
+# The operators that mint or merge elements still check what they make.
+
+
+def test_union_of_a_node_and_a_link_with_one_id_is_a_duplicate():
+    g1 = build_graph([node("x", type="user")], [])
+    g2 = build_graph([node("a", type="user")], [link("x", "a", "a", type="friend")])
+    with pytest.raises(DuplicateIdError, match="duplicate element id: 'x'"):
+        set_op(SetOpKind.UNION, g1, g2)
+
+
+def test_intersect_of_a_link_with_other_endpoints_dangles():
+    nodes = [node(n, type="user") for n in "abc"]
+    g1 = build_graph(nodes, [link("l", "a", "b", type="friend")])
+    g2 = build_graph(nodes[:1] + nodes[2:], [link("l", "a", "c", type="friend")])
+    with pytest.raises(DanglingEndpointError, match="link 'l' references missing node 'b'"):
+        set_op(SetOpKind.INTERSECT, g1, g2)
+
+
+def test_link_aggregate_onto_an_id_the_graph_holds_is_a_duplicate(cf_graph):
+    visit = cond(attr_eq("type", "visit"))
+    first = link_aggregate(cf_graph, visit, (("n", COUNT),))
+    minted = next(lid for lid in first.links if lid.startswith("gen:laggr:"))
+    # the minted id kept on a link the condition does not select
+    src, tgt = first.links[minted].src, first.links[minted].tgt
+    g = build_graph(cf_graph.nodes.values(), [*cf_graph.links.values(), link(minted, src, tgt, type="note")])
+    with pytest.raises(DuplicateIdError, match=f"duplicate element id: {minted!r}"):
+        link_aggregate(g, visit, (("n", COUNT),))

@@ -281,6 +281,8 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.write("X = laggr(G, [], {s: sum(w@1e400)})\n")
     with open(p("anydiff.sgs"), "w", encoding="utf-8") as fh:
         fh.write("A = compose(G, G, (src,tgt), {x: any(type)})\n")
+    with open(p("chainpos.sgs"), "w", encoding="utf-8") as fh:
+        fh.write("A = laggr(G, [], {x: set(tgt@7)})\n")
     with open(p("users.sgs"), "w", encoding="utf-8") as fh:
         fh.write("A = nsel(G, [type='user'])\n")
     with open(p("param.sgs"), "w", encoding="utf-8") as fh:
@@ -293,7 +295,7 @@ def malformed_inputs(tmp_path, jazz_files):
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
         "never.snap",
-        "overflow.sgs", "anydiff.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
+        "overflow.sgs", "anydiff.sgs", "chainpos.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
     )}}
 
 
@@ -329,6 +331,8 @@ MALFORMED = [
     ),
     ("query chain position 1e400", ["query", "--nodes", "nodes", "--links", "links", "--script", "overflow.sgs"]),
     ("query compose any() disagreeing", ["query", "--nodes", "nodes", "--links", "links", "--script", "anydiff.sgs"]),
+    ("query chain position on a link row", ["query", "--nodes", "nodes", "--links", "links",
+                                            "--script", "chainpos.sgs"]),
     ("query unbound $x", ["query", "--nodes", "nodes", "--links", "links", "--script", "param.sgs"]),
     ("discover --query $x", ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1", "--query", "$x"]),
     *(
@@ -381,6 +385,8 @@ def test_discovery_options_are_checked_for_every_method(cf_files, argv, message)
     "argv, line",
     [
         (["query", "--script", "naggr_id.sgs"], "error: while evaluating 'A': aggregation may not overwrite 'id'"),
+        (["query", "--script", "chainpos.sgs"],
+         "error: while evaluating 'A': chain has no step 7 (attribute 'tgt')"),
         (["discover", "--user", "u1", "--query", "[w > 1e400]"],
          "error: syntax error at line 1, column 6: expected a number within float range"),
         (["discover", "--user", "u1", "--query", "[type='item'; kw:'jazz,']"],
@@ -388,7 +394,7 @@ def test_discovery_options_are_checked_for_every_method(cf_files, argv, message)
         (["discover", "--user", "u1", "--query", "[; kw:'']"],
          "error: syntax error at line 1, column 7: expected keywords of one token each (found '')"),
     ],
-    ids=["query naggr into id", "discover --query 1e400", "discover --query kw:'jazz,'", "discover --query kw:''"],
+    ids=["query naggr into id", "query chain position on a link row", "discover --query 1e400", "discover --query kw:'jazz,'", "discover --query kw:''"],
 )
 def test_dsl_errors_name_the_binding_or_position(malformed_inputs, argv, line):
     graph = ["--nodes", malformed_inputs["nodes"], "--links", malformed_inputs["links"]]

@@ -1,16 +1,20 @@
 """Differential tests: the adjacency view, the hash-join ``compose``,
-the step-wise pattern matcher, compiled conditions, the k-bounded
+the step-wise pattern matcher, compiled conditions, compiled aggregate
+and composition functions, the k-bounded
 ``topk_query``, the streamed ``build_index``, the shared greedy-leader
 loop and its inverted index of leaders, item similarity and ordered group-by, the per-graph social
 sets, the search and CF query plans and the one-pattern script
-tokenizer against the naive references in ``reference.py``; and the
+tokenizer against the naive references in ``reference.py``; the
+operators closed by construction against ``build_graph``; and the
 agreement of content recommendation with its explanation.
 
 Graphs come from the seeded fixtures and from Hypothesis (small graphs
 with multi-valued types, float and string values, and stored attributes
 named like the ``id``/``src``/``tgt`` pseudo-attributes; small seeded
-plain and travel graphs for patterns; small social sets with tied
-scores, repeated keywords and tags without a list).
+plain and travel graphs for patterns; lists of links and of chains
+with single, multi-valued, string and absent values for aggregates;
+small social sets with tied scores, repeated keywords and tags without
+a list).
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import apply_agg as ref_apply_agg
+from reference import apply_composition as ref_apply_composition
+from reference import eval_naf as ref_eval_naf
+from reference import eval_saf as ref_eval_saf
 from reference import (
     DESTINATION,
     FRIEND,
@@ -32,6 +40,8 @@ from reference import (
     compose_nested,
     content_recommend_scan,
     exact_tag_scores_dict,
+    interpreted_agg,
+    interpreted_composition,
     match_chains_recursive,
     network_search_wired,
     pattern_aggregate_recursive,
@@ -51,16 +61,44 @@ from script_corpus import SCRIPT_DIR, read_script
 from socialgraph import algebra, dsl, index
 from socialgraph.aggfn import (
     COUNT,
+    ONE,
+    SIDES,
+    ZERO,
+    Arith,
+    AttrRef,
+    Builtin,
     CompositionFn,
+    Const,
     ConstString,
+    CopyAny,
     CopyFrom,
     JaccardOf,
+    LinkCtx,
+    ProdOver,
     SafExpr,
+    SumOver,
+    apply_agg,
+    apply_composition,
     avg_of,
+    compile_agg,
+    compile_composition,
+    eval_naf,
+    eval_saf,
     jaccard,
+    min_of,
     sum_of,
 )
-from socialgraph.algebra import GraphPattern, compose, link_aggregate, link_select, node_aggregate, node_select
+from socialgraph.algebra import (
+    GraphPattern,
+    compose,
+    link_aggregate,
+    link_minus,
+    link_select,
+    node_aggregate,
+    node_select,
+    pattern_aggregate,
+    semi_join,
+)
 from socialgraph.discovery import (
     VISIT,
     DiscoveryConfig,
@@ -242,6 +280,14 @@ def test_every_predicate_form_on_mixed_values(op):
     check_condition(MIXED, Condition(preds=(StructPredicate("type", op, ("item",)),), keywords=("jazz",)))
 
 
+@pytest.mark.parametrize("attr", ["type", "id", "src", "tgt", "w"])
+def test_contains_all_needs_every_operand(attr):
+    """Two operands, one held and one not; and both held (an identity
+    field holds one value only)."""
+    for operands in (("item", "nothing"), ("a", "x"), ("a", "b"), ("user", "item"), ("zz", "a"), ("b", "c"), (1.0, "1.0")):
+        check_condition(MIXED, Condition(preds=(StructPredicate(attr, CONTAINS_ALL, operands),)))
+
+
 @pytest.mark.parametrize("keywords", [("jazz",), ("jazz", "nothing"), ("nothing", "blues"), ("club",), ("nothing",)])
 def test_keyword_conditions_need_one_matching_keyword(keywords):
     check_condition(MIXED, Condition(keywords=keywords))
@@ -304,6 +350,199 @@ def test_cf_plan_matches_nested_loop_compose(seed):
     assert fast == slow
     for (scored, _), (ref, _) in zip(fast, slow):
         assert list(scored.links) == list(ref.links)
+
+
+# ---------------------------------------------------------------------------
+# Compiled aggregate and composition functions against the interpreters
+
+# Mostly single floats, so that numeric aggregates also succeed; then a
+# multi-valued set, a string (not numeric) and absence.
+AGG_VALUES = [frozenset({v}) for v in (0.5, 2.0, -1.5, 0.0, 0.5, 2.0)] + [frozenset({0.5, 2.0}), frozenset({"a"})]
+AGG_ATTRS = ("w", "w", "w", "type", "id", "src", "tgt", "missing")
+STEPS = (None, None, None, 0, 1, 2, 7, -1)
+
+
+@st.composite
+def agg_links(draw):
+    attrs = {"type": frozenset(draw(st.sampled_from(LINK_TYPES)))}
+    for name in ("w", "w", "id", "src", "tgt"):  # w twice: present more often
+        if draw(st.booleans()):
+            attrs[name] = draw(st.sampled_from(AGG_VALUES))
+    return Link(f"l{draw(st.integers(0, 3))}", draw(st.sampled_from(("n0", "n1"))), "n2", attrs)
+
+
+@st.composite
+def agg_rows(draw):
+    """A list of link rows, or of chain rows of one to three links."""
+    if draw(st.booleans()):
+        return draw(st.lists(agg_links(), max_size=4))
+    return draw(st.lists(st.lists(agg_links(), min_size=1, max_size=3).map(tuple), max_size=4))
+
+
+refs = st.tuples(st.sampled_from(AGG_ATTRS), st.sampled_from(STEPS))
+naf_exprs = st.recursive(
+    st.one_of(
+        st.sampled_from((ZERO, ONE, COUNT)),
+        refs.map(lambda r: AttrRef(*r)),
+        st.builds(lambda fn, r: Builtin(fn, *r), st.sampled_from(("SUM", "AVG", "MIN", "MAX")), refs),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Arith, st.sampled_from(("+", "-", "*", "/")), inner, inner),
+        st.builds(SumOver, inner),
+        st.builds(ProdOver, inner),
+    ),
+    max_leaves=5,
+)
+agg_specs = st.one_of(
+    naf_exprs,
+    naf_exprs,
+    refs.map(lambda r: SafExpr(*r)),
+    refs.map(lambda r: CopyAny(*r)),
+    st.just(ConstString("c")),
+    st.sampled_from((SumOver(ConstString("x")), Arith("+", ONE, CopyAny("w")), "not a spec")),
+)
+W = {"type": frozenset({"w"}), "w": frozenset({0.5})}
+
+
+def value_outcome(fn, *args):
+    """A value set as sorted reprs (so 0 and 0.0 differ), a float, None,
+    or the error raised as (type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as e:  # both sides must fail alike
+        return ("error", type(e).__name__, str(e))
+    if isinstance(value, dict):
+        return [(name, value_outcome(lambda: v)) for name, v in value.items()]
+    return sorted(map(repr, value)) if isinstance(value, frozenset) else repr(value)
+
+
+@settings(max_examples=400)
+@given(agg_specs, agg_rows(), st.integers(1, 4))
+@example(avg_of("w"), [], 3)
+@example(min_of("w"), [], 3)
+@example(CopyAny("w"), [Link("a", "n0", "n1", W), Link("b", "n0", "n1", {"type": W["type"]})], 3)
+@example(SafExpr("w"), [(Link("a", "n0", "n1", {"type": W["type"]}), Link("b", "n1", "n2", W))], 3)
+def test_compiled_aggregates_match_the_interpreter(spec, rows, max_depth):
+    """Every spec form on link and chain rows: missing, multi-valued and
+    non-numeric attributes, empty collections, disagreeing ``any``,
+    positions past a chain's end, and specs too deep or ill-formed."""
+    chains = bool(rows) and isinstance(rows[0], tuple)
+    expected = value_outcome(ref_apply_agg, spec, rows)
+    assert value_outcome(compile_agg(spec, chains), rows) == expected
+    assert value_outcome(apply_agg, spec, rows) == expected
+    if isinstance(spec, (Const, AttrRef, Arith, SumOver, ProdOver, Builtin)):
+        fast = value_outcome(lambda: eval_naf(spec, rows, max_depth=max_depth))
+        assert fast == value_outcome(lambda: ref_eval_naf(spec, rows, max_depth=max_depth))
+    if isinstance(spec, SafExpr):
+        assert value_outcome(eval_saf, spec, rows) == value_outcome(ref_eval_saf, spec, rows)
+
+
+comp_attrs = st.sampled_from(("type", "w", "id", "src", "tgt", "name", "score", "missing"))
+comp_outputs = st.one_of(
+    st.builds(CopyFrom, st.sampled_from(SIDES), comp_attrs),
+    st.builds(JaccardOf, st.sampled_from(SIDES), comp_attrs, st.sampled_from(SIDES), comp_attrs),
+    agg_specs,
+)
+comp_fns = st.lists(
+    st.tuples(st.sampled_from(("a", "b", "type", "score")), comp_outputs), min_size=1, max_size=3,
+    unique_by=lambda out: out[0],
+).map(CompositionFn)
+
+
+def check_composition(g1, g2, f):
+    """Over every pair of links, with one compiled closure for all the
+    pairs, as ``compose`` uses it."""
+    attributes = compile_composition(f)
+    for l1 in g1.links.values():
+        for l2 in g2.links.values():
+            left = LinkCtx(l1, g1.nodes[l1.src], g1.nodes[l1.tgt])
+            right = LinkCtx(l2, g2.nodes[l2.src], g2.nodes[l2.tgt])
+            expected = value_outcome(ref_apply_composition, f, left, right)
+            assert value_outcome(attributes, l1, l2, g1.nodes, g2.nodes) == expected
+            assert value_outcome(apply_composition, f, left, right) == expected
+
+
+@settings(max_examples=200)
+@given(graphs(), graphs(), comp_fns)
+def test_compiled_composition_matches_the_interpreter(g1, g2, f):
+    """Every output form on all six sides."""
+    check_composition(g1, g2, f)
+
+
+NODE_SIDES = ("left-src", "left-tgt", "right-src", "right-tgt")
+node_side_fns = st.lists(
+    st.tuples(
+        st.sampled_from(("a", "b")),
+        st.one_of(
+            st.builds(CopyFrom, st.sampled_from(NODE_SIDES), st.sampled_from(("type", "id"))),
+            st.builds(JaccardOf, st.sampled_from(NODE_SIDES), st.sampled_from(("type", "id")),
+                      st.sampled_from(NODE_SIDES), st.sampled_from(("type", "id"))),
+        ),
+    ),
+    min_size=1, max_size=2, unique_by=lambda out: out[0],
+).map(CompositionFn)
+
+
+@given(graphs(), graphs(), node_side_fns)
+def test_node_side_outputs_kept_per_node_tuple_match_the_interpreter(g1, g2, f):
+    """Outputs reading only nodes, which the compiled closure keeps per
+    tuple of node ids, on attributes every node has."""
+    check_composition(g1, g2, f)
+
+
+@given(graphs(), graphs(), st.sampled_from(DELTAS), comp_fns)
+def test_compose_with_drawn_functions_matches_nested_loop(g1, g2, delta, f):
+    for a, b in ((g1, g2), (g1, g1)):
+        assert outcome(compose, a, b, delta, f) == outcome(compose_nested, a, b, delta, f)
+
+
+agg_spec_lists = st.lists(st.tuples(st.sampled_from(("a", "b", "type")), agg_specs), min_size=1, max_size=3)
+
+
+@given(graphs(), conditions, agg_spec_lists, st.sampled_from(("src", "tgt")))
+def test_aggregation_operators_match_the_interpreter(g, c, specs, d):
+    pattern = GraphPattern(((c, d), (Condition(), "src")))
+    ops = [
+        (link_aggregate, g, c, specs),
+        (node_aggregate, g, c, d, "agg", specs[0][1]),
+        (pattern_aggregate, g, pattern, specs),
+        (pattern_aggregate, g, GraphPattern(((c, d),)), specs),
+    ]
+    fast = [outcome(*op) for op in ops]
+    with mock.patch.object(algebra, "compile_agg", interpreted_agg):
+        slow = [outcome(*op) for op in ops]
+    assert fast == slow
+
+
+@given(graphs(), graphs(), st.sampled_from(DELTAS), comp_fns)
+def test_compose_with_the_interpreter_plugged_in(g1, g2, delta, f):
+    fast = outcome(compose, g1, g2, delta, f)
+    with mock.patch.object(algebra, "compile_composition", interpreted_composition):
+        assert outcome(compose, g1, g2, delta, f) == fast
+
+
+# ---------------------------------------------------------------------------
+# Operators closed by construction
+
+
+@given(graphs(), graphs(), conditions, st.sampled_from(DELTAS))
+def test_unchecked_operators_give_what_build_graph_accepts(g1, g2, c, delta):
+    """The operators that build their result without ``build_graph`` give
+    the graph it would build from their elements, in the same order."""
+    outputs = [
+        node_select(g1, c),
+        link_select(g1, c),
+        semi_join(g1, g2, delta),
+        semi_join(g1, build_graph(g2.nodes.values(), []), delta),
+        semi_join(build_graph(g1.nodes.values(), []), g2, delta),
+        link_minus(g1, g2),
+        node_aggregate(g1, c, delta.d1, "agg", SafExpr("tgt")),
+        node_aggregate(g1, c, delta.d2, "w", COUNT),
+    ]
+    for out in outputs:
+        checked = build_graph(out.nodes.values(), out.links.values())
+        assert checked == out
+        assert (list(checked.nodes), list(checked.links)) == (list(out.nodes), list(out.links))
 
 
 # ---------------------------------------------------------------------------

@@ -360,3 +360,37 @@ def test_drawn_node_aggregates_give_results_or_a_typed_error(case):
     except SocialGraphError:
         return
     assert "FUZZ" in results
+
+
+@pytest.mark.parametrize(
+    "stmt, attr",
+    [
+        ("A = laggr(G, [type='visit'], {x: set(tgt@7)})", "tgt"),
+        ("A = naggr(G, [type='visit'], src, x, set(tgt@1))", "tgt"),
+        ("A = laggr(G, [], {n: count, s: max(w@2)})", "w"),
+        ("A = compose(G, G, (tgt,tgt), {x: any(type@1)})", "type"),
+    ],
+    ids=["laggr set", "naggr set", "laggr max", "compose any"],
+)
+def test_a_chain_position_on_link_rows_is_an_error(stmt, attr):
+    """A link row is a one-step chain: only position 0 reads it."""
+    step = stmt.split("@")[1][0]
+    with pytest.raises(ExecutionError) as err:
+        dsl.run_script(stmt, {"G": cf_fixture()})
+    suffix = " (attribute 'x')" if stmt.startswith("A = compose") else ""
+    assert str(err.value) == f"while evaluating 'A': chain has no step {step} (attribute {attr!r}){suffix}"
+
+    def outcome(text):
+        try:
+            return dsl.run_script(text, {"G": cf_fixture()})
+        except ExecutionError as e:  # max(w) fails alike: cf_fixture has no w
+            return str(e)
+
+    assert outcome(stmt.replace(f"@{step}", "@0")) == outcome(stmt.replace(f"@{step}", ""))
+
+
+def test_a_chain_position_on_a_one_step_path_matches_link_rows():
+    g = cf_fixture()
+    with pytest.raises(ExecutionError) as err:
+        dsl.run_script("P = paggr(G, path([type='visit']@src), {x: set(tgt@3)})", {"G": g})
+    assert str(err.value) == "while evaluating 'P': chain has no step 3 (attribute 'tgt')"
