@@ -12,33 +12,9 @@ import argparse
 import os
 import sys
 
-from . import dsl
-from .discovery import DiscoveryConfig, cf_recommend, content_recommend, discover
+# Each subcommand imports what it runs, so a process loads only the
+# modules of the one subcommand it was started for.
 from .errors import SocialGraphError
-from .index import (
-    ClusteringStrategy,
-    build_index,
-    cluster_users,
-    estimate_index_size,
-    social_sets,
-    topk_query,
-)
-from .io import (
-    json_line,
-    load_graph,
-    load_index_snapshot,
-    load_scored_items,
-    save_graph,
-    save_index_snapshot,
-)
-from .presentation import (
-    SocialGrouping,
-    StructuralGrouping,
-    TopicalGrouping,
-    explain_item,
-    group_items,
-    select_groups,
-)
 
 
 def _score(x: float) -> str:
@@ -118,6 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_criterion(text: str):
+    from .presentation import SocialGrouping, StructuralGrouping, TopicalGrouping
+
     if text == "topical":
         return TopicalGrouping()
     bad = SocialGraphError(f"bad --criterion: {text!r}")
@@ -147,12 +125,18 @@ def _ranked(ranking, fmt=_score):
 
 def _index_from_graph(args):
     """Social sets, clustering and an index over every tag of the graph files."""
+    from .index import ClusteringStrategy, build_index, cluster_users, social_sets
+    from .io import load_graph
+
     sets = social_sets(load_graph(args.nodes, args.links))
     model = cluster_users(sets, ClusteringStrategy(kind=args.strategy, theta=args.theta))
     return build_index(sets, model, {tag for (_, tag) in sets.taggers})
 
 
 def _cmd_query(args):
+    from . import dsl
+    from .io import load_graph, save_graph
+
     with open(args.script, "r", encoding="utf-8") as fh:
         text = fh.read()
     results = dsl.run_script(text, {args.name: load_graph(args.nodes, args.links)})
@@ -168,6 +152,9 @@ def _cmd_query(args):
 
 
 def _cmd_recommend(args):
+    from .discovery import DiscoveryConfig, cf_recommend, content_recommend
+    from .io import load_graph
+
     g = load_graph(args.nodes, args.links)
     cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=args.k)
     if args.method == "content":
@@ -176,8 +163,12 @@ def _cmd_recommend(args):
 
 
 def _cmd_discover(args):
+    from .discovery import DiscoveryConfig, discover
+    from .dsl import parse_condition
+    from .io import load_graph
+
     g = load_graph(args.nodes, args.links)
-    cond = dsl.parse_condition(args.query)
+    cond = parse_condition(args.query)
     cfg = DiscoveryConfig(alpha=args.alpha, sim_threshold=args.threshold, k=args.k)
     msg = discover(g, args.user, cond, cfg)
     records = [dict(zip(("item", "combined", "semantic", "social"), e)) for e in msg.ranking]
@@ -190,6 +181,8 @@ def _cmd_discover(args):
 
 
 def _cmd_build_index(args):
+    from .io import save_index_snapshot
+
     index = _index_from_graph(args)
     save_index_snapshot(index, args.out)
     record = {
@@ -201,17 +194,25 @@ def _cmd_build_index(args):
 
 
 def _cmd_topk(args):
+    from .index import topk_query
+    from .io import load_index_snapshot
+
+    keywords = [k for k in args.keywords.split(",") if k]
+    if not keywords:
+        raise SocialGraphError("topk needs at least one keyword")
     if args.index:
         index = load_index_snapshot(args.index)
     elif args.nodes and args.links:
         index = _index_from_graph(args)
     else:
         raise SocialGraphError("topk needs --index or both --nodes and --links")
-    keywords = [k for k in args.keywords.split(",") if k]
     return _ranked(topk_query(index, args.user, keywords, args.k), str)
 
 
 def _cmd_group(args):
+    from .io import load_graph, load_scored_items
+    from .presentation import group_items, select_groups
+
     g = load_graph(args.nodes, args.links)
     groups = group_items(load_scored_items(args.items), g, _parse_criterion(args.criterion))
     groups = select_groups(groups, args.max_groups)
@@ -229,6 +230,9 @@ def _cmd_group(args):
 
 
 def _cmd_explain(args):
+    from .io import load_graph
+    from .presentation import explain_item
+
     e = explain_item(load_graph(args.nodes, args.links), args.user, args.item, args.strategy)
     record = {
         "user": e.subject[0],
@@ -241,6 +245,8 @@ def _cmd_explain(args):
 
 
 def _cmd_estimate_index(args):
+    from .index import estimate_index_size
+
     size = estimate_index_size(
         args.users, args.items, args.tags_per_item, args.tagger_fraction, args.bytes
     )
@@ -263,6 +269,8 @@ def run_command(argv, out=None, err=None) -> int:
     try:
         records, lines = args.run(args)
         if args.json:
+            from .io import json_line
+
             lines = [json_line(record) for record in records]
         out.write("".join(f"{line}\n" for line in lines))
     except (SocialGraphError, OSError, ValueError) as e:

@@ -5,15 +5,17 @@ point that returns a Meaningful Social Graph.
 The search and collaborative-filtering pipelines are query scripts,
 compiled on first use and run by ``dsl.execute`` with the caller's
 conditions bound as ``$NAME`` params; the ranking layers on top only
-read the scored links out of the final graph.
+read the scored links out of the final graph. ``dsl`` is imported only
+where a plan is compiled or run, so content recommendation does not
+load the query language or the algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
-from . import dsl
 from .errors import UnknownUserError
 from .graph import (
     Condition,
@@ -26,6 +28,9 @@ from .graph import (
     default_keyword_score,
 )
 from .index import SocialSets, social_sets
+
+if TYPE_CHECKING:
+    from .dsl import Plan
 
 VISIT = Condition(preds=(attr_eq("type", "visit"),))
 _is_visit = compile_condition(VISIT)
@@ -62,8 +67,17 @@ G7  = laggr(G6, [], {score: avg(sim_sc)})
 
 
 @cache
-def _plan(script: str) -> dsl.Plan:
+def _plan(script: str) -> Plan:
+    from . import dsl
+
     return dsl.compile(dsl.parse(script), inputs=("G",))
+
+
+def _run(script: str, g: SocialContentGraph, params: dict) -> dict:
+    """Every binding of a built-in script run on ``g`` as its input G."""
+    from . import dsl
+
+    return dsl.execute(_plan(script), {"G": g}, params)
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,7 @@ def network_search(
     condition, the places, and all those friends' activities."""
     _require_user(g, user_id)
     user = Condition(preds=(attr_eq("id", user_id),))
-    return dsl.execute(_plan(SEARCH_SCRIPT), {"G": g}, {"user": user, "places": place_condition})["G7"]
+    return _run(SEARCH_SCRIPT, g, {"user": user, "places": place_condition})["G7"]
 
 
 def cf_pipeline(g: SocialContentGraph, user_id: str, sim_threshold: float) -> dict:
@@ -121,7 +135,7 @@ def cf_pipeline(g: SocialContentGraph, user_id: str, sim_threshold: float) -> di
         "others": Condition(preds=(attr_ne("id", user_id),)),
         "over": Condition(preds=(attr_gt("sim", sim_threshold),)),
     }
-    stages = dsl.execute(_plan(CF_SCRIPT), {"G": g}, params)
+    stages = _run(CF_SCRIPT, g, params)
     return {"match": stages["G4m"], "visits": stages["G5"], "scored": stages["G7"]}
 
 

@@ -21,10 +21,13 @@ import json
 import math
 from itertools import chain
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .errors import GraphFileError
 from .graph import Link, Node, SocialContentGraph, as_attr_value, build_graph, sorted_values
-from .index import ClusteredIndex, ClusterModel, SocialSets
+
+if TYPE_CHECKING:  # graph files need no index code: load_index_snapshot imports it
+    from .index import ClusteredIndex, SocialSets
 
 SNAPSHOT_FORMAT = "socialgraph-index"
 SNAPSHOT_VERSION = 1
@@ -227,6 +230,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     order, or a list of a cluster without a leader raises GraphFileError
     with its line number, as does a score that is not finite or not
     within float range; scores keep their JSON type."""
+    from .index import ClusteredIndex, ClusterModel, SocialSets
+
     lines = list(_read_jsonl(path))
     if len(lines) < 3:
         raise GraphFileError(path, 1, "truncated index snapshot")

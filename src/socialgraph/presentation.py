@@ -88,14 +88,18 @@ def _buckets(pairs) -> dict:
 
 
 def group_items(items, g: SocialContentGraph, criterion: GroupingCriterion) -> list:
-    """Partition a scored item list (pairs of item id and score) into
-    ItemGroups under the given criterion."""
+    """Partition a scored item list (pairs of item id and score, each id
+    at most once) into ItemGroups under the given criterion."""
     items = list(items)
     if not items:
         raise ValueError("group_items needs a non-empty item list")
+    seen = set()
     for item, _ in items:
         if item not in g.nodes:
             raise UnknownItemError(item)
+        if item in seen:
+            raise ValueError(f"duplicate item id: {item!r}")
+        seen.add(item)
     if isinstance(criterion, SocialGrouping):
         return _social_groups(items, g, criterion.theta)
     if isinstance(criterion, TopicalGrouping):

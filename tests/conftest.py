@@ -6,6 +6,12 @@ they are direct dict/set traversals over the raw graph.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -40,6 +46,65 @@ def jazz_graph():
 @pytest.fixture
 def minus_graphs():
     return minus_pair()
+
+
+# ---------------------------------------------------------------------------
+# Child interpreters
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env(**overrides) -> dict:
+    """The environment for a child interpreter, with ``src/`` first on
+    its PYTHONPATH: pytest's own ``pythonpath`` setting reaches only
+    this process."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return env
+
+
+# The package modules one CLI call loads, by subcommand (and method for
+# recommend); a usage error (exit 2) loads only cli and errors. _COMMON
+# is what loading graph files and index code takes.
+_COMMON = {"cli", "errors", "graph", "io", "index", "aggfn"}
+CLI_MODULES = {
+    "query": _COMMON - {"index"} | {"algebra", "dsl"},
+    "recommend cf": _COMMON | {"algebra", "dsl", "discovery"},
+    "discover": _COMMON | {"algebra", "dsl", "discovery"},
+    "recommend content": _COMMON | {"discovery"},
+    "build-index": _COMMON,
+    "topk": _COMMON,
+    "group": _COMMON | {"discovery", "presentation"},
+    "explain": _COMMON | {"discovery", "presentation"},
+    "estimate-index": _COMMON - {"io"},
+}
+
+_CLI_CHILD = """
+import io, json, sys
+from socialgraph.cli import run_command
+code = run_command(sys.argv[1:], out=io.StringIO(), err=io.StringIO())
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("socialgraph."))]))
+"""
+
+
+def cli_modules_loaded(argv, cwd) -> tuple:
+    """Run one CLI call in a fresh interpreter: its exit code, and the
+    package modules loaded by then, without the ``socialgraph.`` prefix."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_CHILD, *argv],
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, modules = json.loads(proc.stdout)
+    return code, {m.removeprefix("socialgraph.") for m in modules}
+
+
+def expected_cli_modules(argv, code) -> set:
+    if code == 2:
+        return {"cli", "errors"}
+    if argv[0] == "recommend":
+        method = argv[argv.index("--method") + 1] if "--method" in argv else "cf"
+        return CLI_MODULES[f"recommend {method}"]
+    return CLI_MODULES[argv[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ a loop over a plan's schedule, one pattern, an inverted index of leaders
 or one shared helper (the greedy-leader loop, item similarity, the
 ordered group-by). ``test_differential.py`` and ``test_plan_rules.py``
 check the two agree on results, link order, generated ids and the number
-of exact-score calls.
+of exact-score calls. The export list of the once-eager package
+namespace is kept here too, for ``test_namespace.py``.
 """
 
 from __future__ import annotations
@@ -811,3 +812,41 @@ def tokenize_line_loop(text, line_no):
         raise DslSyntaxError(line_no, col, f"a token (found {ch!r})")
     tokens.append(Token("EOL", "", line_no, len(text) + 1))
     return tokens
+
+
+# The package namespace as the eager ``__init__`` built it: every
+# submodule it imported, and each re-exported name with the module that
+# defines it. ``test_namespace.py`` checks the lazy namespace against it.
+EAGER_SUBMODULES = (
+    "aggfn", "algebra", "discovery", "dsl", "errors", "fixtures", "graph", "index", "io", "presentation",
+)
+EAGER_EXPORTS = {
+    "aggfn": (
+        "COUNT", "AttrRef", "Arith", "Builtin", "CompositionFn", "Const", "ConstString", "CopyAny",
+        "CopyFrom", "JaccardOf", "ProdOver", "SafExpr", "SumOver", "apply_composition", "avg_of",
+        "eval_naf", "eval_saf", "jaccard", "max_of", "min_of", "sum_of",
+    ),
+    "algebra": (
+        "GraphPattern", "SetOpKind", "compose", "link_aggregate", "link_minus", "link_select",
+        "node_aggregate", "node_select", "pattern_aggregate", "semi_join", "set_op",
+    ),
+    "discovery": (
+        "DiscoveryConfig", "MeaningfulSocialGraph", "cf_recommend", "content_recommend", "discover",
+        "network_search",
+    ),
+    "errors": ("SocialGraphError",),
+    "graph": (
+        "Condition", "DirectionalCondition", "Link", "Node", "SocialContentGraph", "StructPredicate",
+        "attr_eq", "attr_ge", "attr_gt", "attr_le", "attr_lt", "attr_ne", "build_graph",
+        "default_keyword_score", "has_all", "link", "node", "satisfies",
+    ),
+    "index": (
+        "ClusteredIndex", "ClusteringStrategy", "ClusterModel", "SocialSets", "build_index",
+        "cluster_users", "estimate_index_size", "exact_score", "social_sets", "topk_query",
+    ),
+    "io": ("load_graph", "save_graph"),
+    "presentation": (
+        "Explanation", "ItemGroup", "SocialGrouping", "StructuralGrouping", "TopicalGrouping",
+        "aggregate_explanations", "explain_item", "group_items", "select_groups",
+    ),
+}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import oracle_cf_scores, oracle_network_search
+from conftest import child_env, oracle_cf_scores, oracle_network_search
 from script_corpus import CORPUS, read_script
 from socialgraph import dsl
 from socialgraph.aggfn import Arith, AttrRef, ONE, SumOver, avg_of, jaccard, sum_of
@@ -284,16 +284,14 @@ os.unlink(path)
 
 
 def _snapshot_digest_subprocess(hash_seed: str) -> str:
-    import os
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     out = subprocess.run(
         [sys.executable, "-c", _DIGEST_SNIPPET],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(PYTHONHASHSEED=hash_seed),
         check=True,
     )
     return out.stdout.strip()

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from conftest import cli_modules_loaded, expected_cli_modules
 from socialgraph.cli import run_command
 from socialgraph.discovery import DiscoveryConfig, cf_recommend, content_recommend, discover
 from socialgraph.dsl import parse_condition
@@ -273,6 +274,7 @@ def malformed_inputs(tmp_path, jazz_files):
         "unknown.items": '{"id": "i1"}\n{"id": "nope"}',
         "nanid.items": '{"id": NaN}',
         "infid.items": '{"id": 1e400}',
+        "dup.items": '{"id": "i1", "score": 1.0}\n{"id": "i1", "score": 0.5}',
     }
     for name, text in bad_items.items():
         with open(p(name), "w", encoding="utf-8") as fh:
@@ -321,6 +323,12 @@ MALFORMED = [
                                    "--items", name, "--criterion", "topical"])
         for name in ("nanid.items", "infid.items")
     ),
+    *(
+        (f"topk --keywords {kw!r}", ["topk", "--index", "jazz.snap", "--user", "u1", "--keywords", kw])
+        for kw in (",", "")
+    ),
+    ("group --items with a repeated id", ["group", "--nodes", "nodes", "--links", "links",
+                                          "--items", "dup.items", "--criterion", "topical"]),
     ("snapshot score NaN", ["topk", "--index", "nanscore.snap", "--user", "u1", "--keywords", "jazz"]),
     ("node id NaN", ["query", "--nodes", "nanid.nodes", "--links", "links", "--script", "users.sgs"]),
     ("link src Infinity", ["recommend", "--nodes", "strids.nodes", "--links", "infsrc.links", "--user", "u1"]),
@@ -422,3 +430,26 @@ def test_malformed_input_gives_one_error_line(malformed_inputs, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert not os.path.exists(malformed_inputs["never.snap"])
+
+
+# The exact error line of malformed calls that once exited 0.
+ERROR_LINES = {
+    "topk --keywords ','": "error: topk needs at least one keyword",
+    "topk --keywords ''": "error: topk needs at least one keyword",
+    "group --items with a repeated id": "error: duplicate item id: 'i1'",
+}
+
+
+@pytest.mark.parametrize("name", ERROR_LINES)
+def test_malformed_input_error_line(malformed_inputs, name):
+    argv = dict(MALFORMED)[name]
+    assert run(*(malformed_inputs.get(a, a) for a in argv)) == (1, "", ERROR_LINES[name] + "\n")
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in MALFORMED], ids=[name for name, _ in MALFORMED])
+def test_malformed_call_loads_only_its_subcommands_modules(malformed_inputs, argv, tmp_path):
+    argv = [malformed_inputs.get(a, a) for a in argv]
+    code, modules = cli_modules_loaded(argv, tmp_path)
+    assert code in (1, 2)
+    # a call can fail before it reaches the code of every module listed
+    assert {"cli", "errors"} <= modules <= expected_cli_modules(argv, code)

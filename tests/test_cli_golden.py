@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from conftest import cli_modules_loaded, expected_cli_modules
 from socialgraph.cli import run_command
 from socialgraph.fixtures import cf_fixture, jazz_fixture, random_tagging_graph, random_travel_graph, rng_from
 from socialgraph.index import ClusteringStrategy, build_index, cluster_users, social_sets
@@ -352,6 +353,14 @@ def test_golden_stdout(paths, case, mode):
     code, out, err = run(*argv)
     assert (code, err) == (0, "")
     assert out == GOLDEN[case][mode]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_call_loads_only_its_subcommands_modules(paths, case, tmp_path):
+    argv = expand(paths, CASES[case])
+    code, modules = cli_modules_loaded(argv, tmp_path)
+    assert code == 0
+    assert modules == expected_cli_modules(argv, code)
 
 
 def test_query_out_dir_writes_every_binding(paths):

@@ -1,11 +1,12 @@
 """Smoke test: every demo script runs to completion against ``src``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,7 +18,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = child_env()
     env.pop("SOCIALSCOPE_SEED", None)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120

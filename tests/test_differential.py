@@ -860,6 +860,14 @@ def check_grouping(g, items):
     items = [(item, score) for item, score in items if item in g.nodes]
     if not items:
         return
+    first = {}
+    for item, score in items:
+        first.setdefault(item, score)
+    if len(first) < len(items):
+        for criterion in (SocialGrouping(0.5), TopicalGrouping(), StructuralGrouping("w")):
+            with pytest.raises(ValueError, match="duplicate item id"):
+                group_items(items, g, criterion)
+        items = list(first.items())
     for theta in THETAS:
         assert group_items(items, g, SocialGrouping(theta)) == social_groups_scan(items, g, theta)
     assert group_items(items, g, TopicalGrouping()) == topical_groups_scan(items, g)
@@ -873,13 +881,13 @@ def test_grouping_matches_leader_loop_and_scans(g, items):
     check_grouping(g, items)
 
 
-def test_repeated_untagged_item_founds_a_second_social_group():
-    """Jaccard of two empty tagger sets is 0, so above theta 0 a repeat of
-    an item nobody tagged does not join its own first copy."""
-    g = build_graph([node("i", type="item")], [])
-    items = [("i", 1.0), ("i", 3.0)]
-    assert [grp.members for grp in group_items(items, g, SocialGrouping(0.3))] == [("i",), ("i",)]
-    assert [grp.members for grp in group_items(items, g, SocialGrouping(0.0))] == [("i", "i")]
+def test_untagged_items_found_separate_social_groups():
+    """Jaccard of two empty tagger sets is 0, so above theta 0 an item
+    nobody tagged does not join another such item's group."""
+    g = build_graph([node("i", type="item"), node("j", type="item")], [])
+    items = [("i", 1.0), ("j", 3.0)]
+    assert [grp.members for grp in group_items(items, g, SocialGrouping(0.3))] == [("i",), ("j",)]
+    assert [grp.members for grp in group_items(items, g, SocialGrouping(0.0))] == [("i", "j")]
     for theta in THETAS:
         assert group_items(items, g, SocialGrouping(theta)) == social_groups_scan(items, g, theta)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import oracle_cf_scores, oracle_network_search
+from conftest import child_env, oracle_cf_scores, oracle_network_search
 from socialgraph.discovery import (
     DiscoveryConfig,
     acted_items,
@@ -251,16 +251,14 @@ for u in sorted(nid for nid, n in g.nodes.items() if "user" in n.attrs["type"]):
 
 
 def _provenance_orders_subprocess(hash_seed: str) -> str:
-    import os
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     out = subprocess.run(
         [sys.executable, "-c", _PROVENANCE_SNIPPET],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(PYTHONHASHSEED=hash_seed),
         check=True,
     )
     return out.stdout

@@ -241,3 +241,14 @@ def test_group_items_rejects_unknown_item(criterion):
     with pytest.raises(UnknownItemError) as err:
         group_items([("i1", 1.0), ("nope", 0.5)], tagging_graph(), criterion)
     assert err.value.item_id == "nope"
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [SocialGrouping(theta=0.5), TopicalGrouping(), StructuralGrouping(attr="name")],
+    ids=["social", "topical", "structural"],
+)
+def test_group_items_rejects_a_repeated_item(criterion):
+    """A repeated id would found two groups of one id, or count one item twice in a group."""
+    with pytest.raises(ValueError, match="duplicate item id: 'i1'"):
+        group_items([("i1", 1.0), ("i2", 0.5), ("i1", 0.2)], tagging_graph(), criterion)
