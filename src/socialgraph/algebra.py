@@ -36,6 +36,7 @@ from .graph import (
     SocialContentGraph,
     as_scalar,
     build_graph,
+    check_direction,
     compile_condition,
     default_keyword_score,
     links_by,
@@ -67,8 +68,7 @@ class GraphPattern:
         if not steps:
             raise ValueError("graph patterns need at least one step")
         for _, d in steps:
-            if d not in ("src", "tgt"):
-                raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
+            check_direction(d)
         object.__setattr__(self, "steps", steps)
 
 
@@ -270,8 +270,7 @@ def node_aggregate(
         raise ValueError(f"aggregation may not overwrite {att!r}")
     if isinstance(spec, (ConstString, CopyAny)):
         raise ValueError("node aggregation takes a set or numerical aggregate")
-    if d not in ("src", "tgt"):
-        raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
+    check_direction(d)
     groups = links_by(g.links.values(), d, compile_condition(c))
     aggregate, nodes = compile_agg(spec), {}
     for nid, n in g.nodes.items():
@@ -362,20 +361,3 @@ def pattern_aggregate(
         links.append(Link(f"gen:paggr:{start}:{end}:{phash}", start, end, attrs))
     return build_graph(g.nodes.values(), links)
 
-
-__all__ = [
-    "DEFAULT_MAX_PATTERN_STEPS",
-    "GraphPattern",
-    "SetOpKind",
-    "compose",
-    "condition_hash",
-    "link_aggregate",
-    "link_minus",
-    "link_select",
-    "node_aggregate",
-    "node_select",
-    "pattern_aggregate",
-    "pattern_hash",
-    "semi_join",
-    "set_op",
-]

@@ -46,19 +46,21 @@ runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
 ``parse`` builds a Program, and ``compile`` folds it into a shared
-operator DAG: after the rewrite rules of ``_REWRITES``, nodes are
-interned on one structural key (``PlanNode.key``), so structurally
-equal subexpressions are merged. ``compile`` also emits the plan's
-schedule: for each binding, the nodes it evaluates first, children
-before parents. ``execute`` is one loop over that schedule, which is
-bit-identical to running the corresponding algebra calls by hand. The
-built-in search and CF pipelines of ``discovery`` are such plans.
+operator DAG. It interns the program as written on one structural key
+(``PlanNode.key``), so structurally equal subexpressions are merged;
+then rewrites it in one pass that sees each node's consumers (select
+pushdown); and schedules it in that same pass: for each binding, the
+nodes it evaluates first, children before parents. ``execute`` is one
+loop over that schedule, which is bit-identical to running the
+corresponding algebra calls by hand. The built-in search and CF
+pipelines of ``discovery`` are such plans.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -508,35 +510,12 @@ def _param_key(p):
     return p
 
 
-def _push_select(mk, kind: str, node_inputs: tuple, params: tuple):
-    """Select pushdown: lsel(semijoin(G, X, δ), c) -> semijoin(lsel(G, c), X, δ).
-
-    Both sides keep the links of G that satisfy c and whose δ endpoint
-    matches X, in G order, with the endpoint nodes in first-link order:
-    the semi-join tests only a link's endpoint and the selection only
-    the link, so the order of the two filters does not matter. A keyword
-    c scores the same link objects on both sides. A link-less G gives the
-    empty graph on both sides (the semi-join's null-graph result has no
-    links to select, and lsel of G is empty), and so does a G with no
-    link satisfying c; a link-less X is matched by node id on both sides.
-    ``lsel(G, c)`` no longer depends on X, so plans that select from the
-    same G share it (and keep it, see ``execute``)."""
-    if kind == "lsel" and node_inputs[0].kind == "semijoin":
-        inner = node_inputs[0]
-        g, x = inner.inputs
-        return mk("semijoin", (mk("lsel", (g,), params), x), inner.params)
-    return None
-
-
-# Rewrite rules, tried in order on every node before it is interned: a
-# rule returns the node to use instead, or None. Each rule carries its
-# equivalence argument and a differential test with and without it.
-_REWRITES = (_push_select,)
-
-
 def compile(program: Program, inputs=None) -> Plan:
-    """Fold a Program into a Plan, rewriting by ``_REWRITES`` and merging
-    structurally equal subtrees.
+    """Fold a Program into a Plan: intern it as written, merging
+    structurally equal subtrees; count each node's consumers and note
+    the nodes a binding names; then walk each binding bottom-up,
+    re-interning, pushing selections below semi-joins (``select``), and
+    scheduling each node the first time the walk returns it.
 
     Free names become input leaves. When ``inputs`` (a collection of
     permitted input names) is given, any other free name raises
@@ -548,10 +527,6 @@ def compile(program: Program, inputs=None) -> Plan:
     param_names: list = []
 
     def mk(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
-        for rule in _REWRITES:
-            node = rule(mk, kind, node_inputs, params)
-            if node is not None:
-                return node
         key = _key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
         node = intern.get(key)
         if node is None:
@@ -580,25 +555,59 @@ def compile(program: Program, inputs=None) -> Plan:
                 param_names.append(p.name)
         return mk(expr.op, children, params)
 
+    for name, expr in program.stmts:
+        env[name] = build(expr)
+    consumers = Counter(child for node in intern.values() for child in node.inputs)
+    bound = set(env.values())
+    rewritten: dict = {}  # node as written -> the node the plan runs
     scheduled: set = set()
+    out: list = []  # the current binding's schedule
 
-    def order(node: PlanNode, out: list) -> list:
-        """Append to ``out`` the nodes below ``node`` (itself included)
-        that are not scheduled yet, children before parents."""
+    def emit(node: PlanNode) -> PlanNode:
         if node not in scheduled:
             scheduled.add(node)
-            for child in node.inputs:
-                order(child, out)
             out.append(node)
-        return out
+        return node
 
-    bindings = []
-    for name, expr in program.stmts:
-        node = build(expr)
-        env[name] = node
-        bindings.append((name, node))
-    schedule = tuple(tuple(order(node, [])) for _, node in bindings)
-    return Plan(bindings=tuple(bindings), schedule=schedule, leaves=tuple(leaves), params=tuple(param_names))
+    def select(g: PlanNode, params: tuple) -> PlanNode:
+        """Select pushdown: lsel(semijoin(G, X, δ), c) -> semijoin(lsel(G, c),
+        X, δ), level by level through nested semi-joins, for ``g`` as
+        written, where the semi-join has one consumer and no binding
+        names it, so no other use still reads it.
+
+        Both sides keep the links of G that satisfy c and whose δ
+        endpoint matches X, in G order, with the endpoint nodes in
+        first-link order: the semi-join tests only a link's endpoint and
+        the selection only the link, so the order of the two filters does
+        not matter. A keyword c scores the same link objects on both
+        sides. A link-less G gives the empty graph on both sides (the
+        semi-join's null-graph result has no links to select, and lsel of
+        G is empty), and so does a G with no link satisfying c; a
+        link-less X is matched by node id on both sides. ``lsel(G, c)``
+        no longer depends on X, so plans that select from the same G
+        share it (and keep it, see ``execute``)."""
+        if g.kind == "semijoin" and consumers[g] == 1 and g not in bound:
+            inner, x = g.inputs
+            return emit(mk("semijoin", (select(inner, params), walk(x)), g.params))
+        return emit(mk("lsel", (walk(g),), params))
+
+    def walk(node: PlanNode) -> PlanNode:
+        new = rewritten.get(node)
+        if new is None:
+            if node.kind == "lsel":
+                new = select(node.inputs[0], node.params)
+            else:
+                children = tuple(map(walk, node.inputs))
+                new = emit(node if children == node.inputs else mk(node.kind, children, node.params))
+            rewritten[node] = new
+        return new
+
+    bindings, schedule = [], []
+    for name, _ in program.stmts:
+        bindings.append((name, walk(env[name])))
+        schedule.append(tuple(out))
+        out.clear()
+    return Plan(bindings=tuple(bindings), schedule=tuple(schedule), leaves=tuple(leaves), params=tuple(param_names))
 
 
 def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:

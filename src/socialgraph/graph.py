@@ -335,7 +335,9 @@ ScoringFn = Callable[[Element], float]
 # Directions
 
 
-DIRECTIONS = ("src", "tgt")
+def check_direction(d: str) -> None:
+    if d not in ("src", "tgt"):
+        raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
 
 
 def opposite(direction: str) -> str:
@@ -350,6 +352,5 @@ class DirectionalCondition:
     d2: str
 
     def __post_init__(self):
-        for d in (self.d1, self.d2):
-            if d not in DIRECTIONS:
-                raise ValueError(f"direction must be 'src' or 'tgt', got {d!r}")
+        check_direction(self.d1)
+        check_direction(self.d2)

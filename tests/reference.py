@@ -49,7 +49,7 @@ from socialgraph.algebra import (
     set_op,
 )
 from socialgraph.discovery import VISIT, acted_items, rating
-from socialgraph.dsl import OPS, Param, Token
+from socialgraph.dsl import OPS, Param, Ref, Token
 from socialgraph.errors import (
     AggEvalError,
     CompositionFnError,
@@ -764,6 +764,40 @@ def execute_recursive(plan, inputs, params=None):
         except (SocialGraphError, ValueError) as e:
             raise ExecutionError(name, e) from e
     return results
+
+def run_as_written(program, inputs, params=None):
+    """``program`` evaluated as written, binding by binding: one algebra
+    call per operator occurrence, in argument order, with no rewrite, no
+    result shared between equal occurrences and nothing kept with (or
+    read from) the graphs. A name reads its binding's result or the input
+    graph. Failures are wrapped with the binding name as ``dsl.execute``
+    does."""
+    params = params or {}
+    env = {}
+
+    def evaluate(expr):
+        if isinstance(expr, Ref):
+            if expr.name in env:
+                return env[expr.name]
+            if expr.name not in inputs:
+                raise UnboundReferenceError(expr.name)
+            return inputs[expr.name]
+        fn, lead, shapes = OPS[expr.op]
+        split = shapes.count("e")
+        args = [evaluate(arg) for arg in expr.args[:split]]
+        try:
+            args += [params[p.name] if isinstance(p, Param) else p for p in expr.args[split:]]
+        except KeyError as e:
+            raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
+        return getattr(algebra, fn)(*lead, *args)
+
+    for name, expr in program.stmts:
+        try:
+            env[name] = evaluate(expr)
+        except (SocialGraphError, ValueError) as e:
+            raise ExecutionError(name, e) from e
+    return env
+
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")

@@ -398,6 +398,22 @@ def test_pattern_does_not_reuse_links():
     }
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: D("src", "up"),
+        lambda: D("up", "tgt"),
+        lambda: GraphPattern(((Condition(), "src"), (Condition(), "up"))),
+        lambda: node_aggregate(EMPTY, Condition(), "up", "n", COUNT),
+    ],
+    ids=["delta-d2", "delta-d1", "pattern-step", "naggr"],
+)
+def test_a_bad_direction_is_named_in_one_message(make):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == "direction must be 'src' or 'tgt', got 'up'"
+
+
 # ---------------------------------------------------------------------------
 # Cross-cutting invariants
 

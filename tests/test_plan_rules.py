@@ -1,7 +1,8 @@
-"""The plan optimiser and executor: the select-pushdown rewrite against
-the same plans compiled without it and against naive scans, the
-per-graph keeping of parameter-free subplan results, and the loop over a
-plan's schedule against the recursive executor of ``reference.py``.
+"""The plan optimiser and executor: compiled plans against the program
+run as written (``run_as_written``) and against naive scans, the
+compiled schedules of the built-in and corpus scripts, the per-graph
+keeping of parameter-free subplan results, and the loop over a plan's
+schedule against the recursive executor of ``reference.py``.
 
 Plans are the corpus scripts of ``script_corpus.py`` with drawn
 selections over semi-joins appended. Their graphs use the ids and
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import os
 from collections import Counter
 from unittest import mock
 
@@ -25,9 +27,10 @@ from reference import (
     execute_recursive,
     link_select_scan,
     network_search_wired,
+    run_as_written,
     semi_join_scan,
 )
-from script_corpus import CORPUS, read_script
+from script_corpus import CORPUS, SCRIPT_DIR, read_script
 from socialgraph import algebra, dsl
 from socialgraph.discovery import CF_SCRIPT, SEARCH_SCRIPT, VISIT, cf_pipeline, network_search
 from socialgraph.fixtures import cf_fixture, random_travel_graph, rng_from
@@ -125,17 +128,33 @@ def run(plan, inputs, params, execute=dsl.execute):
     return {name: exact(g) for name, g in results.items()}, results
 
 
-def compiled(text, rewrites):
-    with mock.patch.object(dsl, "_REWRITES", rewrites):
-        return dsl.compile(dsl.parse(text))
+def distinct_subexpressions(program) -> int:
+    """The operator calls and input names of ``program`` as written,
+    those equal as ``PlanNode.key`` sees them counted once."""
+    env, seen = {}, set()
+
+    def key(expr):
+        if isinstance(expr, dsl.Ref):
+            if expr.name in env:
+                return env[expr.name]
+            k = ("input", expr.name)
+        else:
+            split = dsl.OPS[expr.op][2].count("e")
+            k = (expr.op, tuple(map(key, expr.args[:split])), tuple(map(dsl._param_key, expr.args[split:])))
+        seen.add(k)
+        return k
+
+    for name, expr in program.stmts:
+        env[name] = key(expr)
+    return len(seen)
 
 
 @given(plans())
 def test_select_pushdown_keeps_every_binding_exact(case):
     text, inputs, params = case
-    plain = compiled(text, ())
-    pushed = compiled(text, dsl._REWRITES)
-    want, _ = run(plain, fresh(inputs), params)
+    program = dsl.parse(text)
+    pushed = dsl.compile(program)
+    want, _ = run(program, fresh(inputs), params, run_as_written)
     env = fresh(inputs)
     got, results = run(pushed, env, params)
     assert got == want
@@ -151,9 +170,37 @@ def test_select_pushdown_keeps_every_binding_exact(case):
     assert exact(results["PUSH"]) == exact(link_select_scan(semi_join_scan(a, b, sj.args[2]), cond))
 
 
+@given(plans())
+def test_a_plan_has_no_more_nodes_than_distinct_subexpressions(case):
+    program = dsl.parse(case[0])
+    assert dsl.compile(program).node_count() <= distinct_subexpressions(program)
+
+
+def test_pushdown_leaves_a_bound_semi_join_alone():
+    """A semi-join that a binding names stays one node, and the selection
+    reads it: pushing the selection below it would run a second
+    semi-join."""
+    extra = "SJ = semijoin(N, N, (src,src))\nPUSH = lsel(semijoin(N, N, (src,src)), [])\n"
+    program = dsl.parse(read_script("ex4_search.sgs") + extra)
+    plan = dsl.compile(program)
+    assert plan.node_count() == distinct_subexpressions(program) == 16
+    b = dict(plan.bindings)
+    assert b["PUSH"].kind == "lsel" and b["PUSH"].inputs[0] is b["SJ"]
+    assert [n.kind for n in plan.schedule[-1]] == ["lsel"]
+
+
+def test_pushdown_leaves_a_shared_semi_join_alone():
+    """An unbound semi-join that another node reads too stays one node."""
+    text = "A = lsel(semijoin(G, X, (src,src)), [type='visit'])\nB = union(semijoin(G, X, (src,src)), G)\n"
+    plan = dsl.compile(dsl.parse(text))
+    a, b = (node for _, node in plan.bindings)
+    assert a.kind == "lsel" and a.inputs[0] is b.inputs[0]
+    assert [n.kind for nodes in plan.schedule for n in nodes] == ["input", "input", "semijoin", "lsel", "union"]
+
+
 def test_pushdown_shares_one_visit_selection_in_the_cf_plan():
     plan = dsl.compile(dsl.parse(CF_SCRIPT))
-    assert plan.node_count() < compiled(CF_SCRIPT, ()).node_count()
+    assert plan.node_count() < distinct_subexpressions(dsl.parse(CF_SCRIPT))
     b = dict(plan.bindings)
     for name in ("G1", "G2", "G5"):
         assert b[name].kind == "semijoin"
@@ -168,6 +215,14 @@ def test_pushdown_runs_through_nested_semi_joins():
     assert outer.kind == "semijoin" and outer.inputs[0].kind == "semijoin"
     assert outer.inputs[0].inputs[0].kind == "lsel"
     assert outer.inputs[0].inputs[0].inputs[0].params == ("G",)
+    assert plan.node_count() == 6
+
+
+def test_pushdown_stops_above_a_bound_inner_semi_join():
+    plan = dsl.compile(dsl.parse("S = semijoin(G, X, (src,src))\nA = lsel(semijoin(S, Y, (tgt,src)), [type='visit'])"))
+    s, outer = (node for _, node in plan.bindings)
+    assert outer.kind == "semijoin" and outer.inputs[0].kind == "lsel"
+    assert outer.inputs[0].inputs[0] is s
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +366,31 @@ def test_builtin_plans_match_the_recursive_executor():
             assert got == want
 
 
+@pytest.mark.parametrize("script, make_inputs", [(script, make) for script, make, _ in CORPUS])
+def test_corpus_scripts_match_the_program_as_written(script, make_inputs):
+    program = dsl.parse(read_script(script))
+    inputs = make_inputs()
+    want, _ = run(program, inputs, {}, run_as_written)
+    assert [got for got, _ in twice(dsl.execute, dsl.compile(program), inputs, {})] == [want, want]
+
+
+def test_builtin_plans_match_the_program_as_written():
+    """User after user on one graph, so later runs read kept results."""
+    g = travel()
+    env = fresh({"G": g})
+    over = dsl.parse_condition("[sim > 0.1]")
+    for u in sorted(g.nodes):
+        user = Condition(preds=(attr_eq("id", u),))
+        others = Condition(preds=(attr_ne("id", u),))
+        for text, params in (
+            (CF_SCRIPT, {"user": user, "others": others, "over": over}),
+            (SEARCH_SCRIPT, {"user": user, "places": DESTINATION}),
+        ):
+            program = dsl.parse(text)
+            assert run(dsl.compile(program), env, params)[0] == run(program, {"G": g}, params, run_as_written)[0]
+    assert kept(env["G"]) and not kept(g)
+
+
 @contextlib.contextmanager
 def counted_operators():
     """Count the calls of each algebra function a plan runs, by name."""
@@ -365,3 +445,197 @@ def test_a_plan_with_params_runs_only_what_it_could_not_keep():
         with counted_operators() as calls:
             cf_pipeline(g, u, 0.1)
         assert calls == Counter(dsl.OPS[n.kind][0] for n in ops if not (i and n.source))
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans, pinned
+
+
+@pytest.mark.parametrize("name", ["SEARCH_SCRIPT", "CF_SCRIPT", *sorted(os.listdir(SCRIPT_DIR))])
+def test_compiled_schedules_are_pinned(name):
+    """Each binding's schedule as (kind, repr of params): any change of
+    the compiler that changes one of these plans shows here."""
+    text = {"SEARCH_SCRIPT": SEARCH_SCRIPT, "CF_SCRIPT": CF_SCRIPT}.get(name) or read_script(name)
+    plan = dsl.compile(dsl.parse(text))
+    got = {b: [(n.kind, repr(n.params)) for n in nodes] for (b, _), nodes in zip(plan.bindings, plan.schedule)}
+    assert got == GOLDEN_SCHEDULES[name]
+
+
+GOLDEN_SCHEDULES = {'SEARCH_SCRIPT': {'U': [('input', "('G',)"), ('nsel', "(Param(name='user'),)")],
+                   'G1': [('lsel',
+                           "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('friend',)),), "
+                           'keywords=()),)'),
+                          ('semijoin', "(DirectionalCondition(d1='src', d2='src'),)")],
+                   'P': [('nsel', "(Param(name='places'),)")],
+                   'G2': [('lsel',
+                           "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                           'keywords=()),)'),
+                          ('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)")],
+                   'G3': [('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)")],
+                   'G4': [('semijoin', "(DirectionalCondition(d1='src', d2='tgt'),)")],
+                   'G5': [('union', '()')],
+                   'G6': [('lsel',
+                           "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('act',)),), "
+                           'keywords=()),)'),
+                          ('semijoin', "(DirectionalCondition(d1='src', d2='tgt'),)")],
+                   'G7': [('union', '()')]},
+ 'CF_SCRIPT': {'ME': [('input', "('G',)"), ('nsel', "(Param(name='user'),)")],
+               'G1': [('lsel',
+                       "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                       'keywords=()),)'),
+                      ('semijoin', "(DirectionalCondition(d1='src', d2='src'),)")],
+               'G1v': [('naggr',
+                        "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                        "keywords=()), 'src', 'vst', SafExpr(attr='tgt', step=None))")],
+               'OTH': [('nsel', "(Param(name='others'),)")],
+               'G2': [('semijoin', "(DirectionalCondition(d1='src', d2='src'),)")],
+               'G2v': [('naggr',
+                        "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                        "keywords=()), 'src', 'vst', SafExpr(attr='tgt', step=None))")],
+               'G3': [('compose',
+                       "(DirectionalCondition(d1='tgt', d2='tgt'), CompositionFn(outputs=(('sim', "
+                       "JaccardOf(left_side='left-src', left_attr='vst', right_side='right-src', "
+                       "right_attr='vst')),)))")],
+               'G4': [('laggr',
+                       "(Param(name='over'), (('type', ConstString(value='match')), ('sim', CopyAny(attr='sim', "
+                       'step=None))))')],
+               'G4m': [('lsel',
+                        "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('match',)),), "
+                        'keywords=()),)')],
+               'G5': [('nsel',
+                       "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('destination',)),), "
+                       'keywords=()),)'),
+                      ('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)")],
+               'G6': [('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)"),
+                      ('semijoin', "(DirectionalCondition(d1='src', d2='tgt'),)"),
+                      ('compose',
+                       "(DirectionalCondition(d1='tgt', d2='src'), CompositionFn(outputs=(('sim_sc', "
+                       "CopyFrom(side='left-link', attr='sim')),)))")],
+               'G7': [('laggr',
+                       "(Condition(preds=(), keywords=()), (('score', Builtin(fn='AVG', attr='sim_sc', "
+                       'step=None)),))')]},
+ 'compose_pairs.sgs': {'V': [('input', "('G',)"),
+                             ('lsel',
+                              "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                              'keywords=()),)')],
+                       'C': [('compose',
+                              "(DirectionalCondition(d1='tgt', d2='tgt'), CompositionFn(outputs=(('type', "
+                              "ConstString(value='peer')), ('place', CopyFrom(side='left-tgt', attr='id')), "
+                              "('pair', Builtin(fn='COUNT', attr=None, step=None)))))")]},
+ 'ex4_search.sgs': {'U': [('input', "('G',)"),
+                          ('nsel',
+                           "(Condition(preds=(StructPredicate(attr='id', op='=', operands=('u00',)),), "
+                           'keywords=()),)')],
+                    'G1': [('lsel',
+                            "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('friend',)),), "
+                            'keywords=()),)'),
+                           ('semijoin', "(DirectionalCondition(d1='src', d2='src'),)")],
+                    'P': [('nsel',
+                           "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('destination',)),), "
+                           'keywords=()),)')],
+                    'G2': [('lsel',
+                            "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                            'keywords=()),)'),
+                           ('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)")],
+                    'G3': [('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)")],
+                    'G4': [('semijoin', "(DirectionalCondition(d1='src', d2='tgt'),)")],
+                    'G5': [('union', '()')],
+                    'G6': [('lsel',
+                            "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('act',)),), "
+                            'keywords=()),)'),
+                           ('semijoin', "(DirectionalCondition(d1='src', d2='tgt'),)")],
+                    'G7': [('union', '()')]},
+ 'ex5_cf.sgs': {'ME': [('input', "('G',)"),
+                       ('nsel',
+                        "(Condition(preds=(StructPredicate(attr='id', op='=', operands=('101',)),), "
+                        'keywords=()),)')],
+                'G1': [('lsel',
+                        "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                        'keywords=()),)'),
+                       ('semijoin', "(DirectionalCondition(d1='src', d2='src'),)")],
+                'G1v': [('naggr',
+                         "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                         "keywords=()), 'src', 'vst', SafExpr(attr='tgt', step=None))")],
+                'OTH': [('nsel',
+                         "(Condition(preds=(StructPredicate(attr='id', op='!=', operands=('101',)),), "
+                         'keywords=()),)')],
+                'G2': [('semijoin', "(DirectionalCondition(d1='src', d2='src'),)")],
+                'G2v': [('naggr',
+                         "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                         "keywords=()), 'src', 'vst', SafExpr(attr='tgt', step=None))")],
+                'G3': [('compose',
+                        "(DirectionalCondition(d1='tgt', d2='tgt'), CompositionFn(outputs=(('sim', "
+                        "JaccardOf(left_side='left-src', left_attr='vst', right_side='right-src', "
+                        "right_attr='vst')),)))")],
+                'G4': [('laggr',
+                        "(Condition(preds=(StructPredicate(attr='sim', op='>', operands=(0.5,)),), keywords=()), "
+                        "(('type', ConstString(value='match')), ('sim', CopyAny(attr='sim', step=None))))")],
+                'G4m': [('lsel',
+                         "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('match',)),), "
+                         'keywords=()),)')],
+                'G5': [('nsel',
+                        "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('destination',)),), "
+                        'keywords=()),)'),
+                       ('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)")],
+                'G6': [('semijoin', "(DirectionalCondition(d1='tgt', d2='src'),)"),
+                       ('semijoin', "(DirectionalCondition(d1='src', d2='tgt'),)"),
+                       ('compose',
+                        "(DirectionalCondition(d1='tgt', d2='src'), CompositionFn(outputs=(('sim_sc', "
+                        "CopyFrom(side='left-link', attr='sim')),)))")],
+                'G7': [('laggr',
+                        "(Condition(preds=(), keywords=()), (('score', Builtin(fn='AVG', attr='sim_sc', "
+                        'step=None)),))')]},
+ 'laggr_multi.sgs': {'A': [('input', "('G',)"),
+                           ('laggr',
+                            "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                            "keywords=()), (('vcnt', Builtin(fn='COUNT', attr=None, step=None)), ('dests', "
+                            "SafExpr(attr='tgt', step=None))))")]},
+ 'lminus.sgs': {'LD': [('input', "('G1',)"), ('input', "('G2',)"), ('lminus', '()')],
+                'SELF': [('lminus', '()')],
+                'ALL': [('lminus', '()')]},
+ 'naggr_stats.sgs': {'FC': [('input', "('G',)"),
+                            ('naggr',
+                             "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('friend',)),), "
+                             "keywords=()), 'src', 'fnd_cnt', Builtin(fn='COUNT', attr=None, step=None))")],
+                     'VS': [('naggr',
+                             "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                             "keywords=()), 'src', 'vst', SafExpr(attr='tgt', step=None))")],
+                     'RB': [('naggr',
+                             "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('tag',)),), "
+                             "keywords=()), 'tgt', 'best', Builtin(fn='MAX', attr='rating', step=None))")]},
+ 'paggr_chain.sgs': {'P': [('input', "('G',)"),
+                           ('paggr',
+                            "(GraphPattern(steps=((Condition(preds=(StructPredicate(attr='type', op='=', "
+                            "operands=('friend',)),), keywords=()), 'src'), "
+                            "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                            "keywords=()), 'src'))), (('cnt', Builtin(fn='COUNT', attr=None, step=None)),))")]},
+ 'select_links.sgs': {'L1': [('input', "('G',)"),
+                             ('lsel',
+                              "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                              'keywords=()),)')],
+                      'L2': [('lsel',
+                              "(Condition(preds=(StructPredicate(attr='src', op='=', operands=('101',)),), "
+                              'keywords=()),)')],
+                      'L3': [('lsel',
+                              "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                              "keywords=('act', 'visit')),)")]},
+ 'select_nodes.sgs': {'S1': [('input', "('G',)"),
+                             ('nsel',
+                              "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('user',)),), "
+                              'keywords=()),)')],
+                      'S2': [('nsel', "(Condition(preds=(), keywords=('denver', 'skiing')),)")],
+                      'S3': [('nsel',
+                              "(Condition(preds=(StructPredicate(attr='type', op='contains-all', "
+                              "operands=('item', 'destination')), StructPredicate(attr='name', op='=', "
+                              "operands=('P',))), keywords=()),)")]},
+ 'setops.sgs': {'U': [('input', "('G1',)"), ('input', "('G2',)"), ('union', '()')],
+                'I': [('intersect', '()')],
+                'D': [('nminus', '()')],
+                'E': [('nminus', '()')]},
+ 'shared_reuse.sgs': {'B': [('input', "('G',)"),
+                            ('lsel',
+                             "(Condition(preds=(StructPredicate(attr='type', op='=', operands=('visit',)),), "
+                             'keywords=()),)')],
+                      'U': [('union', '()')],
+                      'W': [],
+                      'X': [('intersect', '()')]}}
