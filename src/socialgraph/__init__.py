@@ -22,8 +22,7 @@ _SUBMODULES = (
 # defining module -> the names it exports here
 _EXPORTS = {
     "aggfn": """COUNT AttrRef Arith Builtin CompositionFn Const ConstString CopyAny CopyFrom
-        JaccardOf ProdOver SafExpr SumOver apply_composition avg_of eval_naf eval_saf jaccard
-        max_of min_of sum_of""",
+        JaccardOf ProdOver SafExpr SumOver avg_of jaccard max_of min_of sum_of""",
     "algebra": """GraphPattern SetOpKind compose link_aggregate link_minus link_select
         node_aggregate node_select pattern_aggregate semi_join set_op""",
     "discovery": """DiscoveryConfig MeaningfulSocialGraph cf_recommend content_recommend discover

@@ -18,8 +18,7 @@ default to the first link in the chain carrying the attribute.
 Each language has one evaluator, compiled once per operator call:
 ``compile_agg`` turns an aggregate spec into a closure over a collection
 of rows, ``compile_composition`` a composition function into a closure
-over a pair of links. ``apply_agg``, ``eval_saf``, ``eval_naf`` and
-``apply_composition`` compile and run in one call.
+over a pair of links and their endpoint nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,9 @@ from operator import add, mul, sub
 from typing import Callable, Union
 
 from .errors import AggEvalError, CompositionFnError, DivideByZeroError
-from .graph import Link, Node
+
+MAX_NESTING_DEPTH = 3  # of Sum/Prod in a numerical aggregate
+_IDENTITY_FIELDS = ("id", "src", "tgt")
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +145,16 @@ AggSpec = Union[SafExpr, NafExpr, ConstString, CopyAny]
 
 def _values(attr: str) -> Callable:
     """``element -> its value set of attr``, or None; an identity field
-    (``id``, a link's ``src``/``tgt``) stands in unless a stored one shadows it."""
-    if attr not in ("id", "src", "tgt"):
+    (``id``, a link's ``src``/``tgt``) stands in, as a one-element tuple,
+    unless a stored one shadows it; a caller that keeps the value makes
+    it a frozenset."""
+    if attr not in _IDENTITY_FIELDS:
         return lambda e: e.attrs.get(attr)
 
     def values(e):
         v = e.attrs.get(attr)
         field = getattr(e, attr, None) if v is None else None
-        return v if field is None else frozenset({field})
+        return v if field is None else (field,)
 
     return values
 
@@ -250,7 +253,7 @@ def _compile_naf(expr: NafExpr, chains: bool, scoped: bool) -> Callable:
     return lambda rows, row: pick(map(number, rows)) if rows else empty()
 
 
-def compile_agg(spec: AggSpec, chains: bool = False, max_depth: int = 3) -> Callable:
+def compile_agg(spec: AggSpec, chains: bool = False) -> Callable:
     """``spec`` as one closure from a list of rows (links, or chains when
     ``chains`` is set) to the value set it attaches, or None when there is
     nothing to attach (empty set extraction, or CopyAny with no carrier)."""
@@ -266,9 +269,11 @@ def compile_agg(spec: AggSpec, chains: bool = False, max_depth: int = 3) -> Call
         def copy(rows):
             seen = None
             for v in map(read, rows):
+                if v is None:
+                    continue
                 if seen is None:
-                    seen = v
-                elif v is not None and v != seen:
+                    seen = frozenset(v)
+                elif seen != frozenset(v):
                     raise AggEvalError("copied values disagree across the collection", attr=attr)
             return seen
 
@@ -276,29 +281,10 @@ def compile_agg(spec: AggSpec, chains: bool = False, max_depth: int = 3) -> Call
     if not isinstance(spec, (Const, AttrRef, Arith, SumOver, ProdOver, Builtin)):
         return _raising(TypeError, f"not an aggregate spec: {spec!r}")
     depth = _nesting_depth(spec)
-    if depth > max_depth:
-        return _raising(ValueError, f"Sum/Prod nesting depth {depth} exceeds limit {max_depth}")
+    if depth > MAX_NESTING_DEPTH:
+        return _raising(ValueError, f"Sum/Prod nesting depth {depth} exceeds limit {MAX_NESTING_DEPTH}")
     number = _compile_naf(spec, chains, False)
     return lambda rows: frozenset({number(rows, None)})
-
-
-def apply_agg(spec: AggSpec, rows) -> frozenset | None:
-    """Evaluate a spec over rows, all links or all chains (``compile_agg``)."""
-    rows = list(rows)
-    return compile_agg(spec, bool(rows) and not isinstance(rows[0], Link))(rows)
-
-
-def eval_saf(expr: SafExpr, rows) -> frozenset:
-    """Union of the attribute's value sets across rows; duplicate-free
-    and possibly empty."""
-    return apply_agg(expr, rows) or frozenset()
-
-
-def eval_naf(expr: NafExpr, rows, *, max_depth: int = 3) -> float:
-    """Evaluate a numerical aggregate over a collection of rows."""
-    rows = list(rows)
-    (value,) = compile_agg(expr, bool(rows) and not isinstance(rows[0], Link), max_depth)(rows)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +321,6 @@ class JaccardOf:
                 raise ValueError(f"unknown composition side: {side!r}")
 
 
-_RESERVED_OUTPUTS = ("id", "src", "tgt")
-
-
 @dataclass(frozen=True)
 class CompositionFn:
     """Named outputs computed from two links and their endpoint nodes."""
@@ -349,18 +332,9 @@ class CompositionFn:
         if not outputs:
             raise CompositionFnError("composition function declares no outputs")
         for name, _ in outputs:
-            if name in _RESERVED_OUTPUTS:
+            if name in _IDENTITY_FIELDS:
                 raise CompositionFnError("composition may not write a reserved attribute", attr=name)
         object.__setattr__(self, "outputs", outputs)
-
-
-@dataclass(frozen=True)
-class LinkCtx:
-    """A link together with its endpoint nodes, as handed to a CF."""
-
-    link: Link
-    src: Node
-    tgt: Node
 
 
 def jaccard(a, b) -> float:
@@ -412,6 +386,9 @@ def _compile_output(name: str, expr) -> Callable:
         return aggregate
     if isinstance(expr, CopyFrom):
         sides, fn = (expr.side,), _side_values(expr.side, expr.attr, name)
+        if expr.attr in _IDENTITY_FIELDS:  # the field's one-element tuple is kept as a value set
+            read = fn
+            fn = lambda l1, l2, n1, n2: frozenset(read(l1, l2, n1, n2))
     else:
         sides = (expr.left_side, expr.right_side)
         a, b = _side_values(expr.left_side, expr.left_attr, name), _side_values(expr.right_side, expr.right_attr, name)
@@ -444,10 +421,3 @@ def compile_composition(f: CompositionFn) -> Callable:
         return out
 
     return attributes
-
-
-def apply_composition(f: CompositionFn, left: LinkCtx, right: LinkCtx) -> dict:
-    """Evaluate a composition function into the new link's attribute map;
-    each context's nodes stand for its link's endpoints by id."""
-    ends = lambda ctx: {ctx.link.src: ctx.src, ctx.link.tgt: ctx.tgt}
-    return compile_composition(f)(left.link, right.link, ends(left), ends(right))

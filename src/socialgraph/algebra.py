@@ -43,7 +43,7 @@ from .graph import (
     opposite,
 )
 
-DEFAULT_MAX_PATTERN_STEPS = 4
+MAX_PATTERN_STEPS = 4
 
 
 class SetOpKind(str, Enum):
@@ -216,14 +216,15 @@ def compose(
     nodes: dict = {}
     merged: dict = {}  # node id -> the operand node last merged into it
     links = []
-    far1, far2 = opposite(delta.d1), opposite(delta.d2)
+    end1, far1, far2 = attrgetter(delta.d1), attrgetter(opposite(delta.d1)), attrgetter(opposite(delta.d2))
     # Hash join: g2 links bucketed by their d2 endpoint in g2 order, so
     # the g1-outer loop yields pairs in nested-loop order.
     buckets = links_by(g2.links.values(), delta.d2)
     attributes = compile_composition(f)
     for l1 in g1.links.values():
-        for l2 in buckets.get(l1.endpoint(delta.d1), ()):
-            u, v = l1.endpoint(far1), l2.endpoint(far2)
+        u = far1(l1)
+        for l2 in buckets.get(end1(l1), ()):
+            v = far2(l2)
             attrs = attributes(l1, l2, g1.nodes, g2.nodes)
             if "type" not in attrs:
                 attrs["type"] = frozenset({"composed"})
@@ -317,13 +318,13 @@ def _match_chains(g: SocialContentGraph, gp: GraphPattern) -> list:
     repetition within one chain is not.
     """
     (c0, d0), *rest = gp.steps
-    holds = compile_condition(c0)
-    chains = [(l.endpoint(d0), l.endpoint(opposite(d0)), (l,)) for l in g.links.values() if holds(l)]
+    holds, first, last = compile_condition(c0), attrgetter(d0), attrgetter(opposite(d0))
+    chains = [(first(l), last(l), (l,)) for l in g.links.values() if holds(l)]
     for cond, d in rest:
         buckets = links_by(g.links.values(), d, compile_condition(cond))
-        far = opposite(d)
+        far = attrgetter(opposite(d))
         chains = [
-            (start, l.endpoint(far), chain + (l,))
+            (start, far(l), chain + (l,))
             for start, end, chain in chains
             for l in buckets.get(end, ())
             if all(u.id != l.id for u in chain)
@@ -331,12 +332,7 @@ def _match_chains(g: SocialContentGraph, gp: GraphPattern) -> list:
     return chains
 
 
-def pattern_aggregate(
-    g: SocialContentGraph,
-    gp: GraphPattern,
-    specs,
-    max_steps: int = DEFAULT_MAX_PATTERN_STEPS,
-) -> SocialContentGraph:
+def pattern_aggregate(g: SocialContentGraph, gp: GraphPattern, specs) -> SocialContentGraph:
     """Group the chains matching ``gp`` by (start, end) and add one new
     link per group; the original graph is retained.
 
@@ -347,8 +343,8 @@ def pattern_aggregate(
     specs = [(att, compile_agg(spec, chains=True)) for att, spec in specs]
     if not specs:
         raise ValueError("pattern aggregation needs at least one (attribute, spec) pair")
-    if len(gp.steps) > max_steps:
-        raise PatternTooLongError(len(gp.steps), max_steps)
+    if len(gp.steps) > MAX_PATTERN_STEPS:
+        raise PatternTooLongError(len(gp.steps), MAX_PATTERN_STEPS)
     phash = pattern_hash(gp)
     groups: dict = {}
     for start, end, chain in _match_chains(g, gp):

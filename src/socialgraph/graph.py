@@ -96,9 +96,6 @@ class Link:
     tgt: str
     attrs: dict
 
-    def endpoint(self, direction: str) -> str:
-        return self.src if direction == "src" else self.tgt
-
 
 Element = Union[Node, Link]
 

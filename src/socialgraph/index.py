@@ -13,10 +13,13 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .aggfn import jaccard
 from .errors import UnknownUserError
-from .graph import SocialContentGraph
+
+if TYPE_CHECKING:  # the graph is only read here, never built
+    from .graph import SocialContentGraph
 
 STRATEGIES = ("network", "behavior", "hybrid")
 

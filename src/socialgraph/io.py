@@ -227,9 +227,9 @@ _LIST_LINE = {"tag": str, "cluster": str, "entries": [(str, float)]}
 def load_index_snapshot(path: str) -> ClusteredIndex:
     """Read a snapshot written by save_index_snapshot. A line whose
     section, field or list entry is missing or mistyped, a list out of
-    order, or a list of a cluster without a leader raises GraphFileError
-    with its line number, as does a score that is not finite or not
-    within float range; scores keep their JSON type."""
+    order, or a cluster without a leader that a user or list names raises
+    GraphFileError with its line number, as does a score that is not
+    finite or not within float range; scores keep their JSON type."""
     from .index import ClusteredIndex, ClusterModel, SocialSets
 
     lines = list(_read_jsonl(path))
@@ -254,6 +254,9 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
             raise GraphFileError(path, line_no, f"malformed {what} line")
     model_rec = lines[1][1]["model"]
     sets_rec = lines[2][1]["sets"]
+    for cluster in model_rec["assignment"].values():
+        if cluster not in model_rec["leaders"]:
+            raise GraphFileError(path, lines[1][0], f"cluster {cluster!r} has no leader")
     model = ClusterModel(
         assignment=dict(model_rec["assignment"]), leaders=dict(model_rec["leaders"])
     )

@@ -76,26 +76,31 @@ CLI_MODULES = {
     "topk": _COMMON,
     "group": _COMMON | {"discovery", "presentation"},
     "explain": _COMMON | {"discovery", "presentation"},
-    "estimate-index": _COMMON - {"io"},
+    "estimate-index": {"cli", "errors", "index", "aggfn"},
 }
 
 _CLI_CHILD = """
 import io, json, sys
-from socialgraph.cli import run_command
-code = run_command(sys.argv[1:], out=io.StringIO(), err=io.StringIO())
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("socialgraph."))]))
+results = []
+for argv in json.load(sys.stdin):
+    for name in [m for m in sys.modules if m == "socialgraph" or m.startswith("socialgraph.")]:
+        del sys.modules[name]
+    from socialgraph.cli import run_command
+    code = run_command(argv, out=io.StringIO(), err=io.StringIO())
+    results.append([code, sorted(m for m in sys.modules if m.startswith("socialgraph."))])
+print(json.dumps(results))
 """
 
 
-def cli_modules_loaded(argv, cwd) -> tuple:
-    """Run one CLI call in a fresh interpreter: its exit code, and the
+def cli_modules_loaded(argvs, cwd) -> list:
+    """Run CLI calls one after another in one fresh interpreter, each on
+    a fresh import of the package: per call, its exit code and the
     package modules loaded by then, without the ``socialgraph.`` prefix."""
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_CHILD, *argv],
-        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", _CLI_CHILD], input=json.dumps(argvs),
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=300, check=True,
     )
-    code, modules = json.loads(proc.stdout)
-    return code, {m.removeprefix("socialgraph.") for m in modules}
+    return [(code, {m.removeprefix("socialgraph.") for m in modules}) for code, modules in json.loads(proc.stdout)]
 
 
 def expected_cli_modules(argv, code) -> set:

@@ -16,10 +16,12 @@ namespace is kept here too, for ``test_namespace.py``.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from socialgraph import algebra
 from socialgraph import index as sgindex
 from socialgraph.aggfn import (
+    MAX_NESTING_DEPTH,
     Arith,
     AttrRef,
     Builtin,
@@ -29,7 +31,6 @@ from socialgraph.aggfn import (
     CopyAny,
     CopyFrom,
     JaccardOf,
-    LinkCtx,
     ProdOver,
     SafExpr,
     SumOver,
@@ -65,6 +66,7 @@ from socialgraph.graph import (
     Condition,
     DirectionalCondition,
     Link,
+    Node,
     attr_eq,
     attr_gt,
     attr_ne,
@@ -87,6 +89,16 @@ from socialgraph.presentation import RESIDUAL, _label_from, _make_group
 # The aggregate and composition function interpreters: they dispatch on
 # the expression tree for every row and every pair. A link row is a
 # one-step chain, so a position other than 0 on it is an error.
+
+
+@dataclass(frozen=True)
+class LinkCtx:
+    """A link together with its endpoint nodes, as the composition
+    interpreter reads one side of a pair."""
+
+    link: Link
+    src: Node
+    tgt: Node
 
 
 def attr_values(element, name: str):
@@ -160,11 +172,11 @@ def eval_saf(expr, rows) -> frozenset:
     return frozenset(out)
 
 
-def eval_naf(expr, rows, *, max_depth: int = 3) -> float:
+def eval_naf(expr, rows) -> float:
     """Evaluate a numerical aggregate over a collection of rows."""
     depth = _nesting_depth(expr)
-    if depth > max_depth:
-        raise ValueError(f"Sum/Prod nesting depth {depth} exceeds limit {max_depth}")
+    if depth > MAX_NESTING_DEPTH:
+        raise ValueError(f"Sum/Prod nesting depth {depth} exceeds limit {MAX_NESTING_DEPTH}")
     return _eval(expr, list(rows), None)
 
 
@@ -345,9 +357,9 @@ def compose_nested(g1, g2, delta, f):
     far1, far2 = opposite(delta.d1), opposite(delta.d2)
     for l1 in g1.links.values():
         for l2 in g2.links.values():
-            if l1.endpoint(delta.d1) != l2.endpoint(delta.d2):
+            if getattr(l1, delta.d1) != getattr(l2, delta.d2):
                 continue
-            u, v = l1.endpoint(far1), l2.endpoint(far2)
+            u, v = getattr(l1, far1), getattr(l2, far2)
             attrs = apply_composition(
                 f,
                 LinkCtx(l1, g1.nodes[l1.src], g1.nodes[l1.tgt]),
@@ -367,12 +379,12 @@ def semi_join_scan(g1, g2, delta):
     the d2 endpoint of some g2 link (of a link-less g2: some g2 node),
     with their endpoints; a link-less g1 keeps, links aside, the nodes
     that are d2 endpoints of g2 links."""
-    ends = {l2.endpoint(delta.d2) for l2 in g2.links.values()}
+    ends = {getattr(l2, delta.d2) for l2 in g2.links.values()}
     if not g1.links:
         return build_graph([n for n in g1.nodes.values() if n.id in ends], [])
     if not g2.links:
         ends = set(g2.nodes)
-    return _induced(g1, [l for l in g1.links.values() if l.endpoint(delta.d1) in ends])
+    return _induced(g1, [l for l in g1.links.values() if getattr(l, delta.d1) in ends])
 
 
 def link_select_scan(g, condition):
@@ -687,16 +699,16 @@ def match_chains_recursive(g, gp):
             return
         cond_dir = gp.steps[step][1]
         for l in step_links[step]:
-            if l.endpoint(cond_dir) == cursor and all(u.id != l.id for u in used):
-                extend(step + 1, l.endpoint(opposite(cond_dir)), used + (l,))
+            if getattr(l, cond_dir) == cursor and all(u.id != l.id for u in used):
+                extend(step + 1, getattr(l, opposite(cond_dir)), used + (l,))
 
     d0 = gp.steps[0][1]
     for first in step_links[0]:
-        extend(1, first.endpoint(opposite(d0)), (first,))
+        extend(1, getattr(first, opposite(d0)), (first,))
     out = []
     for chain in chains:
-        start = chain[0].endpoint(gp.steps[0][1])
-        end = chain[-1].endpoint(opposite(gp.steps[-1][1]))
+        start = getattr(chain[0], gp.steps[0][1])
+        end = getattr(chain[-1], opposite(gp.steps[-1][1]))
         out.append((start, end, chain))
     return out
 
@@ -850,15 +862,17 @@ def tokenize_line_loop(text, line_no):
 
 # The package namespace as the eager ``__init__`` built it: every
 # submodule it imported, and each re-exported name with the module that
-# defines it. ``test_namespace.py`` checks the lazy namespace against it.
+# defines it, less the one-call aggregate and composition evaluators
+# (``apply_composition``, ``eval_naf``, ``eval_saf``) since deleted.
+# ``test_namespace.py`` checks the lazy namespace against it.
 EAGER_SUBMODULES = (
     "aggfn", "algebra", "discovery", "dsl", "errors", "fixtures", "graph", "index", "io", "presentation",
 )
 EAGER_EXPORTS = {
     "aggfn": (
         "COUNT", "AttrRef", "Arith", "Builtin", "CompositionFn", "Const", "ConstString", "CopyAny",
-        "CopyFrom", "JaccardOf", "ProdOver", "SafExpr", "SumOver", "apply_composition", "avg_of",
-        "eval_naf", "eval_saf", "jaccard", "max_of", "min_of", "sum_of",
+        "CopyFrom", "JaccardOf", "ProdOver", "SafExpr", "SumOver", "avg_of", "jaccard", "max_of",
+        "min_of", "sum_of",
     ),
     "algebra": (
         "GraphPattern", "SetOpKind", "compose", "link_aggregate", "link_minus", "link_select",

@@ -199,7 +199,7 @@ def test_criterion_07_naf_oracle_equivalence():
     explicit_count = SumOver(ONE)
     explicit_sum = SumOver(AttrRef("w"))
     explicit_avg = Arith("/", SumOver(AttrRef("w")), SumOver(ONE))
-    from socialgraph.aggfn import eval_naf
+    from socialgraph.aggfn import compile_agg
 
     t0 = time.perf_counter()
     for i in range(1000):
@@ -207,13 +207,11 @@ def test_criterion_07_naf_oracle_equivalence():
             link(f"l{i}:{j}", "u", "v", type="w", w=round(rng.uniform(-10, 10), 6))
             for j in range(rng.randint(1, 10))
         ]
-        assert eval_naf(COUNT_BUILTIN, rows) == eval_naf(explicit_count, rows)
-        assert eval_naf(sum_of("w"), rows) == pytest.approx(
-            eval_naf(explicit_sum, rows), abs=1e-9
-        )
-        assert eval_naf(avg_of("w"), rows) == pytest.approx(
-            eval_naf(explicit_avg, rows), abs=1e-9
-        )
+        assert compile_agg(COUNT_BUILTIN)(rows) == compile_agg(explicit_count)(rows)
+        (total,), (total_tree,) = compile_agg(sum_of("w"))(rows), compile_agg(explicit_sum)(rows)
+        assert total == pytest.approx(total_tree, abs=1e-9)
+        (avg,), (avg_tree,) = compile_agg(avg_of("w"))(rows), compile_agg(explicit_avg)(rows)
+        assert avg == pytest.approx(avg_tree, abs=1e-9)
     elapsed = time.perf_counter() - t0
     _report(7, "COUNT/SUM/AVG builtins == expression trees on 1000 collections", elapsed)
 

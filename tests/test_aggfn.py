@@ -3,6 +3,7 @@ from unittest import mock
 
 import pytest
 
+from reference import LinkCtx
 from reference import apply_agg as interpreted_apply_agg
 from reference import apply_composition as interpreted_apply_composition
 from socialgraph import aggfn
@@ -16,18 +17,13 @@ from socialgraph.aggfn import (
     CopyAny,
     CopyFrom,
     JaccardOf,
-    LinkCtx,
     ONE,
     ProdOver,
     SafExpr,
     SumOver,
-    apply_agg,
-    apply_composition,
     avg_of,
     compile_agg,
     compile_composition,
-    eval_naf,
-    eval_saf,
     jaccard,
     max_of,
     min_of,
@@ -49,33 +45,34 @@ def weighted(link_id, w):
 
 def test_eval_saf_collects_distinct_values():
     links = [tagged("l1", ("a", "b")), tagged("l2", ("b", "c"))]
-    assert eval_saf(SafExpr("tags"), links) == frozenset({"a", "b", "c"})
+    assert compile_agg(SafExpr("tags"))(links) == frozenset({"a", "b", "c"})
 
 
 def test_eval_saf_empty_collection():
-    assert eval_saf(SafExpr("tags"), []) == frozenset()
+    assert compile_agg(SafExpr("tags"))([]) is None  # nothing to attach
 
 
 def test_eval_saf_field_fallback():
     links = [link("l1", "john", "P", type="visit"), link("l2", "john", "Q", type="visit")]
-    assert eval_saf(SafExpr("tgt"), links) == frozenset({"P", "Q"})
+    assert compile_agg(SafExpr("tgt"))(links) == frozenset({"P", "Q"})
 
 
 def test_count_is_sum_of_ones():
     links = [weighted(f"l{i}", float(i)) for i in range(3)]
-    assert eval_naf(COUNT, links) == 3.0
-    assert eval_naf(SumOver(ONE), links) == 3.0
+    assert compile_agg(COUNT)(links) == frozenset({3.0})
+    assert compile_agg(SumOver(ONE))(links) == frozenset({3.0})
 
 
 def test_avg_builtin():
     links = [weighted("l1", 0.6), weighted("l2", 0.8)]
-    assert eval_naf(avg_of("w"), links) == pytest.approx(0.7)
+    (avg,) = compile_agg(avg_of("w"))(links)
+    assert avg == pytest.approx(0.7)
 
 
 def test_sum_builtin_equals_explicit_tree():
     links = [weighted("l1", 1.0), weighted("l2", 2.0), weighted("l3", 3.0)]
-    assert eval_naf(sum_of("w"), links) == 6.0
-    assert eval_naf(SumOver(AttrRef("w")), links) == 6.0
+    assert compile_agg(sum_of("w"))(links) == frozenset({6.0})
+    assert compile_agg(SumOver(AttrRef("w")))(links) == frozenset({6.0})
 
 
 def test_builtins_match_explicit_trees_random():
@@ -83,13 +80,11 @@ def test_builtins_match_explicit_trees_random():
     explicit_avg = Arith("/", SumOver(AttrRef("w")), SumOver(ONE))
     for _ in range(300):
         links = [weighted(f"l{i}", round(rng.uniform(-5, 5), 4)) for i in range(rng.randint(1, 8))]
-        assert eval_naf(COUNT, links) == eval_naf(SumOver(ONE), links)
-        assert eval_naf(sum_of("w"), links) == pytest.approx(
-            eval_naf(SumOver(AttrRef("w")), links), abs=1e-9
-        )
-        assert eval_naf(avg_of("w"), links) == pytest.approx(
-            eval_naf(explicit_avg, links), abs=1e-9
-        )
+        assert compile_agg(COUNT)(links) == compile_agg(SumOver(ONE))(links)
+        (total,), (summed,) = compile_agg(sum_of("w"))(links), compile_agg(SumOver(AttrRef("w")))(links)
+        assert total == pytest.approx(summed, abs=1e-9)
+        (avg,), (divided,) = compile_agg(avg_of("w"))(links), compile_agg(explicit_avg)(links)
+        assert avg == pytest.approx(divided, abs=1e-9)
 
 
 def test_eval_naf_permutation_invariant():
@@ -98,27 +93,31 @@ def test_eval_naf_permutation_invariant():
     shuffled = list(links)
     rng.shuffle(shuffled)
     for expr in (COUNT, sum_of("w"), avg_of("w"), min_of("w"), max_of("w"), ProdOver(AttrRef("w"))):
-        assert eval_naf(expr, links) == pytest.approx(eval_naf(expr, shuffled), abs=1e-12)
+        fn = compile_agg(expr)
+        (value,), (again,) = fn(links), fn(shuffled)
+        assert value == pytest.approx(again, abs=1e-12)
 
 
 def test_naf_errors():
     links = [weighted("l1", 1.0), link("l2", "u", "i", type="w")]
     with pytest.raises(AggEvalError) as err:
-        eval_naf(sum_of("w"), links)
+        compile_agg(sum_of("w"))(links)
     assert err.value.attr == "w"
     with pytest.raises(DivideByZeroError):
-        eval_naf(Arith("/", ONE, Const(0.0)), [])
+        compile_agg(Arith("/", ONE, Const(0.0)))([])
     with pytest.raises(AggEvalError):
-        eval_naf(sum_of("type"), [weighted("l1", 1.0)])  # non-numeric
+        compile_agg(sum_of("type"))([weighted("l1", 1.0)])  # non-numeric
     with pytest.raises(AggEvalError):
-        eval_naf(min_of("w"), [])
+        compile_agg(min_of("w"))([])
 
 
 def test_nesting_depth_cap():
-    deep = SumOver(SumOver(SumOver(SumOver(ONE))))
-    with pytest.raises(ValueError):
-        eval_naf(deep, [weighted("l1", 1.0)])
-    assert eval_naf(deep, [weighted("l1", 1.0)], max_depth=4) == 1.0
+    """Sum/Prod nest at most three deep, mixed or not."""
+    rows = [weighted("l1", 2.0)]
+    assert compile_agg(SumOver(ProdOver(SumOver(AttrRef("w")))))(rows) == frozenset({2.0})
+    for deep in (SumOver(SumOver(SumOver(SumOver(ONE)))), ProdOver(Arith("+", ONE, SumOver(ProdOver(SumOver(ONE)))))):
+        with pytest.raises(ValueError, match=r"^Sum/Prod nesting depth 4 exceeds limit 3$"):
+            compile_agg(deep)(rows)
 
 
 def test_const_class_is_zero_one_only():
@@ -128,13 +127,13 @@ def test_const_class_is_zero_one_only():
 
 def test_apply_agg_const_and_copy():
     links = [weighted("l1", 0.7), weighted("l2", 0.7)]
-    assert apply_agg(ConstString("match"), links) == frozenset({"match"})
-    assert apply_agg(CopyAny("w"), links) == frozenset({0.7})
+    assert compile_agg(ConstString("match"))(links) == frozenset({"match"})
+    assert compile_agg(CopyAny("w"))(links) == frozenset({0.7})
     with pytest.raises(AggEvalError):
-        apply_agg(CopyAny("w"), [weighted("l1", 0.7), weighted("l2", 0.8)])
+        compile_agg(CopyAny("w"))([weighted("l1", 0.7), weighted("l2", 0.8)])
     # nothing to copy -> nothing to attach
-    assert apply_agg(CopyAny("w"), [tagged("l3", "a")]) is None
-    assert apply_agg(SafExpr("tags"), links) is None
+    assert compile_agg(CopyAny("w"))([tagged("l3", "a")]) is None
+    assert compile_agg(SafExpr("tags"))(links) is None
 
 
 def test_jaccard():
@@ -155,21 +154,21 @@ def test_jaccard_properties_random():
             assert jaccard(a, a) == 1.0
 
 
-def ctx(l, vst_src=None, vst_tgt=None):
+def ends(l, vst_src=None, vst_tgt=None):
+    """A link's endpoint nodes by id, as ``compose`` hands them over."""
     src_attrs = {"type": "user"}
     if vst_src is not None:
         src_attrs["vst"] = vst_src
     tgt_attrs = {"type": "user"}
     if vst_tgt is not None:
         tgt_attrs["vst"] = vst_tgt
-    return LinkCtx(l, node(l.src, **src_attrs), node(l.tgt, **tgt_attrs))
+    return {l.src: node(l.src, **src_attrs), l.tgt: node(l.tgt, **tgt_attrs)}
 
 
 def test_apply_composition_jaccard():
     f = CompositionFn((("sim", JaccardOf("left-src", "vst", "right-src", "vst")),))
-    left = ctx(link("a", "john", "P", type="visit"), vst_src=("P", "Q"))
-    right = ctx(link("b", "ann", "P", type="visit"), vst_src=("P", "Q", "R"))
-    out = apply_composition(f, left, right)
+    left, right = link("a", "john", "P", type="visit"), link("b", "ann", "P", type="visit")
+    out = compile_composition(f)(left, right, ends(left, vst_src=("P", "Q")), ends(right, vst_src=("P", "Q", "R")))
     (sim,) = out["sim"]
     assert sim == pytest.approx(2 / 3)
 
@@ -181,9 +180,9 @@ def test_apply_composition_const_and_copy():
             ("sim_sc", CopyFrom("left-link", "sim")),
         )
     )
-    left = ctx(link("a", "john", "ann", type="match", sim=0.66))
-    right = ctx(link("b", "ann", "R", type="visit"))
-    out = apply_composition(f, left, right)
+    left = link("a", "john", "ann", type="match", sim=0.66)
+    right = link("b", "ann", "R", type="visit")
+    out = compile_composition(f)(left, right, ends(left), ends(right))
     assert out["type"] == frozenset({"user_friend_item"})
     assert out["sim_sc"] == frozenset({0.66})
 
@@ -194,28 +193,26 @@ def test_composition_errors():
     with pytest.raises(CompositionFnError):
         CompositionFn((("src", ConstString("x")),))
     f = CompositionFn((("out", CopyFrom("left-link", "nope")),))
-    left = ctx(link("a", "u", "v", type="t"))
-    right = ctx(link("b", "u", "v", type="t"))
+    left, right = link("a", "u", "v", type="t"), link("b", "u", "v", type="t")
     with pytest.raises(CompositionFnError) as err:
-        apply_composition(f, left, right)
+        compile_composition(f)(left, right, ends(left), ends(right))
     assert err.value.attr == "out"
 
 
 def test_composition_any_copies_the_shared_value():
-    f = CompositionFn((("x", CopyAny("type")),))
-    left = ctx(link("a", "u", "v", type=("act", "visit")))
-    out = apply_composition(f, left, ctx(link("b", "w", "v", type=("act", "visit"))))
-    assert out == {"x": frozenset({"act", "visit"})}
+    attributes = compile_composition(CompositionFn((("x", CopyAny("type")),)))
+    left, same = link("a", "u", "v", type=("act", "visit")), link("b", "w", "v", type=("act", "visit"))
+    assert attributes(left, same, ends(left), ends(same)) == {"x": frozenset({"act", "visit"})}
+    other = link("b", "w", "v", type="tag")
     with pytest.raises(CompositionFnError) as err:
-        apply_composition(f, left, ctx(link("b", "w", "v", type="tag")))
+        attributes(left, other, ends(left), ends(other))
     assert err.value.attr == "x"
 
 
 def test_composition_numeric_output():
     f = CompositionFn((("total", sum_of("w")),))
-    left = ctx(weighted("a", 1.5))
-    right = ctx(weighted("b", 2.5))
-    out = apply_composition(f, left, right)
+    left, right = weighted("a", 1.5), weighted("b", 2.5)
+    out = compile_composition(f)(left, right, ends(left), ends(right))
     assert out["total"] == frozenset({4.0})
     assert all(math.isfinite(v) for v in out["total"])
 
@@ -246,13 +243,14 @@ W = [weighted("l1", 1.0), weighted("l2", 2.0), weighted("l3", 4.0)]
     ],
 )
 def test_aggregates_inside_a_sum_or_prod_body(expr, value):
-    assert eval_naf(expr, W) == pytest.approx(value, abs=1e-12)
+    (got,) = compile_agg(expr)(W)
+    assert got == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("expr", [AttrRef("w"), Arith("+", AttrRef("w"), ONE), Arith("*", COUNT, AttrRef("w", 0))])
 def test_attribute_reference_outside_sum_or_prod_scope(expr):
     with pytest.raises(AggEvalError) as err:
-        eval_naf(expr, W)
+        compile_agg(expr)(W)
     assert str(err.value).startswith("attribute reference outside Sum/Prod scope")
     assert err.value.attr == "w"
 
@@ -273,8 +271,8 @@ AT = {
 @pytest.mark.parametrize("make", list(AT.values()), ids=list(AT))
 def test_position_zero_on_a_link_row_reads_the_link(make):
     links = [weighted("l1", 2.0), weighted("l2", 2.0)]
-    assert apply_agg(make("w", 0), links) == apply_agg(make("w", None), links)
-    assert apply_agg(make("w", 0), links) == apply_agg(make("w", 0), [(l,) for l in links])
+    assert compile_agg(make("w", 0))(links) == compile_agg(make("w", None))(links)
+    assert compile_agg(make("w", 0))(links) == compile_agg(make("w", 0), chains=True)([(l,) for l in links])
 
 
 @pytest.mark.parametrize("step", [1, 7, -1])
@@ -282,10 +280,10 @@ def test_position_zero_on_a_link_row_reads_the_link(make):
 def test_other_positions_on_a_link_row_are_errors(make, step):
     links = [weighted("l1", 2.0)]
     with pytest.raises(AggEvalError) as err:
-        apply_agg(make("w", step), links)
+        compile_agg(make("w", step))(links)
     assert str(err.value) == f"chain has no step {step} (attribute 'w')"
     with pytest.raises(AggEvalError) as chain_err:
-        apply_agg(make("w", step), [(l,) for l in links])
+        compile_agg(make("w", step), chains=True)([(l,) for l in links])
     assert str(chain_err.value) == str(err.value)
     with pytest.raises(AggEvalError) as ref_err:
         interpreted_apply_agg(make("w", step), links)
@@ -332,14 +330,15 @@ def test_compile_agg_raises_only_when_evaluation_reaches_an_error(spec, error):
 def test_identity_fields_unless_a_stored_attribute_shadows_them():
     stored = Link("l1", "u", "i", {"type": frozenset({"visit"}), "tgt": frozenset({"elsewhere"})})
     plain = link("l2", "u", "j", type="visit")
-    assert apply_agg(SafExpr("tgt"), [stored, plain]) == frozenset({"elsewhere", "j"})
-    assert apply_agg(SafExpr("id"), [stored, plain]) == frozenset({"l1", "l2"})
-    assert apply_agg(SafExpr("src"), [(plain,)]) == frozenset({"u"})
+    assert compile_agg(SafExpr("tgt"))([stored, plain]) == frozenset({"elsewhere", "j"})
+    assert compile_agg(SafExpr("id"))([stored, plain]) == frozenset({"l1", "l2"})
+    assert compile_agg(SafExpr("src"), chains=True)([(plain,)]) == frozenset({"u"})
+    # a kept identity value is a value set, as a stored one is
+    assert compile_agg(CopyAny("src"))([stored, plain]) == frozenset({"u"})
     f = CompositionFn((("a", CopyFrom("left-src", "id")), ("b", CopyFrom("right-link", "src"))))
-    left = ctx(plain)
-    assert apply_composition(f, left, ctx(stored)) == {"a": frozenset({"u"}), "b": frozenset({"u"})}
+    assert compile_composition(f)(plain, stored, ends(plain), ends(stored)) == {"a": frozenset({"u"}), "b": frozenset({"u"})}
     with pytest.raises(CompositionFnError, match="left-src element 'u' lacks attribute 'src'"):
-        apply_composition(CompositionFn((("a", CopyFrom("left-src", "src")),)), left, left)
+        compile_composition(CompositionFn((("a", CopyFrom("left-src", "src")),)))(plain, plain, ends(plain), ends(plain))
 
 
 def test_node_side_outputs_are_evaluated_once_per_node_tuple():

@@ -377,10 +377,18 @@ def test_pattern_aggregate_length_one_equals_link_aggregate():
 
 
 def test_pattern_too_long():
+    """Patterns run up to four steps."""
+    path = build_graph(
+        [node(n, type="user") for n in "abcde"],
+        [link(f"l{i}", s, t, type="e") for i, (s, t) in enumerate(zip("abcd", "bcde"))],
+    )
     step = (Condition(), "src")
+    got = pattern_aggregate(path, GraphPattern((step,) * 4), (("n", COUNT),))
+    assert [(l.src, l.tgt, l.attrs["n"]) for l in got.links.values() if "n" in l.attrs] == [("a", "e", {1.0})]
+    with pytest.raises(PatternTooLongError, match="^graph pattern has 5 steps, limit is 4$"):
+        pattern_aggregate(path, GraphPattern((step,) * 5), (("n", COUNT),))
     with pytest.raises(PatternTooLongError):
         pattern_aggregate(EMPTY, GraphPattern((step,) * 5, ), (("n", COUNT),))
-    assert pattern_aggregate(EMPTY, GraphPattern((step,) * 5), (("n", COUNT),), max_steps=5) == EMPTY
 
 
 def test_pattern_does_not_reuse_links():

@@ -231,16 +231,25 @@ def test_score_formatting_is_six_places(cf_files):
 
 
 @pytest.fixture
-def malformed_inputs(tmp_path, jazz_files):
+def malformed_inputs(tmp_path):
+    return write_malformed_inputs(tmp_path)
+
+
+def write_malformed_inputs(directory) -> dict:
     """Jazz graph files, its index snapshot, and broken variants of each."""
-    np, lp = jazz_files
-    p = lambda name: str(tmp_path / name)  # noqa: E731
+    p = lambda name: str(directory / name)  # noqa: E731
+    np, lp = p("jn.jsonl"), p("jl.jsonl")
+    save_graph(jazz_fixture(), np, lp)
     sets = social_sets(jazz_fixture())
     model = cluster_users(sets, ClusteringStrategy("network", 0.5))
     save_index_snapshot(build_index(sets, model, ["jazz"]), p("jazz.snap"))
-    records = [json.loads(line) for line in (tmp_path / "jazz.snap").read_text("utf-8").splitlines()]
+    records = [json.loads(line) for line in (directory / "jazz.snap").read_text("utf-8").splitlines()]
     with open(p("nomodel.snap"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records if "model" not in r)
+    assignment = {**records[1]["model"]["assignment"], "u1": "ghost"}
+    with open(p("ghost.snap"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in (
+            records[0], {"model": {**records[1]["model"], "assignment": assignment}}, *records[2:]))
     records[3]["entries"][0][1] = "x"
     with open(p("badscore.snap"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
@@ -295,7 +304,7 @@ def malformed_inputs(tmp_path, jazz_files):
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
-        "jazz.snap", "nomodel.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
+        "jazz.snap", "nomodel.snap", "ghost.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
         "never.snap",
         "overflow.sgs", "anydiff.sgs", "chainpos.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
     )}}
@@ -306,6 +315,7 @@ HUGE = "1" + "0" * 400  # an int beyond float range
 MALFORMED = [
     ("object-valued attribute", ["recommend", "--nodes", "objattr.nodes", "--links", "links", "--user", "u1"]),
     ("snapshot without model", ["topk", "--index", "nomodel.snap", "--user", "u1", "--keywords", "jazz"]),
+    ("snapshot user in a leaderless cluster", ["topk", "--index", "ghost.snap", "--user", "u1", "--keywords", "jazz"]),
     ("non-numeric snapshot score", ["topk", "--index", "badscore.snap", "--user", "u1", "--keywords", "jazz"]),
     ("topk --k 0", ["topk", "--index", "jazz.snap", "--user", "u1", "--keywords", "jazz", "--k", "0"]),
     ("discover --alpha 2", ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1", "--alpha", "2"]),
@@ -446,10 +456,19 @@ def test_malformed_input_error_line(malformed_inputs, name):
     assert run(*(malformed_inputs.get(a, a) for a in argv)) == (1, "", ERROR_LINES[name] + "\n")
 
 
+@pytest.fixture(scope="module")
+def malformed_modules(tmp_path_factory):
+    """Each malformed call's exit code and loaded modules, by its argv;
+    one child interpreter runs them all."""
+    directory = tmp_path_factory.mktemp("malformed")
+    inputs = write_malformed_inputs(directory)
+    calls = [[inputs.get(a, a) for a in argv] for _, argv in MALFORMED]
+    return dict(zip((tuple(argv) for _, argv in MALFORMED), cli_modules_loaded(calls, directory)))
+
+
 @pytest.mark.parametrize("argv", [argv for _, argv in MALFORMED], ids=[name for name, _ in MALFORMED])
-def test_malformed_call_loads_only_its_subcommands_modules(malformed_inputs, argv, tmp_path):
-    argv = [malformed_inputs.get(a, a) for a in argv]
-    code, modules = cli_modules_loaded(argv, tmp_path)
+def test_malformed_call_loads_only_its_subcommands_modules(malformed_modules, argv):
+    code, modules = malformed_modules[tuple(argv)]
     assert code in (1, 2)
     # a call can fail before it reaches the code of every module listed
     assert {"cli", "errors"} <= modules <= expected_cli_modules(argv, code)

@@ -39,7 +39,11 @@ def run(*argv):
 
 @pytest.fixture
 def paths(tmp_path):
-    p = lambda name: str(tmp_path / name)  # noqa: E731
+    return write_paths(tmp_path)
+
+
+def write_paths(directory) -> dict:
+    p = lambda name: str(directory / name)  # noqa: E731
     found = {}
     for name, make in GRAPHS.items():
         g = make()
@@ -355,10 +359,19 @@ def test_golden_stdout(paths, case, mode):
     assert out == GOLDEN[case][mode]
 
 
+@pytest.fixture(scope="module")
+def golden_modules(tmp_path_factory):
+    """Each golden call's exit code and loaded modules, by case; one
+    child interpreter runs them all."""
+    directory = tmp_path_factory.mktemp("golden")
+    paths = write_paths(directory)
+    return dict(zip(sorted(CASES), cli_modules_loaded([expand(paths, CASES[c]) for c in sorted(CASES)], directory)))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_call_loads_only_its_subcommands_modules(paths, case, tmp_path):
-    argv = expand(paths, CASES[case])
-    code, modules = cli_modules_loaded(argv, tmp_path)
+def test_golden_call_loads_only_its_subcommands_modules(golden_modules, case):
+    argv = CASES[case]
+    code, modules = golden_modules[case]
     assert code == 0
     assert modules == expected_cli_modules(argv, code)
 

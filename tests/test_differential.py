@@ -28,11 +28,10 @@ from hypothesis import strategies as st
 
 from reference import apply_agg as ref_apply_agg
 from reference import apply_composition as ref_apply_composition
-from reference import eval_naf as ref_eval_naf
-from reference import eval_saf as ref_eval_saf
 from reference import (
     DESTINATION,
     FRIEND,
+    LinkCtx,
     acted_items_scan,
     all_taggers_scan,
     cf_pipeline_wired,
@@ -68,22 +67,16 @@ from socialgraph.aggfn import (
     AttrRef,
     Builtin,
     CompositionFn,
-    Const,
     ConstString,
     CopyAny,
     CopyFrom,
     JaccardOf,
-    LinkCtx,
     ProdOver,
     SafExpr,
     SumOver,
-    apply_agg,
-    apply_composition,
     avg_of,
     compile_agg,
     compile_composition,
-    eval_naf,
-    eval_saf,
     jaccard,
     min_of,
     sum_of,
@@ -405,7 +398,7 @@ W = {"type": frozenset({"w"}), "w": frozenset({0.5})}
 
 
 def value_outcome(fn, *args):
-    """A value set as sorted reprs (so 0 and 0.0 differ), a float, None,
+    """A value set as sorted reprs (so 0 and 0.0 differ), None, an attribute map,
     or the error raised as (type, message)."""
     try:
         value = fn(*args)
@@ -417,24 +410,21 @@ def value_outcome(fn, *args):
 
 
 @settings(max_examples=400)
-@given(agg_specs, agg_rows(), st.integers(1, 4))
-@example(avg_of("w"), [], 3)
-@example(min_of("w"), [], 3)
-@example(CopyAny("w"), [Link("a", "n0", "n1", W), Link("b", "n0", "n1", {"type": W["type"]})], 3)
-@example(SafExpr("w"), [(Link("a", "n0", "n1", {"type": W["type"]}), Link("b", "n1", "n2", W))], 3)
-def test_compiled_aggregates_match_the_interpreter(spec, rows, max_depth):
+@given(agg_specs, agg_rows())
+@example(avg_of("w"), [])
+@example(min_of("w"), [])
+@example(CopyAny("w"), [Link("a", "n0", "n1", W), Link("b", "n0", "n1", {"type": W["type"]})])
+@example(SafExpr("w"), [(Link("a", "n0", "n1", {"type": W["type"]}), Link("b", "n1", "n2", W))])
+@example(CopyAny("tgt"), [Link("a", "n0", "n2", W), Link("b", "n1", "n2", {**W, "tgt": frozenset({"n2"})})])
+@example(CopyAny("tgt"), [Link("b", "n1", "n2", {**W, "tgt": frozenset({"n2"})}), Link("a", "n0", "n2", W)])
+@example(SumOver(ProdOver(Arith("+", ONE, SumOver(SumOver(ONE))))), [Link("a", "n0", "n2", W)])
+def test_compiled_aggregates_match_the_interpreter(spec, rows):
     """Every spec form on link and chain rows: missing, multi-valued and
-    non-numeric attributes, empty collections, disagreeing ``any``,
-    positions past a chain's end, and specs too deep or ill-formed."""
+    non-numeric attributes, identity fields stored or not, empty
+    collections, disagreeing ``any``, positions past a chain's end, and
+    specs too deep or ill-formed."""
     chains = bool(rows) and isinstance(rows[0], tuple)
-    expected = value_outcome(ref_apply_agg, spec, rows)
-    assert value_outcome(compile_agg(spec, chains), rows) == expected
-    assert value_outcome(apply_agg, spec, rows) == expected
-    if isinstance(spec, (Const, AttrRef, Arith, SumOver, ProdOver, Builtin)):
-        fast = value_outcome(lambda: eval_naf(spec, rows, max_depth=max_depth))
-        assert fast == value_outcome(lambda: ref_eval_naf(spec, rows, max_depth=max_depth))
-    if isinstance(spec, SafExpr):
-        assert value_outcome(eval_saf, spec, rows) == value_outcome(ref_eval_saf, spec, rows)
+    assert value_outcome(compile_agg(spec, chains), rows) == value_outcome(ref_apply_agg, spec, rows)
 
 
 comp_attrs = st.sampled_from(("type", "w", "id", "src", "tgt", "name", "score", "missing"))
@@ -459,7 +449,6 @@ def check_composition(g1, g2, f):
             right = LinkCtx(l2, g2.nodes[l2.src], g2.nodes[l2.tgt])
             expected = value_outcome(ref_apply_composition, f, left, right)
             assert value_outcome(attributes, l1, l2, g1.nodes, g2.nodes) == expected
-            assert value_outcome(apply_composition, f, left, right) == expected
 
 
 @settings(max_examples=200)

@@ -288,6 +288,15 @@ def test_index_snapshot_rejects_cluster_without_leader(tmp_path):
     assert err.value.line == len(records) and "nobody" in str(err.value)
 
 
+def test_index_snapshot_rejects_a_user_in_a_cluster_without_leader(tmp_path):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[1]["model"]["assignment"]["u1"] = "ghost"
+    path = _write_lines(tmp_path, records)
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(path)
+    assert str(err.value) == f"{path}:2: cluster 'ghost' has no leader"
+
+
 def test_scored_items_load(tmp_path):
     path = tmp_path / "items.jsonl"
     path.write_text('{"id": "a", "score": 2}\n\n{"id": 7}\n', encoding="utf-8")

@@ -71,5 +71,5 @@ def test_a_module_loads_on_first_use_of_one_of_its_names():
     ).stdout
     bare, after_jaccard, after_topk = json.loads(out)
     assert bare == []
-    assert after_jaccard == ["socialgraph.aggfn", "socialgraph.errors", "socialgraph.graph"]
+    assert after_jaccard == ["socialgraph.aggfn", "socialgraph.errors"]
     assert after_topk == [*after_jaccard, "socialgraph.index"]
