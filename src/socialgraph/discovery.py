@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import UnknownUserError
+from .errors import DanglingEndpointError, DuplicateIdError, UnknownUserError
 from .graph import (
     Condition,
     SocialContentGraph,
     attr_eq,
     attr_gt,
     attr_ne,
-    build_graph,
     compile_condition,
     default_keyword_score,
 )
@@ -248,21 +247,16 @@ def discover(
         if "item" in n.attrs["type"] and n.id not in skip and in_scope(n)
     ]
     stages = cf_pipeline(g, user_id, cfg.sim_threshold)
-    cf_scores = {
-        l.tgt: _link_score(l) for l in stages["scored"].links.values() if l.tgt not in skip
-    }
-    semantic = {
-        n.id: (default_keyword_score(n, query.keywords) if query.keywords else 1.0)
-        for n in candidates
-    }
+    cf_scores = {l.tgt: _link_score(l) for l in stages["scored"].links.values()}
     raw_social = {n.id: cf_scores.get(n.id, 0.0) for n in candidates}
     social = _min_max(raw_social)
     entries = []
     for n in candidates:
-        has_evidence = (query.keywords and semantic[n.id] > 0) or raw_social[n.id] > 0
-        combined = cfg.alpha * semantic[n.id] + (1 - cfg.alpha) * social[n.id]
+        semantic = default_keyword_score(n, query.keywords) if query.keywords else 1.0
+        has_evidence = (query.keywords and semantic > 0) or raw_social[n.id] > 0
+        combined = cfg.alpha * semantic + (1 - cfg.alpha) * social[n.id]
         if has_evidence and combined > 0:
-            entries.append((n.id, combined, semantic[n.id], social[n.id]))
+            entries.append((n.id, combined, semantic, social[n.id]))
     entries.sort(key=lambda e: (-e[1], e[0]))
     ranking = tuple(entries[: cfg.k])
     return MeaningfulSocialGraph(
@@ -282,7 +276,10 @@ def _min_max(scores: dict) -> dict:
 
 def _provenance_graph(g, user_id, ranking, match_graph) -> SocialContentGraph:
     """User + ranked items + the match links and visit links that
-    justify them (contributing peers included)."""
+    justify them (contributing peers included). Each element is copied
+    with its link's target, so of ``build_graph``'s checks only two can
+    fail: a match link id equal to a node id, and a match link from a
+    node that ``[id = user]`` selects by a stored ``id`` attribute."""
     ranked_ids = [item for item, *_ in ranking]
     nodes = {user_id: g.nodes[user_id]}
     for item in ranked_ids:
@@ -299,4 +296,9 @@ def _provenance_graph(g, user_id, ranking, match_graph) -> SocialContentGraph:
             links[ml.id] = ml
             for l in peer_visits:
                 links[l.id] = l
-    return build_graph(nodes.values(), links.values())
+    for l in links.values():
+        if l.id in nodes:
+            raise DuplicateIdError(l.id)
+        if l.src not in nodes:
+            raise DanglingEndpointError(l.id, l.src)
+    return SocialContentGraph(nodes=nodes, links=links)

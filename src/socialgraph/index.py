@@ -242,10 +242,7 @@ def _exact_tag_scores(sets: SocialSets):
         for v in net:
             befriended.setdefault(v, []).append(u)
     for key, tagger_set in sets.taggers.items():
-        counts: dict = {}
-        for t in tagger_set:
-            for u in befriended.get(t, ()):
-                counts[u] = counts.get(u, 0) + 1
+        counts = _overlaps(tagger_set, befriended)
         if counts:
             yield key, counts
 

@@ -150,11 +150,13 @@ def select_groups(groups, max_n: int) -> list:
     return sorted(groups, key=lambda grp: (-grp.quality, -grp.size, grp.id))[:max_n]
 
 
-def _require(g, user_id, item_id):
+def _require(g, user_id, item_id, strategy):
     if user_id not in g.nodes:
         raise UnknownUserError(user_id)
     if item_id not in g.nodes:
         raise UnknownItemError(item_id)
+    if strategy not in ("content", "collaborative"):
+        raise ValueError(f"unknown explanation strategy: {strategy!r}")
 
 
 def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: str) -> Explanation:
@@ -165,14 +167,11 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
     users who acted on it, weighted by user similarity times their
     rating of it. Only positive weights are kept.
     """
-    _require(g, user_id, item_id)
-    if strategy not in ("content", "collaborative"):
-        raise ValueError(f"unknown explanation strategy: {strategy!r}")
-    sets = social_sets(g)
+    _require(g, user_id, item_id, strategy)
     mine = acted_items(g, user_id)
     if strategy == "content":
         ratings = {other: rating(g, user_id, other) for other in mine}
-        evidence = content_evidence(sets, ratings, item_id)
+        evidence = content_evidence(social_sets(g), ratings, item_id)
     else:
         evidence = []
         for n in g.nodes.values():
@@ -187,7 +186,7 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
                 if weight > 0:
                     evidence.append((n.id, weight))
     evidence.sort(key=lambda e: (-e[1], e[0]))
-    summary, _ = _aggregate(sets, g, user_id, item_id, strategy)
+    summary, _ = _aggregate(g, user_id, (item_id,), strategy)
     return Explanation(
         subject=(user_id, item_id),
         strategy=strategy,
@@ -203,33 +202,26 @@ def aggregate_explanations(g: SocialContentGraph, user_id: str, target, strategy
     of its members' ratios). Percentages are rounded only in the
     sentence, never in the returned ratio.
     """
-    return _aggregate(social_sets(g), g, user_id, target, strategy)
+    group = target if isinstance(target, ItemGroup) else None
+    members = (target,) if group is None else group.members
+    for item_id in members:
+        _require(g, user_id, item_id, strategy)
+    return _aggregate(g, user_id, members, strategy, group)
 
 
-def _aggregate(sets, g, user_id: str, target, strategy: str):
-    if isinstance(target, ItemGroup):
-        ratios = [
-            _aggregate_ratio(sets, g, user_id, member, strategy) for member in target.members
-        ]
-        ratio = sum(ratios) / len(ratios)
-        pct = round(ratio * 100)
-        if strategy == "collaborative":
-            return f"{pct}% of your friends endorsed items in group '{target.label}'", ratio
-        return (
-            f"items in group '{target.label}' are similar to {pct}% of items you visited before",
-            ratio,
-        )
-    ratio = _aggregate_ratio(sets, g, user_id, target, strategy)
+def _aggregate(g, user_id, members, strategy, group=None):
+    """The sentence and mean ratio of ``members``: one item when ``group`` is None."""
+    ratio = sum(_ratio(g, user_id, item_id, strategy) for item_id in members) / len(members)
     pct = round(ratio * 100)
+    subject = "this item" if group is None else f"items in group '{group.label}'"
     if strategy == "collaborative":
-        return f"{pct}% of your friends endorsed this item", ratio
-    return f"similar to {pct}% of items you visited before", ratio
+        return f"{pct}% of your friends endorsed {subject}", ratio
+    lead = "" if group is None else f"{subject} are "
+    return f"{lead}similar to {pct}% of items you visited before", ratio
 
 
-def _aggregate_ratio(sets, g, user_id, item_id, strategy) -> float:
-    _require(g, user_id, item_id)
-    if strategy not in ("content", "collaborative"):
-        raise ValueError(f"unknown explanation strategy: {strategy!r}")
+def _ratio(g, user_id, item_id, strategy) -> float:
+    sets = social_sets(g)
     if strategy == "collaborative":
         network = sets.network.get(user_id, frozenset())
         if not network:

@@ -7,9 +7,10 @@ aggregate or composition function, a
 k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
 a loop over a plan's schedule, one pattern, an inverted index of leaders
 or one shared helper (the greedy-leader loop, item similarity, the
-ordered group-by). ``test_differential.py`` and ``test_plan_rules.py``
-check the two agree on results, link order, generated ids and the number
-of exact-score calls. The export list of the once-eager package
+ordered group-by, the one-member group that explains an item).
+``test_differential.py`` and ``test_plan_rules.py`` check the two agree
+on results, link order, generated ids and the number of exact-score
+calls. The export list of the once-eager package
 namespace is kept here too, for ``test_namespace.py``.
 """
 
@@ -49,7 +50,7 @@ from socialgraph.algebra import (
     semi_join,
     set_op,
 )
-from socialgraph.discovery import VISIT, acted_items, rating
+from socialgraph.discovery import VISIT, acted_items, content_evidence, rating
 from socialgraph.dsl import OPS, Param, Ref, Token
 from socialgraph.errors import (
     AggEvalError,
@@ -59,6 +60,7 @@ from socialgraph.errors import (
     ExecutionError,
     SocialGraphError,
     UnboundReferenceError,
+    UnknownItemError,
     UnknownUserError,
 )
 from socialgraph.graph import (
@@ -82,7 +84,7 @@ ACT = Condition(preds=(attr_eq("type", "act"),))
 MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 from socialgraph.index import ClusterModel, social_sets
-from socialgraph.presentation import RESIDUAL, _label_from, _make_group
+from socialgraph.presentation import RESIDUAL, Explanation, ItemGroup, _label_from, _make_group
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +644,79 @@ def content_recommend_scan(g, user_id, k, taggers):
             scored.append((n.id, best))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
+
+
+def _require_explained(g, user_id, item_id):
+    if user_id not in g.nodes:
+        raise UnknownUserError(user_id)
+    if item_id not in g.nodes:
+        raise UnknownItemError(item_id)
+
+
+def explain_item_two_paths(g, user_id, item_id, strategy):
+    """``explain_item`` with the ids and the strategy checked again for
+    its summary, and an item's summary written apart from a group's."""
+    _require_explained(g, user_id, item_id)
+    if strategy not in ("content", "collaborative"):
+        raise ValueError(f"unknown explanation strategy: {strategy!r}")
+    sets = social_sets(g)
+    mine = acted_items(g, user_id)
+    if strategy == "content":
+        ratings = {other: rating(g, user_id, other) for other in mine}
+        evidence = content_evidence(sets, ratings, item_id)
+    else:
+        evidence = []
+        for n in g.nodes.values():
+            if "user" not in n.attrs["type"] or n.id == user_id:
+                continue
+            theirs = acted_items(g, n.id)
+            if item_id not in theirs:
+                continue
+            sim = jaccard(mine, theirs)
+            if sim > 0:
+                weight = sim * rating(g, n.id, item_id)
+                if weight > 0:
+                    evidence.append((n.id, weight))
+    evidence.sort(key=lambda e: (-e[1], e[0]))
+    summary, _ = _aggregate_two_paths(sets, g, user_id, item_id, strategy)
+    return Explanation(subject=(user_id, item_id), strategy=strategy, evidence=tuple(evidence), summary=summary)
+
+
+def aggregate_explanations_two_paths(g, user_id, target, strategy):
+    """``aggregate_explanations`` with one code path for an item and
+    another for an ItemGroup."""
+    return _aggregate_two_paths(social_sets(g), g, user_id, target, strategy)
+
+
+def _aggregate_two_paths(sets, g, user_id, target, strategy):
+    if isinstance(target, ItemGroup):
+        ratios = [_aggregate_ratio_checked(sets, g, user_id, member, strategy) for member in target.members]
+        ratio = sum(ratios) / len(ratios)
+        pct = round(ratio * 100)
+        if strategy == "collaborative":
+            return f"{pct}% of your friends endorsed items in group '{target.label}'", ratio
+        return f"items in group '{target.label}' are similar to {pct}% of items you visited before", ratio
+    ratio = _aggregate_ratio_checked(sets, g, user_id, target, strategy)
+    pct = round(ratio * 100)
+    if strategy == "collaborative":
+        return f"{pct}% of your friends endorsed this item", ratio
+    return f"similar to {pct}% of items you visited before", ratio
+
+
+def _aggregate_ratio_checked(sets, g, user_id, item_id, strategy):
+    _require_explained(g, user_id, item_id)
+    if strategy not in ("content", "collaborative"):
+        raise ValueError(f"unknown explanation strategy: {strategy!r}")
+    if strategy == "collaborative":
+        network = sets.network.get(user_id, frozenset())
+        if not network:
+            return 0.0
+        return len(network & sets.all_taggers(item_id)) / len(network)
+    mine = acted_items(g, user_id)
+    if not mine:
+        return 0.0
+    similar = sum(1 for other in mine if sets.item_similarity(item_id, other) > 0)
+    return similar / len(mine)
 
 
 def network_search_wired(g, user_id, place_condition):

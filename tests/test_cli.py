@@ -275,6 +275,7 @@ def write_malformed_inputs(directory) -> dict:
         fh.writelines(json.dumps(r) + "\n" for r in nodes)
     with open(p("jazz.items"), "w", encoding="utf-8") as fh:
         fh.write('{"id": "i1", "score": 1.0}\n')
+    open(p("empty.items"), "w", encoding="utf-8").close()
     bad_items = {
         "noid.items": '{"score": 0.5}',
         "array.items": "[1]",
@@ -305,6 +306,7 @@ def write_malformed_inputs(directory) -> dict:
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "ghost.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
+        "empty.items",
         "never.snap",
         "overflow.sgs", "anydiff.sgs", "chainpos.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
     )}}
@@ -323,6 +325,12 @@ MALFORMED = [
                                  "--strategy", "network", "--theta", "1.5", "--out", "never.snap"]),
     ("group --criterion social:x", ["group", "--nodes", "nodes", "--links", "links",
                                     "--items", "jazz.items", "--criterion", "social:x"]),
+    ("group --criterion social:1.5", ["group", "--nodes", "nodes", "--links", "links",
+                                      "--items", "jazz.items", "--criterion", "social:1.5"]),
+    ("group --max-groups 0", ["group", "--nodes", "nodes", "--links", "links",
+                              "--items", "jazz.items", "--criterion", "topical", "--max-groups", "0"]),
+    ("group --items empty.items", ["group", "--nodes", "nodes", "--links", "links",
+                                   "--items", "empty.items", "--criterion", "topical"]),
     *(
         (f"group --items {name}", ["group", "--nodes", "nodes", "--links", "links",
                                    "--items", name, "--criterion", "topical"])
@@ -442,11 +450,15 @@ def test_malformed_input_gives_one_error_line(malformed_inputs, argv):
     assert not os.path.exists(malformed_inputs["never.snap"])
 
 
-# The exact error line of malformed calls that once exited 0.
+# The exact error line of malformed calls that once exited 0, and of
+# the group argument checks.
 ERROR_LINES = {
     "topk --keywords ','": "error: topk needs at least one keyword",
     "topk --keywords ''": "error: topk needs at least one keyword",
     "group --items with a repeated id": "error: duplicate item id: 'i1'",
+    "group --criterion social:1.5": "error: theta must be in [0, 1], got 1.5",
+    "group --max-groups 0": "error: max_n must be at least 1",
+    "group --items empty.items": "error: group_items needs a non-empty item list",
 }
 
 

@@ -20,6 +20,7 @@ a list).
 from __future__ import annotations
 
 import os
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -33,12 +34,14 @@ from reference import (
     FRIEND,
     LinkCtx,
     acted_items_scan,
+    aggregate_explanations_two_paths,
     all_taggers_scan,
     cf_pipeline_wired,
     cluster_users_scan,
     compose_nested,
     content_recommend_scan,
     exact_tag_scores_dict,
+    explain_item_two_paths,
     interpreted_agg,
     interpreted_composition,
     match_chains_recursive,
@@ -113,6 +116,7 @@ from socialgraph.graph import (
     DirectionalCondition,
     Link,
     Node,
+    SocialContentGraph,
     StructPredicate,
     attr_eq,
     build_graph,
@@ -132,6 +136,7 @@ from socialgraph.index import (
 )
 from socialgraph.io import save_index_snapshot
 from socialgraph.presentation import (
+    ItemGroup,
     SocialGrouping,
     StructuralGrouping,
     TopicalGrouping,
@@ -187,13 +192,15 @@ COMPOSITION_FNS = [
 
 
 def outcome(fn, *args):
-    """The graph a call returns with its node and link order, or the
-    error it raises."""
+    """The graph a call returns with its node and link order, any other
+    result as it is, or the error it raises."""
     try:
-        g = fn(*args)
+        result = fn(*args)
     except Exception as e:  # both sides must fail alike
         return ("error", type(e).__name__, str(e))
-    return g, list(g.nodes), list(g.links)
+    if isinstance(result, SocialContentGraph):
+        return result, list(result.nodes), list(result.links)
+    return result
 
 
 def fixture_graphs():
@@ -423,8 +430,42 @@ def test_compiled_aggregates_match_the_interpreter(spec, rows):
     non-numeric attributes, identity fields stored or not, empty
     collections, disagreeing ``any``, positions past a chain's end, and
     specs too deep or ill-formed."""
+    check_agg(spec, rows)
+
+
+def check_agg(spec, rows):
     chains = bool(rows) and isinstance(rows[0], tuple)
     assert value_outcome(compile_agg(spec, chains), rows) == value_outcome(ref_apply_agg, spec, rows)
+
+
+@st.composite
+def identity_reads(draw):
+    """A set or ``any`` read of ``id``, ``src`` or ``tgt`` at step None or 0,
+    on a non-empty collection of links or chains, each link storing an
+    attribute of that name equal to the field, different from it, or not
+    at all."""
+    field = draw(st.sampled_from(("id", "src", "tgt")))
+    spec = draw(st.sampled_from((SafExpr, CopyAny)))(field, draw(st.sampled_from((None, 0))))
+
+    def one_link():
+        l = Link(f"l{draw(st.integers(0, 2))}", draw(st.sampled_from(("n0", "n1"))), "n2", dict(W))
+        stored = draw(st.sampled_from((None, getattr(l, field), "n9")))
+        if stored is not None:
+            l.attrs[field] = frozenset({stored})
+        return l
+
+    size = st.integers(1, 3)
+    if draw(st.booleans()):
+        return spec, [one_link() for _ in range(draw(size))]
+    return spec, [tuple(one_link() for _ in range(draw(size))) for _ in range(draw(size))]
+
+
+@settings(max_examples=200)
+@given(identity_reads())
+def test_compiled_identity_reads_match_the_interpreter(case):
+    """Identity fields read for their value, where the other test's draws
+    mostly end in a position error or an empty collection."""
+    check_agg(*case)
 
 
 comp_attrs = st.sampled_from(("type", "w", "id", "src", "tgt", "name", "score", "missing"))
@@ -950,6 +991,63 @@ def test_tag_links_without_a_tag_give_no_content_evidence():
     assert content_recommend(g, "u1", 10) == []
     assert explain_item(g, "u1", "i2", "content").evidence == ()
     check_content_agrees(g)
+
+
+# ---------------------------------------------------------------------------
+# Explanations: an item is explained as a group of one
+
+EXPLAIN_CRITERIA = (SocialGrouping(0.3), TopicalGrouping(), StructuralGrouping("type"))
+EXPLAIN_STRATEGIES = ("content", "collaborative", "neither")
+
+
+@cache
+def small_travel_graph(seed):
+    return random_travel_graph(rng_from(seed), 6, 10)
+
+
+@st.composite
+def explanation_cases(draw):
+    """A user and an item (either absent or of the other type at times),
+    the groups ``group_items`` makes of drawn nodes, a group of the user,
+    the item and an absent id, and a strategy that may be unknown."""
+    g = small_travel_graph(draw(st.integers(1, 4)))
+    ids = [*g.nodes, "absent"]
+    user, item = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    scored = draw(st.lists(st.tuples(st.sampled_from(list(g.nodes)), st.sampled_from(FLOATS)),
+                           min_size=1, max_size=6, unique_by=lambda e: e[0]))
+    groups = group_items(scored, g, draw(st.sampled_from(EXPLAIN_CRITERIA)))
+    odd = tuple(draw(st.lists(st.sampled_from((user, item, "absent")), min_size=1, max_size=3)))
+    groups.append(ItemGroup(id="odd", members=odd, label="odd", quality=0.0, size=len(odd)))
+    return g, user, item, groups, draw(st.sampled_from(EXPLAIN_STRATEGIES))
+
+
+def check_explanations(g, user, item, groups, strategy):
+    """Explanations and (summary, ratio) pairs equal the two-path
+    reference's, errors included."""
+    assert outcome(explain_item, g, user, item, strategy) == outcome(
+        explain_item_two_paths, g, user, item, strategy
+    ), (user, item, strategy)
+    for target in (item, *groups):
+        assert outcome(aggregate_explanations, g, user, target, strategy) == outcome(
+            aggregate_explanations_two_paths, g, user, target, strategy
+        ), (user, target, strategy)
+
+
+@given(explanation_cases())
+def test_explanations_match_the_two_path_reference(case):
+    check_explanations(*case)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_explanations_match_the_two_path_reference_on_fixtures(seed):
+    g = random_travel_graph(rng_from(seed), 8, 12)
+    users = [nid for nid, n in g.nodes.items() if "user" in n.attrs["type"]]
+    items = [(nid, 1.0) for nid, n in g.nodes.items() if "item" in n.attrs["type"]]
+    groups = [grp for c in EXPLAIN_CRITERIA for grp in group_items(items, g, c)]
+    for user in users:
+        for item, _ in items:
+            for strategy in ("content", "collaborative"):
+                check_explanations(g, user, item, groups, strategy)
 
 
 # ---------------------------------------------------------------------------

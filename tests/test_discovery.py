@@ -12,7 +12,7 @@ from socialgraph.discovery import (
     visited_items,
 )
 from socialgraph.dsl import parse_condition
-from socialgraph.errors import UnknownUserError
+from socialgraph.errors import DanglingEndpointError, DuplicateIdError, UnknownUserError
 from socialgraph.fixtures import cf_fixture, random_travel_graph, rng_from
 from socialgraph.graph import Condition, attr_eq, build_graph, link, node
 
@@ -212,6 +212,39 @@ def test_discover_msg_provenance(cf_graph):
                 v.src == l.tgt and v.tgt in ranked and "visit" in v.attrs["type"]
                 for v in msg.graph.links.values()
             )
+
+
+def peer_graph(place, extra=()):
+    """u and p both visited d1; p also visited ``place``, which u may be
+    recommended."""
+    nodes = [node("u", type="user"), node("p", type="user"), node("d1", type=("item", "destination"))]
+    nodes += [node(place, type=("item", "destination")), *extra]
+    links = [
+        link("v1", "u", "d1", type="visit"),
+        link("v2", "p", "d1", type="visit"),
+        link("v3", "p", place, type="visit"),
+    ]
+    return build_graph(nodes, links)
+
+
+DESTINATIONS = Condition(preds=(attr_eq("type", "destination"),))
+LOW = DiscoveryConfig(sim_threshold=0.1)
+
+
+def test_discover_rejects_a_match_link_id_equal_to_a_ranked_node_id():
+    (match_id,) = discover(peer_graph("d2"), "u", DESTINATIONS, LOW).graph.links.keys() - {"v2", "v3"}
+    with pytest.raises(DuplicateIdError) as err:
+        discover(peer_graph(match_id), "u", DESTINATIONS, LOW)
+    assert err.value.element_id == match_id
+
+
+def test_discover_rejects_a_match_link_from_a_node_storing_the_users_id():
+    """``[id = 'u']`` selects x as well, so a match link runs from x, which
+    is not in the provenance graph."""
+    g = peer_graph("d2", [node("x", type="user", id="u")])
+    g = build_graph(g.nodes.values(), [*g.links.values(), link("v4", "x", "d1", type="visit")])
+    with pytest.raises(DanglingEndpointError, match="references missing node 'x'"):
+        discover(g, "u", DESTINATIONS, LOW)
 
 
 def test_discover_combined_is_alpha_blend(cf_graph):

@@ -189,6 +189,48 @@ def test_aggregate_explanation_group_mean():
     assert "80%" in summary and "spots" in summary
 
 
+def test_aggregate_explanation_content_group_sentence():
+    g = tagging_graph()
+    # 'a' acted on i1 and i2: i1 is similar to both (ratio 1), i3 to neither (0)
+    group = ItemGroup(id="grp", members=("i1", "i3"), label="mixed", quality=1.0, size=2)
+    assert aggregate_explanations(g, "a", group, "content") == (
+        "items in group 'mixed' are similar to 50% of items you visited before",
+        0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "explain",
+    [
+        explain_item,
+        aggregate_explanations,
+        lambda g, u, i, s: aggregate_explanations(g, u, ItemGroup("grp", (i,), "grp", 1.0, 1), s),
+    ],
+    ids=["explain_item", "aggregate item", "aggregate group"],
+)
+def test_unknown_explanation_strategy(explain):
+    g = tagging_graph()
+    with pytest.raises(ValueError, match="unknown explanation strategy: 'popular'"):
+        explain(g, "a", "i1", "popular")
+    # the ids are checked first
+    with pytest.raises(UnknownUserError):
+        explain(g, "ghost", "i1", "popular")
+    with pytest.raises(UnknownItemError):
+        explain(g, "a", "ghost", "popular")
+
+
+def test_explain_collaborative_skips_users_who_did_not_act_on_the_item():
+    nodes = [node(u, type="user") for u in ("a", "b", "c")] + [node(i, type="item") for i in ("i1", "i2")]
+    links = [
+        link("t1", "a", "i1", type="tag", tags="x"),
+        link("t2", "b", "i1", type="tag", tags="x"),
+        link("t3", "b", "i2", type="tag", tags="y"),
+        link("t4", "c", "i1", type="tag", tags="x"),  # similar to 'a', but never acted on i2
+    ]
+    explanation = explain_item(build_graph(nodes, links), "a", "i2", "collaborative")
+    assert explanation.evidence == (("b", 0.5),)
+
+
 def test_explain_collaborative_cf_fixture(cf_graph):
     explanation = explain_item(cf_graph, "101", "203", "collaborative")
     assert explanation.subject == ("101", "203")
