@@ -32,7 +32,7 @@ from typing import Callable, Union
 from .errors import AggEvalError, CompositionFnError, DivideByZeroError
 
 MAX_NESTING_DEPTH = 3  # of Sum/Prod in a numerical aggregate
-_IDENTITY_FIELDS = ("id", "src", "tgt")
+_IDENTITY_FIELDS = ("id", "src", "tgt")  # graph.IDENTITY_FIELDS; aggfn loads no graph code
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +145,11 @@ AggSpec = Union[SafExpr, NafExpr, ConstString, CopyAny]
 
 def _values(attr: str) -> Callable:
     """``element -> its value set of attr``, or None; an identity field
-    (``id``, a link's ``src``/``tgt``) stands in, as a one-element tuple,
-    unless a stored one shadows it; a caller that keeps the value makes
-    it a frozenset."""
+    (``id``, a link's ``src``/``tgt``) reads as a one-element tuple, which
+    a caller that keeps the value makes a frozenset."""
     if attr not in _IDENTITY_FIELDS:
         return lambda e: e.attrs.get(attr)
-
-    def values(e):
-        v = e.attrs.get(attr)
-        field = getattr(e, attr, None) if v is None else None
-        return v if field is None else (field,)
-
-    return values
+    return lambda e: None if (field := getattr(e, attr, None)) is None else (field,)
 
 
 def _reader(attr: str, step: int | None, chains: bool) -> tuple:

@@ -28,6 +28,7 @@ from .aggfn import (
 )
 from .errors import PatternTooLongError
 from .graph import (
+    IDENTITY_FIELDS,
     Condition,
     DirectionalCondition,
     Link,
@@ -262,13 +263,19 @@ def semi_join(
 # Aggregation operators
 
 
+def _writable(att: str, reserved: tuple = IDENTITY_FIELDS) -> str:
+    """``att``, unless it names a field an aggregation may not write."""
+    if att in reserved:
+        raise ValueError(f"aggregation may not overwrite {att!r}")
+    return att
+
+
 def node_aggregate(
     g: SocialContentGraph, c: Condition, d: str, att: str, spec: AggSpec
 ) -> SocialContentGraph:
     """Attach ``att`` to every node that anchors (via its ``d`` side) at
     least one link satisfying ``c``; the direction acts as the group-by."""
-    if att in ("id", "type"):
-        raise ValueError(f"aggregation may not overwrite {att!r}")
+    _writable(att, (*IDENTITY_FIELDS, "type"))
     if isinstance(spec, (ConstString, CopyAny)):
         raise ValueError("node aggregation takes a set or numerical aggregate")
     check_direction(d)
@@ -288,7 +295,7 @@ def link_aggregate(g: SocialContentGraph, c: Condition, specs) -> SocialContentG
     Non-qualifying links and every node are kept. A new link whose specs
     do not set "type" inherits the union of its group's type sets.
     """
-    specs = [(att, compile_agg(spec)) for att, spec in specs]
+    specs = [(_writable(att), compile_agg(spec)) for att, spec in specs]
     if not specs:
         raise ValueError("link aggregation needs at least one (attribute, spec) pair")
     chash = condition_hash(c)
@@ -340,7 +347,7 @@ def pattern_aggregate(g: SocialContentGraph, gp: GraphPattern, specs) -> SocialC
     ``step`` field; without one they read the first link in the chain
     carrying the attribute. New links default to type='path'.
     """
-    specs = [(att, compile_agg(spec, chains=True)) for att, spec in specs]
+    specs = [(_writable(att), compile_agg(spec, chains=True)) for att, spec in specs]
     if not specs:
         raise ValueError("pattern aggregation needs at least one (attribute, spec) pair")
     if len(gp.steps) > MAX_PATTERN_STEPS:

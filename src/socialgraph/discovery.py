@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import DanglingEndpointError, DuplicateIdError, UnknownUserError
+from .errors import DuplicateIdError, UnknownUserError
 from .graph import (
     Condition,
     SocialContentGraph,
@@ -277,9 +277,8 @@ def _min_max(scores: dict) -> dict:
 def _provenance_graph(g, user_id, ranking, match_graph) -> SocialContentGraph:
     """User + ranked items + the match links and visit links that
     justify them (contributing peers included). Each element is copied
-    with its link's target, so of ``build_graph``'s checks only two can
-    fail: a match link id equal to a node id, and a match link from a
-    node that ``[id = user]`` selects by a stored ``id`` attribute."""
+    with its link's endpoints, so of ``build_graph``'s checks only one
+    can fail: a match link id equal to a node id."""
     ranked_ids = [item for item, *_ in ranking]
     nodes = {user_id: g.nodes[user_id]}
     for item in ranked_ids:
@@ -299,6 +298,4 @@ def _provenance_graph(g, user_id, ranking, match_graph) -> SocialContentGraph:
     for l in links.values():
         if l.id in nodes:
             raise DuplicateIdError(l.id)
-        if l.src not in nodes:
-            raise DanglingEndpointError(l.id, l.src)
     return SocialContentGraph(nodes=nodes, links=links)

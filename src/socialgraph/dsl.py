@@ -36,6 +36,8 @@ Operator argument shapes:
     naggr(e, condition, direction, NAME, aggspec)
     laggr(e, condition, specmap)      paggr(e, pattern, specmap)
 
+An expression nests at most ``MAX_NESTING_DEPTH`` operator calls.
+
 The ``kw`` STRING holds one or more space-separated keywords, each one
 token of letters and digits (``graph.is_token``), since a keyword with
 any other character could never match.
@@ -96,6 +98,8 @@ from .graph import (
     StructPredicate,
     is_token,
 )
+
+MAX_NESTING_DEPTH = 100  # of operator calls in one expression
 
 # Every operator of the language: the ``algebra`` function it runs (looked
 # up by name at call time), the constant arguments passed before its
@@ -273,18 +277,20 @@ class _Parser:
             self.fail("end of statement")
         return name.value, expr
 
-    def parse_expr(self):
+    def parse_expr(self, depth: int = 1):
         tok = self.expect_name("a graph reference or operator")
         if not self.accept("("):
             return Ref(tok.value)
         if tok.value not in OPS:
             raise UnknownOperatorError(tok.value, tok.line, tok.col)
+        if depth > MAX_NESTING_DEPTH:
+            raise DslSyntaxError(tok.line, tok.col, f"at most {MAX_NESTING_DEPTH} nested operator calls")
         _, _, shapes = OPS[tok.value]
         args = []
         for i, shape in enumerate(shapes):
             if i:
                 self.expect(",")
-            args.append(self.parse_expr() if shape == "e" else getattr(self, f"parse_{shape}")())
+            args.append(self.parse_expr(depth + 1) if shape == "e" else getattr(self, f"parse_{shape}")())
         self.expect(")")
         return OpCall(tok.value, tuple(args))
 

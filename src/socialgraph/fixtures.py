@@ -1,26 +1,18 @@
 """Deterministic fixture graphs for tests and demos.
 
-The generators take an explicit ``random.Random`` or a seed; the
-``SOCIALSCOPE_SEED`` environment variable only changes the default seed
-of these generators and never affects engine semantics.
+The generators take an explicit ``random.Random``; ``rng_from`` makes
+one from a seed.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 from .graph import SocialContentGraph, build_graph, link, node
 
-DEFAULT_SEED = 1729
 
-
-def default_seed() -> int:
-    return int(os.environ.get("SOCIALSCOPE_SEED", DEFAULT_SEED))
-
-
-def rng_from(seed=None) -> random.Random:
-    return random.Random(default_seed() if seed is None else seed)
+def rng_from(seed) -> random.Random:
+    return random.Random(seed)
 
 
 def travel_pair() -> SocialContentGraph:

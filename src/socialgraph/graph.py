@@ -7,9 +7,13 @@ are immutable values: nothing in this package mutates a graph in place,
 so any number of readers may share one.
 
 A graph with nodes but no links is a legal "null graph"; selection
-operators produce them routinely. Conditions and aggregates read the
-identity fields as attributes (``id`` on any element, ``src``/``tgt`` on
-links) where no stored attribute of that name shadows them.
+operators produce them routinely. ``id``, ``src`` and ``tgt`` are
+identity fields (``id`` on any element, ``src``/``tgt`` on links), never
+attribute names: conditions and aggregates read them as one-value
+attributes, and ``node``, ``link`` and ``io.load_graph`` reject an
+attribute map that holds one. ``build_graph`` does not check this, as it
+does not check value types: directly constructed ``Node``/``Link``
+objects are trusted.
 """
 
 from __future__ import annotations
@@ -100,19 +104,26 @@ class Link:
 Element = Union[Node, Link]
 
 
-def node(node_id, **attrs) -> Node:
+IDENTITY_FIELDS = ("id", "src", "tgt")
+
+
+def attr_map(attrs: Mapping) -> dict:
+    """Normalize raw attribute values into an attribute map; an identity
+    field name raises ValueError."""
+    for name in IDENTITY_FIELDS:
+        if name in attrs:
+            raise ValueError(f"{name!r} is an identity field, not an attribute name")
+    return {k: as_attr_value(v) for k, v in attrs.items()}
+
+
+def node(node_id, /, **attrs) -> Node:
     """Build a node, normalizing attribute values (ids are stringified)."""
-    return Node(id=str(node_id), attrs={k: as_attr_value(v) for k, v in attrs.items()})
+    return Node(id=str(node_id), attrs=attr_map(attrs))
 
 
-def link(link_id, src, tgt, **attrs) -> Link:
+def link(link_id, src, tgt, /, **attrs) -> Link:
     """Build a directed link, normalizing attribute values."""
-    return Link(
-        id=str(link_id),
-        src=str(src),
-        tgt=str(tgt),
-        attrs={k: as_attr_value(v) for k, v in attrs.items()},
-    )
+    return Link(id=str(link_id), src=str(src), tgt=str(tgt), attrs=attr_map(attrs))
 
 
 @dataclass(frozen=True)
@@ -270,7 +281,6 @@ def satisfies(element: Element, condition: Condition) -> bool:
     return compile_condition(condition)(element)
 
 
-_PSEUDO_ATTRS = ("id", "src", "tgt")
 _COMPARISONS = {"!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
@@ -302,17 +312,10 @@ def _compile_pred(pred: StructPredicate) -> Callable[[Element], bool]:
     else:
         operand, compare, is_str = pred.operands[0], _COMPARISONS[op], isinstance(pred.operands[0], str)
         test = lambda values: any(isinstance(v, str) == is_str and compare(v, operand) for v in values)
-    if attr not in _PSEUDO_ATTRS:
+    if attr not in IDENTITY_FIELDS:
         return lambda e: test(e.attrs.get(attr, ()))
-
-    def holds(e):  # the identity field itself, unless a stored attribute shadows it
-        values = e.attrs.get(attr)
-        if values is None:
-            field = getattr(e, attr, None)  # a node has no src/tgt
-            values = () if field is None else (field,)
-        return test(values)
-
-    return holds
+    # the identity field itself; a node has no src/tgt
+    return lambda e: (field := getattr(e, attr, None)) is not None and test((field,))
 
 
 def default_keyword_score(element: Element, keywords) -> float:

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import GraphFileError
-from .graph import Link, Node, SocialContentGraph, as_attr_value, build_graph, sorted_values
+from .graph import Link, Node, SocialContentGraph, attr_map, build_graph, sorted_values
 
 if TYPE_CHECKING:  # graph files need no index code: load_index_snapshot imports it
     from .index import ClusteredIndex, SocialSets
@@ -53,6 +53,8 @@ def _read_jsonl(path: str):
                     yield line_no, json.loads(text)
                 except json.JSONDecodeError as e:
                     raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
+                except RecursionError:
+                    raise GraphFileError(path, line_no, "invalid JSON: nested too deeply") from None
 
 
 def _graph_records(path: str):
@@ -67,7 +69,7 @@ def _parse_attrs(path: str, line_no: int, record: dict) -> dict:
     if not isinstance(attrs, dict):
         raise GraphFileError(path, line_no, "'attrs' must be an object")
     try:
-        return {name: as_attr_value(value) for name, value in attrs.items()}
+        return attr_map(attrs)
     except ValueError as e:
         raise GraphFileError(path, line_no, str(e)) from e
 

@@ -32,7 +32,7 @@ from socialgraph.aggfn import (
 from socialgraph.algebra import compose, link_aggregate, node_aggregate
 from socialgraph.errors import AggEvalError, CompositionFnError, DivideByZeroError
 from socialgraph.fixtures import cf_fixture, rng_from
-from socialgraph.graph import Condition, DirectionalCondition, Link, build_graph, link, node
+from socialgraph.graph import Condition, DirectionalCondition, build_graph, link, node
 
 
 def tagged(link_id, tags):
@@ -327,16 +327,16 @@ def test_compile_agg_raises_only_when_evaluation_reaches_an_error(spec, error):
     assert compile_agg(SumOver(Arith("+", ConstString("x"), ONE)))([]) == frozenset({0})
 
 
-def test_identity_fields_unless_a_stored_attribute_shadows_them():
-    stored = Link("l1", "u", "i", {"type": frozenset({"visit"}), "tgt": frozenset({"elsewhere"})})
+def test_identity_fields_read_as_one_value_sets():
+    other = link("l1", "u", "i", type="visit")
     plain = link("l2", "u", "j", type="visit")
-    assert compile_agg(SafExpr("tgt"))([stored, plain]) == frozenset({"elsewhere", "j"})
-    assert compile_agg(SafExpr("id"))([stored, plain]) == frozenset({"l1", "l2"})
+    assert compile_agg(SafExpr("tgt"))([other, plain]) == frozenset({"i", "j"})
+    assert compile_agg(SafExpr("id"))([other, plain]) == frozenset({"l1", "l2"})
     assert compile_agg(SafExpr("src"), chains=True)([(plain,)]) == frozenset({"u"})
-    # a kept identity value is a value set, as a stored one is
-    assert compile_agg(CopyAny("src"))([stored, plain]) == frozenset({"u"})
+    # a kept identity value is a value set, as a stored attribute's is
+    assert compile_agg(CopyAny("src"))([other, plain]) == frozenset({"u"})
     f = CompositionFn((("a", CopyFrom("left-src", "id")), ("b", CopyFrom("right-link", "src"))))
-    assert compile_composition(f)(plain, stored, ends(plain), ends(stored)) == {"a": frozenset({"u"}), "b": frozenset({"u"})}
+    assert compile_composition(f)(plain, other, ends(plain), ends(other)) == {"a": frozenset({"u"}), "b": frozenset({"u"})}
     with pytest.raises(CompositionFnError, match="left-src element 'u' lacks attribute 'src'"):
         compile_composition(CompositionFn((("a", CopyFrom("left-src", "src")),)))(plain, plain, ends(plain), ends(plain))
 

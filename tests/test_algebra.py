@@ -243,6 +243,19 @@ def test_node_aggregate_saf_vst(cf_graph):
     assert "vst" not in out.nodes["201"].attrs
 
 
+@pytest.mark.parametrize("att", ["id", "src", "tgt"])
+def test_aggregations_may_not_write_an_identity_field(cf_graph, att):
+    visits = cond(attr_eq("type", "visit"))
+    calls = (
+        lambda: node_aggregate(cf_graph, visits, "src", att, COUNT),
+        lambda: link_aggregate(cf_graph, visits, (("n", COUNT), (att, COUNT))),
+        lambda: pattern_aggregate(cf_graph, GraphPattern(((visits, "src"),)), ((att, COUNT),)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^aggregation may not overwrite '{att}'$"):
+            call()
+
+
 def test_node_aggregate_rejects_reserved():
     with pytest.raises(ValueError):
         node_aggregate(friend_graph(), Condition(), "src", "type", COUNT)

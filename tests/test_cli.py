@@ -304,11 +304,35 @@ def write_malformed_inputs(directory) -> dict:
     with open(p("hugeint.nodes"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
+    # node x stores user u's id as an attribute, which no graph file may hold
+    found = {
+        "found.nodes": [{"id": "u", "attrs": {"type": "user"}}, {"id": "x", "attrs": {"type": "user", "id": "u"}},
+                        *({"id": d, "attrs": {"type": "item"}} for d in ("d1", "d2", "d3"))],
+        "found.links": [{"id": f"v{i}", "src": s, "tgt": t, "attrs": {"type": "visit"}}
+                        for i, (s, t) in enumerate((("u", "d1"), ("x", "d1"), ("x", "d2"), ("x", "d3")))],
+        "src.links": [*links[:1], {**links[1], "attrs": {**links[1]["attrs"], "src": links[1]["src"]}}, *links[2:]],
+    }
+    for name, rows in found.items():
+        with open(p(name), "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in rows)
+    deep_json = "[" * 100_000 + "]" * 100_000 + "\n"
+    with open(p("deep.nodes"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
+        fh.write(deep_json)
+    with open(p("deep.items"), "w", encoding="utf-8") as fh:
+        fh.write('{"id": "i1"}\n' + deep_json)
+    with open(p("deep.snap"), "w", encoding="utf-8") as fh:
+        fh.write((directory / "jazz.snap").read_text("utf-8") + deep_json)
+    scripts = {"laggr_src.sgs": "A = laggr(G, [], {src: count})", "deep.sgs": "A = " + "lsel(" * 5000 + "G" + ", [])" * 5000}
+    for name, text in scripts.items():
+        with open(p(name), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "ghost.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
         "empty.items",
         "never.snap",
         "overflow.sgs", "anydiff.sgs", "chainpos.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
+        *found, "deep.nodes", "deep.items", "deep.snap", *scripts,
     )}}
 
 
@@ -382,6 +406,16 @@ MALFORMED = [
         for argv in (["recommend", "--method", "cf"], ["recommend", "--method", "content"], ["discover"])
         for t in ("nan", "inf", "-5")
     ),
+    ("recommend on a node storing 'id'", ["recommend", "--nodes", "found.nodes", "--links", "found.links",
+                                          "--user", "u", "--threshold", "0"]),
+    ("discover on a node storing 'id'", ["discover", "--nodes", "found.nodes", "--links", "found.links", "--user", "u"]),
+    ("link storing 'src'", ["recommend", "--nodes", "nodes", "--links", "src.links", "--user", "u1"]),
+    ("query laggr into src", ["query", "--nodes", "nodes", "--links", "links", "--script", "laggr_src.sgs"]),
+    ("node file nested too deeply", ["recommend", "--nodes", "deep.nodes", "--links", "links", "--user", "u1"]),
+    ("group --items nested too deeply", ["group", "--nodes", "nodes", "--links", "links",
+                                         "--items", "deep.items", "--criterion", "topical"]),
+    ("snapshot nested too deeply", ["topk", "--index", "deep.snap", "--user", "u1", "--keywords", "jazz"]),
+    ("query nested 5000 deep", ["query", "--nodes", "nodes", "--links", "links", "--script", "deep.sgs"]),
     *(
         (f"estimate-index {option} {value[:8]}", ["estimate-index", *ESTIMATE_ARGS, option, value])
         for option, value in (("--tagger-fraction", "inf"), ("--tagger-fraction", "1e308"),
@@ -411,6 +445,9 @@ def test_discovery_options_are_checked_for_every_method(cf_files, argv, message)
     "argv, line",
     [
         (["query", "--script", "naggr_id.sgs"], "error: while evaluating 'A': aggregation may not overwrite 'id'"),
+        (["query", "--script", "laggr_src.sgs"], "error: while evaluating 'A': aggregation may not overwrite 'src'"),
+        (["query", "--script", "deep.sgs"],
+         "error: syntax error at line 1, column 505: expected at most 100 nested operator calls"),
         (["query", "--script", "chainpos.sgs"],
          "error: while evaluating 'A': chain has no step 7 (attribute 'tgt')"),
         (["discover", "--user", "u1", "--query", "[w > 1e400]"],
@@ -420,7 +457,7 @@ def test_discovery_options_are_checked_for_every_method(cf_files, argv, message)
         (["discover", "--user", "u1", "--query", "[; kw:'']"],
          "error: syntax error at line 1, column 7: expected keywords of one token each (found '')"),
     ],
-    ids=["query naggr into id", "query chain position on a link row", "discover --query 1e400", "discover --query kw:'jazz,'", "discover --query kw:''"],
+    ids=["query naggr into id", "query laggr into src", "query nested 5000 deep", "query chain position on a link row", "discover --query 1e400", "discover --query kw:'jazz,'", "discover --query kw:''"],
 )
 def test_dsl_errors_name_the_binding_or_position(malformed_inputs, argv, line):
     graph = ["--nodes", malformed_inputs["nodes"], "--links", malformed_inputs["links"]]
@@ -460,6 +497,25 @@ ERROR_LINES = {
     "group --max-groups 0": "error: max_n must be at least 1",
     "group --items empty.items": "error: group_items needs a non-empty item list",
 }
+
+
+# Malformed files: the file, its line and the message of each error line.
+FILE_ERROR_LINES = {
+    "recommend on a node storing 'id'": ("found.nodes", 2, "'id' is an identity field, not an attribute name"),
+    "discover on a node storing 'id'": ("found.nodes", 2, "'id' is an identity field, not an attribute name"),
+    "link storing 'src'": ("src.links", 2, "'src' is an identity field, not an attribute name"),
+    "node file nested too deeply": ("deep.nodes", 4, "invalid JSON: nested too deeply"),
+    "group --items nested too deeply": ("deep.items", 2, "invalid JSON: nested too deeply"),
+    "snapshot nested too deeply": ("deep.snap", 5, "invalid JSON: nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("name", FILE_ERROR_LINES)
+def test_malformed_file_error_line(malformed_inputs, name):
+    argv = dict(MALFORMED)[name]
+    file, line, message = FILE_ERROR_LINES[name]
+    expected = f"error: {malformed_inputs[file]}:{line}: {message}\n"
+    assert run(*(malformed_inputs.get(a, a) for a in argv)) == (1, "", expected)
 
 
 @pytest.mark.parametrize("name", ERROR_LINES)

@@ -18,10 +18,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = child_env()
-    env.pop("SOCIALSCOPE_SEED", None)
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

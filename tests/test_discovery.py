@@ -12,7 +12,7 @@ from socialgraph.discovery import (
     visited_items,
 )
 from socialgraph.dsl import parse_condition
-from socialgraph.errors import DanglingEndpointError, DuplicateIdError, UnknownUserError
+from socialgraph.errors import DuplicateIdError, UnknownUserError
 from socialgraph.fixtures import cf_fixture, random_travel_graph, rng_from
 from socialgraph.graph import Condition, attr_eq, build_graph, link, node
 
@@ -238,13 +238,31 @@ def test_discover_rejects_a_match_link_id_equal_to_a_ranked_node_id():
     assert err.value.element_id == match_id
 
 
-def test_discover_rejects_a_match_link_from_a_node_storing_the_users_id():
-    """``[id = 'u']`` selects x as well, so a match link runs from x, which
-    is not in the provenance graph."""
-    g = peer_graph("d2", [node("x", type="user", id="u")])
-    g = build_graph(g.nodes.values(), [*g.links.values(), link("v4", "x", "d1", type="visit")])
-    with pytest.raises(DanglingEndpointError, match="references missing node 'x'"):
-        discover(g, "u", DESTINATIONS, LOW)
+def test_discover_takes_match_links_from_the_user_only():
+    """``[id = 'u']`` is exactly u: no node can store an ``id``, and a
+    peer whose name is 'u' stays a peer, so each item is ranked once."""
+    with pytest.raises(ValueError, match="'id' is an identity field"):
+        node("x", type="user", id="u")
+    g = peer_graph("d2", [node("x", type="user", name="u"), node("d3", type=("item", "destination"))])
+    extra = [link("v4", "x", "d1", type="visit"), link("v5", "x", "d2", type="visit"), link("v6", "x", "d3", type="visit")]
+    g = build_graph(g.nodes.values(), [*g.links.values(), *extra])
+    msg = discover(g, "u", DESTINATIONS, LOW)
+    assert sorted(i for i, *_ in msg.ranking) == ["d2", "d3"]
+    matches = [l for l in msg.graph.links.values() if "match" in l.attrs["type"]]
+    assert sorted((l.src, l.tgt) for l in matches) == [("u", "p"), ("u", "x")]
+    assert [i for i, _ in cf_recommend(g, "u", LOW)[1]] == ["d2", "d3"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_user_gets_each_item_ranked_at_most_once(seed):
+    g = random_travel_graph(rng_from(seed))
+    cfg = DiscoveryConfig(sim_threshold=0.0, k=len(g.nodes))
+    for user in sorted(nid for nid, n in g.nodes.items() if "user" in n.attrs["type"]):
+        for items in (
+            [i for i, _ in cf_recommend(g, user, cfg)[1]],
+            [i for i, *_ in discover(g, user, Condition(), cfg).ranking],
+        ):
+            assert len(items) == len(set(items)), (user, items)
 
 
 def test_discover_combined_is_alpha_blend(cf_graph):

@@ -311,6 +311,36 @@ def test_operator_argument_checks_are_wrapped_with_their_binding(dest, agg, mess
     assert str(err.value) == f"while evaluating 'A': {message}"
 
 
+@pytest.mark.parametrize("att", ["id", "src", "tgt"])
+@pytest.mark.parametrize(
+    "expr",
+    ["naggr(G, [type='visit'], src, {att}, count)", "laggr(G, [type='visit'], {{n: count, {att}: count}})",
+     "paggr(G, path([type='visit'] @ src), {{{att}: count}})"],
+    ids=["naggr", "laggr", "paggr"],
+)
+def test_aggregations_may_not_write_an_identity_field(expr, att):
+    with pytest.raises(ExecutionError) as err:
+        dsl.run_script("A = " + expr.format(att=att), {"G": cf_fixture()})
+    assert str(err.value) == f"while evaluating 'A': aggregation may not overwrite '{att}'"
+
+
+def nested(op: str, depth: int) -> str:
+    """``A = op(op(…G…, tail), tail)``, with ``depth`` calls of ``op``."""
+    tail = {"lsel": ", []", "union": ", G"}[op]
+    return "A = " + f"{op}(" * depth + "G" + f"{tail})" * depth
+
+
+@pytest.mark.parametrize("op", ["lsel", "union"])
+def test_expressions_nest_up_to_the_cap(op):
+    g = cf_fixture()
+    assert dsl.run_script(nested(op, dsl.MAX_NESTING_DEPTH), {"G": g})["A"] == g
+    with pytest.raises(DslSyntaxError) as err:
+        parse(nested(op, dsl.MAX_NESTING_DEPTH + 1))
+    col = len("A = ") + dsl.MAX_NESTING_DEPTH * len(f"{op}(") + 1
+    assert (err.value.line, err.value.col) == (1, col)
+    assert err.value.expected == f"at most {dsl.MAX_NESTING_DEPTH} nested operator calls"
+
+
 @pytest.mark.parametrize("literal", ["1e400", "-1e400", "2e308"])
 def test_number_literal_must_be_within_float_range(literal):
     for parse_it, text in ((parse, f"A = nsel(G, [w > {literal}])"), (parse_condition, f"[w > {literal}]")):

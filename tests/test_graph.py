@@ -21,6 +21,15 @@ from socialgraph.graph import (
 )
 
 
+@pytest.mark.parametrize("name", ["id", "src", "tgt"])
+def test_node_and_link_reject_an_identity_field_as_an_attribute(name):
+    message = f"^'{name}' is an identity field, not an attribute name$"
+    with pytest.raises(ValueError, match=message):
+        node("n", type="user", **{name: "x"})
+    with pytest.raises(ValueError, match=message):
+        link("l", "a", "b", type="visit", **{name: "x"})
+
+
 def test_build_empty_graph():
     g = build_graph([], [])
     assert g.nodes == {} and g.links == {}

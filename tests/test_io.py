@@ -245,6 +245,42 @@ def test_object_valued_attribute_rejected(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("which", ["nodes", "links"])
+@pytest.mark.parametrize("name", ["id", "src", "tgt"])
+def test_identity_field_as_an_attribute_rejected(tmp_path, which, name):
+    np, lp = paths(tmp_path)
+    nodes = [{"id": "a", "attrs": {"type": "user"}}, {"id": "b", "attrs": {"type": "user"}}]
+    links = [{"id": lid, "src": src, "tgt": tgt, "attrs": {"type": "friend"}} for lid, src, tgt in ("lab", "mba")]
+    (nodes if which == "nodes" else links)[1]["attrs"][name] = "a"
+    for path, records in ((np, nodes), (lp, links)):
+        Path(path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with pytest.raises(GraphFileError) as err:
+        load_graph(np, lp)
+    path = np if which == "nodes" else lp
+    assert str(err.value) == f"{path}:2: '{name}' is an identity field, not an attribute name"
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("which", ["nodes", "links", "items", "snapshot"])
+def test_json_nested_too_deeply_rejected(tmp_path, which):
+    np, lp = paths(tmp_path)
+    save_graph(jazz_fixture(), np, lp)
+    path = str(tmp_path / "deep.jsonl")
+    first = {"id": "x", "src": "u1", "tgt": "u1", "attrs": {"type": "e"}}  # fits every file kind
+    Path(path).write_text(json.dumps(first) + "\n" + DEEP_JSON + "\n", encoding="utf-8")
+    load = {
+        "nodes": lambda: load_graph(path, lp),
+        "links": lambda: load_graph(np, path),
+        "items": lambda: load_scored_items(path),
+        "snapshot": lambda: load_index_snapshot(path),
+    }[which]
+    with pytest.raises(GraphFileError) as err:
+        load()
+    assert str(err.value) == f"{path}:2: invalid JSON: nested too deeply"
+
+
 def test_attribute_integer_beyond_float_range_rejected(tmp_path):
     np, lp = paths(tmp_path)
     with open(np, "w") as fh:
