@@ -56,6 +56,12 @@ nodes it evaluates first, children before parents. ``execute`` is one
 loop over that schedule, which is bit-identical to running the
 corresponding algebra calls by hand. The built-in search and CF
 pipelines of ``discovery`` are such plans.
+
+``execute`` keeps results with the input graph they were computed
+from: every parameter-free result of a plan with parameters, and the
+parameterised results of the latest such run on that graph, each under
+its key with the parameters' values in place. Every plan reads them, so
+a binding served twice in a row runs its plan once.
 """
 
 from __future__ import annotations
@@ -479,20 +485,28 @@ def _key(*items) -> _Key:
 
 @dataclass(frozen=True, eq=False)
 class PlanNode:
-    """One operator (or input leaf) in the compiled DAG; compile interns
-    nodes, so nodes compare by identity.
+    """One operator (or input leaf) in the compiled DAG; compile builds
+    each node once, so nodes compare by identity.
 
     ``key`` is the node's structure: its kind, its children's keys and
     the ``_param_key`` of each parameter, after their hash (``_Key``). It
     holds no ids, so it names the same subplan in every plan, and no
-    other. ``source`` is the one input graph the node reads, or None when
-    it reads more than one or has a ``$NAME`` below it."""
+    other. ``graph`` is the one input graph the node reads, or None when
+    it reads more than one; ``parametric`` is True when a ``$NAME`` is
+    at or below it."""
 
     kind: str
     inputs: tuple  # of PlanNode
     params: tuple
     key: tuple = field(repr=False)
-    source: str | None = field(repr=False)
+    graph: str | None = field(repr=False)
+    parametric: bool = field(repr=False)
+
+    @property
+    def source(self) -> str | None:
+        """The input graph whose ``plan_results`` may keep this node's
+        result: its one input graph, if no ``$NAME`` is below it."""
+        return None if self.parametric else self.graph
 
 
 @dataclass(frozen=True)
@@ -517,65 +531,66 @@ def _param_key(p):
 
 
 def compile(program: Program, inputs=None) -> Plan:
-    """Fold a Program into a Plan: intern it as written, merging
-    structurally equal subtrees; count each node's consumers and note
-    the nodes a binding names; then walk each binding bottom-up,
-    re-interning, pushing selections below semi-joins (``select``), and
-    scheduling each node the first time the walk returns it.
+    """Fold a Program into a Plan: intern it as written on structural
+    keys alone, merging structurally equal subtrees; count each key's
+    consumers and note the keys a binding names; then walk each binding
+    bottom-up, pushing selections below semi-joins (``select``), building
+    each PlanNode the plan runs once and scheduling it the first time the
+    walk returns it.
 
     Free names become input leaves. When ``inputs`` (a collection of
     permitted input names) is given, any other free name raises
     UnboundReference at compile time instead of at execution.
     """
-    intern: dict = {}
-    env: dict = {}
-    leaves: dict = {}  # input name -> its leaf, in first-use order
+    written: dict = {}  # key as written (hash, kind, children's keys, param keys) -> its params
+    env: dict = {}  # binding name -> its key as written
+    leaves: dict = {}  # input name -> its leaf's key, in first-use order
     param_names: list = []
 
-    def mk(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
-        key = _key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
-        node = intern.get(key)
-        if node is None:
-            if kind == "input":
-                source = params[0]
-            else:
-                sources = {c.source for c in node_inputs}
-                parametric = any(isinstance(p, Param) for p in params)
-                source = sources.pop() if len(sources) == 1 and not parametric else None
-            node = intern[key] = PlanNode(kind, node_inputs, params, key, source)
-        return node
-
-    def build(expr) -> PlanNode:
+    def build(expr) -> _Key:
         if isinstance(expr, Ref):
             if expr.name in env:
                 return env[expr.name]
             if expr.name not in leaves:
                 if inputs is not None and expr.name not in inputs:
                     raise UnboundReferenceError(expr.name)
-                leaves[expr.name] = mk("input", (), (expr.name,))
+                leaves[expr.name] = _key("input", (), (expr.name,))
+                written[leaves[expr.name]] = (expr.name,)
             return leaves[expr.name]
         split = OPS[expr.op][2].count("e")  # sub-expressions come first
         children, params = tuple(map(build, expr.args[:split])), expr.args[split:]
         for p in params:
             if isinstance(p, Param) and p.name not in param_names:
                 param_names.append(p.name)
-        return mk(expr.op, children, params)
+        key = _key(expr.op, children, tuple(map(_param_key, params)))
+        written.setdefault(key, params)
+        return key
 
     for name, expr in program.stmts:
         env[name] = build(expr)
-    consumers = Counter(child for node in intern.values() for child in node.inputs)
+    consumers = Counter(child for key in written for child in key[2])
     bound = set(env.values())
-    rewritten: dict = {}  # node as written -> the node the plan runs
-    scheduled: set = set()
+    nodes: dict = {}  # key -> the PlanNode the plan runs
+    rewritten: dict = {}  # key as written -> the PlanNode the plan runs in its place
     out: list = []  # the current binding's schedule
 
-    def emit(node: PlanNode) -> PlanNode:
-        if node not in scheduled:
-            scheduled.add(node)
+    def emit(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
+        """The plan's node for this operator call, built and scheduled
+        the first time it is asked for."""
+        key = _key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
+        node = nodes.get(key)
+        if node is None:
+            if kind == "input":
+                graph, parametric = params[0], False
+            else:
+                graphs = {c.graph for c in node_inputs}
+                graph = graphs.pop() if len(graphs) == 1 else None
+                parametric = any(c.parametric for c in node_inputs) or any(isinstance(p, Param) for p in params)
+            node = nodes[key] = PlanNode(kind, node_inputs, params, key, graph, parametric)
             out.append(node)
         return node
 
-    def select(g: PlanNode, params: tuple) -> PlanNode:
+    def select(g: _Key, params: tuple) -> PlanNode:
         """Select pushdown: lsel(semijoin(G, X, δ), c) -> semijoin(lsel(G, c),
         X, δ), level by level through nested semi-joins, for ``g`` as
         written, where the semi-join has one consumer and no binding
@@ -592,21 +607,22 @@ def compile(program: Program, inputs=None) -> Plan:
         link-less X is matched by node id on both sides. ``lsel(G, c)``
         no longer depends on X, so plans that select from the same G
         share it (and keep it, see ``execute``)."""
-        if g.kind == "semijoin" and consumers[g] == 1 and g not in bound:
-            inner, x = g.inputs
-            return emit(mk("semijoin", (select(inner, params), walk(x)), g.params))
-        return emit(mk("lsel", (walk(g),), params))
+        _, kind, children, _ = g
+        if kind == "semijoin" and consumers[g] == 1 and g not in bound:
+            inner, x = children
+            return emit("semijoin", (select(inner, params), walk(x)), written[g])
+        return emit("lsel", (walk(g),), params)
 
-    def walk(node: PlanNode) -> PlanNode:
-        new = rewritten.get(node)
-        if new is None:
-            if node.kind == "lsel":
-                new = select(node.inputs[0], node.params)
+    def walk(key: _Key) -> PlanNode:
+        node = rewritten.get(key)
+        if node is None:
+            _, kind, children, _ = key
+            if kind == "lsel":
+                node = select(children[0], written[key])
             else:
-                children = tuple(map(walk, node.inputs))
-                new = emit(node if children == node.inputs else mk(node.kind, children, node.params))
-            rewritten[node] = new
-        return new
+                node = emit(kind, tuple(map(walk, children)), written[key])
+            rewritten[key] = node
+        return node
 
     bindings, schedule = [], []
     for name, _ in program.stmts:
@@ -622,42 +638,61 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
     ValueError of an operator's argument check, is wrapped in an
     ExecutionError naming the binding being evaluated.
 
-    A node with a ``source`` gives the same result every time it runs on
-    that graph. A plan with parameters, which is run again and again on
-    one graph, keeps such results in the graph's instance dict
-    (``plan_results``, next to ``out_links``) under the node's ``key``,
-    which is sound only because graphs are never mutated. A plan without
-    parameters keeps nothing, so one-off scripts never pile up on a
-    graph; every plan reuses what is kept.
+    A node that reads one input ``graph`` gives the same result every
+    time it runs on it with the same parameter values, since graphs are
+    never mutated. Its bound key is its ``key`` with each ``$NAME``
+    replaced by the ``_param_key`` of its value: the key a script writing
+    that value in place gets. Every plan reads a node's result under that
+    key from the graph's instance dict (next to ``out_links``) before
+    running it. A plan with parameters, run again and again on one graph,
+    writes two sets there: ``plan_results`` gathers its parameter-free
+    results, and ``bound_results`` holds the others from its latest
+    successful run only, which replaces the set with the ones it ran or
+    read. So a graph keeps one run's bound results however many users it
+    serves, and a repeated binding (one user's CF plan run twice) runs no
+    operator twice. A plan without parameters writes nothing, so one-off
+    scripts never pile up on a graph.
     """
     params = params or {}
     keep = bool(plan.params)
     done: dict = {}  # PlanNode -> its result in this run
+    bound_keys: dict = {}  # PlanNode with a $NAME below it -> its bound key in this run
+    fresh: dict = {}  # input graph name -> its bound results in this run
     results: dict = {}
     for (name, root), nodes in zip(plan.bindings, plan.schedule):
         try:
             for node in nodes:
                 if node.kind == "input":
-                    if node.source not in inputs:
-                        raise UnboundReferenceError(node.source)
-                    done[node] = inputs[node.source]
+                    if node.graph not in inputs:
+                        raise UnboundReferenceError(node.graph)
+                    done[node] = inputs[node.graph]
                     continue
-                # a node's source is bound: its input leaf ran before it
-                result = vars(inputs[node.source]).get("plan_results", {}).get(node.key) if node.source else None
+                try:
+                    values = [params[p.name] if isinstance(p, Param) else p for p in node.params]
+                except KeyError as e:
+                    raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
+                key = node.key
+                if node.parametric:
+                    children = tuple(bound_keys.get(c, c.key) for c in node.inputs)
+                    key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))
+                # a node's graph is bound: its input leaf ran before it
+                kept = vars(inputs[node.graph]) if node.graph else {}
+                result = kept.get("plan_results", {}).get(key)
+                if result is None:
+                    result = kept.get("bound_results", {}).get(key)
                 if result is None:
                     fn, lead, _ = OPS[node.kind]
-                    args = [done[child] for child in node.inputs]
-                    try:
-                        args += [params[p.name] if isinstance(p, Param) else p for p in node.params]
-                    except KeyError as e:
-                        raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
-                    result = getattr(algebra, fn)(*lead, *args)
-                    if keep and node.source:
-                        vars(inputs[node.source]).setdefault("plan_results", {})[node.key] = result
+                    result = getattr(algebra, fn)(*lead, *[done[c] for c in node.inputs], *values)
+                if keep and node.source:
+                    kept.setdefault("plan_results", {})[key] = result
+                elif keep and node.graph:
+                    fresh.setdefault(node.graph, {})[key] = result
                 done[node] = result
         except (SocialGraphError, ValueError) as e:
             raise ExecutionError(name, e) from e
         results[name] = done[root]
+    for graph, bound in fresh.items():
+        vars(inputs[graph])["bound_results"] = bound
     return results
 
 

@@ -79,14 +79,19 @@ CLI_MODULES = {
     "estimate-index": {"cli", "errors", "index", "aggfn"},
 }
 
+# A call that raises gets the exception's last traceback line in place
+# of its exit code, so that only its own case fails, naming it.
 _CLI_CHILD = """
-import io, json, sys
+import io, json, sys, traceback
 results = []
 for argv in json.load(sys.stdin):
     for name in [m for m in sys.modules if m == "socialgraph" or m.startswith("socialgraph.")]:
         del sys.modules[name]
-    from socialgraph.cli import run_command
-    code = run_command(argv, out=io.StringIO(), err=io.StringIO())
+    try:
+        from socialgraph.cli import run_command
+        code = run_command(argv, out=io.StringIO(), err=io.StringIO())
+    except Exception as e:
+        code = "raised " + traceback.format_exception_only(e)[-1].strip()
     results.append([code, sorted(m for m in sys.modules if m.startswith("socialgraph."))])
 print(json.dumps(results))
 """
@@ -94,8 +99,9 @@ print(json.dumps(results))
 
 def cli_modules_loaded(argvs, cwd) -> list:
     """Run CLI calls one after another in one fresh interpreter, each on
-    a fresh import of the package: per call, its exit code and the
-    package modules loaded by then, without the ``socialgraph.`` prefix."""
+    a fresh import of the package: per call, its exit code (or the
+    exception it raised) and the package modules loaded by then, without
+    the ``socialgraph.`` prefix."""
     proc = subprocess.run(
         [sys.executable, "-c", _CLI_CHILD], input=json.dumps(argvs),
         cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=300, check=True,

@@ -836,9 +836,11 @@ def _run_node_recursive(node, inputs, params, memo, keep):
 def execute_recursive(plan, inputs, params=None):
     """``dsl.execute`` as a recursion from each binding root, probing a
     memo keyed by node identity for the root and for every child, and
-    skipping the children of a kept result. It keeps and reuses results
-    per graph and wraps failures with the binding name as ``execute``
-    does."""
+    skipping the children of a kept result. It keeps and reuses
+    parameter-free results per graph (``plan_results``) and wraps
+    failures with the binding name as ``execute`` does, but it runs every
+    node with a ``$NAME`` below it: it neither reads nor writes the
+    latest binding's results (``bound_results``)."""
     params = params or {}
     keep = bool(plan.params)
     memo = {}

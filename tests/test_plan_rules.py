@@ -1,8 +1,9 @@
 """The plan optimiser and executor: compiled plans against the program
 run as written (``run_as_written``) and against naive scans, the
 compiled schedules of the built-in and corpus scripts, the per-graph
-keeping of parameter-free subplan results, and the loop over a plan's
-schedule against the recursive executor of ``reference.py``.
+keeping of parameter-free subplan results and of the latest parameter
+binding's results, and the loop over a plan's schedule against the
+recursive executor of ``reference.py``.
 
 Plans are the corpus scripts of ``script_corpus.py`` with drawn
 selections over semi-joins appended. Their graphs use the ids and
@@ -32,9 +33,18 @@ from reference import (
 )
 from script_corpus import CORPUS, SCRIPT_DIR, read_script
 from socialgraph import algebra, dsl
-from socialgraph.discovery import CF_SCRIPT, SEARCH_SCRIPT, VISIT, cf_pipeline, network_search
+from socialgraph.discovery import (
+    CF_SCRIPT,
+    SEARCH_SCRIPT,
+    VISIT,
+    DiscoveryConfig,
+    cf_pipeline,
+    cf_recommend,
+    discover,
+    network_search,
+)
 from socialgraph.fixtures import cf_fixture, random_travel_graph, rng_from
-from socialgraph.graph import Condition, Link, Node, attr_eq, attr_ne, build_graph, node
+from socialgraph.graph import Condition, Link, Node, attr_eq, attr_gt, attr_ne, build_graph, node
 
 USERS = ("101", "102", "u00", "u01")
 PLACES = ("201", "202", "p0")
@@ -176,6 +186,32 @@ def test_a_plan_has_no_more_nodes_than_distinct_subexpressions(case):
     assert dsl.compile(program).node_count() <= distinct_subexpressions(program)
 
 
+def compile_counting_nodes(program) -> tuple:
+    """``dsl.compile(program)`` and the number of PlanNodes it built."""
+    built = 0
+    init = dsl.PlanNode.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    with mock.patch.object(dsl.PlanNode, "__init__", counting):
+        plan = dsl.compile(program)
+    return plan, built
+
+
+@given(plans())
+def test_compile_builds_only_the_nodes_the_plan_runs(case):
+    plan, built = compile_counting_nodes(dsl.parse(case[0]))
+    assert built == plan.node_count()
+
+
+@pytest.mark.parametrize("script, nodes", [(CF_SCRIPT, 17), (SEARCH_SCRIPT, 13)])
+def test_compile_builds_each_node_of_a_builtin_plan_once(script, nodes):
+    assert compile_counting_nodes(dsl.parse(script))[1] == nodes
+
+
 def test_pushdown_leaves_a_bound_semi_join_alone():
     """A semi-join that a binding names stays one node, and the selection
     reads it: pushing the selection below it would run a second
@@ -303,6 +339,149 @@ def test_a_derived_graph_keeps_its_own_results():
     assert algebra.link_select(g, VISIT) in kept(g).values()
 
 
+# ---------------------------------------------------------------------------
+# Results of the latest parameter binding, kept per graph
+
+
+def bound(g) -> dict:
+    return vars(g).get("bound_results", {})
+
+
+CF_CONFIG = DiscoveryConfig(sim_threshold=0.1)
+
+
+def cf_params(user, theta) -> dict:
+    return {
+        "user": Condition(preds=(attr_eq("id", user),)),
+        "others": Condition(preds=(attr_ne("id", user),)),
+        "over": Condition(preds=(attr_gt("sim", theta),)),
+    }
+
+
+def literal_cf(user, theta) -> str:
+    """ex5_cf.sgs with its user and threshold written in: a script
+    without parameters whose plan is the CF plan's with those values."""
+    return read_script("ex5_cf.sgs").replace("'101'", f"'{user}'").replace("0.5", repr(theta))
+
+
+def parametric_calls(script, names=None) -> Counter:
+    """The algebra calls of a built-in plan's nodes with a $NAME below
+    them (one of ``names``, if given)."""
+
+    def below(node) -> bool:
+        return any(isinstance(p, dsl.Param) and p.name in names for p in node.params) or any(map(below, node.inputs))
+
+    plan = dsl.compile(dsl.parse(script))
+    nodes = [n for nodes in plan.schedule for n in nodes if n.parametric and (names is None or below(n))]
+    return Counter(dsl.OPS[n.kind][0] for n in nodes)
+
+
+@st.composite
+def served_runs(draw):
+    """A graph (Example 5's, where 101 and 102 match, or a drawn one) and
+    the runs served on it, one after another: the CF plan, the search
+    plan, or ex5_cf.sgs with the user and threshold written in. A run
+    often repeats the one before, with the same or another threshold
+    (0.0 and -0.0 among them), and a run of a built-in plan may leave a
+    $NAME unbound."""
+    g = draw(st.one_of(st.builds(cf_fixture), corpus_graphs()))
+    thetas = st.sampled_from((0.0, -0.0, 0.5))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        if steps and draw(st.booleans()):
+            kind, user, _, places, drop = steps[-1]
+        else:
+            kind, user = draw(st.sampled_from(("cf", "search", "literal"))), draw(st.sampled_from(USERS))
+            places = dsl.parse_condition(draw(st.sampled_from(NODE_CONDITIONS)))
+            drop = draw(st.sampled_from((None, "user", "others", "over", "places", *[None] * 6)))
+        steps.append((kind, user, draw(thetas), places, drop))
+    runs = []
+    for kind, user, theta, places, drop in steps:
+        if kind == "literal":
+            runs.append((literal_cf(user, theta), {}))
+            continue
+        params = cf_params(user, theta)
+        text = CF_SCRIPT if kind == "cf" else SEARCH_SCRIPT
+        if kind == "search":
+            params = {"user": params["user"], "places": places}
+        params.pop(drop, None)
+        runs.append((text, params))
+    return g, runs
+
+
+@given(served_runs())
+def test_runs_served_on_one_graph_match_the_program_as_written(case):
+    """Each run, reading what earlier runs kept, is exact-equal to the
+    program as written on a fresh copy (or fails alike), and the graph's
+    ``plan_results`` hold what the recursive executor keeps."""
+    g, runs = case
+    env, ref = fresh({"G": g}), fresh({"G": g})
+    for text, params in runs:
+        program = dsl.parse(text)
+        plan = dsl.compile(program)
+        assert run(plan, env, params)[0] == run(program, fresh({"G": g}), params, run_as_written)[0]
+        run(plan, ref, params, execute_recursive)
+        assert set(kept(env["G"])) == set(kept(ref["G"]))
+
+
+def test_discover_reads_the_cf_plan_cf_recommend_ran():
+    g = travel()
+    u, v = sorted(n for n in g.nodes if n.startswith("u"))[:2]
+    cf_recommend(g, u, CF_CONFIG)
+    held = bound(g)
+    # a script without params reads what is kept but writes nothing
+    dsl.run_script(literal_cf(v, 0.3), {"G": g})
+    assert bound(g) is held
+    with counted_operators() as calls:
+        msg = discover(g, u, DESTINATION, CF_CONFIG)
+        script = dsl.run_script(literal_cf(u, CF_CONFIG.sim_threshold), {"G": g})
+    assert calls == Counter()
+    assert msg == discover(fresh({"G": g})["G"], u, DESTINATION, CF_CONFIG)
+    assert script["G7"] == cf_pipeline_wired(g, u, CF_CONFIG.sim_threshold)["scored"]
+    # another user runs every parameterised node again; another threshold
+    # token, those below $over
+    for theta, names in ((0.1, None), (0.0, ("over",)), (-0.0, ("over",))):
+        with counted_operators() as calls:
+            stages = cf_pipeline(g, v, theta)
+        assert calls == parametric_calls(CF_SCRIPT, names)
+        assert stages == cf_pipeline_wired(g, v, theta)
+
+
+def test_a_graph_keeps_one_runs_parameterised_results():
+    g = travel()
+    users = sorted(n for n in g.nodes if n.startswith("u"))
+    for u in users:
+        cf_recommend(g, u, CF_CONFIG)
+        discover(g, u, DESTINATION, CF_CONFIG)
+    last = fresh({"G": g})["G"]
+    cf_recommend(last, users[-1], CF_CONFIG)
+    assert len(bound(g)) == sum(parametric_calls(CF_SCRIPT).values())
+    assert bound(g).keys() == bound(last).keys()
+    assert all(exact(bound(g)[k]) == exact(bound(last)[k]) for k in bound(g))
+    network_search(g, users[0], DESTINATION)
+    assert len(bound(g)) == sum(parametric_calls(SEARCH_SCRIPT).values())
+
+
+def test_parameterised_results_are_kept_with_the_graph_they_read():
+    g = travel()
+    h = algebra.link_select(g, VISIT)
+    u = sorted(n for n in h.nodes if n.startswith("u"))[0]
+    plan = dsl.compile(dsl.parse("A = nsel(G1, $who)\nB = nsel(G2, $who)\nC = union(A, B)"))
+    results = dsl.execute(plan, {"G1": g, "G2": h}, {"who": cf_params(u, 0.1)["user"]})
+    (a,), (b,) = bound(g).values(), bound(h).values()
+    assert a is results["A"] and b is results["B"]
+    # a derived graph keeps its own, which a run on its parent leaves alone
+    cf_recommend(h, u, CF_CONFIG)
+    held = dict(bound(h))
+    cf_recommend(g, u, CF_CONFIG)
+    assert bound(g).keys() == held.keys()
+    assert all(bound(h)[k] is v and bound(g)[k] is not v for k, v in held.items())
+    want = discover(fresh({"G": h})["G"], u, DESTINATION, CF_CONFIG)
+    with counted_operators() as calls:
+        assert discover(h, u, DESTINATION, CF_CONFIG) == want
+    assert calls == Counter()
+
+
 def test_aggregate_pushdown_is_not_a_rule():
     """naggr(semijoin(V, X, (src,src)), ...) differs from
     semijoin(naggr(V, ...), X, (src,src)): the aggregate also lands on
@@ -415,9 +594,10 @@ def test_each_scheduled_operator_runs_at_most_once_per_execute(case):
     plan = dsl.compile(dsl.parse(text))
     ops = [n for nodes in plan.schedule for n in nodes if n.kind != "input"]
     env = fresh(inputs)
-    # on fresh graphs every operator runs; on the same graphs again, a
-    # plan with params runs only what it could not keep
-    for runs in (ops, [n for n in ops if not (plan.params and n.source)]):
+    # on fresh graphs every operator runs; on the same graphs with the
+    # same params, a plan with params runs only the nodes that read more
+    # than one input graph
+    for runs in (ops, [n for n in ops if not (plan.params and n.graph)]):
         want = Counter(dsl.OPS[n.kind][0] for n in runs)
         with counted_operators() as calls:
             failed = run(plan, env, params)[1] is None
