@@ -48,14 +48,20 @@ runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
 ``parse`` builds a Program, and ``compile`` folds it into a shared
-operator DAG. It interns the program as written on one structural key
-(``PlanNode.key``), so structurally equal subexpressions are merged;
-then rewrites it in one pass that sees each node's consumers (select
-pushdown); and schedules it in that same pass: for each binding, the
-nodes it evaluates first, children before parents. ``execute`` is one
-loop over that schedule, which is bit-identical to running the
-corresponding algebra calls by hand. The built-in search and CF
-pipelines of ``discovery`` are such plans.
+operator DAG. It interns the program as written on structural keys, so
+structurally equal subexpressions are merged; then rewrites it in one
+pass that sees each node's consumers (select pushdown); and schedules
+it in that same pass: for each binding, the nodes it evaluates first,
+children before parents. ``execute`` is one loop over that schedule,
+which is bit-identical to running the corresponding algebra calls by
+hand. The built-in search and CF pipelines of ``discovery`` are such
+plans.
+
+A plan node's key (``PlanNode.key``) names the value it computes, not
+the form the rewrite chose for it: a selection over a semi-join is
+keyed as its pushed-down form. So a plan that keeps a selection above
+a shared semi-join reads the result of a plan that pushed it down, and
+the other way round.
 
 ``execute`` keeps results with the input graph they were computed
 from: every parameter-free result of a plan with parameters, and the
@@ -483,15 +489,29 @@ def _key(*items) -> _Key:
     return _Key((hash(items), *items))
 
 
+def _node_key(kind: str, children: tuple, params: tuple) -> _Key:
+    """The key of the value a node computes: an lsel over a semi-join is
+    keyed as its pushed-down form, lsel(semijoin(G, X, δ), c) as
+    semijoin(lsel(G, c), X, δ), level by level through nested semi-joins
+    (``select`` shows the two give the same graph). Any other node's key
+    is its structure."""
+    if kind == "lsel" and children[0][1] == "semijoin":
+        _, _, (inner, x), delta = children[0]
+        return _key("semijoin", (_node_key("lsel", (inner,), params), x), delta)
+    return _key(kind, children, params)
+
+
 @dataclass(frozen=True, eq=False)
 class PlanNode:
     """One operator (or input leaf) in the compiled DAG; compile builds
     each node once, so nodes compare by identity.
 
-    ``key`` is the node's structure: its kind, its children's keys and
-    the ``_param_key`` of each parameter, after their hash (``_Key``). It
-    holds no ids, so it names the same subplan in every plan, and no
-    other. ``graph`` is the one input graph the node reads, or None when
+    ``key`` names the value the node computes: its kind, its children's
+    keys and the ``_param_key`` of each parameter, after their hash
+    (``_Key``), with an lsel over a semi-join keyed as its pushed-down
+    form (``_node_key``). It holds no ids, so it names the same value in
+    every plan, whichever of the two forms the plan runs, and no other
+    value. ``graph`` is the one input graph the node reads, or None when
     it reads more than one; ``parametric`` is True when a ``$NAME`` is
     at or below it."""
 
@@ -577,7 +597,7 @@ def compile(program: Program, inputs=None) -> Plan:
     def emit(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
         """The plan's node for this operator call, built and scheduled
         the first time it is asked for."""
-        key = _key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
+        key = _node_key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
         node = nodes.get(key)
         if node is None:
             if kind == "input":
@@ -606,7 +626,10 @@ def compile(program: Program, inputs=None) -> Plan:
         G is empty), and so does a G with no link satisfying c; a
         link-less X is matched by node id on both sides. ``lsel(G, c)``
         no longer depends on X, so plans that select from the same G
-        share it (and keep it, see ``execute``)."""
+        share it (and keep it, see ``execute``). Where the guard keeps
+        the selection above the semi-join, its node still gets the
+        pushed-down form's key (``_node_key``), since both forms give
+        the same graph: it reads what a plan that pushed it kept."""
         _, kind, children, _ = g
         if kind == "semijoin" and consumers[g] == 1 and g not in bound:
             inner, x = children
@@ -642,16 +665,18 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
     time it runs on it with the same parameter values, since graphs are
     never mutated. Its bound key is its ``key`` with each ``$NAME``
     replaced by the ``_param_key`` of its value: the key a script writing
-    that value in place gets. Every plan reads a node's result under that
-    key from the graph's instance dict (next to ``out_links``) before
-    running it. A plan with parameters, run again and again on one graph,
-    writes two sets there: ``plan_results`` gathers its parameter-free
-    results, and ``bound_results`` holds the others from its latest
-    successful run only, which replaces the set with the ones it ran or
-    read. So a graph keeps one run's bound results however many users it
-    serves, and a repeated binding (one user's CF plan run twice) runs no
-    operator twice. A plan without parameters writes nothing, so one-off
-    scripts never pile up on a graph.
+    that value in place gets. Like ``key``, it names the value, so a
+    selection over a semi-join has the bound key of its pushed-down form.
+    Every plan reads a node's result under that key from the graph's
+    instance dict (next to ``out_links``) before running it. A plan with
+    parameters, run again and again on one graph, writes two sets there:
+    ``plan_results`` gathers its parameter-free results, and
+    ``bound_results`` holds the others from its latest successful run
+    only, which replaces the set with the ones it ran or read. So a graph
+    keeps one run's bound results however many users it serves, and a
+    repeated binding (one user's CF plan run twice) runs no operator
+    twice. A plan without parameters writes nothing, so one-off scripts
+    never pile up on a graph.
     """
     params = params or {}
     keep = bool(plan.params)
@@ -674,7 +699,7 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
                 key = node.key
                 if node.parametric:
                     children = tuple(bound_keys.get(c, c.key) for c in node.inputs)
-                    key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))
+                    key = bound_keys[node] = _node_key(node.kind, children, tuple(map(_param_key, values)))
                 # a node's graph is bound: its input leaf ran before it
                 kept = vars(inputs[node.graph]) if node.graph else {}
                 result = kept.get("plan_results", {}).get(key)

@@ -2,13 +2,15 @@
 run as written (``run_as_written``) and against naive scans, the
 compiled schedules of the built-in and corpus scripts, the per-graph
 keeping of parameter-free subplan results and of the latest parameter
-binding's results, and the loop over a plan's schedule against the
+binding's results, keys that name a selection over a semi-join by its
+pushed-down form, and the loop over a plan's schedule against the
 recursive executor of ``reference.py``.
 
 Plans are the corpus scripts of ``script_corpus.py`` with drawn
 selections over semi-joins appended. Their graphs use the ids and
-attributes the corpus names, and any link may point into a user node
-(the visit link v->u of the aggregate-pushdown counterexample).
+attributes the corpus names, any link may point into a user node (the
+visit link v->u of the aggregate-pushdown counterexample), and a few
+visits to shared places let users match in CF in most drawn graphs.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ USERS = ("101", "102", "u00", "u01")
 PLACES = ("201", "202", "p0")
 WORDS = ("denver", "skiing", "act", "visit")
 LINK_KINDS = (("connect", "friend"), ("act", "visit"), ("visit",), ("act", "tag"), ("act",), ("edge",))
+VISIT_KINDS = (("act", "visit"), ("visit",))
 DELTAS = ("(src,src)", "(src,tgt)", "(tgt,src)", "(tgt,tgt)")
 NODE_CONDITIONS = ("[type='user']", "[type='destination']", "[id='101']", "[id!='u00']")
 LINK_CONDITIONS = (
@@ -82,6 +85,11 @@ def corpus_graphs(draw):
         if draw(st.booleans()):
             attrs["rating"] = frozenset({draw(st.sampled_from((0.0, 0.5, 1.0)))})
         links.append(Link(f"l{j}", draw(st.sampled_from(USERS)), draw(st.sampled_from(ids)), attrs))
+    # visits to a few shared places, so that users often match in CF
+    pairs = st.tuples(st.sampled_from(USERS), st.sampled_from(PLACES))
+    visits = draw(st.lists(pairs, min_size=2, max_size=8, unique=True))
+    for j, (u, p) in enumerate(visits):
+        links.append(Link(f"v{j}", u, p, {"type": frozenset(draw(st.sampled_from(VISIT_KINDS)))}))
     return build_graph(nodes, links)
 
 
@@ -480,6 +488,144 @@ def test_parameterised_results_are_kept_with_the_graph_they_read():
     with counted_operators() as calls:
         assert discover(h, u, DESTINATION, CF_CONFIG) == want
     assert calls == Counter()
+
+
+# ---------------------------------------------------------------------------
+# A key names the value a node computes, whichever form the plan runs
+
+# perfbench's combined CF and network-search script, with its threshold
+# written in and USER for the user's id. It shares semijoin(G, ME) between
+# G1 and S1, so G1 runs as lsel(semijoin(G, ME)), the CF plan's G1 as
+# semijoin(lsel(G, visit), ME).
+COMBINED_SCRIPT = """\
+ME  = nsel(G, [id='USER'])
+G1  = lsel(semijoin(G, ME, (src,src)), [type='visit'])
+G1v = naggr(G1, [type='visit'], src, vst, set(tgt))
+OTH = nsel(G, [id!='USER'])
+G2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
+G2v = naggr(G2, [type='visit'], src, vst, set(tgt))
+G3  = compose(G1v, G2v, (tgt,tgt), {sim: jaccard(lsrc.vst, rsrc.vst)})
+G4  = laggr(G3, [sim>0.1], {type: const('match'), sim: any(sim)})
+G4m = lsel(G4, [type='match'])
+G5  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
+G6  = compose(semijoin(G4m, G5, (tgt,src)), semijoin(G5, G4m, (src,tgt)), (tgt,src), {sim_sc: copy(l.sim)})
+G7  = laggr(G6, [], {score: avg(sim_sc)})
+S1  = lsel(semijoin(G, ME, (src,src)), [type='friend'])
+S2  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
+S3  = semijoin(S1, S2, (tgt,src))
+S4  = semijoin(S2, S1, (src,tgt))
+S5  = union(S3, S4)
+S6  = lsel(semijoin(G, S3, (src,tgt)), [type='act'])
+S7  = union(S5, S6)
+"""
+
+
+def test_the_combined_script_reads_the_cf_plan_cf_recommend_ran():
+    g = random_travel_graph(rng_from(1), 60, 120)
+    users = sorted(n for n in g.nodes if n.startswith("u"))
+    u = next(u for u in users if cf_pipeline(fresh({"G": g})["G"], u, 0.1)["match"].links)
+    cf_recommend(g, u, CF_CONFIG)
+    discover(g, u, DESTINATION, CF_CONFIG)
+    held = bound(g)
+    before = dict(held)
+    text = COMBINED_SCRIPT.replace("USER", u)
+    with counted_operators() as calls:
+        got = run(dsl.compile(dsl.parse(text)), {"G": g}, {})[0]
+    # only the search part runs: G1 to G7 are the CF plan's results
+    assert calls and not calls.keys() & {"compose", "link_aggregate", "node_aggregate"}
+    assert got == run(dsl.parse(text), fresh({"G": g}), {}, run_as_written)[0]
+    assert bound(g) is held and held.keys() == before.keys()
+    assert all(held[k] is v for k, v in before.items())
+
+
+# Selections over semi-joins in forms the plan keeps as written: over a
+# semi-join a binding names (V1, F1, V5), over a shared one (V1t, F1t, V2,
+# F2) and over nested ones (V6); V1 and V1t differ only in δ. U selects
+# from a union, which is no semi-join, so it must not be keyed as W.
+FORMS = """\
+ME  = nsel(G, {user})
+OTH = nsel(G, {others})
+P   = nsel(G, {places})
+LV  = lsel(G, [type='visit'])
+LF  = lsel(G, [type='friend'])
+SJ  = semijoin(G, ME, (src,src))
+V1  = lsel(SJ, [type='visit'])
+F1  = lsel(SJ, [type='friend'])
+V1t = lsel(semijoin(G, ME, (tgt,src)), [type='visit'])
+F1t = lsel(semijoin(G, ME, (tgt,src)), [type='friend'])
+V2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
+F2  = lsel(semijoin(G, OTH, (src,src)), [type='friend'])
+SP  = semijoin(G, P, (tgt,src))
+V5  = lsel(SP, [type='visit'])
+NJ  = semijoin(SP, OTH, (src,src))
+V6  = lsel(NJ, [type='visit'])
+U   = lsel(union(SJ, P), [type='visit'])
+W   = union(V1, P)
+"""
+
+# The same values with every selection pushed below its semi-joins by
+# hand, and FORMS' shared semi-joins named (SJt, SJo).
+PUSHED = """\
+ME  = nsel(G, {user})
+OTH = nsel(G, {others})
+P   = nsel(G, {places})
+LV  = lsel(G, [type='visit'])
+LF  = lsel(G, [type='friend'])
+SJ  = semijoin(G, ME, (src,src))
+V1  = semijoin(LV, ME, (src,src))
+F1  = semijoin(LF, ME, (src,src))
+SJt = semijoin(G, ME, (tgt,src))
+V1t = semijoin(LV, ME, (tgt,src))
+F1t = semijoin(LF, ME, (tgt,src))
+SJo = semijoin(G, OTH, (src,src))
+V2  = semijoin(LV, OTH, (src,src))
+F2  = semijoin(LF, OTH, (src,src))
+SP  = semijoin(G, P, (tgt,src))
+V5  = semijoin(LV, P, (tgt,src))
+NJ  = semijoin(SP, OTH, (src,src))
+V6  = semijoin(V5, OTH, (src,src))
+U   = lsel(union(SJ, P), [type='visit'])
+W   = union(V1, P)
+"""
+
+AS_PARAMS = {"user": "$user", "others": "$others", "places": "$places"}
+
+
+@given(
+    st.one_of(st.builds(cf_fixture), corpus_graphs()),
+    st.sampled_from(("cf", "search")),
+    st.sampled_from(USERS),
+    st.sampled_from((0.0, -0.0, 0.5)),
+    st.sampled_from(NODE_CONDITIONS),
+)
+def test_selections_over_semi_joins_read_their_pushed_down_form(g, kind, user, theta, places):
+    """After a built-in plan, FORMS runs with that plan's values written
+    in. Then FORMS and PUSHED, each run after the other has run with
+    parameters, read every value the other kept and run no operator.
+    Every binding of every run is exact-equal to its program as written
+    on a fresh copy."""
+    places = "[type='destination']" if kind == "cf" else places
+    literal = {"user": f"[id='{user}']", "others": f"[id!='{user}']", "places": places}
+    values = {name: dsl.parse_condition(text) for name, text in literal.items()}
+    env = fresh({"G": g})
+
+    def check(text, params) -> Counter:
+        """Run ``text`` on env, check it, and give its algebra calls."""
+        program = dsl.parse(text)
+        plan = dsl.compile(program)
+        with counted_operators() as calls:
+            got = run(plan, env, params)[0]
+        assert got == run(program, fresh({"G": g}), params, run_as_written)[0]
+        return calls
+
+    if kind == "cf":
+        check(CF_SCRIPT, cf_params(user, theta))
+    else:
+        check(SEARCH_SCRIPT, {"user": values["user"], "places": values["places"]})
+    check(FORMS.format(**literal), {})
+    for first, then in ((FORMS, PUSHED), (PUSHED, FORMS)):
+        check(first.format(**AS_PARAMS), values)
+        assert check(then.format(**literal), {}) == Counter()
 
 
 def test_aggregate_pushdown_is_not_a_rule():
