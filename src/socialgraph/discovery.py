@@ -205,21 +205,30 @@ def content_evidence(sets: SocialSets, ratings: dict, item: str) -> list:
 
 def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     """Content strategy: score unseen items by their best content
-    evidence (``content_evidence``). Returns at most k positive
-    (item, score) pairs."""
+    evidence, the largest weight ``content_evidence`` gives them.
+    Returns at most k positive (item, score) pairs.
+
+    Only an item that shares a tagger with an acted item has positive
+    evidence, so each acted item reaches its candidates, with their
+    similarities, through the taggers' postings (``item_similarities``)
+    instead of computing one similarity per (item, acted item) pair."""
     if k < 1:
         raise ValueError("k must be at least 1")
     _require_user(g, user_id)
     sets = social_sets(g)
     mine = acted_items(g, user_id)
-    ratings = {other: rating(g, user_id, other) for other in mine}
-    scored = []
-    for n in g.nodes.values():
-        if "item" not in n.attrs["type"] or n.id in mine:
-            continue
-        evidence = content_evidence(sets, ratings, n.id)
-        if evidence:
-            scored.append((n.id, max(w for _, w in evidence)))
+    best: dict = {}
+    for other in mine:
+        r = rating(g, user_id, other)
+        for item, sim in sets.item_similarities(other).items():
+            weight = sim * r
+            if weight > best.get(item, 0.0):
+                best[item] = weight
+    scored = [
+        (item, score)
+        for item, score in best.items()
+        if item not in mine and "item" in g.nodes[item].attrs["type"]
+    ]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
 

@@ -556,7 +556,9 @@ def compile(program: Program, inputs=None) -> Plan:
     consumers and note the keys a binding names; then walk each binding
     bottom-up, pushing selections below semi-joins (``select``), building
     each PlanNode the plan runs once and scheduling it the first time the
-    walk returns it.
+    walk returns it. The walk looks each node up by its key (``value``)
+    before it builds the node's children, so a form of a value that
+    another node already computes builds no node at all.
 
     Free names become input leaves. When ``inputs`` (a collection of
     permitted input names) is given, any other free name raises
@@ -591,23 +593,29 @@ def compile(program: Program, inputs=None) -> Plan:
     consumers = Counter(child for key in written for child in key[2])
     bound = set(env.values())
     nodes: dict = {}  # key -> the PlanNode the plan runs
-    rewritten: dict = {}  # key as written -> the PlanNode the plan runs in its place
+    values: dict = {}  # key as written -> the key of the PlanNode the plan runs in its place
     out: list = []  # the current binding's schedule
 
+    def value(key: _Key) -> _Key:
+        """The key (``_node_key``) of the node the plan runs for ``key``
+        as written, known before any node below it is built."""
+        if key not in values:
+            _, kind, children, params = key
+            values[key] = _node_key(kind, tuple(map(value, children)), params)
+        return values[key]
+
     def emit(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
-        """The plan's node for this operator call, built and scheduled
-        the first time it is asked for."""
+        """Build and schedule the plan's node for this operator call,
+        whose key (``walk`` and ``select`` looked it up) no node has yet."""
         key = _node_key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
-        node = nodes.get(key)
-        if node is None:
-            if kind == "input":
-                graph, parametric = params[0], False
-            else:
-                graphs = {c.graph for c in node_inputs}
-                graph = graphs.pop() if len(graphs) == 1 else None
-                parametric = any(c.parametric for c in node_inputs) or any(isinstance(p, Param) for p in params)
-            node = nodes[key] = PlanNode(kind, node_inputs, params, key, graph, parametric)
-            out.append(node)
+        if kind == "input":
+            graph, parametric = params[0], False
+        else:
+            graphs = {c.graph for c in node_inputs}
+            graph = graphs.pop() if len(graphs) == 1 else None
+            parametric = any(c.parametric for c in node_inputs) or any(isinstance(p, Param) for p in params)
+        node = nodes[key] = PlanNode(kind, node_inputs, params, key, graph, parametric)
+        out.append(node)
         return node
 
     def select(g: _Key, params: tuple) -> PlanNode:
@@ -630,6 +638,9 @@ def compile(program: Program, inputs=None) -> Plan:
         the selection above the semi-join, its node still gets the
         pushed-down form's key (``_node_key``), since both forms give
         the same graph: it reads what a plan that pushed it kept."""
+        node = nodes.get(_node_key("lsel", (value(g),), tuple(map(_param_key, params))))
+        if node is not None:
+            return node
         _, kind, children, _ = g
         if kind == "semijoin" and consumers[g] == 1 and g not in bound:
             inner, x = children
@@ -637,15 +648,11 @@ def compile(program: Program, inputs=None) -> Plan:
         return emit("lsel", (walk(g),), params)
 
     def walk(key: _Key) -> PlanNode:
-        node = rewritten.get(key)
-        if node is None:
-            _, kind, children, _ = key
-            if kind == "lsel":
-                node = select(children[0], written[key])
-            else:
-                node = emit(kind, tuple(map(walk, children)), written[key])
-            rewritten[key] = node
-        return node
+        _, kind, children, _ = key
+        if kind == "lsel":
+            return select(children[0], written[key])
+        node = nodes.get(value(key))
+        return node if node is not None else emit(kind, tuple(map(walk, children)), written[key])
 
     bindings, schedule = [], []
     for name, _ in program.stmts:

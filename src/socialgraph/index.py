@@ -45,6 +45,16 @@ class SocialSets:
         """The similarity of two items: Jaccard of their taggers."""
         return jaccard(self.all_taggers(a), self.all_taggers(b))
 
+    def item_similarities(self, item: str) -> dict:
+        """i -> item_similarity(item, i), for every i (item itself
+        included) that shares a tagger with item. The overlap c is
+        counted through the tagger -> items postings, and c over
+        |taggers(item)| + |taggers(i)| - c are the two ints ``jaccard``
+        divides, so each value is bit-identical to ``item_similarity``."""
+        mine, taggers = self.all_taggers(item), self._item_taggers
+        n = len(mine)
+        return {i: c / (n + len(taggers[i]) - c) for i, c in _overlaps(mine, self._tagged_items).items()}
+
     @cached_property
     def _item_taggers(self) -> dict:
         """item id -> taggers(i), built on first use (sets are never mutated)."""
@@ -52,6 +62,16 @@ class SocialSets:
         for (iid, _), users in self.taggers.items():
             out.setdefault(iid, set()).update(users)
         return {iid: frozenset(users) for iid, users in out.items()}
+
+    @cached_property
+    def _tagged_items(self) -> dict:
+        """tagger -> the items they tagged with a string tag, the inverse
+        of ``_item_taggers``, built on first use."""
+        out: dict = {}
+        for iid, users in self._item_taggers.items():
+            for u in users:
+                out.setdefault(u, []).append(iid)
+        return out
 
 
 @dataclass(frozen=True)

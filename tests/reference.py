@@ -10,7 +10,7 @@ or one shared helper (the greedy-leader loop, item similarity, the
 ordered group-by, the one-member group that explains an item).
 ``test_differential.py`` and ``test_plan_rules.py`` check the two agree
 on results, link order, generated ids and the number of exact-score
-calls. The export list of the once-eager package
+calls, comparing graphs through ``exact``. The export list of the once-eager package
 namespace is kept here too, for ``test_namespace.py``.
 """
 
@@ -886,6 +886,15 @@ def run_as_written(program, inputs, params=None):
         except (SocialGraphError, ValueError) as e:
             raise ExecutionError(name, e) from e
     return env
+
+
+def exact(g) -> tuple:
+    """Nodes and links in order, each with its attributes in key order,
+    for comparing two results exactly."""
+    return (
+        [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
+        [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
+    )
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -315,6 +315,11 @@ def write_malformed_inputs(directory) -> dict:
     for name, rows in found.items():
         with open(p(name), "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(r) + "\n" for r in rows)
+    with open(p("listattrs.nodes"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
+        fh.write('{"id": "z", "attrs": ["user"]}\n')
+    with open(p("short.snap"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records[:2])
     deep_json = "[" * 100_000 + "]" * 100_000 + "\n"
     with open(p("deep.nodes"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
@@ -332,7 +337,7 @@ def write_malformed_inputs(directory) -> dict:
         "empty.items",
         "never.snap",
         "overflow.sgs", "anydiff.sgs", "chainpos.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
-        *found, "deep.nodes", "deep.items", "deep.snap", *scripts,
+        *found, "listattrs.nodes", "short.snap", "deep.nodes", "deep.items", "deep.snap", *scripts,
     )}}
 
 
@@ -416,6 +421,10 @@ MALFORMED = [
                                          "--items", "deep.items", "--criterion", "topical"]),
     ("snapshot nested too deeply", ["topk", "--index", "deep.snap", "--user", "u1", "--keywords", "jazz"]),
     ("query nested 5000 deep", ["query", "--nodes", "nodes", "--links", "links", "--script", "deep.sgs"]),
+    ("topk without --index or a graph", ["topk", "--user", "u1", "--keywords", "jazz"]),
+    ("topk with --nodes only", ["topk", "--nodes", "nodes", "--user", "u1", "--keywords", "jazz"]),
+    ("node attrs not an object", ["recommend", "--nodes", "listattrs.nodes", "--links", "links", "--user", "u1"]),
+    ("snapshot of two lines", ["topk", "--index", "short.snap", "--user", "u1", "--keywords", "jazz"]),
     *(
         (f"estimate-index {option} {value[:8]}", ["estimate-index", *ESTIMATE_ARGS, option, value])
         for option, value in (("--tagger-fraction", "inf"), ("--tagger-fraction", "1e308"),
@@ -496,6 +505,8 @@ ERROR_LINES = {
     "group --criterion social:1.5": "error: theta must be in [0, 1], got 1.5",
     "group --max-groups 0": "error: max_n must be at least 1",
     "group --items empty.items": "error: group_items needs a non-empty item list",
+    "topk without --index or a graph": "error: topk needs --index or both --nodes and --links",
+    "topk with --nodes only": "error: topk needs --index or both --nodes and --links",
 }
 
 
@@ -507,6 +518,8 @@ FILE_ERROR_LINES = {
     "node file nested too deeply": ("deep.nodes", 4, "invalid JSON: nested too deeply"),
     "group --items nested too deeply": ("deep.items", 2, "invalid JSON: nested too deeply"),
     "snapshot nested too deeply": ("deep.snap", 5, "invalid JSON: nested too deeply"),
+    "node attrs not an object": ("listattrs.nodes", 4, "'attrs' must be an object"),
+    "snapshot of two lines": ("short.snap", 1, "truncated index snapshot"),
 }
 
 

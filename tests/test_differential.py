@@ -20,6 +20,7 @@ a list).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import cache
 from unittest import mock
 
@@ -40,6 +41,7 @@ from reference import (
     cluster_users_scan,
     compose_nested,
     content_recommend_scan,
+    exact,
     exact_tag_scores_dict,
     explain_item_two_paths,
     interpreted_agg,
@@ -919,21 +921,34 @@ def test_untagged_items_found_separate_social_groups():
 # One item similarity, shared by content recommendation and explanation
 
 
+RATINGS = (-1.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+
+
 @st.composite
 def tagging_graphs(draw):
-    """Users u0-u2 and items i0-i3 joined by 'tag' links that carry a
-    string tag, only a float, or no tags at all, and maybe a rating."""
+    """Users u0-u2, each with 'tag' links to two to five of items i0-i3
+    and user u0, that carry a string tag, only a float, or no tags at
+    all, and maybe a rating (zero of either sign and negative ones too).
+    User u0 has taggers but is never recommended, and one item may have
+    exactly another's tag links, so that the two tie and the id decides,
+    whichever of the two was tagged first."""
     users, items = ("u0", "u1", "u2"), ("i0", "i1", "i2", "i3")
     nodes = [node(u, type="user") for u in users] + [node(i, type="item") for i in items]
     links = []
-    for j in range(draw(st.integers(0, 10))):
-        attrs = {"type": frozenset({"tag"})}
-        tags = draw(st.sampled_from((None, "jazz", 0.5)))
-        if tags is not None:
-            attrs["tags"] = frozenset({tags})
-        if draw(st.booleans()):
-            attrs["rating"] = frozenset({draw(st.sampled_from(FLOATS))})
-        links.append(Link(f"l{j}", draw(st.sampled_from(users)), draw(st.sampled_from(items)), attrs))
+    for u in users:
+        for tgt in draw(st.lists(st.sampled_from(items + users[:1]), min_size=2, max_size=5, unique=True)):
+            attrs = {"type": frozenset({"tag"})}
+            tags = draw(st.sampled_from(("jazz", "jazz", "jazz", None, 0.5)))
+            if tags is not None:
+                attrs["tags"] = frozenset({tags})
+            if draw(st.booleans()):
+                attrs["rating"] = frozenset({draw(st.sampled_from(RATINGS))})
+            links.append(Link(f"l{len(links)}", u, tgt, attrs))
+    twin = draw(st.one_of(st.none(), st.permutations(items).map(lambda p: p[:2])))
+    if twin is not None:
+        a, b = twin
+        links = [l for l in links if l.tgt != b]
+        links += [Link(f"t{l.id}", l.src, b, l.attrs) for l in links if l.tgt == a]
     return build_graph(nodes, links)
 
 
@@ -942,14 +957,65 @@ def string_taggers(g):
     return {item: all_taggers_scan(sets, item) for item in g.nodes}
 
 
-@given(st.one_of(tagging_graphs(), graphs()))
-def test_item_similarity_and_content_recommend_match_scans(g):
+def hexed(ranking) -> list:
+    """(item, score) pairs with each score's exact bits."""
+    return [(item, score.hex()) for item, score in ranking]
+
+
+# u0 rates i0 0.0, so i3 (sharing u1 with it) weighs 0.0 for u0 and is
+# not recommended; for u2, i3 and i2 tie at 1/3 with i3 tagged first,
+# and the user u0, whom u1 tagged, has taggers but is no item.
+TIES_AND_ZERO_RATINGS = build_graph(
+    [node(u, type="user") for u in ("u0", "u1", "u2")] + [node(i, type="item") for i in ("i0", "i1", "i2", "i3")],
+    [
+        link("a", "u0", "i0", type="tag", tags="jazz", rating=0.0),
+        link("b", "u1", "i0", type="tag", tags="jazz"),
+        link("c", "u1", "i3", type="tag", tags="jazz"),
+        link("d", "u1", "i2", type="tag", tags="jazz"),
+        link("e", "u2", "i0", type="tag", tags="jazz", rating=1.0),
+        link("f", "u2", "i1", type="tag", tags="jazz", rating=-0.0),
+        link("g", "u1", "u0", type="tag", tags="jazz"),
+    ],
+)
+
+
+@given(st.one_of(tagging_graphs(), graphs()), st.integers(1, 3))
+@example(TIES_AND_ZERO_RATINGS, 1)
+@example(TIES_AND_ZERO_RATINGS, 5)
+def test_item_similarity_and_content_recommend_match_scans(g, k):
     sets, taggers = social_sets(g), string_taggers(g)
     for a in g.nodes:
         for b in g.nodes:
             assert sets.item_similarity(a, b) == jaccard(taggers[a], taggers[b])
     for u in g.nodes:
-        assert content_recommend(g, u, 10) == content_recommend_scan(g, u, 10, taggers)
+        assert hexed(content_recommend(g, u, k)) == hexed(content_recommend_scan(g, u, k, taggers))
+
+
+@given(st.one_of(tagging_graphs(), graphs()))
+def test_item_similarities_count_through_an_exact_inverse(g):
+    """The posting map behind ``item_similarities`` lists each (tagger,
+    item) pair of ``_item_taggers`` exactly once, and the similarities
+    it gives are ``item_similarity``'s, bit for bit, for exactly the
+    items that share a tagger."""
+    sets, taggers = social_sets(g), string_taggers(g)
+    posted = Counter((u, i) for u, items in sets._tagged_items.items() for i in items)
+    assert posted == Counter((u, i) for i, users in sets._item_taggers.items() for u in users)
+    for a in g.nodes:
+        shared = sorted(b for b in g.nodes if taggers[a] & taggers[b])
+        want = [(b, jaccard(taggers[a], taggers[b])) for b in shared]
+        assert hexed(sorted(sets.item_similarities(a).items())) == hexed(want)
+
+
+def test_content_recommend_computes_no_pairwise_similarity():
+    """Scores come from the posting counts; only explanations still take
+    one Jaccard per (item, acted item) pair."""
+    g = random_tagging_graph(rng_from(3), 12, 20)
+    users = [u for u in g.nodes if "user" in g.nodes[u].attrs["type"]]
+    with mock.patch.object(SocialSets, "item_similarity", side_effect=AssertionError("pairwise")):
+        served = {u: content_recommend(g, u, 10) for u in users}
+    assert any(served.values())
+    u, ((item, score), *_) = next((u, r) for u, r in served.items() if r)
+    assert max(w for _, w in explain_item(g, u, item, "content").evidence) == score
 
 
 @pytest.mark.parametrize("g", fixture_graphs())
@@ -1090,14 +1156,6 @@ PLACE_CONDITIONS = (
     Condition(preds=DESTINATION.preds, keywords=("food", "beach")),
     Condition(keywords=("jazz",)),
 )
-
-
-def exact(g) -> tuple:
-    """Nodes and links in order, each with its attributes in key order."""
-    return (
-        [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
-        [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
-    )
 
 
 def exact_outcome(fn, *args):

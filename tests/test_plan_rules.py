@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from reference import (
     cf_pipeline_wired,
+    exact,
     execute_recursive,
     link_select_scan,
     network_search_wired,
@@ -128,14 +129,6 @@ def _sub_graph(g, draw):
 def fresh(inputs) -> dict:
     """Equal copies of the inputs, with nothing kept on them."""
     return {name: build_graph(g.nodes.values(), g.links.values()) for name, g in inputs.items()}
-
-
-def exact(g) -> tuple:
-    """Nodes and links in order, each with its attributes in key order."""
-    return (
-        [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
-        [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
-    )
 
 
 def run(plan, inputs, params, execute=dsl.execute):
@@ -240,6 +233,46 @@ def test_pushdown_leaves_a_shared_semi_join_alone():
     a, b = (node for _, node in plan.bindings)
     assert a.kind == "lsel" and a.inputs[0] is b.inputs[0]
     assert [n.kind for nodes in plan.schedule for n in nodes] == ["input", "input", "semijoin", "lsel", "union"]
+
+
+# Scripts that write a value again in another form: C is A's value
+# pushed down, and H and M are A's and A2's written as selections over
+# semi-joins whose inner semijoin(G, X) has two consumers, so the
+# pushdown stops above it.
+SECOND_FORMS = [
+    (
+        "A = lsel(semijoin(G, X, (src,src)), [type='visit'])\n"
+        "B = union(semijoin(G, X, (src,src)), G)\n"
+        "C = semijoin(lsel(G, [type='visit']), X, (src,src))\n",
+        {"C": "A"},
+        5,
+    ),
+    (
+        "A = semijoin(semijoin(lsel(G, [type='visit']), X, (src,src)), Y, (tgt,src))\n"
+        "A2 = semijoin(semijoin(lsel(G, [type='visit']), X, (src,src)), Y, (tgt,tgt))\n"
+        "H = lsel(semijoin(semijoin(G, X, (src,src)), Y, (tgt,src)), [type='visit'])\n"
+        "M = lsel(semijoin(semijoin(G, X, (src,src)), Y, (tgt,tgt)), [type='visit'])\n",
+        {"H": "A", "M": "A2"},
+        7,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, same, nodes", SECOND_FORMS, ids=["pushed-down form", "selection over a shared semi-join"])
+def test_a_second_form_of_a_value_builds_nothing(text, same, nodes):
+    """A binding whose value an earlier node computes is that node, and
+    compile builds nothing for it, such as an lsel(G, [type='visit'])
+    or a semijoin(G, X) that nothing would read."""
+    program = dsl.parse(text)
+    plan, built = compile_counting_nodes(program)
+    b = dict(plan.bindings)
+    position = {name: pos for pos, (name, _) in enumerate(plan.bindings)}
+    for later, earlier in same.items():
+        assert b[later] is b[earlier] and plan.schedule[position[later]] == ()
+    assert built == plan.node_count() == nodes
+    g = travel()
+    inputs = {"G": g, "X": algebra.node_select(g, Condition(preds=(attr_eq("type", "user"),))), "Y": g}
+    assert run(plan, fresh(inputs), {})[0] == run(program, fresh(inputs), {}, run_as_written)[0]
 
 
 def test_pushdown_shares_one_visit_selection_in_the_cf_plan():
