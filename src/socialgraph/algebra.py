@@ -154,7 +154,11 @@ def _merge_attrs(a: dict, b: dict) -> dict:
 
 
 def _merge(a, b):
-    """Node or link ``a`` with the attributes of ``b`` (same id) merged in."""
+    """Node or link ``a`` with the attributes of ``b`` (same id) merged in;
+    ``a`` itself when ``b`` is ``a``, which merging would not change, unless
+    its 'score' holds two or more values (floats collapse to their maximum)."""
+    if b is a and len(a.attrs.get("score", ())) < 2:
+        return a
     attrs = _merge_attrs(a.attrs, b.attrs)
     return Link(a.id, a.src, a.tgt, attrs) if isinstance(a, Link) else Node(a.id, attrs)
 

@@ -5,7 +5,8 @@ hand-wired, recursive, interpreting or materialising version of something the pa
 now does through a derived view, a hash join, a compiled predicate or
 aggregate or composition function, a
 k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
-a loop over a plan's schedule, one pattern, an inverted index of leaders
+a loop over a plan's schedule, one pattern, an inverted index of leaders,
+a merge that returns an element merged with itself as it is,
 or one shared helper (the greedy-leader loop, item similarity, the
 ordered group-by, the one-member group that explains an item).
 ``test_differential.py`` and ``test_plan_rules.py`` check the two agree
@@ -41,7 +42,6 @@ from socialgraph.aggfn import (
 )
 from socialgraph.algebra import (
     SetOpKind,
-    _merge,
     compose,
     link_aggregate,
     link_select,
@@ -372,8 +372,40 @@ def compose_nested(g1, g2, delta, f):
             links.append(Link(f"gen:compose:{l1.id}:{l2.id}", u, v, attrs))
             for nid, source in ((u, g1), (v, g2)):
                 n = source.nodes[nid]
-                nodes[nid] = _merge(nodes[nid], n) if nid in nodes else n
+                nodes[nid] = merge_full(nodes[nid], n) if nid in nodes else n
     return build_graph(nodes.values(), links)
+
+
+def merge_full(a, b):
+    """Element ``a`` with the attributes of ``b`` merged in, always built
+    anew: value sets are unioned per attribute, and an all-float 'score'
+    of two or more values keeps its maximum."""
+    attrs = dict(a.attrs)
+    for name, values in b.attrs.items():
+        attrs[name] = attrs[name] | values if name in attrs else values
+    score = attrs.get("score")
+    if score is not None and len(score) > 1 and all(isinstance(v, float) for v in score):
+        attrs["score"] = frozenset({max(score)})
+    return Link(a.id, a.src, a.tgt, attrs) if isinstance(a, Link) else Node(a.id, attrs)
+
+
+def set_op_merging(kind, g1, g2):
+    """Union or intersection, merging every element both operands hold
+    with ``merge_full``."""
+    kind = SetOpKind(kind)
+    if kind is SetOpKind.NODE_MINUS:
+        raise ValueError("node minus merges nothing")
+    if kind is SetOpKind.UNION:
+        nodes, links = dict(g1.nodes), dict(g1.links)
+        for nid, n in g2.nodes.items():
+            nodes[nid] = merge_full(nodes[nid], n) if nid in nodes else n
+        for lid, l in g2.links.items():
+            links[lid] = merge_full(links[lid], l) if lid in links else l
+        return build_graph(nodes.values(), links.values())
+    return build_graph(
+        [merge_full(n, g2.nodes[nid]) for nid, n in g1.nodes.items() if nid in g2.nodes],
+        [merge_full(l, g2.links[lid]) for lid, l in g1.links.items() if lid in g2.links],
+    )
 
 
 def semi_join_scan(g1, g2, delta):

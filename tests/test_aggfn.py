@@ -11,6 +11,7 @@ from socialgraph.aggfn import (
     COUNT,
     Arith,
     AttrRef,
+    Builtin,
     CompositionFn,
     Const,
     ConstString,
@@ -197,6 +198,24 @@ def test_composition_errors():
     with pytest.raises(CompositionFnError) as err:
         compile_composition(f)(left, right, ends(left), ends(right))
     assert err.value.attr == "out"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Arith("%", ONE, ONE), "unknown arithmetic operator: '%'"),
+        (lambda: Builtin("MEDIAN", "w"), "unknown builtin aggregate: 'MEDIAN'"),
+        (lambda: Builtin("COUNT", "w"), "COUNT takes no attribute"),
+        (lambda: Builtin("SUM"), "SUM needs an attribute"),
+        (lambda: CopyFrom("middle", "w"), "unknown composition side: 'middle'"),
+        (lambda: JaccardOf("left-src", "type", "middle", "type"), "unknown composition side: 'middle'"),
+    ],
+    ids=["arith", "builtin", "count-attr", "sum-no-attr", "copy-side", "jaccard-side"],
+)
+def test_function_terms_reject_what_they_cannot_evaluate(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_composition_any_copies_the_shared_value():

@@ -128,6 +128,25 @@ def test_union_consolidates_scores():
     assert merged.nodes["x"].attrs["score"] == frozenset({0.9})
 
 
+def test_elements_both_operands_hold_are_kept_as_they_are(cf_graph):
+    """Merging an element with itself would rebuild an equal element."""
+    visits = link_select(cf_graph, cond(attr_eq("type", "visit")))
+    for got, shared in (
+        (set_op(SetOpKind.UNION, cf_graph, visits), visits),
+        (set_op(SetOpKind.INTERSECT, cf_graph, cf_graph), cf_graph),
+    ):
+        assert shared.links and all(got.links[lid] is cf_graph.links[lid] for lid in shared.links)
+        assert all(got.nodes[nid] is cf_graph.nodes[nid] for nid in shared.nodes)
+
+
+@pytest.mark.parametrize("score, kept", [((0.3, 0.5), {0.5}), ((0.3, "x"), {0.3, "x"})])
+def test_an_element_merged_with_itself_keeps_its_highest_float_score(score, kept):
+    g = build_graph([node("x", type="item", score=score)], [link("l", "x", "x", type="e", score=score)])
+    for kind in (SetOpKind.UNION, SetOpKind.INTERSECT):
+        got = set_op(kind, g, g)
+        assert got.nodes["x"].attrs["score"] == got.links["l"].attrs["score"] == frozenset(kept)
+
+
 def test_link_minus_self_and_empty(cf_graph):
     assert link_minus(cf_graph, cf_graph) == EMPTY
     induced = link_minus(cf_graph, EMPTY)
@@ -387,6 +406,24 @@ def test_pattern_aggregate_length_one_equals_link_aggregate():
             if "cnt" in l.attrs
         }
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: link_aggregate(EMPTY, Condition(), ()), "link aggregation needs at least one (attribute, spec) pair"),
+        (
+            lambda: pattern_aggregate(EMPTY, GraphPattern(((Condition(), "src"),)), ()),
+            "pattern aggregation needs at least one (attribute, spec) pair",
+        ),
+        (lambda: GraphPattern(()), "graph patterns need at least one step"),
+    ],
+    ids=["laggr", "paggr", "pattern"],
+)
+def test_an_aggregation_needs_a_spec_and_a_pattern_a_step(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_pattern_too_long():

@@ -356,6 +356,8 @@ MALFORMED = [
                                     "--items", "jazz.items", "--criterion", "social:x"]),
     ("group --criterion social:1.5", ["group", "--nodes", "nodes", "--links", "links",
                                       "--items", "jazz.items", "--criterion", "social:1.5"]),
+    ("group --criterion bogus", ["group", "--nodes", "nodes", "--links", "links",
+                                 "--items", "jazz.items", "--criterion", "bogus"]),
     ("group --max-groups 0", ["group", "--nodes", "nodes", "--links", "links",
                               "--items", "jazz.items", "--criterion", "topical", "--max-groups", "0"]),
     ("group --items empty.items", ["group", "--nodes", "nodes", "--links", "links",
@@ -503,6 +505,7 @@ ERROR_LINES = {
     "topk --keywords ''": "error: topk needs at least one keyword",
     "group --items with a repeated id": "error: duplicate item id: 'i1'",
     "group --criterion social:1.5": "error: theta must be in [0, 1], got 1.5",
+    "group --criterion bogus": "error: bad --criterion: 'bogus'",
     "group --max-groups 0": "error: max_n must be at least 1",
     "group --items empty.items": "error: group_items needs a non-empty item list",
     "topk without --index or a graph": "error: topk needs --index or both --nodes and --links",

@@ -53,6 +53,7 @@ from reference import (
     rating_scan,
     satisfies,
     satisfies_predicate,
+    set_op_merging,
     social_groups_scan,
     structural_groups_scan,
     tagger_sets_scan,
@@ -88,6 +89,7 @@ from socialgraph.aggfn import (
 )
 from socialgraph.algebra import (
     GraphPattern,
+    SetOpKind,
     compose,
     link_aggregate,
     link_minus,
@@ -96,6 +98,7 @@ from socialgraph.algebra import (
     node_select,
     pattern_aggregate,
     semi_join,
+    set_op,
 )
 from socialgraph.discovery import (
     VISIT,
@@ -351,6 +354,25 @@ def test_cf_plan_matches_nested_loop_compose(seed):
     assert fast == slow
     for (scored, _), (ref, _) in zip(fast, slow):
         assert list(scored.links) == list(ref.links)
+
+
+# ---------------------------------------------------------------------------
+# Set operators against the always-merging reference
+
+
+@given(graphs(), graphs(), conditions)
+def test_set_ops_match_the_always_merging_reference(g1, g2, c):
+    """The operand pairs share elements by id with differing attributes
+    (g1, g2), by object (g1, g1), and both ways (g1 with a selection of
+    it, whose keyword scores are new objects); scores are mixed-type and
+    may hold several floats, which a merge collapses to their maximum.
+    ``exact`` also compares each element's attribute key order."""
+    for a, b in ((g1, g2), (g2, g1), (g1, g1), (g1, link_select(g1, c))):
+        for kind in (SetOpKind.UNION, SetOpKind.INTERSECT):
+            fast, slow = outcome(set_op, kind, a, b), outcome(set_op_merging, kind, a, b)
+            assert fast == slow
+            if fast[0] != "error":
+                assert exact(fast[0]) == exact(slow[0])
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,22 @@ def test_cut_short_at_each_argument(prefix, expected):
     assert (err.value.line, err.value.col, err.value.expected) == (2, len(prefix) + 5, expected)
 
 
+@pytest.mark.parametrize(
+    "script, at, expected",
+    [
+        ("A = naggr(G, [], up, n, count)", "up", "'src' or 'tgt'"),
+        ("A = naggr(G, [], src, n, median(w))", "median", "an aggregate (count/sum/avg/min/max/set/any/const)"),
+        ("A = compose(G, G, (tgt,src), {s: copy(m.a)})", "m.a", "a side (l/r/lsrc/ltgt/rsrc/rtgt)"),
+        ("A = nsel(G, [type 'user'])", "'user'", "a comparison operator or 'has'"),
+    ],
+    ids=["direction", "aggregate", "side", "predicate"],
+)
+def test_a_token_outside_its_choices_is_a_syntax_error(script, at, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(script)
+    assert (err.value.line, err.value.col, err.value.expected) == (1, script.index(at) + 1, expected)
+
+
 def test_execute_calls_algebra_functions_as_bound_at_call_time(monkeypatch):
     calls = []
     real = algebra.set_op
@@ -234,7 +250,7 @@ def test_execute_calls_algebra_functions_as_bound_at_call_time(monkeypatch):
     assert results["A"] == real(SetOpKind.NODE_MINUS, g, algebra.node_select(g, parse_condition("[type='user']")))
 
 
-@pytest.mark.parametrize("position", ["1e400", "1.5", "1e-400", "25e-1"])
+@pytest.mark.parametrize("position", ["1e400", "1.5", "1e-400", "25e-1", "1e-9999999999999999999"])
 def test_chain_position_must_be_a_finite_whole_number(position):
     script = f"X = laggr(G, [], {{s: sum(w@{position})}})"
     with pytest.raises(DslSyntaxError) as err:

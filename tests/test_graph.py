@@ -8,7 +8,9 @@ from socialgraph.errors import (
 )
 from socialgraph.fixtures import random_plain_graph, rng_from
 from socialgraph.graph import (
+    CONTAINS_ALL,
     Condition,
+    StructPredicate,
     attr_eq,
     attr_ge,
     attr_ne,
@@ -64,8 +66,10 @@ def test_build_rejects_duplicate_ids():
 
 
 def test_build_rejects_missing_type():
-    with pytest.raises(MissingTypeError):
+    with pytest.raises(MissingTypeError, match="^element '1' has no 'type' attribute$"):
         build_graph([node(1, name="untyped")], [])
+    with pytest.raises(MissingTypeError, match="^element '2' has no 'type' attribute$"):
+        build_graph([node(1, type="user")], [link(2, 1, 1, name="untyped")])
 
 
 def test_attr_value_normalization():
@@ -75,6 +79,24 @@ def test_attr_value_normalization():
         node(1, type="user", bad=float("nan"))
     with pytest.raises(ValueError):
         node(1, type="user", empty=())
+    with pytest.raises(ValueError, match="^booleans are not attribute scalars: True$"):
+        node(1, type="user", flag=True)
+    with pytest.raises(ValueError, match="^unsupported attribute scalar: None$"):
+        node(1, type="user", missing=[None])
+
+
+@pytest.mark.parametrize(
+    "op, operands, message",
+    [
+        ("~", (1,), "unknown predicate operator: '~'"),
+        (CONTAINS_ALL, (), "contains-all needs at least one operand"),
+        ("=", (1, 2), "'=' takes exactly one operand"),
+    ],
+)
+def test_a_predicate_needs_a_known_operator_and_its_operands(op, operands, message):
+    with pytest.raises(ValueError) as err:
+        StructPredicate("w", op, operands)
+    assert str(err.value) == message
 
 
 def test_contains_all_semantics(travel_graph):

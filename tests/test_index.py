@@ -115,6 +115,11 @@ def test_cluster_members_satisfy_leader_predicate():
                     )
 
 
+def test_a_clustering_strategy_is_one_of_three_kinds():
+    with pytest.raises(ValueError, match="^unknown clustering strategy: 'social'$"):
+        ClusteringStrategy("social", 0.5)
+
+
 def test_build_index_jazz(jazz_graph):
     sets = social_sets(jazz_graph)
     assert exact_score(sets, "i1", "u1", ["jazz"]) == 2
