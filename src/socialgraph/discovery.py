@@ -26,7 +26,7 @@ from .graph import (
     compile_condition,
     default_keyword_score,
 )
-from .index import SocialSets, social_sets
+from .index import social_sets
 
 if TYPE_CHECKING:
     from .dsl import Plan
@@ -191,22 +191,10 @@ def rating(g: SocialContentGraph, user_id: str, item_id: str) -> float:
     return 1.0 if seen else 0.0
 
 
-def content_evidence(sets: SocialSets, ratings: dict, item: str) -> list:
-    """Content evidence for an item: (acted item, similarity x rating)
-    for each entry of ``ratings`` (a user's acted items and their
-    ratings), positive weights only."""
-    out = []
-    for other, r in ratings.items():
-        weight = sets.item_similarity(item, other) * r
-        if weight > 0:
-            out.append((other, weight))
-    return out
-
-
 def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     """Content strategy: score unseen items by their best content
-    evidence, the largest weight ``content_evidence`` gives them.
-    Returns at most k positive (item, score) pairs.
+    evidence, the largest similarity x rating over the user's acted
+    items. Returns at most k positive (item, score) pairs.
 
     Only an item that shares a tagger with an acted item has positive
     evidence, so each acted item reaches its candidates, with their

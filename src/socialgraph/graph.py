@@ -145,6 +145,13 @@ class SocialContentGraph:
         kept, which is sound only because graphs are never mutated."""
         return links_by(self.links.values(), "src")
 
+    @cached_property
+    def in_links(self) -> dict:
+        """node id -> list of the links entering it, in ``links`` order;
+        nodes without incoming links are absent. Built on first use and
+        kept, like ``out_links``."""
+        return links_by(self.links.values(), "tgt")
+
 
 def links_by(links: Iterable[Link], direction: str, holds: Callable | None = None) -> dict:
     """Endpoint id -> list of the links at that ``direction`` ("src" or

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .aggfn import jaccard
 from .errors import UnknownUserError
 
 if TYPE_CHECKING:  # the graph is only read here, never built
@@ -41,16 +40,12 @@ class SocialSets:
         """taggers(i): union over tags of taggers(i, k)."""
         return self._item_taggers.get(item, frozenset())
 
-    def item_similarity(self, a: str, b: str) -> float:
-        """The similarity of two items: Jaccard of their taggers."""
-        return jaccard(self.all_taggers(a), self.all_taggers(b))
-
     def item_similarities(self, item: str) -> dict:
-        """i -> item_similarity(item, i), for every i (item itself
-        included) that shares a tagger with item. The overlap c is
-        counted through the tagger -> items postings, and c over
-        |taggers(item)| + |taggers(i)| - c are the two ints ``jaccard``
-        divides, so each value is bit-identical to ``item_similarity``."""
+        """i -> the Jaccard of taggers(item) and taggers(i), for every i
+        (item itself included) that shares a tagger with item. The
+        overlap c is counted through the tagger -> items postings, and c
+        over |taggers(item)| + |taggers(i)| - c are the two ints
+        ``jaccard`` divides, so each value is bit-identical to it."""
         mine, taggers = self.all_taggers(item), self._item_taggers
         n = len(mine)
         return {i: c / (n + len(taggers[i]) - c) for i, c in _overlaps(mine, self._tagged_items).items()}

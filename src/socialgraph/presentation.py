@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .aggfn import jaccard
-from .discovery import acted_items, content_evidence, rating
+from .discovery import acted_items, rating
 from .errors import UnknownCriterionAttrError, UnknownItemError, UnknownUserError
 from .graph import SocialContentGraph, sorted_values
 from .index import greedy_leaders, social_sets
@@ -169,22 +169,22 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
     """
     _require(g, user_id, item_id, strategy)
     mine = acted_items(g, user_id)
+    evidence = []
     if strategy == "content":
-        ratings = {other: rating(g, user_id, other) for other in mine}
-        evidence = content_evidence(social_sets(g), ratings, item_id)
-    else:
-        evidence = []
-        for n in g.nodes.values():
-            if "user" not in n.attrs["type"] or n.id == user_id:
+        sims = social_sets(g).item_similarities(item_id)
+        for other in mine & sims.keys():
+            weight = sims[other] * rating(g, user_id, other)
+            if weight > 0:
+                evidence.append((other, weight))
+    elif "item" in g.nodes[item_id].attrs["type"]:
+        for peer in dict.fromkeys(l.src for l in g.in_links.get(item_id, ())):
+            if "user" not in g.nodes[peer].attrs["type"] or peer == user_id:
                 continue
-            theirs = acted_items(g, n.id)
-            if item_id not in theirs:
-                continue
-            sim = jaccard(mine, theirs)
+            sim = jaccard(mine, acted_items(g, peer))
             if sim > 0:
-                weight = sim * rating(g, n.id, item_id)
+                weight = sim * rating(g, peer, item_id)
                 if weight > 0:
-                    evidence.append((n.id, weight))
+                    evidence.append((peer, weight))
     evidence.sort(key=lambda e: (-e[1], e[0]))
     summary, _ = _aggregate(g, user_id, (item_id,), strategy)
     return Explanation(
@@ -230,5 +230,4 @@ def _ratio(g, user_id, item_id, strategy) -> float:
     mine = acted_items(g, user_id)
     if not mine:
         return 0.0
-    similar = sum(1 for other in mine if sets.item_similarity(item_id, other) > 0)
-    return similar / len(mine)
+    return len(mine & sets.item_similarities(item_id).keys()) / len(mine)

@@ -65,18 +65,19 @@ def child_env(**overrides) -> dict:
 
 # The package modules one CLI call loads, by subcommand (and method for
 # recommend); a usage error (exit 2) loads only cli and errors. _COMMON
-# is what loading graph files and index code takes.
-_COMMON = {"cli", "errors", "graph", "io", "index", "aggfn"}
+# is what loading graph files and index code takes; aggfn comes with the
+# algebra and with presentation only.
+_COMMON = {"cli", "errors", "graph", "io", "index"}
 CLI_MODULES = {
-    "query": _COMMON - {"index"} | {"algebra", "dsl"},
-    "recommend cf": _COMMON | {"algebra", "dsl", "discovery"},
-    "discover": _COMMON | {"algebra", "dsl", "discovery"},
+    "query": _COMMON - {"index"} | {"aggfn", "algebra", "dsl"},
+    "recommend cf": _COMMON | {"aggfn", "algebra", "dsl", "discovery"},
+    "discover": _COMMON | {"aggfn", "algebra", "dsl", "discovery"},
     "recommend content": _COMMON | {"discovery"},
     "build-index": _COMMON,
     "topk": _COMMON,
-    "group": _COMMON | {"discovery", "presentation"},
-    "explain": _COMMON | {"discovery", "presentation"},
-    "estimate-index": {"cli", "errors", "index", "aggfn"},
+    "group": _COMMON | {"aggfn", "discovery", "presentation"},
+    "explain": _COMMON | {"aggfn", "discovery", "presentation"},
+    "estimate-index": {"cli", "errors", "index"},
 }
 
 # A call that raises gets the exception's last traceback line in place

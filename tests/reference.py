@@ -50,7 +50,7 @@ from socialgraph.algebra import (
     semi_join,
     set_op,
 )
-from socialgraph.discovery import VISIT, acted_items, content_evidence, rating
+from socialgraph.discovery import VISIT, acted_items, rating
 from socialgraph.dsl import OPS, Param, Ref, Token
 from socialgraph.errors import (
     AggEvalError,
@@ -678,6 +678,24 @@ def content_recommend_scan(g, user_id, k, taggers):
     return scored[:k]
 
 
+def item_similarity(sets, a, b):
+    """The similarity of two items, one pair at a time: Jaccard of their
+    taggers."""
+    return jaccard(sets.all_taggers(a), sets.all_taggers(b))
+
+
+def content_evidence(sets, ratings, item):
+    """Content evidence for an item: (acted item, similarity x rating)
+    for each entry of ``ratings`` (a user's acted items and their
+    ratings), one ``item_similarity`` per entry, positive weights only."""
+    out = []
+    for other, r in ratings.items():
+        weight = item_similarity(sets, item, other) * r
+        if weight > 0:
+            out.append((other, weight))
+    return out
+
+
 def _require_explained(g, user_id, item_id):
     if user_id not in g.nodes:
         raise UnknownUserError(user_id)
@@ -747,7 +765,7 @@ def _aggregate_ratio_checked(sets, g, user_id, item_id, strategy):
     mine = acted_items(g, user_id)
     if not mine:
         return 0.0
-    similar = sum(1 for other in mine if sets.item_similarity(item_id, other) > 0)
+    similar = sum(1 for other in mine if item_similarity(sets, item_id, other) > 0)
     return similar / len(mine)
 
 

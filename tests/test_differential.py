@@ -687,6 +687,16 @@ def test_out_links_view_groups_links_in_order(g):
     assert g == build_graph(g.nodes.values(), g.links.values())  # the view is not part of equality
 
 
+@given(graphs())
+def test_in_links_view_groups_links_in_order(g):
+    by_tgt = {}
+    for l in g.links.values():
+        by_tgt.setdefault(l.tgt, []).append(l)
+    assert g.in_links == by_tgt
+    assert g.in_links is g.in_links  # built once
+    assert g == build_graph(g.nodes.values(), g.links.values())  # the view is not part of equality
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_discover_provenance_matches_full_scan(seed):
     g = random_travel_graph(rng_from(seed), 15, 25)
@@ -1005,10 +1015,9 @@ TIES_AND_ZERO_RATINGS = build_graph(
 @example(TIES_AND_ZERO_RATINGS, 1)
 @example(TIES_AND_ZERO_RATINGS, 5)
 def test_item_similarity_and_content_recommend_match_scans(g, k):
-    sets, taggers = social_sets(g), string_taggers(g)
-    for a in g.nodes:
-        for b in g.nodes:
-            assert sets.item_similarity(a, b) == jaccard(taggers[a], taggers[b])
+    """Item similarities themselves are checked bit for bit by
+    ``test_item_similarities_count_through_an_exact_inverse``."""
+    taggers = string_taggers(g)
     for u in g.nodes:
         assert hexed(content_recommend(g, u, k)) == hexed(content_recommend_scan(g, u, k, taggers))
 
@@ -1017,8 +1026,8 @@ def test_item_similarity_and_content_recommend_match_scans(g, k):
 def test_item_similarities_count_through_an_exact_inverse(g):
     """The posting map behind ``item_similarities`` lists each (tagger,
     item) pair of ``_item_taggers`` exactly once, and the similarities
-    it gives are ``item_similarity``'s, bit for bit, for exactly the
-    items that share a tagger."""
+    it gives are the Jaccard of the two tagger sets, bit for bit, for
+    exactly the items that share a tagger."""
     sets, taggers = social_sets(g), string_taggers(g)
     posted = Counter((u, i) for u, items in sets._tagged_items.items() for i in items)
     assert posted == Counter((u, i) for i, users in sets._item_taggers.items() for u in users)
@@ -1029,15 +1038,19 @@ def test_item_similarities_count_through_an_exact_inverse(g):
 
 
 def test_content_recommend_computes_no_pairwise_similarity():
-    """Scores come from the posting counts; only explanations still take
-    one Jaccard per (item, acted item) pair."""
+    """Scores, content explanations and their sentences all come from
+    the posting counts, with no Jaccard per (item, acted item) pair."""
     g = random_tagging_graph(rng_from(3), 12, 20)
     users = [u for u in g.nodes if "user" in g.nodes[u].attrs["type"]]
-    with mock.patch.object(SocialSets, "item_similarity", side_effect=AssertionError("pairwise")):
+    pairwise = AssertionError("pairwise")
+    with mock.patch("socialgraph.aggfn.jaccard", side_effect=pairwise), \
+            mock.patch("socialgraph.presentation.jaccard", side_effect=pairwise):
         served = {u: content_recommend(g, u, 10) for u in users}
-    assert any(served.values())
-    u, ((item, score), *_) = next((u, r) for u, r in served.items() if r)
-    assert max(w for _, w in explain_item(g, u, item, "content").evidence) == score
+        assert any(served.values())
+        u, ((item, score), *_) = next((u, r) for u, r in served.items() if r)
+        evidence = explain_item(g, u, item, "content").evidence
+        assert aggregate_explanations(g, u, item, "content")[1] > 0
+    assert max(w for _, w in evidence) == score
 
 
 @pytest.mark.parametrize("g", fixture_graphs())
@@ -1129,6 +1142,39 @@ def test_explanations_match_the_two_path_reference_on_fixtures(seed):
         for item, _ in items:
             for strategy in ("content", "collaborative"):
                 check_explanations(g, user, item, groups, strategy)
+
+
+# Links into i0 from a non-user (t0), from u1 twice (a visit and a rated
+# tag) and from u0 itself; friend links into the user u2; no link into
+# i2. u1 also tags i3, which u0 never acted on.
+COLLABORATIVE_EDGES = build_graph(
+    [node(u, type="user") for u in ("u0", "u1", "u2")]
+    + [node(i, type="item") for i in ("i0", "i1", "i2", "i3")]
+    + [node("t0", type="topic")],
+    [
+        link("a", "u0", "i0", type="visit"),
+        link("b", "u0", "i1", type="visit"),
+        link("c", "t0", "i0", type="act"),
+        link("d", "t0", "i1", type="act"),
+        link("e", "u1", "i0", type="visit"),
+        link("f", "u1", "i0", type="tag", tags="jazz", rating=2.0),
+        link("g", "u1", "i3", type="tag", tags="jazz"),
+        link("h", "u0", "u2", type=("connect", "friend")),
+        link("i", "u1", "u2", type=("connect", "friend")),
+    ],
+)
+
+
+def test_explanations_match_the_two_path_reference_on_collaborative_edges():
+    g = COLLABORATIVE_EDGES
+    for user in g.nodes:
+        for item in g.nodes:
+            for strategy in ("content", "collaborative"):
+                check_explanations(g, user, item, [], strategy)
+    assert [peer for peer, _ in explain_item(g, "u0", "i0", "collaborative").evidence] == ["u1"]
+    assert explain_item(g, "u0", "u2", "collaborative").evidence == ()
+    assert explain_item(g, "u0", "i2", "collaborative").evidence == ()
+    assert aggregate_explanations(g, "u0", "i0", "content")[1] == 0.5
 
 
 # ---------------------------------------------------------------------------
