@@ -3,12 +3,13 @@ semi-join, and the three aggregation operators.
 
 Every operator is a pure function from well-formed graphs to a
 well-formed graph. Those that output only elements of one operand
-(selections, semi-join, link minus, node aggregation) are closed by
-construction; those that mint or merge elements (composition, set
-operators, link and pattern aggregation) finish through ``build_graph``,
-which checks what they made. Operators are deterministic, including the
-ids they mint for derived links, so identical inputs replay to identical
-outputs.
+(selections, semi-join, link minus, node minus, node aggregation) are
+closed by construction; union and intersection check only the two ways
+merging well-formed operands can fail; those that mint elements
+(composition, link and pattern aggregation) finish through
+``build_graph``, which checks what they made. Operators are
+deterministic, including the ids they mint for derived links, so
+identical inputs replay to identical outputs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .aggfn import (
     compile_agg,
     compile_composition,
 )
-from .errors import PatternTooLongError
+from .errors import DanglingEndpointError, DuplicateIdError, PatternTooLongError
 from .graph import (
     IDENTITY_FIELDS,
     Condition,
@@ -165,7 +166,10 @@ def _merge(a, b):
 
 def set_op(kind: SetOpKind, g1: SocialContentGraph, g2: SocialContentGraph) -> SocialContentGraph:
     """Union, intersection, or node-driven minus; elements with the same
-    id are consolidated by attribute merge."""
+    id are consolidated by attribute merge. The operands being well-formed,
+    only two things can fail, and only they are checked: a union where a
+    node id of one operand is a link id of the other, and an intersection
+    keeping a link without one of its endpoints."""
     kind = SetOpKind(kind)
     if kind is SetOpKind.UNION:
         nodes = dict(g1.nodes)
@@ -174,24 +178,26 @@ def set_op(kind: SetOpKind, g1: SocialContentGraph, g2: SocialContentGraph) -> S
         links = dict(g1.links)
         for lid, l in g2.links.items():
             links[lid] = _merge(links[lid], l) if lid in links else l
-        return build_graph(nodes.values(), links.values())
+        if not nodes.keys().isdisjoint(links.keys()):
+            raise DuplicateIdError(next(lid for lid in links if lid in nodes))
+        return SocialContentGraph(nodes, links)
     if kind is SetOpKind.INTERSECT:
-        nodes = [
-            _merge(n, g2.nodes[nid]) for nid, n in g1.nodes.items() if nid in g2.nodes
-        ]
-        links = [
-            _merge(l, g2.links[lid]) for lid, l in g1.links.items() if lid in g2.links
-        ]
-        return build_graph(nodes, links)
+        nodes = {nid: _merge(n, g2.nodes[nid]) for nid, n in g1.nodes.items() if nid in g2.nodes}
+        links = {lid: _merge(l, g2.links[lid]) for lid, l in g1.links.items() if lid in g2.links}
+        for l in links.values():
+            for endpoint in (l.src, l.tgt):
+                if endpoint not in nodes:
+                    raise DanglingEndpointError(l.id, endpoint)
+        return SocialContentGraph(nodes, links)
     # Node-driven minus: survivors are g1 nodes absent from g2; links of
     # g1 (not in g2) survive only when both endpoints do.
     nodes = {nid: n for nid, n in g1.nodes.items() if nid not in g2.nodes}
-    links = [
-        l
+    links = {
+        lid: l
         for lid, l in g1.links.items()
         if lid not in g2.links and l.src in nodes and l.tgt in nodes
-    ]
-    return build_graph(nodes.values(), links)
+    }
+    return SocialContentGraph(nodes, links)
 
 
 def link_minus(g1: SocialContentGraph, g2: SocialContentGraph) -> SocialContentGraph:

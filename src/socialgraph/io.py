@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -174,16 +174,8 @@ def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
         }
         fh.write(json_line({"sets": sets}) + "\n")
         for (tag, cluster), entries in sorted(index.lists.items()):
-            fh.write(
-                json_line(
-                    {
-                        "tag": tag,
-                        "cluster": cluster,
-                        "entries": [[item, score] for item, score in entries],
-                    }
-                )
-                + "\n"
-            )
+            # entries are written as they are kept: tuples encode as arrays
+            fh.write(json_line({"tag": tag, "cluster": cluster, "entries": entries}) + "\n")
 
 
 # The exact JSON types each leaf shape admits; being exact, a boolean is
@@ -193,19 +185,15 @@ _LEAF_TYPES = {str: {str}, float: {int, float}}
 
 def _all_fit(values: list, shape) -> bool:
     """Whether every loaded JSON value in ``values`` has ``shape``: ``str``;
-    ``float`` for any number; ``[s]`` for an array of ``s``; ``(s1, s2)``
-    for a pair; ``{str: s}`` for an object of ``s`` values; any other dict
-    for an object with at least those fields. The check goes a column at
-    a time, not value by value: a snapshot holds hundreds of thousands."""
+    ``float`` for any number; ``[s]`` for an array of ``s``; ``{str: s}``
+    for an object of ``s`` values; any other dict for an object with at
+    least those fields. The check goes a column at a time, not value by
+    value: a sets line holds thousands."""
     if isinstance(shape, type):
         return set(map(type, values)) <= _LEAF_TYPES[shape]
-    if isinstance(shape, (list, tuple)):
-        if not set(map(type, values)) <= {list}:
-            return False
-        if isinstance(shape, list):
-            return _all_fit(list(chain.from_iterable(values)), shape[0])
-        return set(map(len, values)) <= {len(shape)} and all(
-            _all_fit(list(map(itemgetter(i), values)), s) for i, s in enumerate(shape)
+    if isinstance(shape, list):
+        return set(map(type, values)) <= {list} and _all_fit(
+            list(chain.from_iterable(values)), shape[0]
         )
     if not set(map(type, values)) <= {dict}:
         return False
@@ -223,7 +211,24 @@ _SETS_LINE = {
         "taggers": [{"item": str, "tag": str, "users": [str]}],
     }
 }
-_LIST_LINE = {"tag": str, "cluster": str, "entries": [(str, float)]}
+
+
+def _fits_list_line(rec) -> bool:
+    """Whether a loaded record is an inverted-list line: string ``tag`` and
+    ``cluster``, and ``entries`` an array of [string, number] pairs, each
+    type exact as in ``_LEAF_TYPES``."""
+    if type(rec) is not dict:
+        return False
+    entries = rec.get("entries")
+    return (
+        type(rec.get("tag")) is str
+        and type(rec.get("cluster")) is str
+        and type(entries) is list
+        and set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, map(itemgetter(0), entries))) <= _LEAF_TYPES[str]
+        and set(map(type, map(itemgetter(1), entries))) <= _LEAF_TYPES[float]
+    )
 
 
 def load_index_snapshot(path: str) -> ClusteredIndex:
@@ -231,34 +236,38 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     section, field or list entry is missing or mistyped, a list out of
     order, or a cluster without a leader that a user or list names raises
     GraphFileError with its line number, as does a score that is not
-    finite or not within float range; scores keep their JSON type."""
+    finite or not within float range; scores keep their JSON type.
+
+    The file is read one line at a time: each inverted list is checked
+    and converted as it is decoded, and its decoded record dropped
+    before the next line is read. Holding every decoded list at once
+    made the cyclic collector walk them all, again and again. Every line
+    is still decoded before any other fault is raised, so a file with
+    several faults raises the first of: invalid JSON, a truncated file,
+    the header, the vocabulary, the model line's shape, the sets line's
+    shape, the first malformed list line, a model cluster without a
+    leader, then the first list line that fails its own checks. The
+    item ids of all lists share one string object per id."""
     from .index import ClusteredIndex, ClusterModel, SocialSets
 
-    lines = list(_read_jsonl(path))
-    if len(lines) < 3:
+    records = _read_jsonl(path)
+    head = list(islice(records, 3))
+    if len(head) < 3:
         raise GraphFileError(path, 1, "truncated index snapshot")
-    head_no, header = lines[0]
+    (head_no, header), (model_no, model_rec), (sets_no, sets_rec) = head
     if (
         not isinstance(header, dict)
         or header.get("format") != SNAPSHOT_FORMAT
         or header.get("version") != SNAPSHOT_VERSION
     ):
-        raise GraphFileError(path, head_no, "not a recognized index snapshot")
+        _raise_after(records, path, head_no, "not a recognized index snapshot")
     if "vocabulary" in header and not _all_fit([header["vocabulary"]], [str]):
-        raise GraphFileError(path, head_no, "malformed vocabulary")
-    for what, shape, group in (
-        ("model", _MODEL_LINE, lines[1:2]),
-        ("sets", _SETS_LINE, lines[2:3]),
-        ("inverted list", _LIST_LINE, lines[3:]),
-    ):
-        if not _all_fit([record for _, record in group], shape):
-            line_no = next(n for n, record in group if not _all_fit([record], shape))
-            raise GraphFileError(path, line_no, f"malformed {what} line")
-    model_rec = lines[1][1]["model"]
-    sets_rec = lines[2][1]["sets"]
-    for cluster in model_rec["assignment"].values():
-        if cluster not in model_rec["leaders"]:
-            raise GraphFileError(path, lines[1][0], f"cluster {cluster!r} has no leader")
+        _raise_after(records, path, head_no, "malformed vocabulary")
+    if not _all_fit([model_rec], _MODEL_LINE):
+        _raise_after(records, path, model_no, "malformed model line")
+    if not _all_fit([sets_rec], _SETS_LINE):
+        _raise_after(records, path, sets_no, "malformed sets line")
+    model_rec, sets_rec = model_rec["model"], sets_rec["sets"]
     model = ClusterModel(
         assignment=dict(model_rec["assignment"]), leaders=dict(model_rec["leaders"])
     )
@@ -270,18 +279,43 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
             for entry in sets_rec["taggers"]
         },
     )
-    lists = {}
-    for line_no, rec in lines[3:]:
-        if rec["cluster"] not in model.leaders:
-            raise GraphFileError(path, line_no, f"cluster {rec['cluster']!r} has no leader")
+    del head, model_rec, sets_rec  # only what was built from them stays
+    # The first fault below a malformed list line: raised only once every
+    # list line is known to be well-formed.
+    fault = None
+    for cluster in model.assignment.values():
+        if cluster not in model.leaders:
+            fault = (model_no, f"cluster {cluster!r} has no leader")
+            break
+    lists, shared = {}, {}
+    for line_no, rec in records:
+        if not _fits_list_line(rec):
+            _raise_after(records, path, line_no, "malformed inverted list line")
+        if fault is not None:
+            continue
         entries = rec["entries"]
-        if not _finite(map(itemgetter(1), entries)):
-            raise GraphFileError(path, line_no, "list scores must be finite numbers")
-        if not _ranked(entries):
-            raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
-        lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
+        if rec["cluster"] not in model.leaders:
+            fault = (line_no, f"cluster {rec['cluster']!r} has no leader")
+        elif not _finite(map(itemgetter(1), entries)):
+            fault = (line_no, "list scores must be finite numbers")
+        elif not _ranked(entries):
+            fault = (line_no, "entries not sorted by score descending, then item id")
+        else:
+            lists[(rec["tag"], rec["cluster"])] = tuple(
+                [(shared.setdefault(item, item), score) for item, score in entries]
+            )
+    if fault is not None:
+        raise GraphFileError(path, *fault)
     vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else _tags_of(sets)
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
+
+
+def _raise_after(records, path: str, line_no: int, message: str):
+    """Raise GraphFileError at ``line_no`` once the rest of ``records`` is
+    decoded: invalid JSON on any line comes before every other fault."""
+    for _ in records:
+        pass
+    raise GraphFileError(path, line_no, message)
 
 
 def _tags_of(sets: SocialSets) -> frozenset:

@@ -168,10 +168,11 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
     rating of it. Only positive weights are kept.
     """
     _require(g, user_id, item_id, strategy)
+    sets = social_sets(g)
     mine = acted_items(g, user_id)
     evidence = []
     if strategy == "content":
-        sims = social_sets(g).item_similarities(item_id)
+        sims = sets.item_similarities(item_id)
         for other in mine & sims.keys():
             weight = sims[other] * rating(g, user_id, other)
             if weight > 0:
@@ -185,13 +186,16 @@ def explain_item(g: SocialContentGraph, user_id: str, item_id: str, strategy: st
                 weight = sim * rating(g, peer, item_id)
                 if weight > 0:
                     evidence.append((peer, weight))
+    if strategy == "content":
+        ratio = _content_ratio(mine, sims)
+    else:
+        ratio = _friends_ratio(sets, user_id, item_id)
     evidence.sort(key=lambda e: (-e[1], e[0]))
-    summary, _ = _aggregate(g, user_id, (item_id,), strategy)
     return Explanation(
         subject=(user_id, item_id),
         strategy=strategy,
         evidence=tuple(evidence),
-        summary=summary,
+        summary=_sentence(ratio, strategy),
     )
 
 
@@ -211,23 +215,36 @@ def aggregate_explanations(g: SocialContentGraph, user_id: str, target, strategy
 
 def _aggregate(g, user_id, members, strategy, group=None):
     """The sentence and mean ratio of ``members``: one item when ``group`` is None."""
-    ratio = sum(_ratio(g, user_id, item_id, strategy) for item_id in members) / len(members)
+    sets = social_sets(g)
+    if strategy == "collaborative":
+        ratios = [_friends_ratio(sets, user_id, item_id) for item_id in members]
+    else:
+        mine = acted_items(g, user_id)
+        ratios = [_content_ratio(mine, sets.item_similarities(item_id)) for item_id in members]
+    ratio = sum(ratios) / len(members)
+    return _sentence(ratio, strategy, group), ratio
+
+
+def _sentence(ratio, strategy, group=None) -> str:
     pct = round(ratio * 100)
     subject = "this item" if group is None else f"items in group '{group.label}'"
     if strategy == "collaborative":
-        return f"{pct}% of your friends endorsed {subject}", ratio
+        return f"{pct}% of your friends endorsed {subject}"
     lead = "" if group is None else f"{subject} are "
-    return f"{lead}similar to {pct}% of items you visited before", ratio
+    return f"{lead}similar to {pct}% of items you visited before"
 
 
-def _ratio(g, user_id, item_id, strategy) -> float:
-    sets = social_sets(g)
-    if strategy == "collaborative":
-        network = sets.network.get(user_id, frozenset())
-        if not network:
-            return 0.0
-        return len(network & sets.all_taggers(item_id)) / len(network)
-    mine = acted_items(g, user_id)
+def _friends_ratio(sets, user_id, item_id) -> float:
+    """The share of the user's friends who tagged the item."""
+    network = sets.network.get(user_id, frozenset())
+    if not network:
+        return 0.0
+    return len(network & sets.all_taggers(item_id)) / len(network)
+
+
+def _content_ratio(mine, sims) -> float:
+    """The share of the user's acted items ``mine`` that are similar to
+    the item whose similarity map is ``sims``."""
     if not mine:
         return 0.0
-    return len(mine & sets.item_similarities(item_id).keys()) / len(mine)
+    return len(mine & sims.keys()) / len(mine)

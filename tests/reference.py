@@ -7,18 +7,23 @@ aggregate or composition function, a
 k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
 a loop over a plan's schedule, one pattern, an inverted index of leaders,
 a merge that returns an element merged with itself as it is,
+a snapshot loaded one line at a time,
 or one shared helper (the greedy-leader loop, item similarity, the
 ordered group-by, the one-member group that explains an item).
 ``test_differential.py`` and ``test_plan_rules.py`` check the two agree
 on results, link order, generated ids and the number of exact-score
-calls, comparing graphs through ``exact``. The export list of the once-eager package
+calls, comparing graphs through ``exact``; ``test_snapshot_fuzz.py``
+checks the snapshot loaders. The export list of the once-eager package
 namespace is kept here too, for ``test_namespace.py``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from socialgraph import algebra
 from socialgraph import index as sgindex
@@ -58,6 +63,7 @@ from socialgraph.errors import (
     DivideByZeroError,
     DslSyntaxError,
     ExecutionError,
+    GraphFileError,
     SocialGraphError,
     UnboundReferenceError,
     UnknownItemError,
@@ -83,7 +89,8 @@ FRIEND = Condition(preds=(attr_eq("type", "friend"),))
 ACT = Condition(preds=(attr_eq("type", "act"),))
 MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
-from socialgraph.index import ClusterModel, social_sets
+from socialgraph.index import ClusteredIndex, ClusterModel, SocialSets, social_sets
+from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _read_jsonl, _tags_of
 from socialgraph.presentation import RESIDUAL, Explanation, ItemGroup, _label_from, _make_group
 
 
@@ -945,6 +952,121 @@ def exact(g) -> tuple:
         [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
         [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
     )
+
+
+# ---------------------------------------------------------------------------
+# Index snapshots, loaded whole: every line decoded and held, then each
+# section checked a column at a time across all its lines.
+
+# The exact JSON types each leaf shape admits; being exact, a boolean is
+# never a number.
+_LEAF_TYPES = {str: {str}, float: {int, float}}
+
+
+def _all_fit(values: list, shape) -> bool:
+    """Whether every loaded JSON value in ``values`` has ``shape``: ``str``;
+    ``float`` for any number; ``[s]`` for an array of ``s``; ``(s1, s2)``
+    for a pair; ``{str: s}`` for an object of ``s`` values; any other dict
+    for an object with at least those fields. The check goes a column at
+    a time, not value by value: a snapshot holds hundreds of thousands."""
+    if isinstance(shape, type):
+        return set(map(type, values)) <= _LEAF_TYPES[shape]
+    if isinstance(shape, (list, tuple)):
+        if not set(map(type, values)) <= {list}:
+            return False
+        if isinstance(shape, list):
+            return _all_fit(list(chain.from_iterable(values)), shape[0])
+        return set(map(len, values)) <= {len(shape)} and all(
+            _all_fit(list(map(itemgetter(i), values)), s) for i, s in enumerate(shape)
+        )
+    if not set(map(type, values)) <= {dict}:
+        return False
+    if str in shape:
+        return _all_fit(list(chain.from_iterable(map(dict.values, values))), shape[str])
+    # a missing field reads as None, which fits no shape
+    return all(_all_fit([v.get(k) for v in values], s) for k, s in shape.items())
+
+
+_MODEL_LINE = {"model": {"assignment": {str: str}, "leaders": {str: str}}}
+_SETS_LINE = {
+    "sets": {
+        "network": {str: [str]},
+        "items": {str: [str]},
+        "taggers": [{"item": str, "tag": str, "users": [str]}],
+    }
+}
+_LIST_LINE = {"tag": str, "cluster": str, "entries": [(str, float)]}
+
+
+def _finite(numbers) -> bool:
+    """Whether every loaded JSON number is finite and within float range."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _ranked(entries: list) -> bool:
+    """Whether [item, score] entries run by score descending, then item id."""
+    return all(
+        s1 > s2 or (s1 == s2 and i1 <= i2) for (i1, s1), (i2, s2) in zip(entries, entries[1:])
+    )
+
+
+def load_index_snapshot_held(path: str) -> ClusteredIndex:
+    """Read a snapshot written by save_index_snapshot. A line whose
+    section, field or list entry is missing or mistyped, a list out of
+    order, or a cluster without a leader that a user or list names raises
+    GraphFileError with its line number, as does a score that is not
+    finite or not within float range; scores keep their JSON type."""
+    lines = list(_read_jsonl(path))
+    if len(lines) < 3:
+        raise GraphFileError(path, 1, "truncated index snapshot")
+    head_no, header = lines[0]
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != SNAPSHOT_FORMAT
+        or header.get("version") != SNAPSHOT_VERSION
+    ):
+        raise GraphFileError(path, head_no, "not a recognized index snapshot")
+    if "vocabulary" in header and not _all_fit([header["vocabulary"]], [str]):
+        raise GraphFileError(path, head_no, "malformed vocabulary")
+    for what, shape, group in (
+        ("model", _MODEL_LINE, lines[1:2]),
+        ("sets", _SETS_LINE, lines[2:3]),
+        ("inverted list", _LIST_LINE, lines[3:]),
+    ):
+        if not _all_fit([record for _, record in group], shape):
+            line_no = next(n for n, record in group if not _all_fit([record], shape))
+            raise GraphFileError(path, line_no, f"malformed {what} line")
+    model_rec = lines[1][1]["model"]
+    sets_rec = lines[2][1]["sets"]
+    for cluster in model_rec["assignment"].values():
+        if cluster not in model_rec["leaders"]:
+            raise GraphFileError(path, lines[1][0], f"cluster {cluster!r} has no leader")
+    model = ClusterModel(
+        assignment=dict(model_rec["assignment"]), leaders=dict(model_rec["leaders"])
+    )
+    sets = SocialSets(
+        network={u: frozenset(v) for u, v in sets_rec["network"].items()},
+        items={u: frozenset(v) for u, v in sets_rec["items"].items()},
+        taggers={
+            (entry["item"], entry["tag"]): frozenset(entry["users"])
+            for entry in sets_rec["taggers"]
+        },
+    )
+    lists = {}
+    for line_no, rec in lines[3:]:
+        if rec["cluster"] not in model.leaders:
+            raise GraphFileError(path, line_no, f"cluster {rec['cluster']!r} has no leader")
+        entries = rec["entries"]
+        if not _finite(map(itemgetter(1), entries)):
+            raise GraphFileError(path, line_no, "list scores must be finite numbers")
+        if not _ranked(entries):
+            raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
+        lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
+    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else _tags_of(sets)
+    return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

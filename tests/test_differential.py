@@ -367,12 +367,41 @@ def test_set_ops_match_the_always_merging_reference(g1, g2, c):
     it, whose keyword scores are new objects); scores are mixed-type and
     may hold several floats, which a merge collapses to their maximum.
     ``exact`` also compares each element's attribute key order."""
-    for a, b in ((g1, g2), (g2, g1), (g1, g1), (g1, link_select(g1, c))):
+    check_set_ops(((g1, g2), (g2, g1), (g1, g1), (g1, link_select(g1, c))))
+
+
+def check_set_ops(operand_pairs):
+    for a, b in operand_pairs:
         for kind in (SetOpKind.UNION, SetOpKind.INTERSECT):
             fast, slow = outcome(set_op, kind, a, b), outcome(set_op_merging, kind, a, b)
             assert fast == slow
             if fast[0] != "error":
                 assert exact(fast[0]) == exact(slow[0])
+
+
+# One id pool for nodes and links, so that a node id of one graph may be
+# a link id of another.
+ID_POOL = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def pooled_graphs(draw):
+    ids = draw(st.permutations(ID_POOL))
+    n = draw(st.integers(1, 3))
+    node_ids, link_ids = ids[:n], ids[n : n + draw(st.integers(0, len(ID_POOL) - n))]
+    nodes = [Node(nid, _attrs(draw, NODE_TYPES, ("w", "score"))) for nid in node_ids]
+    ends = st.sampled_from(node_ids)
+    links = [Link(lid, draw(ends), draw(ends), _attrs(draw, LINK_TYPES, ("w", "score"))) for lid in link_ids]
+    return build_graph(nodes, links)
+
+
+@given(pooled_graphs(), pooled_graphs())
+def test_set_ops_fail_like_the_always_merging_reference(g1, g2):
+    """Operands whose ids clash: a union where a node id of one is a link
+    id of the other, and an intersection keeping a link but not both its
+    endpoints, must raise what ``build_graph`` raises; the rest must give
+    the same graph."""
+    check_set_ops(((g1, g2), (g2, g1)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +612,7 @@ def test_unchecked_operators_give_what_build_graph_accepts(g1, g2, c, delta):
         semi_join(g1, build_graph(g2.nodes.values(), []), delta),
         semi_join(build_graph(g1.nodes.values(), []), g2, delta),
         link_minus(g1, g2),
+        set_op(SetOpKind.NODE_MINUS, g1, g2),
         node_aggregate(g1, c, delta.d1, "agg", SafExpr("tgt")),
         node_aggregate(g1, c, delta.d2, "w", COUNT),
     ]

@@ -376,6 +376,17 @@ def test_index_snapshot_keeps_a_partial_vocabulary(tmp_path):
     assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
+def test_loaded_lists_share_one_string_per_item_id(tmp_path):
+    g = random_tagging_graph(rng_from(2), 30, 60, n_tags=4, n_communities=2)
+    sets = social_sets(g)
+    model = cluster_users(sets, ClusteringStrategy("network", 0.3))
+    index = build_index(sets, model, {t for _, t in sets.taggers})
+    path = str(tmp_path / "shared.snap")
+    save_index_snapshot(index, path)
+    items = [item for entries in load_index_snapshot(path).lists.values() for item, _ in entries]
+    assert len({id(item) for item in items}) == len(set(items)) < len(items)
+
+
 def test_index_snapshot_of_every_tag_lists_no_vocabulary(tmp_path):
     records = _jazz_snapshot_lines(tmp_path)
     assert records[0] == {"format": "socialgraph-index", "version": 1}

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import pytest
 
 from socialgraph.errors import UnknownCriterionAttrError, UnknownItemError, UnknownUserError
 from socialgraph.fixtures import rng_from
 from socialgraph.graph import build_graph, link, node
-from socialgraph.index import social_sets
+from socialgraph.index import SocialSets, social_sets
 from socialgraph.presentation import (
     ItemGroup,
     SocialGrouping,
@@ -252,6 +254,18 @@ def test_explain_content_rated_item_explains_itself():
     explanation = explain_item(g, "a", "i1", "content")
     weights = dict(explanation.evidence)
     assert weights["i1"] == pytest.approx(1.0)
+
+
+def test_a_content_explanation_builds_its_similarity_map_once():
+    g = tagging_graph()
+    counted = mock.patch.object(
+        SocialSets, "item_similarities", autospec=True, side_effect=SocialSets.item_similarities
+    )
+    with counted as sims:
+        explanation = explain_item(g, "a", "i1", "content")
+    assert sims.call_count == 1
+    assert explanation.summary == aggregate_explanations(g, "a", "i1", "content")[0]
+    assert explanation.summary == "similar to 100% of items you visited before"
 
 
 def test_explanation_weights_positive_and_reproducible(cf_graph):
