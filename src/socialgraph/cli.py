@@ -130,7 +130,7 @@ def _index_from_graph(args):
 
     sets = social_sets(load_graph(args.nodes, args.links))
     model = cluster_users(sets, ClusteringStrategy(kind=args.strategy, theta=args.theta))
-    return build_index(sets, model, {tag for (_, tag) in sets.taggers})
+    return build_index(sets, model, sets.tags)
 
 
 def _cmd_query(args):

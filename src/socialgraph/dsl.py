@@ -48,20 +48,19 @@ runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
 ``parse`` builds a Program, and ``compile`` folds it into a shared
-operator DAG. It interns the program as written on structural keys, so
-structurally equal subexpressions are merged; then rewrites it in one
-pass that sees each node's consumers (select pushdown); and schedules
-it in that same pass: for each binding, the nodes it evaluates first,
-children before parents. ``execute`` is one loop over that schedule,
-which is bit-identical to running the corresponding algebra calls by
-hand. The built-in search and CF pipelines of ``discovery`` are such
-plans.
+operator DAG in two steps. It interns the program on structural keys,
+so structurally equal subexpressions are merged, pushing every
+selection over a semi-join below it as it interns (select pushdown);
+then it schedules the result: for each binding, the nodes it evaluates
+first, children before parents. ``execute`` is one loop over that
+schedule, which is bit-identical to running the corresponding algebra
+calls by hand. The built-in search and CF pipelines of ``discovery``
+are such plans.
 
-A plan node's key (``PlanNode.key``) names the value it computes, not
-the form the rewrite chose for it: a selection over a semi-join is
-keyed as its pushed-down form. So a plan that keeps a selection above
-a shared semi-join reads the result of a plan that pushed it down, and
-the other way round.
+Since every selection over a semi-join is pushed below it, a value has
+one form, and a plan node's key (``PlanNode.key``) is its structure. So
+a script that writes a selection over a semi-join reads the result of
+a plan that wrote it pushed down, and the other way round.
 
 ``execute`` keeps results with the input graph they were computed
 from: every parameter-free result of a plan with parameters, and the
@@ -74,7 +73,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -489,18 +487,6 @@ def _key(*items) -> _Key:
     return _Key((hash(items), *items))
 
 
-def _node_key(kind: str, children: tuple, params: tuple) -> _Key:
-    """The key of the value a node computes: an lsel over a semi-join is
-    keyed as its pushed-down form, lsel(semijoin(G, X, δ), c) as
-    semijoin(lsel(G, c), X, δ), level by level through nested semi-joins
-    (``select`` shows the two give the same graph). Any other node's key
-    is its structure."""
-    if kind == "lsel" and children[0][1] == "semijoin":
-        _, _, (inner, x), delta = children[0]
-        return _key("semijoin", (_node_key("lsel", (inner,), params), x), delta)
-    return _key(kind, children, params)
-
-
 @dataclass(frozen=True, eq=False)
 class PlanNode:
     """One operator (or input leaf) in the compiled DAG; compile builds
@@ -508,12 +494,11 @@ class PlanNode:
 
     ``key`` names the value the node computes: its kind, its children's
     keys and the ``_param_key`` of each parameter, after their hash
-    (``_Key``), with an lsel over a semi-join keyed as its pushed-down
-    form (``_node_key``). It holds no ids, so it names the same value in
-    every plan, whichever of the two forms the plan runs, and no other
-    value. ``graph`` is the one input graph the node reads, or None when
-    it reads more than one; ``parametric`` is True when a ``$NAME`` is
-    at or below it."""
+    (``_Key``). No lsel node reads a semi-join (``compile`` pushes it
+    below), so a value has one form, and the key holds no ids: it names
+    the same value in every plan, and no other value. ``graph`` is the
+    one input graph the node reads, or None when it reads more than one;
+    ``parametric`` is True when a ``$NAME`` is at or below it."""
 
     kind: str
     inputs: tuple  # of PlanNode
@@ -551,78 +536,35 @@ def _param_key(p):
 
 
 def compile(program: Program, inputs=None) -> Plan:
-    """Fold a Program into a Plan: intern it as written on structural
-    keys alone, merging structurally equal subtrees; count each key's
-    consumers and note the keys a binding names; then walk each binding
-    bottom-up, pushing selections below semi-joins (``select``), building
-    each PlanNode the plan runs once and scheduling it the first time the
-    walk returns it. The walk looks each node up by its key (``value``)
-    before it builds the node's children, so a form of a value that
-    another node already computes builds no node at all.
+    """Fold a Program into a Plan, one binding after another. First intern
+    the binding's expression on structural keys (``_key``), so that
+    structurally equal subexpressions are one key, pushing each selection
+    over a semi-join below it as it is interned (``select``). Then walk
+    the binding's key in post-order, building the PlanNode of each key
+    the walk reaches once and scheduling it the first time, children
+    before parents. A key that no walk reaches, such as the semi-join a
+    selection was pushed below, is never built or run.
 
     Free names become input leaves. When ``inputs`` (a collection of
     permitted input names) is given, any other free name raises
     UnboundReference at compile time instead of at execution.
     """
-    written: dict = {}  # key as written (hash, kind, children's keys, param keys) -> its params
-    env: dict = {}  # binding name -> its key as written
+    params_of: dict = {}  # key -> its operator call's parameters (an input's name)
+    env: dict = {}  # binding name -> its key
     leaves: dict = {}  # input name -> its leaf's key, in first-use order
     param_names: list = []
 
-    def build(expr) -> _Key:
-        if isinstance(expr, Ref):
-            if expr.name in env:
-                return env[expr.name]
-            if expr.name not in leaves:
-                if inputs is not None and expr.name not in inputs:
-                    raise UnboundReferenceError(expr.name)
-                leaves[expr.name] = _key("input", (), (expr.name,))
-                written[leaves[expr.name]] = (expr.name,)
-            return leaves[expr.name]
-        split = OPS[expr.op][2].count("e")  # sub-expressions come first
-        children, params = tuple(map(build, expr.args[:split])), expr.args[split:]
-        for p in params:
-            if isinstance(p, Param) and p.name not in param_names:
-                param_names.append(p.name)
-        key = _key(expr.op, children, tuple(map(_param_key, params)))
-        written.setdefault(key, params)
+    def intern(kind: str, children: tuple, params: tuple) -> _Key:
+        key = _key(kind, children, tuple(map(_param_key, params)))
+        params_of.setdefault(key, params)
         return key
 
-    for name, expr in program.stmts:
-        env[name] = build(expr)
-    consumers = Counter(child for key in written for child in key[2])
-    bound = set(env.values())
-    nodes: dict = {}  # key -> the PlanNode the plan runs
-    values: dict = {}  # key as written -> the key of the PlanNode the plan runs in its place
-    out: list = []  # the current binding's schedule
-
-    def value(key: _Key) -> _Key:
-        """The key (``_node_key``) of the node the plan runs for ``key``
-        as written, known before any node below it is built."""
-        if key not in values:
-            _, kind, children, params = key
-            values[key] = _node_key(kind, tuple(map(value, children)), params)
-        return values[key]
-
-    def emit(kind: str, node_inputs: tuple, params: tuple) -> PlanNode:
-        """Build and schedule the plan's node for this operator call,
-        whose key (``walk`` and ``select`` looked it up) no node has yet."""
-        key = _node_key(kind, tuple(c.key for c in node_inputs), tuple(map(_param_key, params)))
-        if kind == "input":
-            graph, parametric = params[0], False
-        else:
-            graphs = {c.graph for c in node_inputs}
-            graph = graphs.pop() if len(graphs) == 1 else None
-            parametric = any(c.parametric for c in node_inputs) or any(isinstance(p, Param) for p in params)
-        node = nodes[key] = PlanNode(kind, node_inputs, params, key, graph, parametric)
-        out.append(node)
-        return node
-
-    def select(g: _Key, params: tuple) -> PlanNode:
-        """Select pushdown: lsel(semijoin(G, X, δ), c) -> semijoin(lsel(G, c),
-        X, δ), level by level through nested semi-joins, for ``g`` as
-        written, where the semi-join has one consumer and no binding
-        names it, so no other use still reads it.
+    def select(g: _Key, params: tuple) -> _Key:
+        """The key of lsel(g, c) with the selection pushed below g's
+        semi-joins (select pushdown): lsel(semijoin(G, X, δ), c) ->
+        semijoin(lsel(G, c), X, δ), level by level through nested
+        semi-joins. It fires also where a binding names the semi-join or
+        another node reads it; the semi-join then still runs for those.
 
         Both sides keep the links of G that satisfy c and whose δ
         endpoint matches X, in G order, with the endpoint nodes in
@@ -632,30 +574,53 @@ def compile(program: Program, inputs=None) -> Plan:
         sides. A link-less G gives the empty graph on both sides (the
         semi-join's null-graph result has no links to select, and lsel of
         G is empty), and so does a G with no link satisfying c; a
-        link-less X is matched by node id on both sides. ``lsel(G, c)``
-        no longer depends on X, so plans that select from the same G
-        share it (and keep it, see ``execute``). Where the guard keeps
-        the selection above the semi-join, its node still gets the
-        pushed-down form's key (``_node_key``), since both forms give
-        the same graph: it reads what a plan that pushed it kept."""
-        node = nodes.get(_node_key("lsel", (value(g),), tuple(map(_param_key, params))))
-        if node is not None:
-            return node
+        link-less X is matched by node id on both sides. So each value
+        has one form and one key, and ``lsel(G, c)`` no longer depends
+        on X: plans that select from the same G share it (and keep it,
+        see ``execute``)."""
         _, kind, children, _ = g
-        if kind == "semijoin" and consumers[g] == 1 and g not in bound:
-            inner, x = children
-            return emit("semijoin", (select(inner, params), walk(x)), written[g])
-        return emit("lsel", (walk(g),), params)
+        if kind != "semijoin":
+            return intern("lsel", (g,), params)
+        inner, x = children
+        return intern("semijoin", (select(inner, params), x), params_of[g])
+
+    def build(expr) -> _Key:
+        if isinstance(expr, Ref):
+            if expr.name in env:
+                return env[expr.name]
+            if expr.name not in leaves:
+                if inputs is not None and expr.name not in inputs:
+                    raise UnboundReferenceError(expr.name)
+                leaves[expr.name] = intern("input", (), (expr.name,))
+            return leaves[expr.name]
+        split = OPS[expr.op][2].count("e")  # sub-expressions come first
+        children, params = tuple(map(build, expr.args[:split])), expr.args[split:]
+        for p in params:
+            if isinstance(p, Param) and p.name not in param_names:
+                param_names.append(p.name)
+        return select(children[0], params) if expr.op == "lsel" else intern(expr.op, children, params)
+
+    nodes: dict = {}  # key -> its PlanNode
+    out: list = []  # the current binding's schedule
 
     def walk(key: _Key) -> PlanNode:
-        _, kind, children, _ = key
-        if kind == "lsel":
-            return select(children[0], written[key])
-        node = nodes.get(value(key))
-        return node if node is not None else emit(kind, tuple(map(walk, children)), written[key])
+        node = nodes.get(key)
+        if node is None:
+            _, kind, children, _ = key
+            node_inputs, params = tuple(map(walk, children)), params_of[key]
+            if kind == "input":
+                graph, parametric = params[0], False
+            else:
+                graphs = {c.graph for c in node_inputs}
+                graph = graphs.pop() if len(graphs) == 1 else None
+                parametric = any(c.parametric for c in node_inputs) or any(isinstance(p, Param) for p in params)
+            node = nodes[key] = PlanNode(kind, node_inputs, params, key, graph, parametric)
+            out.append(node)
+        return node
 
     bindings, schedule = [], []
-    for name, _ in program.stmts:
+    for name, expr in program.stmts:
+        env[name] = build(expr)
         bindings.append((name, walk(env[name])))
         schedule.append(tuple(out))
         out.clear()
@@ -672,9 +637,7 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
     time it runs on it with the same parameter values, since graphs are
     never mutated. Its bound key is its ``key`` with each ``$NAME``
     replaced by the ``_param_key`` of its value: the key a script writing
-    that value in place gets. Like ``key``, it names the value, so a
-    selection over a semi-join has the bound key of its pushed-down form.
-    Every plan reads a node's result under that key from the graph's
+    that value in place gets. Every plan reads a node's result under that key from the graph's
     instance dict (next to ``out_links``) before running it. A plan with
     parameters, run again and again on one graph, writes two sets there:
     ``plan_results`` gathers its parameter-free results, and
@@ -706,7 +669,7 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
                 key = node.key
                 if node.parametric:
                     children = tuple(bound_keys.get(c, c.key) for c in node.inputs)
-                    key = bound_keys[node] = _node_key(node.kind, children, tuple(map(_param_key, values)))
+                    key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))
                 # a node's graph is bound: its input leaf ran before it
                 kept = vars(inputs[node.graph]) if node.graph else {}
                 result = kept.get("plan_results", {}).get(key)

@@ -36,6 +36,12 @@ class SocialSets:
     def users(self) -> list:
         return sorted(set(self.network) | set(self.items))
 
+    @property
+    def tags(self) -> frozenset:
+        """Every tag the sets hold: the vocabulary of the CLI's indexes and
+        of a snapshot that lists none."""
+        return frozenset(tag for _, tag in self.taggers)
+
     def all_taggers(self, item: str) -> frozenset:
         """taggers(i): union over tags of taggers(i, k)."""
         return self._item_taggers.get(item, frozenset())

@@ -27,7 +27,7 @@ from .errors import GraphFileError
 from .graph import Link, Node, SocialContentGraph, attr_map, build_graph, sorted_values
 
 if TYPE_CHECKING:  # graph files need no index code: load_index_snapshot imports it
-    from .index import ClusteredIndex, SocialSets
+    from .index import ClusteredIndex
 
 SNAPSHOT_FORMAT = "socialgraph-index"
 SNAPSHOT_VERSION = 1
@@ -155,7 +155,7 @@ def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
     one line per (tag, cluster) list in sorted key order. The header
     lists the vocabulary only when it is not every tag of the sets."""
     header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
-    if index.vocabulary != _tags_of(index.sets):
+    if index.vocabulary != index.sets.tags:
         header["vocabulary"] = sorted(index.vocabulary)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json_line(header) + "\n")
@@ -306,7 +306,7 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
             )
     if fault is not None:
         raise GraphFileError(path, *fault)
-    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else _tags_of(sets)
+    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else sets.tags
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
 
 
@@ -316,12 +316,6 @@ def _raise_after(records, path: str, line_no: int, message: str):
     for _ in records:
         pass
     raise GraphFileError(path, line_no, message)
-
-
-def _tags_of(sets: SocialSets) -> frozenset:
-    """Every tag the social sets hold: the vocabulary a snapshot without
-    one covers, as the CLI's indexes do."""
-    return frozenset(tag for _, tag in sets.taggers)
 
 
 def _finite(numbers) -> bool:

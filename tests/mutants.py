@@ -1,0 +1,147 @@
+"""Mutants that the tests must kill, and a runner for them.
+
+Each mutant names a module of ``src/socialgraph``, a source fragment
+that occurs exactly once in it, the fragment's replacement, and the test
+files each of which must fail once the replacement is made. The runner
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and applies one mutant at a time there, running each listed
+test file in its own pytest process, one after another, once it has
+seen each of those files pass on the unmutated copy. It reports a
+mutant that some listed file lets pass (a survivor) and a mutant whose
+fragment is no longer found exactly once (stale: the change that moved
+the code must update or retire it), and exits 1 if there is either.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    fragment: str
+    replacement: str
+    must_fail: tuple  # test files, relative to the repository root
+
+
+PLAN_RULES = "tests/test_plan_rules.py"
+KEPT_STATE = "tests/test_kept_state.py"
+BOUND_KEY = "key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))"
+
+MUTANTS = (
+    # dsl.compile's select pushdown
+    Mutant(
+        "no recursion into nested semi-joins",
+        "dsl",
+        "return intern(\"semijoin\", (select(inner, params), x), params_of[g])",
+        "return intern(\"semijoin\", (intern(\"lsel\", (inner,), params), x), params_of[g])",
+        (PLAN_RULES,),
+    ),
+    Mutant(
+        "δ swapped in the pushed semi-join",
+        "dsl",
+        "(select(inner, params), x), params_of[g])",
+        "(select(inner, params), x), (DirectionalCondition(params_of[g][0].d2, params_of[g][0].d1),))",
+        (PLAN_RULES,),
+    ),
+    Mutant(
+        "children scheduled after their parent",
+        "dsl",
+        "            out.append(node)\n",
+        "            out.insert(0, node)\n",
+        (PLAN_RULES, "tests/test_dsl.py"),
+    ),
+    # dsl.execute's bound keys and kept results
+    Mutant(
+        "bound keys read from c.key instead of bound_keys",
+        "dsl",
+        "children = tuple(bound_keys.get(c, c.key) for c in node.inputs)",
+        "children = tuple(c.key for c in node.inputs)",
+        (PLAN_RULES, KEPT_STATE),
+    ),
+    Mutant(
+        "a bound key without the condition token",
+        "dsl",
+        BOUND_KEY,
+        BOUND_KEY.replace("tuple(map(_param_key, values))", "tuple(values)"),
+        (PLAN_RULES, KEPT_STATE),
+    ),
+    Mutant(
+        "bound_results updated instead of replaced",
+        "dsl",
+        "vars(inputs[graph])[\"bound_results\"] = bound",
+        "vars(inputs[graph]).setdefault(\"bound_results\", {}).update(bound)",
+        (PLAN_RULES, KEPT_STATE),
+    ),
+    Mutant(
+        "a value key that drops δ",
+        "dsl",
+        BOUND_KEY,
+        BOUND_KEY.replace(
+            "tuple(map(_param_key, values))",
+            "() if node.kind == \"semijoin\" else tuple(map(_param_key, values))",
+        ),
+        (KEPT_STATE,),
+    ),
+)
+
+
+def run(mutants, root: str) -> int:
+    survivors, stale = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(os.path.join(root, part), os.path.join(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(os.path.join(root, "pyproject.toml"), tmp)
+        env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+        def pytest(test: str) -> int:
+            cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+            return subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+        for test in sorted({test for m in mutants for test in m.must_fail}):
+            if pytest(test) != 0:
+                print(f"{test} fails without a mutant")
+                return 1
+        for m in mutants:
+            path = os.path.join(tmp, "src", "socialgraph", f"{m.module}.py")
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            if source.count(m.fragment) != 1:
+                stale.append(m)
+                print(f"STALE     {m.name}: fragment found {source.count(m.fragment)} times in {m.module}.py")
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(source.replace(m.fragment, m.replacement))
+            try:
+                for test in m.must_fail:
+                    killed = pytest(test) in (1, 2)  # tests failed, or collecting them did
+                    print(f"{'killed' if killed else 'SURVIVED':9} {m.name}: {test}", flush=True)
+                    if not killed:
+                        survivors.append((m, test))
+            finally:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(source)
+    print(f"{len(mutants)} mutants: {len(survivors)} survivors, {len(stale)} stale")
+    return 1 if survivors or stale else 0
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    return run(chosen, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

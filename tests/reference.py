@@ -56,7 +56,7 @@ from socialgraph.algebra import (
     set_op,
 )
 from socialgraph.discovery import VISIT, acted_items, rating
-from socialgraph.dsl import OPS, Param, Ref, Token
+from socialgraph.dsl import OPS, OpCall, Param, Program, Ref, Token
 from socialgraph.errors import (
     AggEvalError,
     CompositionFnError,
@@ -90,7 +90,7 @@ ACT = Condition(preds=(attr_eq("type", "act"),))
 MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 from socialgraph.index import ClusteredIndex, ClusterModel, SocialSets, social_sets
-from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _read_jsonl, _tags_of
+from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _read_jsonl
 from socialgraph.presentation import RESIDUAL, Explanation, ItemGroup, _label_from, _make_group
 
 
@@ -945,6 +945,35 @@ def run_as_written(program, inputs, params=None):
     return env
 
 
+def push_selections(program):
+    """``program`` rewritten as an AST, with every link selection over a
+    semi-join moved below it, level by level: lsel(semijoin(A, X, δ), c)
+    becomes semijoin(lsel(A, c), X, δ), and a name that a binding gives
+    a semi-join is read through that binding. The form ``dsl.compile``
+    plans, written out apart from it."""
+    env = {}
+
+    def push(expr):
+        if isinstance(expr, Ref):
+            return expr
+        split = OPS[expr.op][2].count("e")
+        args = (*map(push, expr.args[:split]), *expr.args[split:])
+        return select(*args) if expr.op == "lsel" else OpCall(expr.op, args)
+
+    def select(g, cond):
+        inner = g
+        while isinstance(inner, Ref) and inner.name in env:
+            inner = env[inner.name]
+        if isinstance(inner, OpCall) and inner.op == "semijoin":
+            a, x, delta = inner.args
+            return OpCall("semijoin", (select(a, cond), x, delta))
+        return OpCall("lsel", (g, cond))
+
+    for name, expr in program.stmts:
+        env[name] = push(expr)
+    return Program(stmts=tuple(env.items()))
+
+
 def exact(g) -> tuple:
     """Nodes and links in order, each with its attributes in key order,
     for comparing two results exactly."""
@@ -1065,7 +1094,7 @@ def load_index_snapshot_held(path: str) -> ClusteredIndex:
         if not _ranked(entries):
             raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
         lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
-    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else _tags_of(sets)
+    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else frozenset(tag for _, tag in sets.taggers)
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
 
 

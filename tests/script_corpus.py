@@ -1,5 +1,6 @@
 """The DSL script corpus: every script paired with the hand-built
-operator pipeline it must match, binding for binding."""
+operator pipeline it must match, binding for binding; and two scripts
+of selections over semi-joins that the plan tests share."""
 
 from __future__ import annotations
 
@@ -38,6 +39,59 @@ SCRIPT_DIR = os.path.join(os.path.dirname(__file__), "scripts")
 def read_script(name: str) -> str:
     with open(os.path.join(SCRIPT_DIR, name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+# perfbench's combined CF and network-search script, with its threshold
+# written in and USER for the user's id. G1 and S1 select from one
+# semijoin(G, ME); each is pushed below it, so G1 is the CF plan's G1,
+# semijoin(lsel(G, visit), ME), and S1 the search plan's.
+COMBINED_SCRIPT = """\
+ME  = nsel(G, [id='USER'])
+G1  = lsel(semijoin(G, ME, (src,src)), [type='visit'])
+G1v = naggr(G1, [type='visit'], src, vst, set(tgt))
+OTH = nsel(G, [id!='USER'])
+G2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
+G2v = naggr(G2, [type='visit'], src, vst, set(tgt))
+G3  = compose(G1v, G2v, (tgt,tgt), {sim: jaccard(lsrc.vst, rsrc.vst)})
+G4  = laggr(G3, [sim>0.1], {type: const('match'), sim: any(sim)})
+G4m = lsel(G4, [type='match'])
+G5  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
+G6  = compose(semijoin(G4m, G5, (tgt,src)), semijoin(G5, G4m, (src,tgt)), (tgt,src), {sim_sc: copy(l.sim)})
+G7  = laggr(G6, [], {score: avg(sim_sc)})
+S1  = lsel(semijoin(G, ME, (src,src)), [type='friend'])
+S2  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
+S3  = semijoin(S1, S2, (tgt,src))
+S4  = semijoin(S2, S1, (src,tgt))
+S5  = union(S3, S4)
+S6  = lsel(semijoin(G, S3, (src,tgt)), [type='act'])
+S7  = union(S5, S6)
+"""
+
+
+# Selections over semi-joins: over a semi-join a binding names (V1, F1,
+# V5), over a shared one (V1t, F1t, V2, F2) and over nested ones (V6);
+# V1 and V1t differ only in δ. U selects from a union, which is no
+# semi-join, so it must not be pushed or keyed as W.
+FORMS = """\
+ME  = nsel(G, {user})
+OTH = nsel(G, {others})
+P   = nsel(G, {places})
+LV  = lsel(G, [type='visit'])
+LF  = lsel(G, [type='friend'])
+SJ  = semijoin(G, ME, (src,src))
+V1  = lsel(SJ, [type='visit'])
+F1  = lsel(SJ, [type='friend'])
+V1t = lsel(semijoin(G, ME, (tgt,src)), [type='visit'])
+F1t = lsel(semijoin(G, ME, (tgt,src)), [type='friend'])
+V2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
+F2  = lsel(semijoin(G, OTH, (src,src)), [type='friend'])
+SP  = semijoin(G, P, (tgt,src))
+V5  = lsel(SP, [type='visit'])
+NJ  = semijoin(SP, OTH, (src,src))
+V6  = lsel(NJ, [type='visit'])
+U   = lsel(union(SJ, P), [type='visit'])
+W   = union(V1, P)
+"""
 
 
 def c(*preds, kw=()):

@@ -2,9 +2,10 @@
 run as written (``run_as_written``) and against naive scans, the
 compiled schedules of the built-in and corpus scripts, the per-graph
 keeping of parameter-free subplan results and of the latest parameter
-binding's results, keys that name a selection over a semi-join by its
-pushed-down form, and the loop over a plan's schedule against the
-recursive executor of ``reference.py``.
+binding's results, selections pushed below every semi-join (named and
+shared ones too) and read by plans that write them pushed down, and the
+loop over a plan's schedule against the recursive executor of
+``reference.py``.
 
 Plans are the corpus scripts of ``script_corpus.py`` with drawn
 selections over semi-joins appended. Their graphs use the ids and
@@ -22,7 +23,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import (
@@ -31,10 +32,11 @@ from reference import (
     execute_recursive,
     link_select_scan,
     network_search_wired,
+    push_selections,
     run_as_written,
     semi_join_scan,
 )
-from script_corpus import CORPUS, SCRIPT_DIR, read_script
+from script_corpus import COMBINED_SCRIPT, CORPUS, FORMS, SCRIPT_DIR, read_script
 from socialgraph import algebra, dsl
 from socialgraph.discovery import (
     CF_SCRIPT,
@@ -183,8 +185,12 @@ def test_select_pushdown_keeps_every_binding_exact(case):
 
 @given(plans())
 def test_a_plan_has_no_more_nodes_than_distinct_subexpressions(case):
+    """As many nodes as the program with its selections pushed below
+    their semi-joins (``push_selections``) has distinct subexpressions:
+    equal ones are one node, and a semi-join a selection was pushed
+    below is built only where something else reads it."""
     program = dsl.parse(case[0])
-    assert dsl.compile(program).node_count() <= distinct_subexpressions(program)
+    assert dsl.compile(program).node_count() == distinct_subexpressions(push_selections(program))
 
 
 def compile_counting_nodes(program) -> tuple:
@@ -204,8 +210,11 @@ def compile_counting_nodes(program) -> tuple:
 
 @given(plans())
 def test_compile_builds_only_the_nodes_the_plan_runs(case):
+    """Every node built is scheduled, and no selection is left over a
+    semi-join."""
     plan, built = compile_counting_nodes(dsl.parse(case[0]))
     assert built == plan.node_count()
+    assert not any(n.kind == "lsel" and n.inputs[0].kind == "semijoin" for nodes in plan.schedule for n in nodes)
 
 
 @pytest.mark.parametrize("script, nodes", [(CF_SCRIPT, 17), (SEARCH_SCRIPT, 13)])
@@ -213,39 +222,47 @@ def test_compile_builds_each_node_of_a_builtin_plan_once(script, nodes):
     assert compile_counting_nodes(dsl.parse(script))[1] == nodes
 
 
-def test_pushdown_leaves_a_bound_semi_join_alone():
-    """A semi-join that a binding names stays one node, and the selection
-    reads it: pushing the selection below it would run a second
-    semi-join."""
+def test_pushdown_runs_below_a_bound_semi_join():
+    """A selection over a semi-join that a binding names is pushed below
+    it, and the named semi-join still runs for its binding."""
     extra = "SJ = semijoin(N, N, (src,src))\nPUSH = lsel(semijoin(N, N, (src,src)), [])\n"
     program = dsl.parse(read_script("ex4_search.sgs") + extra)
     plan = dsl.compile(program)
-    assert plan.node_count() == distinct_subexpressions(program) == 16
+    assert plan.node_count() == distinct_subexpressions(push_selections(program)) == 17
     b = dict(plan.bindings)
-    assert b["PUSH"].kind == "lsel" and b["PUSH"].inputs[0] is b["SJ"]
-    assert [n.kind for n in plan.schedule[-1]] == ["lsel"]
+    push, (n, sj) = b["PUSH"], plan.schedule[-2]
+    assert n.kind == "input" and sj is b["SJ"] and sj.inputs == (n, n)
+    assert push.kind == "semijoin" and push.inputs[1] is n
+    assert push.inputs[0].kind == "lsel" and push.inputs[0].inputs == (n,)
+    assert plan.schedule[-1] == (push.inputs[0], push)
 
 
-def test_pushdown_leaves_a_shared_semi_join_alone():
-    """An unbound semi-join that another node reads too stays one node."""
+def test_pushdown_runs_below_a_shared_semi_join():
+    """A selection over a semi-join that another node reads too is pushed
+    below it, and the semi-join still runs for that other reader."""
     text = "A = lsel(semijoin(G, X, (src,src)), [type='visit'])\nB = union(semijoin(G, X, (src,src)), G)\n"
     plan = dsl.compile(dsl.parse(text))
-    a, b = (node for _, node in plan.bindings)
-    assert a.kind == "lsel" and a.inputs[0] is b.inputs[0]
-    assert [n.kind for nodes in plan.schedule for n in nodes] == ["input", "input", "semijoin", "lsel", "union"]
+    (_, a), (_, b) = plan.bindings
+    g, x = plan.schedule[0][0], plan.schedule[0][2]
+    assert a.kind == "semijoin" and a.inputs[0].kind == "lsel" and a.inputs == (a.inputs[0], x)
+    assert a.inputs[0].inputs == (g,)
+    assert b.inputs[0].kind == "semijoin" and b.inputs == (b.inputs[0], g) and b.inputs[0].inputs == (g, x)
+    assert [[n.kind for n in nodes] for nodes in plan.schedule] == [
+        ["input", "lsel", "input", "semijoin"],
+        ["semijoin", "union"],
+    ]
 
 
 # Scripts that write a value again in another form: C is A's value
-# pushed down, and H and M are A's and A2's written as selections over
-# semi-joins whose inner semijoin(G, X) has two consumers, so the
-# pushdown stops above it.
+# pushed down by hand, and H and M are A's and A2's written as
+# selections over nested semi-joins.
 SECOND_FORMS = [
     (
         "A = lsel(semijoin(G, X, (src,src)), [type='visit'])\n"
         "B = union(semijoin(G, X, (src,src)), G)\n"
         "C = semijoin(lsel(G, [type='visit']), X, (src,src))\n",
         {"C": "A"},
-        5,
+        6,
     ),
     (
         "A = semijoin(semijoin(lsel(G, [type='visit']), X, (src,src)), Y, (tgt,src))\n"
@@ -295,11 +312,18 @@ def test_pushdown_runs_through_nested_semi_joins():
     assert plan.node_count() == 6
 
 
-def test_pushdown_stops_above_a_bound_inner_semi_join():
+def test_pushdown_runs_through_a_bound_inner_semi_join():
+    """A selection is pushed through a named semi-join nested under the
+    one it selects from, and the named one still runs for its binding."""
     plan = dsl.compile(dsl.parse("S = semijoin(G, X, (src,src))\nA = lsel(semijoin(S, Y, (tgt,src)), [type='visit'])"))
-    s, outer = (node for _, node in plan.bindings)
-    assert outer.kind == "semijoin" and outer.inputs[0].kind == "lsel"
-    assert outer.inputs[0].inputs[0] is s
+    (_, s), (_, outer) = plan.bindings
+    g, x = s.inputs
+    assert plan.schedule[0] == (g, x, s)
+    assert outer.kind == "semijoin" and outer.params == (dsl.DirectionalCondition("tgt", "src"),)
+    inner = outer.inputs[0]
+    assert inner.kind == "semijoin" and inner.inputs[1] is x and inner is not s
+    assert inner.inputs[0].kind == "lsel" and inner.inputs[0].inputs == (g,)
+    assert [n.kind for n in plan.schedule[1]] == ["lsel", "semijoin", "input", "semijoin"]
 
 
 # ---------------------------------------------------------------------------
@@ -524,80 +548,38 @@ def test_parameterised_results_are_kept_with_the_graph_they_read():
 
 
 # ---------------------------------------------------------------------------
-# A key names the value a node computes, whichever form the plan runs
-
-# perfbench's combined CF and network-search script, with its threshold
-# written in and USER for the user's id. It shares semijoin(G, ME) between
-# G1 and S1, so G1 runs as lsel(semijoin(G, ME)), the CF plan's G1 as
-# semijoin(lsel(G, visit), ME).
-COMBINED_SCRIPT = """\
-ME  = nsel(G, [id='USER'])
-G1  = lsel(semijoin(G, ME, (src,src)), [type='visit'])
-G1v = naggr(G1, [type='visit'], src, vst, set(tgt))
-OTH = nsel(G, [id!='USER'])
-G2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
-G2v = naggr(G2, [type='visit'], src, vst, set(tgt))
-G3  = compose(G1v, G2v, (tgt,tgt), {sim: jaccard(lsrc.vst, rsrc.vst)})
-G4  = laggr(G3, [sim>0.1], {type: const('match'), sim: any(sim)})
-G4m = lsel(G4, [type='match'])
-G5  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
-G6  = compose(semijoin(G4m, G5, (tgt,src)), semijoin(G5, G4m, (src,tgt)), (tgt,src), {sim_sc: copy(l.sim)})
-G7  = laggr(G6, [], {score: avg(sim_sc)})
-S1  = lsel(semijoin(G, ME, (src,src)), [type='friend'])
-S2  = lsel(semijoin(G, nsel(G, [type='destination']), (tgt,src)), [type='visit'])
-S3  = semijoin(S1, S2, (tgt,src))
-S4  = semijoin(S2, S1, (src,tgt))
-S5  = union(S3, S4)
-S6  = lsel(semijoin(G, S3, (src,tgt)), [type='act'])
-S7  = union(S5, S6)
-"""
+# A selection over a semi-join is read from plans that wrote it pushed down
 
 
 def test_the_combined_script_reads_the_cf_plan_cf_recommend_ran():
+    """As in a travel-serve round: a network search ran on the graph
+    before (perfbench's check of an earlier round), then cf_recommend and
+    discover for the user, then the combined script."""
     g = random_travel_graph(rng_from(1), 60, 120)
     users = sorted(n for n in g.nodes if n.startswith("u"))
     u = next(u for u in users if cf_pipeline(fresh({"G": g})["G"], u, 0.1)["match"].links)
+    network_search(g, u, DESTINATION)
     cf_recommend(g, u, CF_CONFIG)
     discover(g, u, DESTINATION, CF_CONFIG)
     held = bound(g)
     before = dict(held)
     text = COMBINED_SCRIPT.replace("USER", u)
+    operands = []
     with counted_operators() as calls:
-        got = run(dsl.compile(dsl.parse(text)), {"G": g}, {})[0]
-    # only the search part runs: G1 to G7 are the CF plan's results
-    assert calls and not calls.keys() & {"compose", "link_aggregate", "node_aggregate"}
+        counting = algebra.semi_join
+        with mock.patch.object(algebra, "semi_join", lambda g1, *rest: operands.append(g1) or counting(g1, *rest)):
+            got = run(dsl.compile(dsl.parse(text)), {"G": g}, {})[0]
+    # G1 to G7 are the CF plan's results, and S1 reads the kept
+    # lsel(G, [type='friend']): only S1, S3, S4 and S6 and the two unions run
+    assert calls == Counter(semi_join=4, set_op=2)
+    assert not any(g1 is g for g1 in operands)
     assert got == run(dsl.parse(text), fresh({"G": g}), {}, run_as_written)[0]
     assert bound(g) is held and held.keys() == before.keys()
     assert all(held[k] is v for k, v in before.items())
 
 
-# Selections over semi-joins in forms the plan keeps as written: over a
-# semi-join a binding names (V1, F1, V5), over a shared one (V1t, F1t, V2,
-# F2) and over nested ones (V6); V1 and V1t differ only in δ. U selects
-# from a union, which is no semi-join, so it must not be keyed as W.
-FORMS = """\
-ME  = nsel(G, {user})
-OTH = nsel(G, {others})
-P   = nsel(G, {places})
-LV  = lsel(G, [type='visit'])
-LF  = lsel(G, [type='friend'])
-SJ  = semijoin(G, ME, (src,src))
-V1  = lsel(SJ, [type='visit'])
-F1  = lsel(SJ, [type='friend'])
-V1t = lsel(semijoin(G, ME, (tgt,src)), [type='visit'])
-F1t = lsel(semijoin(G, ME, (tgt,src)), [type='friend'])
-V2  = lsel(semijoin(G, OTH, (src,src)), [type='visit'])
-F2  = lsel(semijoin(G, OTH, (src,src)), [type='friend'])
-SP  = semijoin(G, P, (tgt,src))
-V5  = lsel(SP, [type='visit'])
-NJ  = semijoin(SP, OTH, (src,src))
-V6  = lsel(NJ, [type='visit'])
-U   = lsel(union(SJ, P), [type='visit'])
-W   = union(V1, P)
-"""
-
-# The same values with every selection pushed below its semi-joins by
-# hand, and FORMS' shared semi-joins named (SJt, SJo).
+# FORMS' values with every selection pushed below its semi-joins by
+# hand.
 PUSHED = """\
 ME  = nsel(G, {user})
 OTH = nsel(G, {others})
@@ -607,10 +589,8 @@ LF  = lsel(G, [type='friend'])
 SJ  = semijoin(G, ME, (src,src))
 V1  = semijoin(LV, ME, (src,src))
 F1  = semijoin(LF, ME, (src,src))
-SJt = semijoin(G, ME, (tgt,src))
 V1t = semijoin(LV, ME, (tgt,src))
 F1t = semijoin(LF, ME, (tgt,src))
-SJo = semijoin(G, OTH, (src,src))
 V2  = semijoin(LV, OTH, (src,src))
 F2  = semijoin(LF, OTH, (src,src))
 SP  = semijoin(G, P, (tgt,src))
@@ -767,16 +747,35 @@ def counted_operators():
         yield calls
 
 
+def bound_key(node, params):
+    """``node.key`` with each ``$NAME`` at or below it replaced by the
+    ``_param_key`` of its value in ``params``."""
+    if not node.parametric:
+        return node.key
+    values = (params[p.name] if isinstance(p, dsl.Param) else p for p in node.params)
+    children = tuple(bound_key(c, params) for c in node.inputs)
+    return dsl._key(node.kind, children, tuple(map(dsl._param_key, values)))
+
+
 @given(plans())
+@example(("B = lsel(G, [type='visit'])\nA = lsel(G, $c)\n", {"G": cf_fixture()}, {"c": VISIT}))
 def test_each_scheduled_operator_runs_at_most_once_per_execute(case):
     text, inputs, params = case
     plan = dsl.compile(dsl.parse(text))
     ops = [n for nodes in plan.schedule for n in nodes if n.kind != "input"]
     env = fresh(inputs)
-    # on fresh graphs every operator runs; on the same graphs with the
-    # same params, a plan with params runs only the nodes that read more
-    # than one input graph
-    for runs in (ops, [n for n in ops if not (plan.params and n.graph)]):
+    # On fresh graphs every operator runs, but a node whose bound key an
+    # earlier parameter-free node on one graph kept in the same run
+    # (lsel(G, $c) after lsel(G, [type='visit']), c being [type='visit'])
+    # reads that result. On the same graphs with the same params, a plan
+    # with params runs only the nodes that read more than one input graph.
+    first, kept_keys = [], set()
+    for n in ops:
+        if bound_key(n, params) not in kept_keys:
+            first.append(n)
+        if plan.params and n.source:
+            kept_keys.add(n.key)
+    for runs in (first, [n for n in ops if not (plan.params and n.graph)]):
         want = Counter(dsl.OPS[n.kind][0] for n in runs)
         with counted_operators() as calls:
             failed = run(plan, env, params)[1] is None
