@@ -549,13 +549,17 @@ def compile(program: Program, inputs=None) -> Plan:
     permitted input names) is given, any other free name raises
     UnboundReference at compile time instead of at execution.
     """
+    keys: dict = {}  # key -> the one object of that key
     params_of: dict = {}  # key -> its operator call's parameters (an input's name)
     env: dict = {}  # binding name -> its key
     leaves: dict = {}  # input name -> its leaf's key, in first-use order
     param_names: list = []
 
     def intern(kind: str, children: tuple, params: tuple) -> _Key:
+        """The one key object of this structure, so that keys built from
+        interned children compare by identity below their top level."""
         key = _key(kind, children, tuple(map(_param_key, params)))
+        key = keys.setdefault(key, key)
         params_of.setdefault(key, params)
         return key
 
@@ -578,11 +582,14 @@ def compile(program: Program, inputs=None) -> Plan:
         has one form and one key, and ``lsel(G, c)`` no longer depends
         on X: plans that select from the same G share it (and keep it,
         see ``execute``)."""
-        _, kind, children, _ = g
-        if kind != "semijoin":
-            return intern("lsel", (g,), params)
-        inner, x = children
-        return intern("semijoin", (select(inner, params), x), params_of[g])
+        levels = []  # the semi-joins above G, outermost first
+        while g[1] == "semijoin":
+            levels.append(g)
+            g = g[2][0]
+        key = intern("lsel", (g,), params)
+        for sj in reversed(levels):
+            key = intern("semijoin", (key, sj[2][1]), params_of[sj])
+        return key
 
     def build(expr) -> _Key:
         if isinstance(expr, Ref):
@@ -603,11 +610,24 @@ def compile(program: Program, inputs=None) -> Plan:
     nodes: dict = {}  # key -> its PlanNode
     out: list = []  # the current binding's schedule
 
-    def walk(key: _Key) -> PlanNode:
-        node = nodes.get(key)
-        if node is None:
+    def walk(root: _Key) -> PlanNode:
+        """Build and schedule each key below root, children first, in
+        the order a recursive post-order walk would: a key on top of the
+        stack is built once every child is, else its unbuilt children
+        are stacked above it, leftmost on top."""
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in nodes:
+                stack.pop()
+                continue
             _, kind, children, _ = key
-            node_inputs, params = tuple(map(walk, children)), params_of[key]
+            unbuilt = [c for c in children if c not in nodes]
+            if unbuilt:
+                stack.extend(reversed(unbuilt))
+                continue
+            stack.pop()
+            node_inputs, params = tuple(nodes[c] for c in children), params_of[key]
             if kind == "input":
                 graph, parametric = params[0], False
             else:
@@ -616,7 +636,7 @@ def compile(program: Program, inputs=None) -> Plan:
                 parametric = any(c.parametric for c in node_inputs) or any(isinstance(p, Param) for p in params)
             node = nodes[key] = PlanNode(kind, node_inputs, params, key, graph, parametric)
             out.append(node)
-        return node
+        return nodes[root]
 
     bindings, schedule = [], []
     for name, expr in program.stmts:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import UnknownUserError
@@ -270,23 +271,37 @@ def _exact_tag_scores(sets: SocialSets):
 
 def build_index(sets: SocialSets, model: ClusterModel, tags) -> ClusteredIndex:
     """Materialize the per-(tag, cluster) upper-bound lists for the
-    given tag vocabulary; zero-score entries are omitted."""
+    given tag vocabulary; zero-score entries are omitted.
+
+    Buckets nest by tag, then by cluster. Each (item, tag) key is
+    scored once, so a bucket gets an item from that key's counts only
+    and keeps the best member's score. Lists come out in sorted tag,
+    then sorted cluster order, which is sorted (tag, cluster) order;
+    each is ranked by item id, then stably by score descending."""
     tags = set(tags)
-    best: dict = {}  # (tag, cluster) -> {item -> max score}
+    assignment = model.assignment
+    best: dict = {}  # tag -> cluster -> {item -> max score}
     for (item, tag), counts in _exact_tag_scores(sets):
         if tag not in tags:
             continue
+        clusters = best.get(tag)
+        if clusters is None:
+            clusters = best[tag] = {}
         for u, score in counts.items():
-            cluster = model.assignment.get(u)
+            cluster = assignment.get(u)
             if cluster is None:
                 continue
-            bucket = best.setdefault((tag, cluster), {})
-            if score > bucket.get(item, 0):
+            bucket = clusters.get(cluster)
+            if bucket is None:
+                clusters[cluster] = {item: score}
+            elif score > bucket.get(item, 0):
                 bucket[item] = score
-    lists = {
-        key: tuple(sorted(bucket.items(), key=lambda e: (-e[1], e[0])))
-        for key, bucket in sorted(best.items())
-    }
+    lists = {}
+    for tag, clusters in sorted(best.items()):
+        for cluster, bucket in sorted(clusters.items()):
+            entries = sorted(bucket.items())
+            entries.sort(key=itemgetter(1), reverse=True)
+            lists[tag, cluster] = tuple(entries)
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=frozenset(tags))
 
 

@@ -246,8 +246,9 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     several faults raises the first of: invalid JSON, a truncated file,
     the header, the vocabulary, the model line's shape, the sets line's
     shape, the first malformed list line, a model cluster without a
-    leader, then the first list line that fails its own checks. The
-    item ids of all lists share one string object per id."""
+    leader, then the first list line that fails its own checks. Every
+    id the index holds, in its model, sets and lists, is one string
+    object per id."""
     from .index import ClusteredIndex, ClusterModel, SocialSets
 
     records = _read_jsonl(path)
@@ -268,14 +269,21 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     if not _all_fit([sets_rec], _SETS_LINE):
         _raise_after(records, path, sets_no, "malformed sets line")
     model_rec, sets_rec = model_rec["model"], sets_rec["sets"]
+    shared: dict = {}  # id -> the one str object kept for it
+    share = shared.setdefault
     model = ClusterModel(
-        assignment=dict(model_rec["assignment"]), leaders=dict(model_rec["leaders"])
+        assignment={share(u, u): share(c, c) for u, c in model_rec["assignment"].items()},
+        leaders={share(c, c): share(u, u) for c, u in model_rec["leaders"].items()},
     )
+
+    def ids(values) -> frozenset:
+        return frozenset([share(v, v) for v in values])
+
     sets = SocialSets(
-        network={u: frozenset(v) for u, v in sets_rec["network"].items()},
-        items={u: frozenset(v) for u, v in sets_rec["items"].items()},
+        network={share(u, u): ids(v) for u, v in sets_rec["network"].items()},
+        items={share(u, u): ids(v) for u, v in sets_rec["items"].items()},
         taggers={
-            (entry["item"], entry["tag"]): frozenset(entry["users"])
+            (share(entry["item"], entry["item"]), share(entry["tag"], entry["tag"])): ids(entry["users"])
             for entry in sets_rec["taggers"]
         },
     )
@@ -287,7 +295,7 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         if cluster not in model.leaders:
             fault = (model_no, f"cluster {cluster!r} has no leader")
             break
-    lists, shared = {}, {}
+    lists = {}
     for line_no, rec in records:
         if not _fits_list_line(rec):
             _raise_after(records, path, line_no, "malformed inverted list line")
@@ -301,8 +309,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         elif not _ranked(entries):
             fault = (line_no, "entries not sorted by score descending, then item id")
         else:
-            lists[(rec["tag"], rec["cluster"])] = tuple(
-                [(shared.setdefault(item, item), score) for item, score in entries]
+            lists[(share(rec["tag"], rec["tag"]), share(rec["cluster"], rec["cluster"]))] = tuple(
+                [(share(item, item), score) for item, score in entries]
             )
     if fault is not None:
         raise GraphFileError(path, *fault)

@@ -32,10 +32,6 @@ ALLOWED = {
     ("cli.py", "main", "sys.exit(run_command(sys.argv[1:]))"): (
         "the CLI tests reach it in child interpreters; in this process they call run_command"
     ),
-    ("index.py", "build_index", "continue"): (
-        "a user outside every cluster; cluster_users puts every user of the sets it is given"
-        " in a cluster, and a snapshot whose model leaves one out is rejected at load"
-    ),
 }
 
 

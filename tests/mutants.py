@@ -35,23 +35,31 @@ class Mutant(NamedTuple):
 
 PLAN_RULES = "tests/test_plan_rules.py"
 KEPT_STATE = "tests/test_kept_state.py"
+DIFFERENTIAL = "tests/test_differential.py"
 BOUND_KEY = "key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))"
 
 MUTANTS = (
     # dsl.compile's select pushdown
     Mutant(
-        "no recursion into nested semi-joins",
+        "selection pushed below the outermost semi-join only",
         "dsl",
-        "return intern(\"semijoin\", (select(inner, params), x), params_of[g])",
-        "return intern(\"semijoin\", (intern(\"lsel\", (inner,), params), x), params_of[g])",
+        "while g[1] == \"semijoin\":",
+        "if g[1] == \"semijoin\":",
         (PLAN_RULES,),
     ),
     Mutant(
         "δ swapped in the pushed semi-join",
         "dsl",
-        "(select(inner, params), x), params_of[g])",
-        "(select(inner, params), x), (DirectionalCondition(params_of[g][0].d2, params_of[g][0].d1),))",
+        "(key, sj[2][1]), params_of[sj])",
+        "(key, sj[2][1]), (DirectionalCondition(params_of[sj][0].d2, params_of[sj][0].d1),))",
         (PLAN_RULES,),
+    ),
+    Mutant(
+        "equal keys kept as separate objects",
+        "dsl",
+        "        key = keys.setdefault(key, key)\n",
+        "",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "children scheduled after their parent",
@@ -91,6 +99,35 @@ MUTANTS = (
             "() if node.kind == \"semijoin\" else tuple(map(_param_key, values))",
         ),
         (KEPT_STATE,),
+    ),
+    # index.build_index's fold into nested buckets
+    Mutant(
+        "no item-id pre-sort",
+        "index",
+        "entries = sorted(bucket.items())",
+        "entries = list(bucket.items())",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "lists ranked by score ascending",
+        "index",
+        "entries.sort(key=itemgetter(1), reverse=True)",
+        "entries.sort(key=itemgetter(1))",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "a bucket overwritten instead of keeping the maximum",
+        "index",
+        "elif score > bucket.get(item, 0):",
+        "else:",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "clusters emitted unsorted",
+        "index",
+        "for cluster, bucket in sorted(clusters.items()):",
+        "for cluster, bucket in clusters.items():",
+        (DIFFERENTIAL,),
     ),
 )
 

@@ -7,7 +7,7 @@ aggregate or composition function, a
 k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
 a loop over a plan's schedule, one pattern, an inverted index of leaders,
 a merge that returns an element merged with itself as it is,
-a snapshot loaded one line at a time,
+a snapshot loaded one line at a time, a fold into nested buckets,
 or one shared helper (the greedy-leader loop, item similarity, the
 ordered group-by, the one-member group that explains an item).
 ``test_differential.py`` and ``test_plan_rules.py`` check the two agree
@@ -562,6 +562,29 @@ def exact_tag_scores_dict(sets):
         if counts:
             out[key] = counts
     return out
+
+
+def build_index_fold(sets, model, tags):
+    """``index.build_index`` with one flat ``(tag, cluster)`` bucket map,
+    folded one (key, user) pair at a time through ``setdefault``, and
+    each list ranked through a per-entry sort key."""
+    tags = set(tags)
+    best: dict = {}  # (tag, cluster) -> {item -> max score}
+    for (item, tag), counts in sgindex._exact_tag_scores(sets):
+        if tag not in tags:
+            continue
+        for u, score in counts.items():
+            cluster = model.assignment.get(u)
+            if cluster is None:
+                continue
+            bucket = best.setdefault((tag, cluster), {})
+            if score > bucket.get(item, 0):
+                bucket[item] = score
+    lists = {
+        key: tuple(sorted(bucket.items(), key=lambda e: (-e[1], e[0])))
+        for key, bucket in sorted(best.items())
+    }
+    return sgindex.ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=frozenset(tags))
 
 
 def _predicate(strategy, sets, u, leader):

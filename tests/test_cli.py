@@ -5,12 +5,14 @@ import os
 import pytest
 
 from conftest import cli_modules_loaded, expected_cli_modules
+from socialgraph.algebra import link_select, semi_join
 from socialgraph.cli import run_command
 from socialgraph.discovery import DiscoveryConfig, cf_recommend, content_recommend, discover
 from socialgraph.dsl import parse_condition
 from socialgraph.fixtures import cf_fixture, jazz_fixture, random_tagging_graph, rng_from
 from socialgraph.index import ClusteringStrategy, build_index, cluster_users, social_sets, topk_query
-from socialgraph.io import save_graph, save_index_snapshot
+from socialgraph.graph import DirectionalCondition
+from socialgraph.io import load_graph, save_graph, save_index_snapshot
 from socialgraph.presentation import SocialGrouping, explain_item, group_items, select_groups
 
 
@@ -116,6 +118,32 @@ def test_query_syntax_error_exit_1(tmp_path, cf_files):
     code, _, err = run("query", "--nodes", np, "--links", lp, "--script", str(script))
     assert code == 1
     assert "syntax error" in err
+
+
+def test_query_runs_a_long_chain_of_named_semi_joins(tmp_path, cf_files):
+    """compile recurses neither per semi-join level a selection is pushed
+    below nor per key its schedule walk builds, and the second selection
+    finds the first one's keys without comparing them level by level: a
+    selection over the last of 3,000 chained bindings runs, twice, and
+    gives what the bindings give evaluated one at a time."""
+    np, lp = cf_files
+    n, delta, visit = 3000, DirectionalCondition("src", "src"), "[type='visit']"
+    script = tmp_path / "chain.sgs"
+    chain = [f"S{i} = semijoin(S{i - 1}, G, (src,src))" for i in range(1, n)]
+    selections = [f"{name} = lsel(S{n - 1}, {visit})" for name in "AB"]
+    script.write_text("\n".join(["S0 = semijoin(G, G, (src,src))", *chain, *selections, ""]))
+    out_dir = tmp_path / "out"
+    code, out, err = run("query", "--nodes", np, "--links", lp, "--script", str(script), "--out-dir", str(out_dir))
+    assert (code, err) == (0, "")
+    g = load_graph(np, lp)
+    s = semi_join(g, g, delta)
+    for _ in range(1, n):
+        s = semi_join(s, g, delta)
+    want = link_select(s, parse_condition(visit))
+    assert out.splitlines()[-2:] == [f"{name}\tnodes={len(want.nodes)}\tlinks={len(want.links)}" for name in "AB"]
+    save_graph(want, str(tmp_path / "want.nodes.jsonl"), str(tmp_path / "want.links.jsonl"))
+    for part in ("nodes", "links"):
+        assert (out_dir / f"A.{part}.jsonl").read_bytes() == (tmp_path / f"want.{part}.jsonl").read_bytes()
 
 
 def test_discover_equals_api(cf_files):

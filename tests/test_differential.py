@@ -1,9 +1,9 @@
 """Differential tests: the adjacency view, the hash-join ``compose``,
 the step-wise pattern matcher, compiled conditions, compiled aggregate
-and composition functions, the k-bounded
-``topk_query``, the streamed ``build_index``, the shared greedy-leader
-loop and its inverted index of leaders, item similarity and ordered group-by, the per-graph social
-sets, the search and CF query plans and the one-pattern script
+and composition functions, the k-bounded ``topk_query``, the streamed
+``build_index`` and its nested-bucket fold, the shared greedy-leader
+loop and its inverted index of leaders, item similarity and ordered
+group-by, the per-graph social sets, the search and CF query plans and the one-pattern script
 tokenizer against the naive references in ``reference.py``; the
 operators closed by construction against ``build_graph``; and the
 agreement of content recommendation with its explanation.
@@ -37,6 +37,7 @@ from reference import (
     acted_items_scan,
     aggregate_explanations_two_paths,
     all_taggers_scan,
+    build_index_fold,
     cf_pipeline_wired,
     cluster_users_scan,
     compose_nested,
@@ -132,6 +133,7 @@ from socialgraph.graph import (
 from socialgraph.index import (
     STRATEGIES,
     ClusteringStrategy,
+    ClusterModel,
     SocialSets,
     build_index,
     cluster_users,
@@ -888,6 +890,78 @@ def test_build_index_matches_materialised_scores_on_fixtures(seed, kind, tmp_pat
     sets = social_sets(random_tagging_graph(rng_from(seed), 30, 60, n_tags=6, n_communities=3))
     tags = sorted({tag for _, tag in sets.taggers})
     check_build(sets, cluster_users(sets, ClusteringStrategy(kind, 0.3)), tags, tmp_path)
+
+
+def check_fold(sets, model, tags, tmp_path):
+    """The nested-bucket fold gives the per-pair fold's lists, in the
+    same key order and entry order, and the same snapshot bytes."""
+    new, old = build_index(sets, model, tags), build_index_fold(sets, model, tags)
+    assert list(new.lists.items()) == list(old.lists.items())
+    assert new.vocabulary == old.vocabulary
+    save_index_snapshot(new, tmp_path / "new.snap")
+    save_index_snapshot(old, tmp_path / "old.snap")
+    assert (tmp_path / "new.snap").read_bytes() == (tmp_path / "old.snap").read_bytes()
+
+
+@st.composite
+def cluster_models(draw):
+    """Hand-built models: some users (and one with no sets) assigned to
+    clusters named out of founding order, each led by its first member,
+    so users go missing, members of one cluster score an item
+    differently, and clusters are met in other than sorted order."""
+    assigned = draw(st.lists(st.sampled_from(USERS + ["ghost"]), unique=True))
+    assignment = {u: draw(st.sampled_from(("c2", "c0", "c1"))) for u in assigned}
+    leaders: dict = {}
+    for u, cluster in assignment.items():
+        leaders.setdefault(cluster, u)
+    return ClusterModel(assignment=assignment, leaders=leaders)
+
+
+def _fold_sets():
+    """u0 (friends f1, f2) and u1 (friend f1) share cluster c1 of
+    ``FOLD_MODEL``, so i0's bound is u0's 2 though u1 comes after u0; u2
+    (friend f1) founds c0 after c1; i1 is met before i0 and ties it at 1
+    in c0; u3 is in no cluster."""
+    friends = {"u0": {"f1", "f2"}, "u1": {"f1"}, "u2": {"f1"}, "u3": {"f1"}}
+    return SocialSets(
+        network={u: frozenset(f) for u, f in friends.items()},
+        items={"f1": frozenset({"i0", "i1"}), "f2": frozenset({"i0"})},
+        taggers={("i1", "jazz"): frozenset({"f1"}), ("i0", "jazz"): frozenset({"f1", "f2"})},
+    )
+
+
+FOLD_MODEL = ClusterModel({"u0": "c1", "u1": "c1", "u2": "c0"}, {"c1": "u0", "c0": "u2"})
+
+
+@given(
+    social_sets_st(),
+    cluster_models(),
+    # tags left out of the vocabulary, and no vocabulary at all
+    st.sampled_from((TAGS, TAGS[:2], TAGS[2:], ())),
+)
+@example(_fold_sets(), FOLD_MODEL, ("jazz",))
+def test_build_index_matches_the_pair_fold(tmp_path_factory, sets, model, vocabulary):
+    check_fold(sets, model, vocabulary, tmp_path_factory.mktemp("fold"))
+
+
+def test_fold_keeps_the_best_member_and_ranks_ties_by_item():
+    idx = build_index(_fold_sets(), FOLD_MODEL, ["jazz"])
+    assert list(idx.lists.items()) == [
+        (("jazz", "c0"), (("i0", 1), ("i1", 1))),
+        (("jazz", "c1"), (("i0", 2), ("i1", 1))),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "strategy",
+    [("network", 0.05), ("network", 0.3), ("behavior", 0.1), ("hybrid", 0.1)],
+    ids=lambda s: f"{s[0]}-{s[1]}",
+)
+def test_build_index_matches_the_pair_fold_on_fixtures(seed, strategy, tmp_path):
+    sets = social_sets(random_tagging_graph(rng_from(seed), 40, 80, n_tags=6, n_communities=3))
+    model = cluster_users(sets, ClusteringStrategy(*strategy))
+    check_fold(sets, model, sorted(sets.tags), tmp_path)
 
 
 # ---------------------------------------------------------------------------

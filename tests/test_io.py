@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,28 @@ def test_loaded_lists_share_one_string_per_item_id(tmp_path):
     save_index_snapshot(index, path)
     items = [item for entries in load_index_snapshot(path).lists.values() for item, _ in entries]
     assert len({id(item) for item in items}) == len(set(items)) < len(items)
+
+
+def test_loaded_index_holds_one_string_per_id(tmp_path):
+    """The model, the sets line and the lists share one str per id, so a
+    loaded index holds no more id strings than it has distinct ids."""
+    g = random_tagging_graph(rng_from(2), 30, 60, n_tags=4, n_communities=2)
+    sets = social_sets(g)
+    index = build_index(sets, cluster_users(sets, ClusteringStrategy("network", 0.3)), sets.tags)
+    path = str(tmp_path / "shared.snap")
+    save_index_snapshot(index, path)
+    loaded = load_index_snapshot(path)
+    model, sets = loaded.model, loaded.sets
+    ids = [
+        *chain.from_iterable(model.assignment.items()),
+        *chain.from_iterable(model.leaders.items()),
+        *chain.from_iterable((u, *v) for u, v in sets.network.items()),
+        *chain.from_iterable((u, *v) for u, v in sets.items.items()),
+        *chain.from_iterable((item, tag, *v) for (item, tag), v in sets.taggers.items()),
+        *chain.from_iterable(loaded.lists),
+        *(item for entries in loaded.lists.values() for item, _ in entries),
+    ]
+    assert len({id(i) for i in ids}) == len(set(ids)) < len(ids)
 
 
 def test_index_snapshot_of_every_tag_lists_no_vocabulary(tmp_path):
