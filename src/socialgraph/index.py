@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # the graph is only read here, never built
     from .graph import SocialContentGraph
 
 STRATEGIES = ("network", "behavior", "hybrid")
+_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ class ClusterModel:
 class ClusteredIndex:
     """Per (tag, cluster) inverted lists of (item, upper-bound score),
     sorted by score descending then item id ascending, for the tags of
-    ``vocabulary``."""
+    ``vocabulary``. ``topk_query`` relies on ties being in id order, not
+    only ``load_index_snapshot``, which checks it."""
 
     lists: dict  # (tag, cluster id) -> tuple of (item id, score)
     model: ClusterModel
@@ -277,7 +279,11 @@ def build_index(sets: SocialSets, model: ClusterModel, tags) -> ClusteredIndex:
     scored once, so a bucket gets an item from that key's counts only
     and keeps the best member's score. Lists come out in sorted tag,
     then sorted cluster order, which is sorted (tag, cluster) order;
-    each is ranked by item id, then stably by score descending."""
+    each is ranked by item id, then stably by score descending. Equal
+    (item, score) entries are one tuple across all lists: scores are
+    small counts, so an index holds few distinct pairs against many
+    entries (3.5k against 231k for network θ = 0.3 on a fixture of 600
+    users and 3,000 items)."""
     tags = set(tags)
     assignment = model.assignment
     best: dict = {}  # tag -> cluster -> {item -> max score}
@@ -297,20 +303,24 @@ def build_index(sets: SocialSets, model: ClusterModel, tags) -> ClusteredIndex:
             elif score > bucket.get(item, 0):
                 bucket[item] = score
     lists = {}
+    share = {}.setdefault  # (item, score) -> the one tuple kept for it
     for tag, clusters in sorted(best.items()):
         for cluster, bucket in sorted(clusters.items()):
             entries = sorted(bucket.items())
             entries.sort(key=itemgetter(1), reverse=True)
-            lists[tag, cluster] = tuple(entries)
+            lists[tag, cluster] = tuple(map(share, entries, entries))
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=frozenset(tags))
 
 
 def exact_score(sets: SocialSets, item: str, user: str, keywords) -> int:
     """Sum over keywords of |network(user) ∩ taggers(item, keyword)|."""
-    network = sets.network.get(user, frozenset())
+    network = sets.network.get(user, _EMPTY)
+    taggers = sets.taggers
     total = 0
     for k in keywords:
-        total += len(network & sets.taggers.get((item, k), frozenset()))
+        tagged = taggers.get((item, k))
+        if tagged:
+            total += len(network & tagged)
     return total
 
 
@@ -331,18 +341,28 @@ def exhaustive_topk(sets: SocialSets, user: str, keywords, k: int) -> list:
 def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
     """Threshold-algorithm top-k over the user's cluster lists.
 
-    Round-robin sorted access over the per-keyword lists; every newly
-    seen item is exact-scored immediately (random access). Only the best
+    Round-robin sorted access over the per-keyword lists. Only the best
     k positive scores are kept, as (-score, item) pairs in answer order,
-    so each access costs O(log k) and a query O(accesses * log k) rather
-    than a re-sort of every seen item per round. The scan stops, checked
-    once per round, once k items are in hand and the k-th best exact
-    score strictly beats the sum of the current list frontiers, which is
-    safe because stored scores upper-bound every member's exact score.
-    Strictness matters: an unseen item may still tie the k-th score and
-    win the item-id tiebreak, so a tie with the frontier cannot stop.
+    so each access costs O(log k). The frontier is the sum of the
+    current head scores (0 for an exhausted list), which bounds every
+    unread item's exact score because stored scores upper-bound every
+    member's. Two cuts use the lists' order, score descending then item
+    id ascending:
+
+    - An item first read at the head of list j is unread in every other
+      list, so the frontier before list j advances bounds its score.
+      Once k items are in hand and (-frontier, item) ranks after the
+      k-th, it is marked seen without a random access: the k-th only
+      improves, so it can never enter the answer.
+    - An unread item ties the frontier only if it lies at or after the
+      head of every list with a positive head score. So the scan stops,
+      checked once per round, once k items are in hand and (-frontier,
+      the greatest such head id) ranks after the k-th. That holds
+      whenever the k-th score strictly beats the frontier, so the scan
+      never reads further than the strict stop would.
+
     A keyword outside the vocabulary has no lists, so the items it tags
-    are exact-scored up front; every unseen item then scores 0 on it and
+    are exact-scored up front; every unread item then scores 0 on it and
     the frontier still bounds it.
     """
     keywords = list(keywords)
@@ -353,28 +373,38 @@ def topk_query(index: ClusteredIndex, user: str, keywords, k: int) -> list:
         raise UnknownUserError(user)
     lists = [index.lists.get((kw, cluster), ()) for kw in keywords]
     pos = [0] * len(lists)
+    heads = [entries[0][1] if entries else 0 for entries in lists]  # 0 once exhausted
     unindexed = set(keywords) - index.vocabulary
     seen = {item for item, tag in index.sets.taggers if tag in unindexed} if unindexed else set()
     scored = ((-exact_score(index.sets, item, user, keywords), item) for item in seen)
     top = sorted(pair for pair in scored if pair[0] < 0)[:k]  # (-score, item), ascending
     while True:
+        if len(top) == k:
+            neg, kth = top[-1]
+            frontier = sum(heads)
+            # the ids matter only on a tie, where the frontier and so some head is positive
+            if frontier < -neg or (
+                frontier == -neg and max(lists[j][pos[j]][0] for j, s in enumerate(heads) if s > 0) > kth
+            ):
+                break
         progressed = False
         for j, entries in enumerate(lists):
-            if pos[j] < len(entries):
-                item, _ = entries[pos[j]]
-                pos[j] += 1
-                progressed = True
+            p = pos[j]
+            if p < len(entries):
+                item = entries[p][0]
                 if item not in seen:
                     seen.add(item)
-                    s = exact_score(index.sets, item, user, keywords)
-                    if s > 0 and (len(top) < k or (-s, item) < top[-1]):
-                        insort(top, (-s, item))
-                        del top[k:]
-        frontier = sum(
-            entries[pos[j]][1] for j, entries in enumerate(lists) if pos[j] < len(entries)
-        )
-        if not progressed or (len(top) == k and -top[-1][0] > frontier):
-            return [(item, -neg) for neg, item in top]
+                    if len(top) < k or (-sum(heads), item) < top[-1]:
+                        s = exact_score(index.sets, item, user, keywords)
+                        if s > 0 and (len(top) < k or (-s, item) < top[-1]):
+                            insort(top, (-s, item))
+                            del top[k:]
+                pos[j] = p = p + 1
+                heads[j] = entries[p][1] if p < len(entries) else 0
+                progressed = True
+        if not progressed:
+            break
+    return [(item, -neg) for neg, item in top]
 
 
 def estimate_index_size(

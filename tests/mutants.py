@@ -37,6 +37,7 @@ PLAN_RULES = "tests/test_plan_rules.py"
 KEPT_STATE = "tests/test_kept_state.py"
 DIFFERENTIAL = "tests/test_differential.py"
 BOUND_KEY = "key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))"
+SKIP_TEST = "if len(top) < k or (-sum(heads), item) < top[-1]:"
 
 MUTANTS = (
     # dsl.compile's select pushdown
@@ -127,6 +128,44 @@ MUTANTS = (
         "index",
         "for cluster, bucket in sorted(clusters.items()):",
         "for cluster, bucket in clusters.items():",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "a tuple per entry instead of one per (item, score) pair",
+        "index",
+        "lists[tag, cluster] = tuple(map(share, entries, entries))",
+        "lists[tag, cluster] = tuple(entries)",
+        ("tests/test_index.py",),
+    ),
+    # index.topk_query's id-ordered stop and random-access skip
+    Mutant(
+        "stop rule reads the least head id",
+        "index",
+        "frontier == -neg and max(",
+        "frontier == -neg and min(",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "stop rule reads the ids of zero-score heads",
+        "index",
+        "for j, s in enumerate(heads) if s > 0)",
+        "for j, s in enumerate(heads) if pos[j] < len(lists[j]))",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "skip bound read after list j has advanced",
+        "index",
+        SKIP_TEST,
+        SKIP_TEST.replace(
+            "-sum(heads)", "-(sum(heads) - heads[j] + (entries[p + 1][1] if p + 1 < len(entries) else 0))"
+        ),
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "skip test on scores alone",
+        "index",
+        SKIP_TEST,
+        SKIP_TEST.replace("(-sum(heads), item) < top[-1]", "-sum(heads) < top[-1][0]"),
         (DIFFERENTIAL,),
     ),
 )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -508,11 +509,51 @@ def provenance_scan(g, user_id, ranking, match_graph):
     return build_graph(nodes.values(), links.values())
 
 
+def topk_strict(index, user, keywords, k):
+    """``topk_query`` with the Threshold Algorithm's strict stop test: the
+    scan stops, checked once per round, once k items are in hand and the
+    k-th best exact score strictly beats the sum of the list frontiers,
+    and every newly seen item is exact-scored. It keeps only the best k
+    positive scores, as (-score, item) pairs in answer order. Exact
+    scores go through the module global ``index.exact_score``, so a
+    counter patched in there sees it."""
+    keywords = list(keywords)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    cluster = index.model.assignment.get(user)
+    if cluster is None:
+        raise UnknownUserError(user)
+    lists = [index.lists.get((kw, cluster), ()) for kw in keywords]
+    pos = [0] * len(lists)
+    unindexed = set(keywords) - index.vocabulary
+    seen = {item for item, tag in index.sets.taggers if tag in unindexed} if unindexed else set()
+    scored = ((-sgindex.exact_score(index.sets, item, user, keywords), item) for item in seen)
+    top = sorted(pair for pair in scored if pair[0] < 0)[:k]  # (-score, item), ascending
+    while True:
+        progressed = False
+        for j, entries in enumerate(lists):
+            if pos[j] < len(entries):
+                item, _ = entries[pos[j]]
+                pos[j] += 1
+                progressed = True
+                if item not in seen:
+                    seen.add(item)
+                    s = sgindex.exact_score(index.sets, item, user, keywords)
+                    if s > 0 and (len(top) < k or (-s, item) < top[-1]):
+                        insort(top, (-s, item))
+                        del top[k:]
+        frontier = sum(
+            entries[pos[j]][1] for j, entries in enumerate(lists) if pos[j] < len(entries)
+        )
+        if not progressed or (len(top) == k and -top[-1][0] > frontier):
+            return [(item, -neg) for neg, item in top]
+
+
 def topk_resort(index, user, keywords, k):
-    """``topk_query`` keeping every seen item and re-sorting all of them
+    """``topk_strict`` keeping every seen item and re-sorting all of them
     after each round-robin round; the items of unindexed keywords are
     scored up front, as there. Exact scores go through the module
-    global ``index.exact_score``, as in ``topk_query``, so a counter
+    global ``index.exact_score``, as in ``topk_strict``, so a counter
     patched in there sees both."""
     keywords = list(keywords)
     if k < 1:

@@ -172,11 +172,28 @@ def test_stored_scores_equal_cluster_max_random():
             )
 
 
+def test_built_index_holds_one_tuple_per_pair():
+    sets = social_sets(random_tagging_graph(rng_from(3), 40, 80, n_tags=6, n_communities=3))
+    idx = build_index(sets, cluster_users(sets, ClusteringStrategy("behavior", 0.3)), sorted(sets.tags))
+    entries = [e for entries in idx.lists.values() for e in entries]
+    assert len({id(e) for e in entries}) == len(set(entries)) < len(entries)
+
+
 def test_exact_score_cases(jazz_graph):
     sets = social_sets(jazz_graph)
     assert exact_score(sets, "nope", "u1", ["jazz"]) == 0
     assert exact_score(sets, "i1", "u1", ["jazz", "jazz"]) == 4  # g = sum over keywords
     assert exact_score(sets, "i1", "u1", ["jazz", "rock"]) == 2
+
+
+def test_exact_score_matches_link_scan_oracle():
+    g = random_tagging_graph(rng_from(5), n_users=12, n_items=20, n_tags=4, n_communities=2)
+    sets = social_sets(g)
+    tags = sorted(sets.tags)
+    for keywords in ([tags[0]], tags[:2], [tags[1], tags[1]], [tags[2], "ghost"], []):
+        for item in sorted({item for item, _ in sets.taggers}) + ["nope"]:
+            for user in sets.users + ["ghost"]:
+                assert exact_score(sets, item, user, keywords) == oracle_exact_score(g, item, user, keywords)
 
 
 def test_topk_full_ranking_when_k_large(jazz_graph):
