@@ -62,11 +62,12 @@ one form, and a plan node's key (``PlanNode.key``) is its structure. So
 a script that writes a selection over a semi-join reads the result of
 a plan that wrote it pushed down, and the other way round.
 
-``execute`` keeps results with the input graph they were computed
-from: every parameter-free result of a plan with parameters, and the
-parameterised results of the latest such run on that graph, each under
-its key with the parameters' values in place. Every plan reads them, so
-a binding served twice in a row runs its plan once.
+``execute`` keys each node by its kind, its children's keys in the run
+and its parameters' values, and keeps results with the input graph
+they were computed from: every parameter-free result of a plan with
+parameters, and the latest such run's parameterised results. Every plan
+reads them, taking the key a result was kept under, so keys compare one
+level deep and a binding served twice in a row runs its plan once.
 """
 
 from __future__ import annotations
@@ -655,12 +656,14 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
 
     A node that reads one input ``graph`` gives the same result every
     time it runs on it with the same parameter values, since graphs are
-    never mutated. Its bound key is its ``key`` with each ``$NAME``
-    replaced by the ``_param_key`` of its value: the key a script writing
-    that value in place gets. Every plan reads a node's result under that key from the graph's
-    instance dict (next to ``out_links``) before running it. A plan with
-    parameters, run again and again on one graph, writes two sets there:
-    ``plan_results`` gathers its parameter-free results, and
+    never mutated. Its key in a run is its kind, its children's keys in
+    that run and the ``_param_key`` of each parameter's value: the key a
+    script writing those values in place gets. Every plan reads the
+    node's ``(key, result)`` entry from the graph's instance dict (next
+    to ``out_links``) before running it; on a hit the node takes the kept
+    key, so its parents' keys compare with kept ones one level deep. A
+    plan with parameters, run again and again on one graph, writes two
+    sets there: ``plan_results`` gathers its parameter-free results, and
     ``bound_results`` holds the others from its latest successful run
     only, which replaces the set with the ones it ran or read. So a graph
     keeps one run's bound results however many users it serves, and a
@@ -670,8 +673,7 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
     """
     params = params or {}
     keep = bool(plan.params)
-    done: dict = {}  # PlanNode -> its result in this run
-    bound_keys: dict = {}  # PlanNode with a $NAME below it -> its bound key in this run
+    done: dict = {}  # PlanNode -> its (key, result) entry in this run
     fresh: dict = {}  # input graph name -> its bound results in this run
     results: dict = {}
     for (name, root), nodes in zip(plan.bindings, plan.schedule):
@@ -680,32 +682,28 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
                 if node.kind == "input":
                     if node.graph not in inputs:
                         raise UnboundReferenceError(node.graph)
-                    done[node] = inputs[node.graph]
+                    done[node] = node.key, inputs[node.graph]
                     continue
                 try:
                     values = [params[p.name] if isinstance(p, Param) else p for p in node.params]
                 except KeyError as e:
                     raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
-                key = node.key
-                if node.parametric:
-                    children = tuple(bound_keys.get(c, c.key) for c in node.inputs)
-                    key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))
+                keys, args = zip(*[done[c] for c in node.inputs])
+                key = _key(node.kind, keys, tuple(map(_param_key, values)))
                 # a node's graph is bound: its input leaf ran before it
                 kept = vars(inputs[node.graph]) if node.graph else {}
-                result = kept.get("plan_results", {}).get(key)
-                if result is None:
-                    result = kept.get("bound_results", {}).get(key)
-                if result is None:
+                entry = kept.get("plan_results", {}).get(key) or kept.get("bound_results", {}).get(key)
+                if entry is None:
                     fn, lead, _ = OPS[node.kind]
-                    result = getattr(algebra, fn)(*lead, *[done[c] for c in node.inputs], *values)
+                    entry = key, getattr(algebra, fn)(*lead, *args, *values)
                 if keep and node.source:
-                    kept.setdefault("plan_results", {})[key] = result
+                    kept.setdefault("plan_results", {})[entry[0]] = entry
                 elif keep and node.graph:
-                    fresh.setdefault(node.graph, {})[key] = result
-                done[node] = result
+                    fresh.setdefault(node.graph, {})[entry[0]] = entry
+                done[node] = entry
         except (SocialGraphError, ValueError) as e:
             raise ExecutionError(name, e) from e
-        results[name] = done[root]
+        results[name] = done[root][1]
     for graph, bound in fresh.items():
         vars(inputs[graph])["bound_results"] = bound
     return results

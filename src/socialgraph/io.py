@@ -236,7 +236,9 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     section, field or list entry is missing or mistyped, a list out of
     order, or a cluster without a leader that a user or list names raises
     GraphFileError with its line number, as does a score that is not
-    finite or not within float range; scores keep their JSON type.
+    finite or not within float range, or is negative (it would bound
+    nothing: an item missing from a list scores 0 there); scores keep
+    their JSON type.
 
     The file is read one line at a time: each inverted list is checked
     and converted as it is decoded, and its decoded record dropped
@@ -308,6 +310,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
             fault = (line_no, "list scores must be finite numbers")
         elif not _ranked(entries):
             fault = (line_no, "entries not sorted by score descending, then item id")
+        elif entries and entries[-1][1] < 0:  # ranked, so the last score is the lowest
+            fault = (line_no, "list scores must not be negative")
         else:
             lists[(share(rec["tag"], rec["tag"]), share(rec["cluster"], rec["cluster"]))] = tuple(
                 [(share(item, item), score) for item, score in entries]

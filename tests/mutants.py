@@ -36,7 +36,7 @@ class Mutant(NamedTuple):
 PLAN_RULES = "tests/test_plan_rules.py"
 KEPT_STATE = "tests/test_kept_state.py"
 DIFFERENTIAL = "tests/test_differential.py"
-BOUND_KEY = "key = bound_keys[node] = _key(node.kind, children, tuple(map(_param_key, values)))"
+RUN_KEY = "key = _key(node.kind, keys, tuple(map(_param_key, values)))"
 SKIP_TEST = "if len(top) < k or (-sum(heads), item) < top[-1]:"
 
 MUTANTS = (
@@ -69,19 +69,19 @@ MUTANTS = (
         "            out.insert(0, node)\n",
         (PLAN_RULES, "tests/test_dsl.py"),
     ),
-    # dsl.execute's bound keys and kept results
+    # dsl.execute's run keys and kept results
     Mutant(
-        "bound keys read from c.key instead of bound_keys",
+        "a run key built from the children's compiled keys",
         "dsl",
-        "children = tuple(bound_keys.get(c, c.key) for c in node.inputs)",
-        "children = tuple(c.key for c in node.inputs)",
+        RUN_KEY,
+        RUN_KEY.replace(", keys,", ", tuple(c.key for c in node.inputs),"),
         (PLAN_RULES, KEPT_STATE),
     ),
     Mutant(
-        "a bound key without the condition token",
+        "a run key without the condition token",
         "dsl",
-        BOUND_KEY,
-        BOUND_KEY.replace("tuple(map(_param_key, values))", "tuple(values)"),
+        RUN_KEY,
+        RUN_KEY.replace("tuple(map(_param_key, values))", "tuple(values)"),
         (PLAN_RULES, KEPT_STATE),
     ),
     Mutant(
@@ -92,14 +92,29 @@ MUTANTS = (
         (PLAN_RULES, KEPT_STATE),
     ),
     Mutant(
-        "a value key that drops δ",
+        "a run key that drops δ",
         "dsl",
-        BOUND_KEY,
-        BOUND_KEY.replace(
+        RUN_KEY,
+        RUN_KEY.replace(
             "tuple(map(_param_key, values))",
             "() if node.kind == \"semijoin\" else tuple(map(_param_key, values))",
         ),
         (KEPT_STATE,),
+    ),
+    Mutant(
+        "a node keeps its fresh key instead of the kept one it read",
+        "dsl",
+        "done[node] = entry",
+        "done[node] = key, entry[1]",
+        ("tests/test_long_plans.py",),
+    ),
+    # io.load_index_snapshot's list checks
+    Mutant(
+        "negative list scores accepted",
+        "io",
+        "elif entries and entries[-1][1] < 0:",
+        "elif False:",
+        ("tests/test_io.py", "tests/test_snapshot_fuzz.py"),
     ),
     # index.build_index's fold into nested buckets
     Mutant(

@@ -939,7 +939,8 @@ def _run_node_recursive(node, inputs, params, memo, keep):
     else:
         # the input graph this node's result may be kept with, if any
         graph = inputs.get(node.source) if node.source else None
-        result = vars(graph).get("plan_results", {}).get(node.key) if graph is not None else None
+        entry = vars(graph).get("plan_results", {}).get(node.key) if graph is not None else None
+        result = entry and entry[1]
         if result is None:
             fn, lead, _ = OPS[node.kind]
             args = [_run_node_recursive(child, inputs, params, memo, keep) for child in node.inputs]
@@ -949,7 +950,7 @@ def _run_node_recursive(node, inputs, params, memo, keep):
                 raise UnboundReferenceError(f"${e.args[0]}", "parameter") from None
             result = getattr(algebra, fn)(*lead, *args)
             if keep and graph is not None:
-                vars(graph).setdefault("plan_results", {})[node.key] = result
+                vars(graph).setdefault("plan_results", {})[node.key] = node.key, result
     memo[id(node)] = result
     return result
 
@@ -958,7 +959,8 @@ def execute_recursive(plan, inputs, params=None):
     """``dsl.execute`` as a recursion from each binding root, probing a
     memo keyed by node identity for the root and for every child, and
     skipping the children of a kept result. It keeps and reuses
-    parameter-free results per graph (``plan_results``) and wraps
+    parameter-free results per graph (``plan_results``, as ``(key,
+    result)`` entries under the compiled ``node.key``) and wraps
     failures with the binding name as ``execute`` does, but it runs every
     node with a ``$NAME`` below it: it neither reads nor writes the
     latest binding's results (``bound_results``)."""
@@ -1111,7 +1113,8 @@ def load_index_snapshot_held(path: str) -> ClusteredIndex:
     section, field or list entry is missing or mistyped, a list out of
     order, or a cluster without a leader that a user or list names raises
     GraphFileError with its line number, as does a score that is not
-    finite or not within float range; scores keep their JSON type."""
+    finite or not within float range, or is negative; scores keep their
+    JSON type."""
     lines = list(_read_jsonl(path))
     if len(lines) < 3:
         raise GraphFileError(path, 1, "truncated index snapshot")
@@ -1157,6 +1160,8 @@ def load_index_snapshot_held(path: str) -> ClusteredIndex:
             raise GraphFileError(path, line_no, "list scores must be finite numbers")
         if not _ranked(entries):
             raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
+        if any(score < 0 for _, score in entries):
+            raise GraphFileError(path, line_no, "list scores must not be negative")
         lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
     vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else frozenset(tag for _, tag in sets.taggers)
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)

@@ -1,14 +1,19 @@
+import io
 import json
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
+from socialgraph.cli import run_command
 from socialgraph.errors import DanglingEndpointError, GraphFileError
 from socialgraph.fixtures import jazz_fixture, random_plain_graph, random_tagging_graph, rng_from
 from socialgraph.graph import build_graph, node
 from socialgraph.index import (
+    ClusteredIndex,
     ClusteringStrategy,
+    ClusterModel,
+    SocialSets,
     build_index,
     cluster_users,
     exhaustive_topk,
@@ -233,6 +238,41 @@ def test_index_snapshot_rejects_a_score_that_is_not_finite(tmp_path, number):
     with pytest.raises(GraphFileError) as err:
         load_index_snapshot(path)
     assert err.value.line == len(records) and "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("number", ["-1", "-0.5", "-1e-300"])
+def test_index_snapshot_rejects_a_negative_score(tmp_path, number):
+    records = _jazz_snapshot_lines(tmp_path)
+    records[-1]["entries"].append(["i9", "@"])
+    path = _write_lines(tmp_path, records)
+    text = Path(path).read_text(encoding="utf-8").replace('"@"', number)
+    Path(path).write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(path)
+    assert err.value.line == len(records) and "negative" in str(err.value)
+
+
+def test_index_snapshot_rejects_the_negative_score_that_misranked_a_query(tmp_path):
+    """A negative score bounds nothing, since an item missing from a list
+    scores 0 there: loaded, this index answered u0's rock-and-jazz query
+    with c, while b is ranked first over the sets, so it must not load."""
+    sets = SocialSets(
+        network={"u0": frozenset({"f"}), "f": frozenset({"u0"})},
+        items={"f": frozenset({"b", "c"})},
+        taggers={("c", "rock"): frozenset({"f"}), ("b", "jazz"): frozenset({"f"})},
+    )
+    lists = {("rock", "c0"): (("c", 1), ("y", -5)), ("jazz", "c0"): (("a", 1), ("b", 1))}
+    model = ClusterModel(assignment={"u0": "c0", "f": "c0"}, leaders={"c0": "u0"})
+    path = str(tmp_path / "negative.snap")
+    save_index_snapshot(ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=sets.tags), path)
+    assert exhaustive_topk(sets, "u0", ["rock", "jazz"], 1) == [("b", 1)]
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(path)
+    assert (err.value.line, str(err.value)) == (5, f"{path}:5: list scores must not be negative")
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["topk", "--index", path, "--user", "u0", "--keywords", "rock,jazz", "--k", "1"]
+    assert run_command(argv, out=out, err=err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {path}:5: list scores must not be negative\n")
 
 
 def test_object_valued_attribute_rejected(tmp_path):

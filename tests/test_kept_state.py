@@ -32,11 +32,27 @@ from socialgraph.discovery import (
 )
 from socialgraph.fixtures import random_travel_graph, rng_from
 from socialgraph.graph import Condition, SocialContentGraph, attr_eq, attr_gt, attr_ne, build_graph
-from socialgraph.presentation import explain_item
+from socialgraph.presentation import (
+    ItemGroup,
+    SocialGrouping,
+    StructuralGrouping,
+    TopicalGrouping,
+    aggregate_explanations,
+    explain_item,
+    group_items,
+)
 
 USERS = ("u00", "u01", "u02", "u09")  # u09 is in no graph
 ITEMS = ("p00", "p01", "p03")
 THETAS = (0.0, -0.0, 0.5)
+CRITERIA = (
+    SocialGrouping(0.0),
+    SocialGrouping(0.5),
+    TopicalGrouping(),
+    StructuralGrouping("keywords"),
+    StructuralGrouping("ghost"),
+)
+SCORED = st.lists(st.tuples(st.sampled_from(ITEMS), st.sampled_from((0.0, 0.5, 1.0))), max_size=3)
 PLACES = ("[type='destination']", "[type='destination'; kw:'food']", "[id='p01']", "[id!='p00']")
 PARAM_SCRIPTS = {"cf": CF_SCRIPT, "search": SEARCH_SCRIPT, "forms": FORMS.format(user="$user", others="$others", places="$places")}
 DERIVE = "V = lsel(G, [type='visit'])\nF = lsel(G, [type='friend'])\nH = union(V, F)\n"
@@ -67,6 +83,7 @@ def copy(g):
 
 
 def bound(g) -> dict:
+    """A graph's bound results: (key, result) entries, by key."""
     return vars(g).get("bound_results", {})
 
 
@@ -151,6 +168,29 @@ class KeptState(RuleBasedStateMachine):
 
     @rule(
         i=st.integers(0, 2),
+        user=st.sampled_from(USERS),
+        item=st.sampled_from(ITEMS),
+        strategy=st.sampled_from(("content", "collaborative")),
+    )
+    def aggregate_explanations_of_an_item(self, i, user, item, strategy):
+        self.serve(i, aggregate_explanations, user, item, strategy)
+
+    @rule(
+        i=st.integers(0, 2),
+        user=st.sampled_from(USERS),
+        members=st.lists(st.sampled_from(ITEMS), min_size=1, max_size=3, unique=True),
+        strategy=st.sampled_from(("content", "collaborative")),
+    )
+    def aggregate_explanations_of_a_group(self, i, user, members, strategy):
+        group = ItemGroup("social:" + members[0], tuple(members), members[0], 0.5, len(members))
+        self.serve(i, aggregate_explanations, user, group, strategy)
+
+    @rule(i=st.integers(0, 2), items=SCORED, criterion=st.sampled_from(CRITERIA))
+    def group_items(self, i, items, criterion):
+        self.serve(i, lambda g: group_items(items, g, criterion))
+
+    @rule(
+        i=st.integers(0, 2),
         j=st.integers(0, 2),
         name=st.sampled_from(sorted(SCRIPTS)),
         user=st.sampled_from(USERS),
@@ -181,7 +221,8 @@ class KeptState(RuleBasedStateMachine):
     def bound_results_are_the_latest_runs(self):
         for g, want in zip(self.graphs, self.want):
             assert bound(g).keys() == want.keys()
-            assert all(exact(bound(g)[k]) == exact(v) for k, v in want.items())
+            assert all(entry[0] is k for k, entry in bound(g).items())
+            assert all(exact(bound(g)[k][1]) == exact(v) for k, (_, v) in want.items())
 
 
 TestKeptState = KeptState.TestCase

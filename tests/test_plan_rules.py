@@ -331,6 +331,7 @@ def test_pushdown_runs_through_a_bound_inner_semi_join():
 
 
 def kept(g) -> dict:
+    """A graph's parameter-free results: (key, result) entries, by key."""
     return vars(g).get("plan_results", {})
 
 
@@ -345,8 +346,8 @@ def test_a_plan_with_params_keeps_its_parameter_free_subplans():
     stages = cf_pipeline(g, u, 0.1)
     # lsel(G, visit), nsel(G, destination) and G5 = semijoin of the two
     assert len(kept(g)) == 3
-    assert any(v is stages["visits"] for v in kept(g).values())
-    assert algebra.link_select(g, VISIT) in kept(g).values()
+    assert any(v is stages["visits"] for _, v in kept(g).values())
+    assert algebra.link_select(g, VISIT) in [v for _, v in kept(g).values()]
     network_search(g, u, DESTINATION)
     assert len(kept(g)) == 5  # and lsel(G, friend), lsel(G, act); lsel(G, visit) is shared
     for v in sorted(g.nodes):
@@ -400,8 +401,8 @@ def test_a_derived_graph_keeps_its_own_results():
         assert cf_pipeline(g, u, 0.1) == cf_pipeline_wired(g, u, 0.1)
     assert kept(g) is not kept(h)
     assert kept(g).keys() == kept(h).keys()
-    assert algebra.link_select(h, VISIT) in kept(h).values()
-    assert algebra.link_select(g, VISIT) in kept(g).values()
+    assert algebra.link_select(h, VISIT) in [v for _, v in kept(h).values()]
+    assert algebra.link_select(g, VISIT) in [v for _, v in kept(g).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,7 @@ def test_a_derived_graph_keeps_its_own_results():
 
 
 def bound(g) -> dict:
+    """A graph's bound results: (key, result) entries, by key."""
     return vars(g).get("bound_results", {})
 
 
@@ -522,7 +524,7 @@ def test_a_graph_keeps_one_runs_parameterised_results():
     cf_recommend(last, users[-1], CF_CONFIG)
     assert len(bound(g)) == sum(parametric_calls(CF_SCRIPT).values())
     assert bound(g).keys() == bound(last).keys()
-    assert all(exact(bound(g)[k]) == exact(bound(last)[k]) for k in bound(g))
+    assert all(exact(bound(g)[k][1]) == exact(bound(last)[k][1]) for k in bound(g))
     network_search(g, users[0], DESTINATION)
     assert len(bound(g)) == sum(parametric_calls(SEARCH_SCRIPT).values())
 
@@ -533,14 +535,14 @@ def test_parameterised_results_are_kept_with_the_graph_they_read():
     u = sorted(n for n in h.nodes if n.startswith("u"))[0]
     plan = dsl.compile(dsl.parse("A = nsel(G1, $who)\nB = nsel(G2, $who)\nC = union(A, B)"))
     results = dsl.execute(plan, {"G1": g, "G2": h}, {"who": cf_params(u, 0.1)["user"]})
-    (a,), (b,) = bound(g).values(), bound(h).values()
+    ((_, a),), ((_, b),) = bound(g).values(), bound(h).values()
     assert a is results["A"] and b is results["B"]
     # a derived graph keeps its own, which a run on its parent leaves alone
     cf_recommend(h, u, CF_CONFIG)
     held = dict(bound(h))
     cf_recommend(g, u, CF_CONFIG)
     assert bound(g).keys() == held.keys()
-    assert all(bound(h)[k] is v and bound(g)[k] is not v for k, v in held.items())
+    assert all(bound(h)[k] is v and bound(g)[k][1] is not v[1] for k, v in held.items())
     want = discover(fresh({"G": h})["G"], u, DESTINATION, CF_CONFIG)
     with counted_operators() as calls:
         assert discover(h, u, DESTINATION, CF_CONFIG) == want

@@ -3,12 +3,14 @@
 Real snapshots are mutated the ways a file goes wrong: lines dropped,
 duplicated, swapped or blank; the file truncated; a line of invalid
 JSON; a field mistyped or deleted anywhere in a line; a score that is
-NaN, infinite, beyond float range or boolean; list entries out of
-order; clusters without a leader; a header vocabulary, well-formed or
-not; and one to three of these in one file. ``load_index_snapshot`` must give what ``load_index_snapshot_held``
-in ``reference.py`` gives, the loader that decodes and holds every line
-before checking any: an equal index with the same list order and score
-types, or the same ``GraphFileError`` (path, line and message).
+NaN, infinite, beyond float range, boolean or negative; a list whose
+lowest score is negative; list entries out of order; clusters without
+a leader; a header vocabulary, well-formed or not; and one to three of
+these in one file. ``load_index_snapshot`` must give what
+``load_index_snapshot_held`` in ``reference.py`` gives, the loader that
+decodes and holds every line before checking any: an equal index with
+the same list order and score types, or the same ``GraphFileError``
+(path, line and message).
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ def snapshots(tmp) -> tuple:
 
 BIG = 10**400  # an int beyond float range
 ODD = (None, True, False, 0, 2, -1.5, 0.25, "x", "ghost", "", [], {}, ["i0", 2], [["i0", 2]])
-BAD_SCORES = (math.nan, math.inf, -math.inf, BIG, True, False, "1", None)
+BAD_SCORES = (math.nan, math.inf, -math.inf, BIG, True, False, "1", None, -1, -0.5)
 KINDS = (
     "drop", "dup", "swap", "blank", "truncate", "invalid",
-    "retype", "delete", "score", "unrank", "leaderless", "vocabulary",
+    "retype", "delete", "score", "negative", "unrank", "leaderless", "vocabulary",
 )
 VOCABULARIES = (["jazz"], [], ["tag00", "tag01", "tag02"], "jazz", [1], [["jazz"]], None)
 
@@ -118,6 +120,10 @@ def _mutate(draw, lines: list, kind: str) -> list:
         entries = _entries(record)
         if entries:
             draw(st.sampled_from(entries))[1] = draw(st.sampled_from(BAD_SCORES))
+    elif kind == "negative":  # the lowest score of a list, made negative, keeps the order
+        entries = _entries(record)
+        if entries:
+            entries[-1][1] = draw(st.sampled_from((-1, -0.5)))
     elif kind == "unrank":
         entries = _entries(record)
         if len(entries) >= 2:
