@@ -13,6 +13,13 @@ Index snapshots are a single JSON-lines file: a versioned header line
 (with the indexed tags when they are not every tag of the sets), then
 the cluster model, the social sets, and one line per (tag, cluster)
 inverted list, each section sorted for byte stability.
+
+Both loaders keep one object per distinct value through one map per
+call: ids, attribute names and value sets in a graph; ids and (item,
+score) pairs in a snapshot. A key is exact wherever equal values save
+differently: a value set holding a zero and a zero score are never
+shared, since ``0.0 == -0.0``, and a pair's key holds its score's JSON
+type, since ``1 == 1.0``.
 """
 
 from __future__ import annotations
@@ -64,25 +71,38 @@ def _graph_records(path: str):
         yield line_no, record
 
 
-def _parse_attrs(path: str, line_no: int, record: dict) -> dict:
+def _parse_attrs(path: str, line_no: int, record: dict, share) -> dict:
+    """The record's attribute map, its names and value sets passed through
+    ``share``. A set holding a zero is kept as parsed: ``{0.0}`` and
+    ``{-0.0}`` are equal but save differently. Any other equal sets are
+    equal scalar by scalar (finite floats that are equal and nonzero have
+    the same bits), so one object can stand for them all."""
     attrs = record.get("attrs", {})
     if not isinstance(attrs, dict):
         raise GraphFileError(path, line_no, "'attrs' must be an object")
     try:
-        return attr_map(attrs)
+        parsed = attr_map(attrs)
     except ValueError as e:
         raise GraphFileError(path, line_no, str(e)) from e
+    return {
+        share(name, name): values if 0.0 in values else share(values, values)
+        for name, values in parsed.items()
+    }
 
 
 def load_graph(node_path: str, link_path: str) -> SocialContentGraph:
-    """Read the two JSON-lines files and build a validated graph."""
+    """Read the two JSON-lines files and build a validated graph. Each
+    node id is one string object across the nodes and the links' ``src``
+    and ``tgt``, and equal attribute names and value sets are one object
+    each (see ``_parse_attrs``)."""
+    share = {}.setdefault  # value -> the one object kept for it
     nodes = []
     for line_no, record in _graph_records(node_path):
         try:
             nid = _coerce_id(record["id"])
         except ValueError as e:
             raise GraphFileError(node_path, line_no, str(e)) from e
-        nodes.append(Node(id=nid, attrs=_parse_attrs(node_path, line_no, record)))
+        nodes.append(Node(id=share(nid, nid), attrs=_parse_attrs(node_path, line_no, record, share)))
     links = []
     for line_no, record in _graph_records(link_path):
         try:
@@ -91,7 +111,8 @@ def load_graph(node_path: str, link_path: str) -> SocialContentGraph:
             tgt = _coerce_id(record.get("tgt"))
         except ValueError as e:
             raise GraphFileError(link_path, line_no, str(e)) from e
-        links.append(Link(id=lid, src=src, tgt=tgt, attrs=_parse_attrs(link_path, line_no, record)))
+        attrs = _parse_attrs(link_path, line_no, record, share)
+        links.append(Link(id=lid, src=share(src, src), tgt=share(tgt, tgt), attrs=attrs))
     return build_graph(nodes, links)
 
 
@@ -103,10 +124,14 @@ def _attrs_record(attrs: dict) -> dict:
     return out
 
 
+# json.dumps with any non-default argument builds a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def json_line(record: dict) -> str:
     """One JSON-lines record: sorted keys, non-ASCII text as is, compact
     separators, so equal records always give the same bytes."""
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def save_graph(g: SocialContentGraph, node_path: str, link_path: str) -> None:
@@ -250,7 +275,8 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     shape, the first malformed list line, a model cluster without a
     leader, then the first list line that fails its own checks. Every
     id the index holds, in its model, sets and lists, is one string
-    object per id."""
+    object per id, and the lists hold one tuple per distinct nonzero
+    (item, score) pair of one JSON type."""
     from .index import ClusteredIndex, ClusterModel, SocialSets
 
     records = _read_jsonl(path)
@@ -271,8 +297,10 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     if not _all_fit([sets_rec], _SETS_LINE):
         _raise_after(records, path, sets_no, "malformed sets line")
     model_rec, sets_rec = model_rec["model"], sets_rec["sets"]
-    shared: dict = {}  # id -> the one str object kept for it
-    share = shared.setdefault
+    # id -> the one str object kept for it; (item, score, type of score)
+    # -> the one (item, score) tuple kept for it
+    shared: dict = {}
+    share, kept = shared.setdefault, shared.get
     model = ClusterModel(
         assignment={share(u, u): share(c, c) for u, c in model_rec["assignment"].items()},
         leaders={share(c, c): share(u, u) for c, u in model_rec["leaders"].items()},
@@ -313,9 +341,16 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
         elif entries and entries[-1][1] < 0:  # ranked, so the last score is the lowest
             fault = (line_no, "list scores must not be negative")
         else:
-            lists[(share(rec["tag"], rec["tag"]), share(rec["cluster"], rec["cluster"]))] = tuple(
-                [(share(item, item), score) for item, score in entries]
-            )
+            pairs = []
+            for item, score in entries:
+                key = (item, score, type(score))
+                pair = kept(key)
+                if pair is None:
+                    pair = (share(item, item), score)
+                    if score:  # 0.0 and -0.0 are equal keys but save differently
+                        shared[key] = pair
+                pairs.append(pair)
+            lists[(share(rec["tag"], rec["tag"]), share(rec["cluster"], rec["cluster"]))] = tuple(pairs)
     if fault is not None:
         raise GraphFileError(path, *fault)
     vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else sets.tags

@@ -116,12 +116,41 @@ MUTANTS = (
         "elif False:",
         ("tests/test_io.py", "tests/test_snapshot_fuzz.py"),
     ),
+    # io's loaders, keeping one object per distinct value
+    Mutant(
+        "a pair key without the sign of zero",
+        "io",
+        "if score:  # 0.0 and -0.0",
+        "if True:  # 0.0 and -0.0",
+        ("tests/test_io.py", "tests/test_snapshot_fuzz.py"),
+    ),
+    Mutant(
+        "a pair key without the score's JSON type",
+        "io",
+        "key = (item, score, type(score))",
+        "key = (item, score)",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "no pair sharing",
+        "io",
+        "shared[key] = pair",
+        "pass",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "float value sets shared by equality",
+        "io",
+        "values if 0.0 in values else share(values, values)",
+        "share(values, values)",
+        ("tests/test_io.py",),
+    ),
     # index.build_index's fold into nested buckets
     Mutant(
         "no item-id pre-sort",
         "index",
-        "entries = sorted(bucket.items())",
-        "entries = list(bucket.items())",
+        "for key in sorted(taggers):",
+        "for key in taggers:",
         (DIFFERENTIAL,),
     ),
     Mutant(

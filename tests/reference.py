@@ -8,6 +8,7 @@ k-bounded ranked list, a stream, a compiled (and rewritten) query plan,
 a loop over a plan's schedule, one pattern, an inverted index of leaders,
 a merge that returns an element merged with itself as it is,
 a snapshot loaded one line at a time, a fold into nested buckets,
+loaded files that keep one object per distinct value,
 or one shared helper (the greedy-leader loop, item similarity, the
 ordered group-by, the one-member group that explains an item).
 ``test_differential.py`` and ``test_plan_rules.py`` check the two agree
@@ -78,6 +79,7 @@ from socialgraph.graph import (
     Node,
     attr_eq,
     attr_gt,
+    attr_map,
     attr_ne,
     build_graph,
     default_keyword_score,
@@ -91,7 +93,7 @@ ACT = Condition(preds=(attr_eq("type", "act"),))
 MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 from socialgraph.index import ClusteredIndex, ClusterModel, SocialSets, social_sets
-from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _read_jsonl
+from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _coerce_id, _graph_records, _read_jsonl
 from socialgraph.presentation import RESIDUAL, Explanation, ItemGroup, _label_from, _make_group
 
 
@@ -589,13 +591,14 @@ def topk_resort(index, user, keywords, k):
 
 def exact_tag_scores_dict(sets):
     """Every (item, tag) -> {user -> exact score} at once, nonzero entries
-    only: the materialised form of ``index._exact_tag_scores``."""
+    only, in sorted key order: the materialised form of
+    ``index._exact_tag_scores``."""
     befriended: dict = {}
     for u, net in sets.network.items():
         for v in net:
             befriended.setdefault(v, []).append(u)
     out: dict = {}
-    for key, tagger_set in sets.taggers.items():
+    for key, tagger_set in sorted(sets.taggers.items()):
         counts: dict = {}
         for t in tagger_set:
             for u in befriended.get(t, ()):
@@ -1047,6 +1050,42 @@ def exact(g) -> tuple:
         [(n.id, list(n.attrs.items())) for n in g.nodes.values()],
         [(l.id, l.src, l.tgt, list(l.attrs.items())) for l in g.links.values()],
     )
+
+
+# ---------------------------------------------------------------------------
+# Graph files, loaded with fresh strings and value sets for every record.
+
+
+def _parse_attrs_unshared(path: str, line_no: int, record: dict) -> dict:
+    attrs = record.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise GraphFileError(path, line_no, "'attrs' must be an object")
+    try:
+        return attr_map(attrs)
+    except ValueError as e:
+        raise GraphFileError(path, line_no, str(e)) from e
+
+
+def load_graph_unshared(node_path: str, link_path: str):
+    """``io.load_graph`` with no shared ids, names or value sets: each
+    record holds the objects its own line decoded to."""
+    nodes = []
+    for line_no, record in _graph_records(node_path):
+        try:
+            nid = _coerce_id(record["id"])
+        except ValueError as e:
+            raise GraphFileError(node_path, line_no, str(e)) from e
+        nodes.append(Node(id=nid, attrs=_parse_attrs_unshared(node_path, line_no, record)))
+    links = []
+    for line_no, record in _graph_records(link_path):
+        try:
+            lid = _coerce_id(record["id"])
+            src = _coerce_id(record.get("src"))
+            tgt = _coerce_id(record.get("tgt"))
+        except ValueError as e:
+            raise GraphFileError(link_path, line_no, str(e)) from e
+        links.append(Link(id=lid, src=src, tgt=tgt, attrs=_parse_attrs_unshared(link_path, line_no, record)))
+    return build_graph(nodes, links)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,20 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
+from reference import load_graph_unshared
 from socialgraph.cli import run_command
 from socialgraph.errors import DanglingEndpointError, GraphFileError
-from socialgraph.fixtures import jazz_fixture, random_plain_graph, random_tagging_graph, rng_from
-from socialgraph.graph import build_graph, node
+from socialgraph.fixtures import (
+    cf_fixture,
+    jazz_fixture,
+    random_plain_graph,
+    random_tagging_graph,
+    random_travel_graph,
+    rng_from,
+)
+from socialgraph.graph import build_graph, link, node
 from socialgraph.index import (
     ClusteredIndex,
     ClusteringStrategy,
@@ -27,6 +36,7 @@ from socialgraph.io import (
     save_graph,
     save_index_snapshot,
 )
+from test_plan_rules import corpus_graphs
 
 
 def paths(tmp_path, stem="g"):
@@ -462,3 +472,104 @@ def test_index_snapshot_rejects_a_malformed_vocabulary(tmp_path, vocabulary):
     with pytest.raises(GraphFileError) as err:
         load_index_snapshot(_write_lines(tmp_path, records))
     assert err.value.line == 1 and "vocabulary" in str(err.value)
+
+
+def _signed_zero_graph(first: float, second: float):
+    """Records whose value sets are equal but save differently: ``first``
+    and ``second`` are 0.0 and -0.0 in either order."""
+    return build_graph(
+        [node("a", type="user", w=first), node("b", type="user", w=second), node("c", type="user", w=(first, "x"))],
+        [
+            link("k", "a", "b", type="e", w=second),
+            link("l", "b", "c", type="e", w=(second, "x")),
+            link("m", "c", "a", type="e", w=first),
+        ],
+    )
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)], ids=["zero-first", "minus-zero-first"])
+def test_graph_round_trip_keeps_the_sign_of_zero(tmp_path, first, second):
+    np, lp = paths(tmp_path)
+    save_graph(_signed_zero_graph(first, second), np, lp)
+    np2, lp2 = paths(tmp_path, "again")
+    save_graph(load_graph(np, lp), np2, lp2)
+    assert Path(np2).read_bytes() == Path(np).read_bytes()
+    assert Path(lp2).read_bytes() == Path(lp).read_bytes()
+    assert '"w":-0.0' in Path(np).read_text() and '"w":0.0' in Path(np).read_text()
+
+
+def test_snapshot_round_trip_keeps_score_types_and_the_sign_of_zero(tmp_path):
+    """One item scores 0, 0.0, -0.0, 1 and 1.0 in five lists: equal
+    numbers, but each saves as it was read."""
+    scores = (0, 0.0, -0.0, 1, 1.0, 0.0, -0.0)
+    sets = SocialSets(network={"u0": frozenset()}, items={"u0": frozenset()}, taggers={})
+    model = ClusterModel(assignment={"u0": "u0"}, leaders={"u0": "u0"})
+    lists = {(f"t{j}", "u0"): (("zz", score),) for j, score in enumerate(scores)}
+    path = str(tmp_path / "zeros.snap")
+    save_index_snapshot(ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=frozenset()), path)
+    loaded = load_index_snapshot(path)
+    assert [repr(entries[0][1]) for entries in loaded.lists.values()] == list(map(repr, scores))
+    path2 = str(tmp_path / "zeros2.snap")
+    save_index_snapshot(loaded, path2)
+    assert Path(path2).read_bytes() == Path(path).read_bytes()
+
+
+def _save_and_load_both(g, tmp_path, stem):
+    np, lp = paths(tmp_path, stem)
+    save_graph(g, np, lp)
+    shared, fresh = load_graph(np, lp), load_graph_unshared(np, lp)
+    assert shared == fresh == g
+    again = paths(tmp_path, stem + ".shared"), paths(tmp_path, stem + ".fresh")
+    save_graph(shared, *again[0])
+    save_graph(fresh, *again[1])
+    for path, shared_path, fresh_path in zip((np, lp), *again):
+        assert Path(shared_path).read_bytes() == Path(fresh_path).read_bytes() == Path(path).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        jazz_fixture,
+        cf_fixture,
+        lambda: random_travel_graph(rng_from(5), 12, 24),
+        lambda: random_tagging_graph(rng_from(6), 20, 40, n_tags=4, n_communities=2),
+        lambda: random_plain_graph(rng_from(7), 12, 18),
+        lambda: _signed_zero_graph(0.0, -0.0),
+    ],
+    ids=["jazz", "cf", "travel", "tagging", "plain", "signed-zero"],
+)
+def test_shared_loader_matches_the_unshared_one_on_fixtures(tmp_path, make):
+    _save_and_load_both(make(), tmp_path, "fixture")
+
+
+@given(corpus_graphs())
+def test_shared_loader_matches_the_unshared_one_on_corpus_graphs(tmp_path_factory, g):
+    _save_and_load_both(g, tmp_path_factory.getbasetemp(), "corpus")
+
+
+def test_loaded_files_keep_one_object_per_distinct_value(tmp_path):
+    """A loaded tagging graph holds one str per node id across its nodes
+    and the links' ends, and one object per attribute name and per
+    string value set; its loaded network index holds one tuple per
+    distinct (item, score) pair across its lists."""
+    g = random_tagging_graph(rng_from(2), 30, 60, n_tags=4, n_communities=2)
+    np, lp = paths(tmp_path)
+    save_graph(g, np, lp)
+    loaded = load_graph(np, lp)
+    nodes, links = loaded.nodes.values(), loaded.links.values()
+    ids = [*loaded.nodes, *(n.id for n in nodes), *chain.from_iterable((l.src, l.tgt) for l in links)]
+    assert len({id(i) for i in ids}) == len(set(ids)) == len(loaded.nodes) < len(ids)
+    attrs = [e.attrs for e in chain(nodes, links)]
+    names = list(chain.from_iterable(attrs))
+    assert len({id(name) for name in names}) == len(set(names)) < len(names)
+    value_sets = [v for a in attrs for v in a.values()]
+    assert all(type(v) is str for s in value_sets for v in s)
+    assert len({id(v) for v in value_sets}) == len(set(value_sets)) < len(value_sets)
+
+    sets = social_sets(loaded)
+    index = build_index(sets, cluster_users(sets, ClusteringStrategy("network", 0.3)), sets.tags)
+    path = str(tmp_path / "shared.snap")
+    save_index_snapshot(index, path)
+    pairs = [pair for entries in load_index_snapshot(path).lists.values() for pair in entries]
+    exact = {(item, score, type(score)) for item, score in pairs}
+    assert len({id(pair) for pair in pairs}) == len(exact) < len(pairs)

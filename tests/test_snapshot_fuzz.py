@@ -4,13 +4,15 @@ Real snapshots are mutated the ways a file goes wrong: lines dropped,
 duplicated, swapped or blank; the file truncated; a line of invalid
 JSON; a field mistyped or deleted anywhere in a line; a score that is
 NaN, infinite, beyond float range, boolean or negative; a list whose
-lowest score is negative; list entries out of order; clusters without
-a leader; a header vocabulary, well-formed or not; and one to three of
-these in one file. ``load_index_snapshot`` must give what
+lowest score is negative; one item appended to every list with a valid
+zero score, ``0``, ``0.0`` or ``-0.0`` drawn for each; list entries out
+of order; clusters without a leader; a header vocabulary, well-formed or
+not; and one to three of these in one file. ``load_index_snapshot`` must give what
 ``load_index_snapshot_held`` in ``reference.py`` gives, the loader that
 decodes and holds every line before checking any: an equal index with
-the same list order and score types, or the same ``GraphFileError``
-(path, line and message).
+the same list order and the same ``repr`` of every score, which tells
+``1`` from ``1.0`` and ``0.0`` from ``-0.0``, or the same
+``GraphFileError`` (path, line and message).
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ ODD = (None, True, False, 0, 2, -1.5, 0.25, "x", "ghost", "", [], {}, ["i0", 2],
 BAD_SCORES = (math.nan, math.inf, -math.inf, BIG, True, False, "1", None, -1, -0.5)
 KINDS = (
     "drop", "dup", "swap", "blank", "truncate", "invalid",
-    "retype", "delete", "score", "negative", "unrank", "leaderless", "vocabulary",
+    "retype", "delete", "score", "negative", "zero", "unrank", "leaderless", "vocabulary",
 )
+ZEROS = (0, 0.0, -0.0)
 VOCABULARIES = (["jazz"], [], ["tag00", "tag01", "tag02"], "jazz", [1], [["jazz"]], None)
 
 
@@ -87,6 +90,15 @@ def _mutate(draw, lines: list, kind: str) -> list:
     if kind == "truncate":
         text = "\n".join(lines)
         return text[: draw(st.integers(0, len(text)))].split("\n")
+    if kind == "zero":  # valid below any score a built list holds
+        item, out = draw(st.sampled_from(("zz", "i0"))), []
+        for line in lines:
+            record = _record(line)
+            if isinstance(record, dict) and isinstance(record.get("entries"), list):
+                record["entries"].append([item, draw(st.sampled_from(ZEROS))])
+                line = json.dumps(record)
+            out.append(line)
+        return out
     if not lines:
         return lines
     i = 0 if kind == "vocabulary" else draw(st.integers(0, len(lines) - 1))
@@ -152,13 +164,14 @@ def mutated_snapshots(draw, bases):
 
 
 def loaded(load, path):
-    """The index a loader returns with its list order and score types,
-    or the GraphFileError it raises; any other error fails the test."""
+    """The index a loader returns with its list order and the repr of
+    each score, or the GraphFileError it raises; any other error fails
+    the test."""
     try:
         ix = load(path)
     except GraphFileError as e:
         return ("error", e.path, e.line, str(e))
-    return ix, list(ix.lists), [[type(s) for _, s in entries] for entries in ix.lists.values()]
+    return ix, list(ix.lists), [[repr(s) for _, s in entries] for entries in ix.lists.values()]
 
 
 def check_same_load(lines, tmp):
