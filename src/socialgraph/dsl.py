@@ -660,7 +660,8 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
     that run and the ``_param_key`` of each parameter's value: the key a
     script writing those values in place gets. Every plan reads the
     node's ``(key, result)`` entry from the graph's instance dict (next
-    to ``out_links``) before running it; on a hit the node takes the kept
+    to ``out_links``), or from the bound results this run has made so
+    far, before running it; on a hit the node takes the kept
     key, so its parents' keys compare with kept ones one level deep. A
     plan with parameters, run again and again on one graph, writes two
     sets there: ``plan_results`` gathers its parameter-free results, and
@@ -692,7 +693,11 @@ def execute(plan: Plan, inputs: dict, params: dict | None = None) -> dict:
                 key = _key(node.kind, keys, tuple(map(_param_key, values)))
                 # a node's graph is bound: its input leaf ran before it
                 kept = vars(inputs[node.graph]) if node.graph else {}
-                entry = kept.get("plan_results", {}).get(key) or kept.get("bound_results", {}).get(key)
+                entry = (
+                    kept.get("plan_results", {}).get(key)
+                    or fresh.get(node.graph, {}).get(key)
+                    or kept.get("bound_results", {}).get(key)
+                )
                 if entry is None:
                     fn, lead, _ = OPS[node.kind]
                     entry = key, getattr(algebra, fn)(*lead, *args, *values)

@@ -61,7 +61,7 @@ def as_scalar(value) -> Scalar:
 
 def as_attr_value(value) -> AttrValue:
     """Normalize a scalar or an iterable of scalars into a value set."""
-    if isinstance(value, (str, int, float, bool)):
+    if value is None or isinstance(value, (str, int, float, bool)):
         values = frozenset({as_scalar(value)})
     elif isinstance(value, Mapping):
         raise ValueError(f"attribute values may not be objects: {value!r}")

@@ -14,6 +14,9 @@ Index snapshots are a single JSON-lines file: a versioned header line
 the cluster model, the social sets, and one line per (tag, cluster)
 inverted list, each section sorted for byte stability.
 
+Every file goes through one JSON-lines reader and one writer. Each
+loader checks a line as it reads it, so the first faulty line raises.
+
 Both loaders keep one object per distinct value through one map per
 call: ids, attribute names and value sets in a graph; ids and (item,
 score) pairs in a snapshot. A key is exact wherever equal values save
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -50,28 +53,34 @@ def _coerce_id(value) -> str:
     return str(value)
 
 
-def _read_jsonl(path: str):
-    """Yield (line number, record) for each non-blank JSON line."""
+def _read_jsonl(path: str, parse) -> None:
+    """Hand each non-blank JSON line of ``path`` to ``parse``, in file
+    order. Invalid JSON, and a ValueError that ``parse`` raises, become a
+    GraphFileError at that line, so the first faulty line wins."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if text:
-                try:
-                    yield line_no, json.loads(text)
-                except json.JSONDecodeError as e:
-                    raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
-                except RecursionError:
-                    raise GraphFileError(path, line_no, "invalid JSON: nested too deeply") from None
+            if not text:
+                continue
+            try:
+                record = json.loads(text)
+            except json.JSONDecodeError as e:
+                raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
+            except RecursionError:
+                raise GraphFileError(path, line_no, "invalid JSON: nested too deeply") from None
+            try:
+                parse(record)
+            except (ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
+                raise GraphFileError(path, line_no, str(e)) from e
 
 
-def _graph_records(path: str):
-    for line_no, record in _read_jsonl(path):
-        if not isinstance(record, dict) or "id" not in record:
-            raise GraphFileError(path, line_no, "records need an 'id' field")
-        yield line_no, record
+def _record_id(record) -> str:
+    if not isinstance(record, dict) or "id" not in record:
+        raise ValueError("records need an 'id' field")
+    return _coerce_id(record["id"])
 
 
-def _parse_attrs(path: str, line_no: int, record: dict, share) -> dict:
+def _parse_attrs(record: dict, share) -> dict:
     """The record's attribute map, its names and value sets passed through
     ``share``. A set holding a zero is kept as parsed: ``{0.0}`` and
     ``{-0.0}`` are equal but save differently. Any other equal sets are
@@ -79,40 +88,33 @@ def _parse_attrs(path: str, line_no: int, record: dict, share) -> dict:
     the same bits), so one object can stand for them all."""
     attrs = record.get("attrs", {})
     if not isinstance(attrs, dict):
-        raise GraphFileError(path, line_no, "'attrs' must be an object")
-    try:
-        parsed = attr_map(attrs)
-    except ValueError as e:
-        raise GraphFileError(path, line_no, str(e)) from e
+        raise ValueError("'attrs' must be an object")
     return {
         share(name, name): values if 0.0 in values else share(values, values)
-        for name, values in parsed.items()
+        for name, values in attr_map(attrs).items()
     }
 
 
 def load_graph(node_path: str, link_path: str) -> SocialContentGraph:
-    """Read the two JSON-lines files and build a validated graph. Each
-    node id is one string object across the nodes and the links' ``src``
-    and ``tgt``, and equal attribute names and value sets are one object
-    each (see ``_parse_attrs``)."""
+    """Read the two JSON-lines files and build a validated graph. The
+    first faulty line, nodes file first, raises GraphFileError with its
+    line number. Each node id is one string object across the nodes and
+    the links' ``src`` and ``tgt``, and equal attribute names and value
+    sets are one object each (see ``_parse_attrs``)."""
     share = {}.setdefault  # value -> the one object kept for it
-    nodes = []
-    for line_no, record in _graph_records(node_path):
-        try:
-            nid = _coerce_id(record["id"])
-        except ValueError as e:
-            raise GraphFileError(node_path, line_no, str(e)) from e
-        nodes.append(Node(id=share(nid, nid), attrs=_parse_attrs(node_path, line_no, record, share)))
-    links = []
-    for line_no, record in _graph_records(link_path):
-        try:
-            lid = _coerce_id(record["id"])
-            src = _coerce_id(record.get("src"))
-            tgt = _coerce_id(record.get("tgt"))
-        except ValueError as e:
-            raise GraphFileError(link_path, line_no, str(e)) from e
-        attrs = _parse_attrs(link_path, line_no, record, share)
-        links.append(Link(id=lid, src=share(src, src), tgt=share(tgt, tgt), attrs=attrs))
+    nodes, links = [], []
+
+    def node_line(record) -> None:
+        nid = _record_id(record)
+        nodes.append(Node(id=share(nid, nid), attrs=_parse_attrs(record, share)))
+
+    def link_line(record) -> None:
+        lid = _record_id(record)
+        src, tgt = _coerce_id(record.get("src")), _coerce_id(record.get("tgt"))
+        links.append(Link(id=lid, src=share(src, src), tgt=share(tgt, tgt), attrs=_parse_attrs(record, share)))
+
+    _read_jsonl(node_path, node_line)
+    _read_jsonl(link_path, link_line)
     return build_graph(nodes, links)
 
 
@@ -134,22 +136,20 @@ def json_line(record: dict) -> str:
     return _ENCODER.encode(record)
 
 
+def _write_jsonl(path: str, records) -> None:
+    """Write each record as one ``json_line``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json_line(record) + "\n")
+
+
 def save_graph(g: SocialContentGraph, node_path: str, link_path: str) -> None:
     """Write a graph; loading the output reproduces the graph exactly,
     and identical graphs produce identical bytes."""
-    with open(node_path, "w", encoding="utf-8", newline="\n") as fh:
-        for nid in sorted(g.nodes):
-            n = g.nodes[nid]
-            fh.write(json_line({"id": n.id, "attrs": _attrs_record(n.attrs)}) + "\n")
-    with open(link_path, "w", encoding="utf-8", newline="\n") as fh:
-        for lid in sorted(g.links):
-            l = g.links[lid]
-            fh.write(
-                json_line(
-                    {"id": l.id, "src": l.src, "tgt": l.tgt, "attrs": _attrs_record(l.attrs)}
-                )
-                + "\n"
-            )
+    nodes = map(g.nodes.__getitem__, sorted(g.nodes))
+    _write_jsonl(node_path, ({"id": n.id, "attrs": _attrs_record(n.attrs)} for n in nodes))
+    links = map(g.links.__getitem__, sorted(g.links))
+    _write_jsonl(link_path, ({"id": l.id, "src": l.src, "tgt": l.tgt, "attrs": _attrs_record(l.attrs)} for l in links))
 
 
 def load_scored_items(path: str) -> list:
@@ -158,16 +158,16 @@ def load_scored_items(path: str) -> list:
     an id, or has a score that is not a finite number (booleans
     included) raises GraphFileError with its line number."""
     out = []
-    for line_no, record in _graph_records(path):
+
+    def item_line(record) -> None:
+        item = _record_id(record)
         score = record.get("score", 1.0)
-        try:
-            item = _coerce_id(record["id"])
-            number = isinstance(score, (int, float)) and not isinstance(score, bool)
-            if not (number and math.isfinite(score)):
-                raise ValueError(f"scores must be finite numbers, got {score!r}")
-        except (ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
-            raise GraphFileError(path, line_no, str(e)) from e
+        number = isinstance(score, (int, float)) and not isinstance(score, bool)
+        if not (number and math.isfinite(score)):
+            raise ValueError(f"scores must be finite numbers, got {score!r}")
         out.append((item, float(score)))
+
+    _read_jsonl(path, item_line)
     return out
 
 
@@ -182,25 +182,24 @@ def save_index_snapshot(index: ClusteredIndex, path: str) -> None:
     header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
     if index.vocabulary != index.sets.tags:
         header["vocabulary"] = sorted(index.vocabulary)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_line(header) + "\n")
-        model = {
-            "assignment": dict(sorted(index.model.assignment.items())),
-            "leaders": dict(sorted(index.model.leaders.items())),
-        }
-        fh.write(json_line({"model": model}) + "\n")
-        sets = {
-            "network": {u: sorted(v) for u, v in sorted(index.sets.network.items())},
-            "items": {u: sorted(v) for u, v in sorted(index.sets.items.items())},
-            "taggers": [
-                {"item": item, "tag": tag, "users": sorted(users)}
-                for (item, tag), users in sorted(index.sets.taggers.items())
-            ],
-        }
-        fh.write(json_line({"sets": sets}) + "\n")
-        for (tag, cluster), entries in sorted(index.lists.items()):
-            # entries are written as they are kept: tuples encode as arrays
-            fh.write(json_line({"tag": tag, "cluster": cluster, "entries": entries}) + "\n")
+    model = {
+        "assignment": dict(sorted(index.model.assignment.items())),
+        "leaders": dict(sorted(index.model.leaders.items())),
+    }
+    sets = {
+        "network": {u: sorted(v) for u, v in sorted(index.sets.network.items())},
+        "items": {u: sorted(v) for u, v in sorted(index.sets.items.items())},
+        "taggers": [
+            {"item": item, "tag": tag, "users": sorted(users)}
+            for (item, tag), users in sorted(index.sets.taggers.items())
+        ],
+    }
+    # entries are written as they are kept: tuples encode as arrays
+    lists = (
+        {"tag": tag, "cluster": cluster, "entries": entries}
+        for (tag, cluster), entries in sorted(index.lists.items())
+    )
+    _write_jsonl(path, chain((header, {"model": model}, {"sets": sets}), lists))
 
 
 # The exact JSON types each leaf shape admits; being exact, a boolean is
@@ -263,106 +262,92 @@ def load_index_snapshot(path: str) -> ClusteredIndex:
     GraphFileError with its line number, as does a score that is not
     finite or not within float range, or is negative (it would bound
     nothing: an item missing from a list scores 0 there); scores keep
-    their JSON type.
+    their JSON type. A file that ends before its sets line is truncated,
+    at line 1.
 
-    The file is read one line at a time: each inverted list is checked
-    and converted as it is decoded, and its decoded record dropped
-    before the next line is read. Holding every decoded list at once
-    made the cyclic collector walk them all, again and again. Every line
-    is still decoded before any other fault is raised, so a file with
-    several faults raises the first of: invalid JSON, a truncated file,
-    the header, the vocabulary, the model line's shape, the sets line's
-    shape, the first malformed list line, a model cluster without a
-    leader, then the first list line that fails its own checks. Every
-    id the index holds, in its model, sets and lists, is one string
-    object per id, and the lists hold one tuple per distinct nonzero
-    (item, score) pair of one JSON type."""
+    Each line is checked and converted as it is read, and its decoded
+    record dropped before the next: holding every decoded list at once
+    made the cyclic collector walk them all, again and again. Every id
+    the index holds is one string object per id, and the lists hold one
+    tuple per distinct nonzero (item, score) pair of one JSON type."""
     from .index import ClusteredIndex, ClusterModel, SocialSets
 
-    records = _read_jsonl(path)
-    head = list(islice(records, 3))
-    if len(head) < 3:
-        raise GraphFileError(path, 1, "truncated index snapshot")
-    (head_no, header), (model_no, model_rec), (sets_no, sets_rec) = head
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != SNAPSHOT_FORMAT
-        or header.get("version") != SNAPSHOT_VERSION
-    ):
-        _raise_after(records, path, head_no, "not a recognized index snapshot")
-    if "vocabulary" in header and not _all_fit([header["vocabulary"]], [str]):
-        _raise_after(records, path, head_no, "malformed vocabulary")
-    if not _all_fit([model_rec], _MODEL_LINE):
-        _raise_after(records, path, model_no, "malformed model line")
-    if not _all_fit([sets_rec], _SETS_LINE):
-        _raise_after(records, path, sets_no, "malformed sets line")
-    model_rec, sets_rec = model_rec["model"], sets_rec["sets"]
     # id -> the one str object kept for it; (item, score, type of score)
     # -> the one (item, score) tuple kept for it
     shared: dict = {}
     share, kept = shared.setdefault, shared.get
-    model = ClusterModel(
-        assignment={share(u, u): share(c, c) for u, c in model_rec["assignment"].items()},
-        leaders={share(c, c): share(u, u) for c, u in model_rec["leaders"].items()},
-    )
+    vocabulary = model = sets = None
+    lists = {}
+
+    def header_line(rec) -> None:
+        nonlocal vocabulary
+        header = (rec.get("format"), rec.get("version")) if isinstance(rec, dict) else None
+        if header != (SNAPSHOT_FORMAT, SNAPSHOT_VERSION):
+            raise ValueError("not a recognized index snapshot")
+        if "vocabulary" in rec:
+            if not _all_fit([rec["vocabulary"]], [str]):
+                raise ValueError("malformed vocabulary")
+            vocabulary = frozenset(rec["vocabulary"])
+
+    def model_line(rec) -> None:
+        nonlocal model
+        if not _all_fit([rec], _MODEL_LINE):
+            raise ValueError("malformed model line")
+        rec = rec["model"]
+        model = ClusterModel(
+            assignment={share(u, u): share(c, c) for u, c in rec["assignment"].items()},
+            leaders={share(c, c): share(u, u) for c, u in rec["leaders"].items()},
+        )
+        for cluster in model.assignment.values():
+            if cluster not in model.leaders:
+                raise ValueError(f"cluster {cluster!r} has no leader")
 
     def ids(values) -> frozenset:
         return frozenset([share(v, v) for v in values])
 
-    sets = SocialSets(
-        network={share(u, u): ids(v) for u, v in sets_rec["network"].items()},
-        items={share(u, u): ids(v) for u, v in sets_rec["items"].items()},
-        taggers={
-            (share(entry["item"], entry["item"]), share(entry["tag"], entry["tag"])): ids(entry["users"])
-            for entry in sets_rec["taggers"]
-        },
-    )
-    del head, model_rec, sets_rec  # only what was built from them stays
-    # The first fault below a malformed list line: raised only once every
-    # list line is known to be well-formed.
-    fault = None
-    for cluster in model.assignment.values():
-        if cluster not in model.leaders:
-            fault = (model_no, f"cluster {cluster!r} has no leader")
-            break
-    lists = {}
-    for line_no, rec in records:
+    def sets_line(rec) -> None:
+        nonlocal sets
+        if not _all_fit([rec], _SETS_LINE):
+            raise ValueError("malformed sets line")
+        rec = rec["sets"]
+        sets = SocialSets(
+            network={share(u, u): ids(v) for u, v in rec["network"].items()},
+            items={share(u, u): ids(v) for u, v in rec["items"].items()},
+            taggers={
+                (share(entry["item"], entry["item"]), share(entry["tag"], entry["tag"])): ids(entry["users"])
+                for entry in rec["taggers"]
+            },
+        )
+
+    def list_line(rec) -> None:
         if not _fits_list_line(rec):
-            _raise_after(records, path, line_no, "malformed inverted list line")
-        if fault is not None:
-            continue
+            raise ValueError("malformed inverted list line")
         entries = rec["entries"]
         if rec["cluster"] not in model.leaders:
-            fault = (line_no, f"cluster {rec['cluster']!r} has no leader")
-        elif not _finite(map(itemgetter(1), entries)):
-            fault = (line_no, "list scores must be finite numbers")
-        elif not _ranked(entries):
-            fault = (line_no, "entries not sorted by score descending, then item id")
-        elif entries and entries[-1][1] < 0:  # ranked, so the last score is the lowest
-            fault = (line_no, "list scores must not be negative")
-        else:
-            pairs = []
-            for item, score in entries:
-                key = (item, score, type(score))
-                pair = kept(key)
-                if pair is None:
-                    pair = (share(item, item), score)
-                    if score:  # 0.0 and -0.0 are equal keys but save differently
-                        shared[key] = pair
-                pairs.append(pair)
-            lists[(share(rec["tag"], rec["tag"]), share(rec["cluster"], rec["cluster"]))] = tuple(pairs)
-    if fault is not None:
-        raise GraphFileError(path, *fault)
-    vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else sets.tags
+            raise ValueError(f"cluster {rec['cluster']!r} has no leader")
+        if not _finite(map(itemgetter(1), entries)):
+            raise ValueError("list scores must be finite numbers")
+        if not _ranked(entries):
+            raise ValueError("entries not sorted by score descending, then item id")
+        if entries and entries[-1][1] < 0:  # ranked, so the last score is the lowest
+            raise ValueError("list scores must not be negative")
+        pairs = []
+        for item, score in entries:
+            key = (item, score, type(score))
+            pair = kept(key)
+            if pair is None:
+                pair = (share(item, item), score)
+                if score:  # 0.0 and -0.0 are equal keys but save differently
+                    shared[key] = pair
+            pairs.append(pair)
+        lists[(share(rec["tag"], rec["tag"]), share(rec["cluster"], rec["cluster"]))] = tuple(pairs)
+
+    sections = iter((header_line, model_line, sets_line))
+    _read_jsonl(path, lambda rec: next(sections, list_line)(rec))
+    if sets is None:
+        raise GraphFileError(path, 1, "truncated index snapshot")
+    vocabulary = sets.tags if vocabulary is None else vocabulary
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
-
-
-def _raise_after(records, path: str, line_no: int, message: str):
-    """Raise GraphFileError at ``line_no`` once the rest of ``records`` is
-    decoded: invalid JSON on any line comes before every other fault."""
-    for _ in records:
-        pass
-    raise GraphFileError(path, line_no, message)
 
 
 def _finite(numbers) -> bool:

@@ -108,12 +108,33 @@ MUTANTS = (
         "done[node] = key, entry[1]",
         ("tests/test_long_plans.py",),
     ),
-    # io.load_index_snapshot's list checks
+    Mutant(
+        "a run ignores its own pending results",
+        "dsl",
+        "or fresh.get(node.graph, {}).get(key)",
+        "or None",
+        (PLAN_RULES,),
+    ),
+    # io's one reader, and load_index_snapshot's line checks
+    Mutant(
+        "a line's fault reported at line 1",
+        "io",
+        "raise GraphFileError(path, line_no, str(e)) from e",
+        "raise GraphFileError(path, 1, str(e)) from e",
+        ("tests/test_io.py", "tests/test_snapshot_fuzz.py", "tests/test_graph_fuzz.py"),
+    ),
+    Mutant(
+        "model leader check dropped",
+        "io",
+        "raise ValueError(f\"cluster {cluster!r} has no leader\")",
+        "pass",
+        ("tests/test_io.py", "tests/test_snapshot_fuzz.py"),
+    ),
     Mutant(
         "negative list scores accepted",
         "io",
-        "elif entries and entries[-1][1] < 0:",
-        "elif False:",
+        "if entries and entries[-1][1] < 0:",
+        "if False:",
         ("tests/test_io.py", "tests/test_snapshot_fuzz.py"),
     ),
     # io's loaders, keeping one object per distinct value

@@ -20,6 +20,7 @@ namespace is kept here too, for ``test_namespace.py``.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from bisect import insort
@@ -93,7 +94,7 @@ ACT = Condition(preds=(attr_eq("type", "act"),))
 MATCH = Condition(preds=(attr_eq("type", "match"),))
 DESTINATION = Condition(preds=(attr_eq("type", "destination"),))
 from socialgraph.index import ClusteredIndex, ClusterModel, SocialSets, social_sets
-from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _coerce_id, _graph_records, _read_jsonl
+from socialgraph.io import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _coerce_id
 from socialgraph.presentation import RESIDUAL, Explanation, ItemGroup, _label_from, _make_group
 
 
@@ -1053,44 +1054,63 @@ def exact(g) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# JSON-lines files, every line decoded and held before any is checked;
+# each loader then checks the held lines in file order.
+
+
+def _held_lines(path: str) -> list:
+    """(line number, record, fault) for each non-blank line of ``path``:
+    the decoded record and None, or None and the invalid-JSON message."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                out.append((line_no, json.loads(text), None))
+            except json.JSONDecodeError as e:
+                out.append((line_no, None, f"invalid JSON: {e.msg}"))
+            except RecursionError:
+                out.append((line_no, None, "invalid JSON: nested too deeply"))
+    return out
+
+
 # Graph files, loaded with fresh strings and value sets for every record.
 
 
-def _parse_attrs_unshared(path: str, line_no: int, record: dict) -> dict:
-    attrs = record.get("attrs", {})
-    if not isinstance(attrs, dict):
-        raise GraphFileError(path, line_no, "'attrs' must be an object")
-    try:
-        return attr_map(attrs)
-    except ValueError as e:
-        raise GraphFileError(path, line_no, str(e)) from e
+def _graph_fields(path: str, ends: tuple) -> list:
+    """Each record's id, its ``ends`` (``src`` and ``tgt`` for a link) and
+    its attribute map, checked in that order."""
+    out = []
+    for line_no, record, fault in _held_lines(path):
+        if fault is None and (not isinstance(record, dict) or "id" not in record):
+            fault = "records need an 'id' field"
+        if fault is None:
+            try:
+                ids = [_coerce_id(record["id"]), *(_coerce_id(record.get(end)) for end in ends)]
+                attrs = record.get("attrs", {})
+                if not isinstance(attrs, dict):
+                    raise ValueError("'attrs' must be an object")
+                out.append((*ids, attr_map(attrs)))
+            except ValueError as e:
+                fault = str(e)
+        if fault is not None:
+            raise GraphFileError(path, line_no, fault)
+    return out
 
 
 def load_graph_unshared(node_path: str, link_path: str):
     """``io.load_graph`` with no shared ids, names or value sets: each
     record holds the objects its own line decoded to."""
-    nodes = []
-    for line_no, record in _graph_records(node_path):
-        try:
-            nid = _coerce_id(record["id"])
-        except ValueError as e:
-            raise GraphFileError(node_path, line_no, str(e)) from e
-        nodes.append(Node(id=nid, attrs=_parse_attrs_unshared(node_path, line_no, record)))
-    links = []
-    for line_no, record in _graph_records(link_path):
-        try:
-            lid = _coerce_id(record["id"])
-            src = _coerce_id(record.get("src"))
-            tgt = _coerce_id(record.get("tgt"))
-        except ValueError as e:
-            raise GraphFileError(link_path, line_no, str(e)) from e
-        links.append(Link(id=lid, src=src, tgt=tgt, attrs=_parse_attrs_unshared(link_path, line_no, record)))
+    nodes = [Node(*fields) for fields in _graph_fields(node_path, ())]
+    links = [Link(*fields) for fields in _graph_fields(link_path, ("src", "tgt"))]
     return build_graph(nodes, links)
 
 
 # ---------------------------------------------------------------------------
-# Index snapshots, loaded whole: every line decoded and held, then each
-# section checked a column at a time across all its lines.
+# Index snapshots, each held line checked against its section's shape
+# by one generic ``_all_fit``, list lines included.
 
 # The exact JSON types each leaf shape admits; being exact, a boolean is
 # never a number.
@@ -1148,60 +1168,65 @@ def _ranked(entries: list) -> bool:
 
 
 def load_index_snapshot_held(path: str) -> ClusteredIndex:
-    """Read a snapshot written by save_index_snapshot. A line whose
+    """Read a snapshot written by save_index_snapshot, its lines held and
+    then checked in file order: the first faulty line raises. A line whose
     section, field or list entry is missing or mistyped, a list out of
     order, or a cluster without a leader that a user or list names raises
     GraphFileError with its line number, as does a score that is not
     finite or not within float range, or is negative; scores keep their
-    JSON type."""
-    lines = list(_read_jsonl(path))
-    if len(lines) < 3:
-        raise GraphFileError(path, 1, "truncated index snapshot")
-    head_no, header = lines[0]
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != SNAPSHOT_FORMAT
-        or header.get("version") != SNAPSHOT_VERSION
-    ):
-        raise GraphFileError(path, head_no, "not a recognized index snapshot")
-    if "vocabulary" in header and not _all_fit([header["vocabulary"]], [str]):
-        raise GraphFileError(path, head_no, "malformed vocabulary")
-    for what, shape, group in (
-        ("model", _MODEL_LINE, lines[1:2]),
-        ("sets", _SETS_LINE, lines[2:3]),
-        ("inverted list", _LIST_LINE, lines[3:]),
-    ):
-        if not _all_fit([record for _, record in group], shape):
-            line_no = next(n for n, record in group if not _all_fit([record], shape))
-            raise GraphFileError(path, line_no, f"malformed {what} line")
-    model_rec = lines[1][1]["model"]
-    sets_rec = lines[2][1]["sets"]
-    for cluster in model_rec["assignment"].values():
-        if cluster not in model_rec["leaders"]:
-            raise GraphFileError(path, lines[1][0], f"cluster {cluster!r} has no leader")
-    model = ClusterModel(
-        assignment=dict(model_rec["assignment"]), leaders=dict(model_rec["leaders"])
-    )
-    sets = SocialSets(
-        network={u: frozenset(v) for u, v in sets_rec["network"].items()},
-        items={u: frozenset(v) for u, v in sets_rec["items"].items()},
-        taggers={
-            (entry["item"], entry["tag"]): frozenset(entry["users"])
-            for entry in sets_rec["taggers"]
-        },
-    )
+    JSON type. A file that ends before its sets line is truncated, at
+    line 1."""
+    header = model = sets = None
     lists = {}
-    for line_no, rec in lines[3:]:
-        if rec["cluster"] not in model.leaders:
-            raise GraphFileError(path, line_no, f"cluster {rec['cluster']!r} has no leader")
-        entries = rec["entries"]
-        if not _finite(map(itemgetter(1), entries)):
-            raise GraphFileError(path, line_no, "list scores must be finite numbers")
-        if not _ranked(entries):
-            raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
-        if any(score < 0 for _, score in entries):
-            raise GraphFileError(path, line_no, "list scores must not be negative")
-        lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
+    for line_no, rec, fault in _held_lines(path):
+        if fault is not None:
+            raise GraphFileError(path, line_no, fault)
+        if header is None:
+            if (
+                not isinstance(rec, dict)
+                or rec.get("format") != SNAPSHOT_FORMAT
+                or rec.get("version") != SNAPSHOT_VERSION
+            ):
+                raise GraphFileError(path, line_no, "not a recognized index snapshot")
+            if "vocabulary" in rec and not _all_fit([rec["vocabulary"]], [str]):
+                raise GraphFileError(path, line_no, "malformed vocabulary")
+            header = rec
+        elif model is None:
+            if not _all_fit([rec], _MODEL_LINE):
+                raise GraphFileError(path, line_no, "malformed model line")
+            model = ClusterModel(
+                assignment=dict(rec["model"]["assignment"]), leaders=dict(rec["model"]["leaders"])
+            )
+            for cluster in model.assignment.values():
+                if cluster not in model.leaders:
+                    raise GraphFileError(path, line_no, f"cluster {cluster!r} has no leader")
+        elif sets is None:
+            if not _all_fit([rec], _SETS_LINE):
+                raise GraphFileError(path, line_no, "malformed sets line")
+            sets_rec = rec["sets"]
+            sets = SocialSets(
+                network={u: frozenset(v) for u, v in sets_rec["network"].items()},
+                items={u: frozenset(v) for u, v in sets_rec["items"].items()},
+                taggers={
+                    (entry["item"], entry["tag"]): frozenset(entry["users"])
+                    for entry in sets_rec["taggers"]
+                },
+            )
+        else:
+            if not _all_fit([rec], _LIST_LINE):
+                raise GraphFileError(path, line_no, "malformed inverted list line")
+            if rec["cluster"] not in model.leaders:
+                raise GraphFileError(path, line_no, f"cluster {rec['cluster']!r} has no leader")
+            entries = rec["entries"]
+            if not _finite(map(itemgetter(1), entries)):
+                raise GraphFileError(path, line_no, "list scores must be finite numbers")
+            if not _ranked(entries):
+                raise GraphFileError(path, line_no, "entries not sorted by score descending, then item id")
+            if any(score < 0 for _, score in entries):
+                raise GraphFileError(path, line_no, "list scores must not be negative")
+            lists[(rec["tag"], rec["cluster"])] = tuple((item, score) for item, score in entries)
+    if sets is None:
+        raise GraphFileError(path, 1, "truncated index snapshot")
     vocabulary = frozenset(header["vocabulary"]) if "vocabulary" in header else frozenset(tag for _, tag in sets.taggers)
     return ClusteredIndex(lists=lists, model=model, sets=sets, vocabulary=vocabulary)
 

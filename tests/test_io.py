@@ -296,6 +296,20 @@ def test_object_valued_attribute_rejected(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("value", [None, [None], ["x", None]], ids=["null", "null-in-array", "null-beside-a-string"])
+def test_null_attribute_value_rejected(tmp_path, value):
+    """Found by the graph loader fuzz: a null value was iterated as a set
+    and raised TypeError."""
+    np, lp = paths(tmp_path)
+    with open(np, "w") as fh:
+        fh.write(json.dumps({"id": "a", "attrs": {"type": "user"}}) + "\n")
+        fh.write(json.dumps({"id": "b", "attrs": {"type": "user", "x": value}}) + "\n")
+    open(lp, "w").close()
+    with pytest.raises(GraphFileError) as err:
+        load_graph(np, lp)
+    assert str(err.value) == f"{np}:2: unsupported attribute scalar: None"
+
+
 @pytest.mark.parametrize("which", ["nodes", "links"])
 @pytest.mark.parametrize("name", ["id", "src", "tgt"])
 def test_identity_field_as_an_attribute_rejected(tmp_path, which, name):
@@ -319,7 +333,8 @@ def test_json_nested_too_deeply_rejected(tmp_path, which):
     np, lp = paths(tmp_path)
     save_graph(jazz_fixture(), np, lp)
     path = str(tmp_path / "deep.jsonl")
-    first = {"id": "x", "src": "u1", "tgt": "u1", "attrs": {"type": "e"}}  # fits every file kind
+    # fits every file kind: a graph record, a scored item and a snapshot header
+    first = {"id": "x", "src": "u1", "tgt": "u1", "attrs": {"type": "e"}, "format": "socialgraph-index", "version": 1}
     Path(path).write_text(json.dumps(first) + "\n" + DEEP_JSON + "\n", encoding="utf-8")
     load = {
         "nodes": lambda: load_graph(path, lp),
@@ -382,6 +397,40 @@ def test_index_snapshot_rejects_a_user_in_a_cluster_without_leader(tmp_path):
     with pytest.raises(GraphFileError) as err:
         load_index_snapshot(path)
     assert str(err.value) == f"{path}:2: cluster 'ghost' has no leader"
+
+
+def _leaderless_model_then_a_malformed_list(records):
+    records[1]["model"]["assignment"]["u1"] = "ghost"
+    records[-1]["entries"].append("i1")
+    return records
+
+
+@pytest.mark.parametrize(
+    "edit, line, message",
+    [
+        (lambda rs: [{**rs[0], "format": "other"}, rs[1], "@", *rs[3:]], 1, "not a recognized index snapshot"),
+        (_leaderless_model_then_a_malformed_list, 2, "cluster 'ghost' has no leader"),
+        (lambda rs: [{**rs[0], "format": "other"}], 1, "not a recognized index snapshot"),
+    ],
+    ids=["bad-header-then-invalid-json", "leaderless-model-then-malformed-list", "one-line-bad-header"],
+)
+def test_index_snapshot_reports_its_first_faulty_line(tmp_path, edit, line, message):
+    """In a file with several faults, the first faulty line as read wins;
+    a file too short to hold its sets line is judged by the lines it has."""
+    path = _write_lines(tmp_path, edit(_jazz_snapshot_lines(tmp_path)))
+    text = Path(path).read_text(encoding="utf-8").replace('"@"\n', '{"sets":\n')
+    Path(path).write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFileError) as err:
+        load_index_snapshot(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_topk_reports_the_first_faulty_line_of_its_index(tmp_path):
+    path = _write_lines(tmp_path, _leaderless_model_then_a_malformed_list(_jazz_snapshot_lines(tmp_path)))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["topk", "--index", path, "--user", "u1", "--keywords", "jazz", "--k", "1"]
+    assert run_command(argv, out=out, err=err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {path}:2: cluster 'ghost' has no leader\n")
 
 
 def test_scored_items_load(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from reference import exact
+from reference import exact, run_as_written
 from script_corpus import COMBINED_SCRIPT, CORPUS, FORMS, read_script
 from socialgraph import dsl
 from socialgraph.discovery import (
@@ -64,7 +64,8 @@ LITERAL = {
     "combined": lambda text, user, theta: text.replace("USER", user).replace("0.1", repr(theta)),
 }
 SCRIPTS = {**{name: read_script(name) for name, _, _ in CORPUS}, "combined": COMBINED_SCRIPT}
-PLANS = {name: dsl.compile(dsl.parse(text)) for name, text in PARAM_SCRIPTS.items()}
+PROGRAMS = {name: dsl.parse(text) for name, text in PARAM_SCRIPTS.items()}
+PLANS = {name: dsl.compile(program) for name, program in PROGRAMS.items()}
 
 
 def travel_graphs() -> list:
@@ -227,3 +228,17 @@ class KeptState(RuleBasedStateMachine):
 
 TestKeptState = KeptState.TestCase
 TestKeptState.settings = settings(max_examples=40, stateful_step_count=12)
+
+
+def test_parameterised_runs_match_their_programs_as_written():
+    """A run reads the results it made itself, and a later run on the
+    same graph those an earlier one kept. A wrong key agrees with itself
+    on a fresh copy, so every run here is checked against its program as
+    written, which shares nothing between bindings."""
+    for g in travel_graphs():
+        for name, plan in PLANS.items():
+            for user in USERS:
+                for theta in THETAS:
+                    params = {**cf_params(user, theta), "places": dsl.parse_condition(PLACES[1])}
+                    want = outcome(run_as_written, PROGRAMS[name], {"G": copy(g)}, params)
+                    assert outcome(dsl.execute, plan, {"G": g}, params) == want, (name, user, theta)

@@ -761,22 +761,25 @@ def bound_key(node, params):
 
 @given(plans())
 @example(("B = lsel(G, [type='visit'])\nA = lsel(G, $c)\n", {"G": cf_fixture()}, {"c": VISIT}))
+@example(("A = lsel(G, $c)\nB = lsel(G, [type='visit'])\n", {"G": cf_fixture()}, {"c": VISIT}))
+@example(("A = lsel(G, $c)\nB = lsel(G, $d)\n", {"G": cf_fixture()}, {"c": VISIT, "d": VISIT}))
 def test_each_scheduled_operator_runs_at_most_once_per_execute(case):
     text, inputs, params = case
     plan = dsl.compile(dsl.parse(text))
     ops = [n for nodes in plan.schedule for n in nodes if n.kind != "input"]
     env = fresh(inputs)
     # On fresh graphs every operator runs, but a node whose bound key an
-    # earlier parameter-free node on one graph kept in the same run
-    # (lsel(G, $c) after lsel(G, [type='visit']), c being [type='visit'])
-    # reads that result. On the same graphs with the same params, a plan
-    # with params runs only the nodes that read more than one input graph.
+    # earlier node on one graph kept in the same run (lsel(G, $c) after
+    # lsel(G, [type='visit']) or the other way round, c being
+    # [type='visit']) reads that result. On the same graphs with the same
+    # params, a plan with params runs only the nodes that read more than
+    # one input graph.
     first, kept_keys = [], set()
     for n in ops:
         if bound_key(n, params) not in kept_keys:
             first.append(n)
-        if plan.params and n.source:
-            kept_keys.add(n.key)
+        if plan.params and n.graph:
+            kept_keys.add(bound_key(n, params))
     for runs in (first, [n for n in ops if not (plan.params and n.graph)]):
         want = Counter(dsl.OPS[n.kind][0] for n in runs)
         with counted_operators() as calls:
@@ -785,6 +788,21 @@ def test_each_scheduled_operator_runs_at_most_once_per_execute(case):
             assert not calls - want
             return
         assert calls == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A = lsel(G, $c)\nB = lsel(G, [type='visit'])\n", "A = lsel(G, $c)\nB = lsel(G, $d)\n"],
+    ids=["then-parameter-free", "then-another-parameter"],
+)
+def test_a_run_reads_the_bound_results_it_made(text):
+    """A parameterised result waits in its run until the run ends, and a
+    later node of the same value in that run reads it there."""
+    plan = dsl.compile(dsl.parse(text))
+    with counted_operators() as calls:
+        results = dsl.execute(plan, {"G": cf_fixture()}, {"c": VISIT, "d": VISIT})
+    assert calls == Counter(link_select=1)
+    assert results["A"] is results["B"]
 
 
 def test_the_semi_join_a_pushdown_replaces_never_runs():

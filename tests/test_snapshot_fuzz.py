@@ -9,7 +9,8 @@ zero score, ``0``, ``0.0`` or ``-0.0`` drawn for each; list entries out
 of order; clusters without a leader; a header vocabulary, well-formed or
 not; and one to three of these in one file. ``load_index_snapshot`` must give what
 ``load_index_snapshot_held`` in ``reference.py`` gives, the loader that
-decodes and holds every line before checking any: an equal index with
+decodes and holds every line before checking any, then checks them in
+file order with one shape per line, pairs included: an equal index with
 the same list order and the same ``repr`` of every score, which tells
 ``1`` from ``1.0`` and ``0.0`` from ``-0.0``, or the same
 ``GraphFileError`` (path, line and message).
