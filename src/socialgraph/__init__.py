@@ -7,8 +7,9 @@ network-aware clustered tag index with safe top-k pruning, and grouped,
 explained result presentation.
 
 The namespace is lazy (PEP 562): ``socialgraph.X`` imports the module
-that defines ``X`` on first access and then keeps the name here, so a
-program loads only the modules it uses.
+that defines ``X`` on first access and reads ``X`` from it on every
+access, so a program loads only the modules it uses and always sees the
+module's current binding.
 """
 
 from importlib import import_module
@@ -47,8 +48,7 @@ def __getattr__(name: str):
         return import_module(f"{__name__}.{name}")  # the import binds it here
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    return value
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
 
 
 def __dir__() -> list:

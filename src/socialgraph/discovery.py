@@ -209,14 +209,12 @@ def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     for other in mine:
         r = rating(g, user_id, other)
         for item, sim in sets.item_similarities(other).items():
+            if item in mine:
+                continue
             weight = sim * r
             if weight > best.get(item, 0.0):
                 best[item] = weight
-    scored = [
-        (item, score)
-        for item, score in best.items()
-        if item not in mine and "item" in g.nodes[item].attrs["type"]
-    ]
+    scored = [(item, score) for item, score in best.items() if "item" in g.nodes[item].attrs["type"]]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
 

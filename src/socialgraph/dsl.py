@@ -47,6 +47,9 @@ and ``execute`` substitutes the Condition ``params[NAME]`` when its node
 runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
+A reference names an earlier binding or an input graph; ``compile``
+rejects one to a later binding or its own (UnboundReferenceError).
+
 ``parse`` builds a Program, and ``compile`` folds it into a shared
 operator DAG in two steps. It interns the program on structural keys,
 so structurally equal subexpressions are merged, pushing every
@@ -437,20 +440,11 @@ class _Parser:
         return cond, self.parse_direction()
 
 
-def _references(expr) -> list:
-    if isinstance(expr, Ref):
-        return [expr.name]
-    out = []
-    for arg in expr.args:
-        if isinstance(arg, (Ref, OpCall)):
-            out.extend(_references(arg))
-    return out
-
-
 def parse(text: str) -> Program:
-    """Parse a script into a Program; errors carry line and column."""
+    """Parse a script into a Program; errors carry line and column. Names
+    are resolved by ``compile``."""
     stmts = []
-    defined: dict = {}
+    defined: set = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no)
         if tokens[0].kind == "EOL":
@@ -458,13 +452,8 @@ def parse(text: str) -> Program:
         name, expr = _Parser(tokens).parse_stmt()
         if name in defined:
             raise DuplicateBindingError(name, line_no)
-        defined[name] = len(stmts)
+        defined.add(name)
         stmts.append((name, expr))
-    # Bindings may only be referenced after their definition.
-    for idx, (_, expr) in enumerate(stmts):
-        for ref in _references(expr):
-            if ref in defined and defined[ref] >= idx:
-                raise UnboundReferenceError(ref)
     return Program(stmts=tuple(stmts))
 
 
@@ -546,13 +535,16 @@ def compile(program: Program, inputs=None) -> Plan:
     before parents. A key that no walk reaches, such as the semi-join a
     selection was pushed below, is never built or run.
 
-    Free names become input leaves. When ``inputs`` (a collection of
-    permitted input names) is given, any other free name raises
-    UnboundReference at compile time instead of at execution.
+    A reference names an earlier binding or an input: a later binding or
+    its own raises UnboundReferenceError, and any other name becomes an
+    input leaf. When ``inputs`` (a collection of permitted input names) is
+    given, any other input name raises it too, at compile time instead of
+    at execution.
     """
     keys: dict = {}  # key -> the one object of that key
     params_of: dict = {}  # key -> its operator call's parameters (an input's name)
     env: dict = {}  # binding name -> its key
+    unbound = {name for name, _ in program.stmts}  # bindings not built yet
     leaves: dict = {}  # input name -> its leaf's key, in first-use order
     param_names: list = []
 
@@ -596,6 +588,8 @@ def compile(program: Program, inputs=None) -> Plan:
         if isinstance(expr, Ref):
             if expr.name in env:
                 return env[expr.name]
+            if expr.name in unbound:
+                raise UnboundReferenceError(expr.name)
             if expr.name not in leaves:
                 if inputs is not None and expr.name not in inputs:
                     raise UnboundReferenceError(expr.name)
@@ -642,6 +636,7 @@ def compile(program: Program, inputs=None) -> Plan:
     bindings, schedule = [], []
     for name, expr in program.stmts:
         env[name] = build(expr)
+        unbound.discard(name)
         bindings.append((name, walk(env[name])))
         schedule.append(tuple(out))
         out.clear()

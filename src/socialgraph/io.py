@@ -55,21 +55,20 @@ def _coerce_id(value) -> str:
 
 def _read_jsonl(path: str, parse) -> None:
     """Hand each non-blank JSON line of ``path`` to ``parse``, in file
-    order. Invalid JSON, and a ValueError that ``parse`` raises, become a
-    GraphFileError at that line, so the first faulty line wins."""
+    order. Invalid JSON, an integer too long to decode, and a ValueError
+    that ``parse`` raises become a GraphFileError at that line, so the
+    first faulty line wins."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
                 continue
             try:
-                record = json.loads(text)
+                parse(json.loads(text))
             except json.JSONDecodeError as e:
                 raise GraphFileError(path, line_no, f"invalid JSON: {e.msg}") from e
             except RecursionError:
                 raise GraphFileError(path, line_no, "invalid JSON: nested too deeply") from None
-            try:
-                parse(record)
             except (ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
                 raise GraphFileError(path, line_no, str(e)) from e
 

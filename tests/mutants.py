@@ -69,6 +69,14 @@ MUTANTS = (
         "            out.insert(0, node)\n",
         (PLAN_RULES, "tests/test_dsl.py"),
     ),
+    # dsl.compile's name resolution
+    Mutant(
+        "a later binding read as an input leaf",
+        "dsl",
+        "            if expr.name in unbound:\n                raise UnboundReferenceError(expr.name)\n",
+        "",
+        ("tests/test_dsl.py",),
+    ),
     # dsl.execute's run keys and kept results
     Mutant(
         "a run key built from the children's compiled keys",
@@ -165,6 +173,14 @@ MUTANTS = (
         "values if 0.0 in values else share(values, values)",
         "share(values, values)",
         ("tests/test_io.py",),
+    ),
+    # discovery.content_recommend's walk over unseen items only
+    Mutant(
+        "acted items weighed and kept",
+        "discovery",
+        "            if item in mine:\n                continue\n",
+        "",
+        (DIFFERENTIAL,),
     ),
     # index.build_index's fold into nested buckets
     Mutant(

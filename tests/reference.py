@@ -1060,7 +1060,8 @@ def exact(g) -> tuple:
 
 def _held_lines(path: str) -> list:
     """(line number, record, fault) for each non-blank line of ``path``:
-    the decoded record and None, or None and the invalid-JSON message."""
+    the decoded record and None, or None and the message of the line's
+    invalid JSON or of an integer too long to decode."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -1071,6 +1072,8 @@ def _held_lines(path: str) -> list:
                 out.append((line_no, json.loads(text), None))
             except json.JSONDecodeError as e:
                 out.append((line_no, None, f"invalid JSON: {e.msg}"))
+            except ValueError as e:  # more digits than int() converts
+                out.append((line_no, None, str(e)))
             except RecursionError:
                 out.append((line_no, None, "invalid JSON: nested too deeply"))
     return out

@@ -332,6 +332,9 @@ def write_malformed_inputs(directory) -> dict:
     with open(p("hugeint.nodes"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
         fh.write('{"id": "u1", "attrs": {"type": "user", "w": 1' + "0" * 400 + "}}\n")
+    with open(p("longint.nodes"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in nodes[1:])
+        fh.write('{"id": "u1", "attrs": {"type": "user", "w": ' + TOO_LONG + "}}\n")
     # node x stores user u's id as an attribute, which no graph file may hold
     found = {
         "found.nodes": [{"id": "u", "attrs": {"type": "user"}}, {"id": "x", "attrs": {"type": "user", "id": "u"}},
@@ -362,7 +365,7 @@ def write_malformed_inputs(directory) -> dict:
             fh.write(text + "\n")
     return {"nodes": np, "links": lp, **{name: p(name) for name in (
         "jazz.snap", "nomodel.snap", "ghost.snap", "badscore.snap", "nanscore.snap", *extra, "objattr.nodes", "jazz.items",
-        "empty.items",
+        "empty.items", "longint.nodes",
         "never.snap",
         "overflow.sgs", "anydiff.sgs", "chainpos.sgs", "users.sgs", "param.sgs", "naggr_id.sgs", "hugeint.nodes", *bad_items,
         *found, "listattrs.nodes", "short.snap", "deep.nodes", "deep.items", "deep.snap", *scripts,
@@ -371,6 +374,7 @@ def write_malformed_inputs(directory) -> dict:
 
 ESTIMATE_ARGS = ["--users", "10", "--items", "10", "--tags-per-item", "1", "--tagger-fraction", "0.5", "--bytes", "1"]
 HUGE = "1" + "0" * 400  # an int beyond float range
+TOO_LONG = "1" + "0" * 5000  # more digits than int() converts from a string
 MALFORMED = [
     ("object-valued attribute", ["recommend", "--nodes", "objattr.nodes", "--links", "links", "--user", "u1"]),
     ("snapshot without model", ["topk", "--index", "nomodel.snap", "--user", "u1", "--keywords", "jazz"]),
@@ -427,6 +431,8 @@ MALFORMED = [
     ),
     ("integer attribute beyond float range", ["recommend", "--nodes", "hugeint.nodes", "--links", "links",
                                               "--user", "u1"]),
+    ("integer attribute of 5,001 digits", ["query", "--nodes", "longint.nodes", "--links", "links",
+                                           "--script", "users.sgs"]),
     *(
         (f"{' '.join(argv)} --k {k}", [argv[0], "--nodes", "nodes", "--links", "links",
                                        "--user", "u1", *argv[1:], "--k", k])
@@ -541,6 +547,16 @@ ERROR_LINES = {
 }
 
 
+def _too_long_message() -> str | None:
+    """The message of int()'s limit on the digits it converts from a
+    string, which names the limit and the number's digits."""
+    try:
+        int(TOO_LONG)
+    except ValueError as e:
+        return str(e)
+    return None  # a Python without the limit
+
+
 # Malformed files: the file, its line and the message of each error line.
 FILE_ERROR_LINES = {
     "recommend on a node storing 'id'": ("found.nodes", 2, "'id' is an identity field, not an attribute name"),
@@ -551,6 +567,7 @@ FILE_ERROR_LINES = {
     "snapshot nested too deeply": ("deep.snap", 5, "invalid JSON: nested too deeply"),
     "node attrs not an object": ("listattrs.nodes", 4, "'attrs' must be an object"),
     "snapshot of two lines": ("short.snap", 1, "truncated index snapshot"),
+    "integer attribute of 5,001 digits": ("longint.nodes", 4, _too_long_message()),
 }
 
 

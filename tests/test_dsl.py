@@ -1,4 +1,6 @@
+import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from script_corpus import CORPUS, read_script
 from socialgraph import algebra, dsl
 from socialgraph.algebra import SetOpKind
 from socialgraph.discovery import CF_SCRIPT, SEARCH_SCRIPT
-from socialgraph.dsl import OpCall, Param, Ref, compile, execute, parse, parse_condition
+from socialgraph.dsl import OpCall, Param, Program, Ref, compile, execute, parse, parse_condition
 from socialgraph.errors import (
     DslSyntaxError,
     DuplicateBindingError,
@@ -17,7 +19,7 @@ from socialgraph.errors import (
     UnboundReferenceError,
     UnknownOperatorError,
 )
-from socialgraph.fixtures import cf_fixture, rng_from
+from socialgraph.fixtures import cf_fixture, random_travel_graph, rng_from
 from socialgraph.aggfn import COUNT
 from socialgraph.graph import Condition, StructPredicate, attr_eq, attr_gt, build_graph, link, node
 
@@ -74,9 +76,40 @@ def test_unknown_operator():
 
 
 def test_forward_reference_rejected():
+    program = parse("A = union(B, B)\nB = nsel(G, [])")
+    assert program.stmts[0] == ("A", OpCall("union", (Ref("B"), Ref("B"))))
     with pytest.raises(UnboundReferenceError) as err:
-        parse("A = union(B, B)\nB = nsel(G, [])")
+        compile(program)
     assert err.value.name == "B"
+
+
+USERS = parse_condition("[type='user']")
+
+
+@pytest.mark.parametrize(
+    "stmts, name",
+    [
+        ((("A", Ref("B")), ("B", OpCall("nsel", (Ref("G"), USERS)))), "B"),
+        ((("A", OpCall("nsel", (Ref("A"), USERS))),), "A"),
+    ],
+    ids=["later binding", "own binding"],
+)
+def test_hand_built_program_reads_no_later_binding_as_an_input(stmts, name):
+    """A binding of the program is never an input leaf, even where an
+    input of that name is given."""
+    with pytest.raises(UnboundReferenceError) as err:
+        compile(Program(stmts))
+    assert err.value.name == name
+    with pytest.raises(UnboundReferenceError):
+        compile(Program(stmts), inputs={"A", "B", "G"})
+
+
+def test_forward_reference_fails_before_any_binding_runs():
+    """A would fail at execution (no input H), but the later reference
+    in B is rejected first."""
+    with pytest.raises(UnboundReferenceError) as err:
+        dsl.run_script("A = nsel(H, [])\nB = union(C, C)\nC = nsel(G, [])", {"G": cf_fixture()})
+    assert err.value.name == "C" and str(err.value) == "unbound graph reference: 'C'"
 
 
 def test_parse_condition_forms():
@@ -440,3 +473,91 @@ def test_a_chain_position_on_a_one_step_path_matches_link_rows():
     with pytest.raises(ExecutionError) as err:
         dsl.run_script("P = paggr(G, path([type='visit']@src), {x: set(tgt@3)})", {"G": g})
     assert str(err.value) == "while evaluating 'P': chain has no step 3 (attribute 'tgt')"
+
+
+# ---------------------------------------------------------------------------
+# Boundary fuzz: corpus scripts with spans inserted, deleted or copied.
+# A span copied ahead of its own line reads a later binding, which
+# ``compile`` must reject.
+
+FRAGMENTS = ("(", ")", ",", "\n", " = ", "G", "X", "[]", "[type='visit']", "$x", "nsel(", "union(", "'", "#")
+# A name, number, string or other character, with the blanks around it
+# up to the end of its line.
+PIECE = re.compile(r"\s*(?:[\w.@]+|'[^'\n]*'|\S)[^\S\n]*\n?")
+
+
+def edited(rng, text: str) -> str:
+    """``text`` after one or two edits of its pieces (``PIECE``): a
+    fragment inserted, a span of one to three pieces deleted, or such a
+    span copied over as many pieces elsewhere. A name copied over one
+    that comes before its binding reads a later binding."""
+    pieces = PIECE.findall(text)
+    for _ in range(rng.randint(1, 2)):
+        i, at, n = rng.randint(0, len(pieces)), rng.randint(0, len(pieces)), rng.choice((1, 1, 1, 2, 3))
+        kind = rng.choice(("insert", "delete", "copy"))
+        if kind == "insert":
+            pieces[at:at] = [rng.choice(FRAGMENTS)]
+        elif kind == "delete":
+            del pieces[i : i + n]
+        else:
+            span = pieces[i : i + n]
+            pieces[at : at + len(span)] = span
+    return "".join(pieces)
+
+
+def read_names(expr) -> list:
+    """The names an expression reads, in reading order."""
+    if isinstance(expr, Ref):
+        return [expr.name]
+    return [name for arg in expr.args if isinstance(arg, (Ref, OpCall)) for name in read_names(arg)]
+
+
+def first_forward_reference(program):
+    """The first name, statement by statement in reading order, that a
+    statement reads and that it or a later statement binds, or None."""
+    bound_at = {name: i for i, (name, _) in enumerate(program.stmts)}
+    for i, (_, expr) in enumerate(program.stmts):
+        for name in read_names(expr):
+            if bound_at.get(name, -1) >= i:
+                return name
+    return None
+
+
+def outcome(run, *args) -> tuple:
+    """The results of a run, or the SocialGraphError it raised; any other
+    error fails the test."""
+    try:
+        return "ok", run(*args)
+    except SocialGraphError as e:
+        return "error", type(e).__name__, str(e)
+
+
+def staged(text: str, inputs: dict) -> tuple:
+    """``text`` run through parse, compile and execute, one at a time,
+    with a forward reference checked against ``first_forward_reference``."""
+    parsed = outcome(parse, text)
+    if parsed[0] != "ok":
+        return parsed
+    program = parsed[1]
+    forward = first_forward_reference(program)
+    got = outcome(lambda: execute(compile(program), inputs))
+    if forward is not None:
+        assert got == ("error", "UnboundReferenceError", str(UnboundReferenceError(forward))), text
+    return got
+
+
+def test_edited_corpus_scripts_give_results_or_a_typed_error():
+    """10,000 edited corpus scripts, each run in stages and by
+    ``run_script`` on 6 x 8 travel graphs: both give the same results or
+    the same SocialGraphError, and every kind of outcome occurs."""
+    g1, g2 = (random_travel_graph(rng_from(seed), 6, 8) for seed in (5, 6))
+    inputs = {"G": g1, "G1": g1, "G2": g2}
+    texts = [read_script(name) for name, _, _ in CORPUS]
+    rng = rng_from(31)
+    kinds = Counter()
+    for _ in range(10_000):
+        text = edited(rng, rng.choice(texts))
+        got = staged(text, inputs)
+        assert got == outcome(dsl.run_script, text, inputs), text
+        kinds[got[0] if got[0] == "ok" else got[1]] += 1
+    assert min(kinds[kind] for kind in ("ok", "DslSyntaxError", "UnboundReferenceError", "ExecutionError")) >= 10, kinds

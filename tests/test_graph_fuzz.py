@@ -5,7 +5,8 @@ graph holding ``0.0`` and ``-0.0`` values) are mutated the ways a file
 goes wrong: lines dropped, duplicated, swapped or blank; the file
 truncated; a line of invalid JSON, or nested too deeply; a field retyped
 or deleted anywhere in a line; an id or value that is NaN, infinite,
-beyond float range (``1e400`` or ``10**400``), boolean or an object; an
+beyond float range (``1e400`` or ``10**400``), an integer of more digits
+than Python converts (5,001), boolean or an object; an
 attribute named ``id``, ``src`` or ``tgt``; a duplicate id; a dangling
 link end; a missing ``type``; and one to three of these in one pair of
 files. ``load_graph`` must give what ``load_graph_unshared`` in
@@ -63,7 +64,7 @@ def saved(tmp) -> tuple:
 
 # Stand-ins written as text after encoding: JSON numbers json.dumps
 # cannot write.
-LITERALS = {"@1e400@": "1e400", "@-1e400@": "-1e400"}
+LITERALS = {"@1e400@": "1e400", "@-1e400@": "-1e400", "@huge@": "1" + "0" * 5000}
 BAD = (math.nan, math.inf, -math.inf, *LITERALS, 10**400, True, False, {}, {"a": 1}, None)
 ODD = (None, True, 0, 2, -1.5, "x", "", [], {}, ["a", 2], [["a"]], {"type": "user"})
 KINDS = (
@@ -75,7 +76,7 @@ KINDS = (
 def _record(line):
     try:
         return json.loads(line)
-    except (json.JSONDecodeError, RecursionError):  # invalid, or nested too deeply
+    except (ValueError, RecursionError):  # invalid, an integer too long, or nested too deeply
         return None
 
 

@@ -242,3 +242,16 @@ def test_parameterised_runs_match_their_programs_as_written():
                     params = {**cf_params(user, theta), "places": dsl.parse_condition(PLACES[1])}
                     want = outcome(run_as_written, PROGRAMS[name], {"G": copy(g)}, params)
                     assert outcome(dsl.execute, plan, {"G": g}, params) == want, (name, user, theta)
+
+
+def test_a_run_replaces_the_bound_results_of_the_one_before():
+    """CF served to two users on one graph leaves the second run's bound
+    results only, as on a graph that served the second user alone."""
+    g = travel_graphs()[0]
+    alone = copy(g)
+    cfg = DiscoveryConfig(sim_threshold=0.0)
+    cf_recommend(g, "u00", cfg)
+    first = set(bound(g))
+    cf_recommend(g, "u01", cfg)
+    cf_recommend(alone, "u01", cfg)
+    assert first - bound(g).keys() and bound(g).keys() == bound(alone).keys()

@@ -73,3 +73,15 @@ def test_a_module_loads_on_first_use_of_one_of_its_names():
     assert bare == []
     assert after_jaccard == ["socialgraph.aggfn", "socialgraph.errors"]
     assert after_topk == [*after_jaccard, "socialgraph.index"]
+
+
+def test_a_name_follows_its_defining_modules_binding(monkeypatch):
+    """The namespace reads a name from its module on every access, so a
+    rebinding there (a monkeypatch, a tracer's wrapper) and its undo are
+    both seen, also after the name was first read."""
+    original = socialgraph.compose
+    stand_in = object()
+    with monkeypatch.context() as patch:
+        patch.setattr(socialgraph.algebra, "compose", stand_in)
+        assert socialgraph.compose is stand_in
+    assert socialgraph.compose is original is socialgraph.algebra.compose

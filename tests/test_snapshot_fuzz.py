@@ -3,7 +3,8 @@
 Real snapshots are mutated the ways a file goes wrong: lines dropped,
 duplicated, swapped or blank; the file truncated; a line of invalid
 JSON; a field mistyped or deleted anywhere in a line; a score that is
-NaN, infinite, beyond float range, boolean or negative; a list whose
+NaN, infinite, beyond float range, an integer of more digits than
+Python converts (5,001), boolean or negative; a list whose
 lowest score is negative; one item appended to every list with a valid
 zero score, ``0``, ``0.0`` or ``-0.0`` drawn for each; list entries out
 of order; clusters without a leader; a header vocabulary, well-formed or
@@ -55,8 +56,9 @@ def snapshots(tmp) -> tuple:
 
 
 BIG = 10**400  # an int beyond float range
+HUGE = "@huge@"  # written as a 5,001-digit int, which json.dumps cannot write
 ODD = (None, True, False, 0, 2, -1.5, 0.25, "x", "ghost", "", [], {}, ["i0", 2], [["i0", 2]])
-BAD_SCORES = (math.nan, math.inf, -math.inf, BIG, True, False, "1", None, -1, -0.5)
+BAD_SCORES = (HUGE, math.nan, math.inf, -math.inf, BIG, True, False, "1", None, -1, -0.5)
 KINDS = (
     "drop", "dup", "swap", "blank", "truncate", "invalid",
     "retype", "delete", "score", "negative", "zero", "unrank", "leaderless", "vocabulary",
@@ -68,8 +70,12 @@ VOCABULARIES = (["jazz"], [], ["tag00", "tag01", "tag02"], "jazz", [1], [["jazz"
 def _record(line):
     try:
         return json.loads(line)
-    except (json.JSONDecodeError, RecursionError):  # invalid, or nested too deeply
+    except (ValueError, RecursionError):  # invalid, an integer too long, or nested too deeply
         return None
+
+
+def _encode(record) -> str:
+    return json.dumps(record).replace(json.dumps(HUGE), "1" + "0" * 5000)
 
 
 def _inside(draw, record):
@@ -153,7 +159,7 @@ def _mutate(draw, lines: list, kind: str) -> list:
             model["assignment"][draw(st.sampled_from(sorted(model["assignment"])))] = "ghost"
         elif isinstance(model.get("leaders"), dict) and model["leaders"]:
             del model["leaders"][draw(st.sampled_from(sorted(model["leaders"])))]
-    return lines[:i] + [json.dumps(record)] + lines[i + 1 :]
+    return lines[:i] + [_encode(record)] + lines[i + 1 :]
 
 
 @st.composite
