@@ -389,10 +389,11 @@ def _compile_output(name: str, expr) -> Callable:
         fn = lambda l1, l2, n1, n2: frozenset({jaccard(a(l1, l2, n1, n2), b(l1, l2, n1, n2))})
     if any(side.endswith("link") for side in sides):
         return fn
-    nodes, memo = [_SIDE_ELEMENTS[side] for side in sides], {}
+    # an output of one node reads it twice: keyed (id, id), it is still kept per id
+    first, last, memo = _SIDE_ELEMENTS[sides[0]], _SIDE_ELEMENTS[sides[-1]], {}
 
     def once(l1, l2, n1, n2):
-        key = tuple([node(l1, l2, n1, n2).id for node in nodes])
+        key = (first(l1, l2, n1, n2).id, last(l1, l2, n1, n2).id)
         if key not in memo:
             memo[key] = fn(l1, l2, n1, n2)
         return memo[key]
@@ -406,6 +407,16 @@ def compile_composition(f: CompositionFn) -> Callable:
     outputs see the pair (l1, l2) as a collection of links. Outputs reading only
     nodes are kept per node id tuple: compile once per ``compose`` call."""
     outputs = [(name, _compile_output(name, expr)) for name, expr in f.outputs]
+    if len(outputs) == 1:
+        ((name, fn),) = outputs
+
+        def attribute(l1, l2, nodes1, nodes2):
+            v = fn(l1, l2, nodes1, nodes2)
+            if v is None:
+                raise CompositionFnError("composition function produced no attributes")
+            return {name: v}
+
+        return attribute
 
     def attributes(l1, l2, nodes1, nodes2):
         out = {name: v for name, fn in outputs if (v := fn(l1, l2, nodes1, nodes2)) is not None}

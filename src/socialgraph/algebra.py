@@ -127,11 +127,12 @@ def link_select(
 def _induced(g: SocialContentGraph, links: list) -> SocialContentGraph:
     """The graph of ``links``, all of ``g``, and their endpoints in ``g``:
     well-formed because ``g`` is."""
-    nodes = {}
+    nodes, g_nodes = {}, g.nodes
     for l in links:
-        for nid in (l.src, l.tgt):
-            if nid not in nodes:
-                nodes[nid] = g.nodes[nid]
+        if l.src not in nodes:
+            nodes[l.src] = g_nodes[l.src]
+        if l.tgt not in nodes:
+            nodes[l.tgt] = g_nodes[l.tgt]
     return SocialContentGraph(nodes, {l.id: l for l in links})
 
 
@@ -231,14 +232,14 @@ def compose(
     # Hash join: g2 links bucketed by their d2 endpoint in g2 order, so
     # the g1-outer loop yields pairs in nested-loop order.
     buckets = links_by(g2.links.values(), delta.d2)
-    attributes = compile_composition(f)
+    attributes, composed = compile_composition(f), frozenset({"composed"})
     for l1 in g1.links.values():
         u = far1(l1)
         for l2 in buckets.get(end1(l1), ()):
             v = far2(l2)
             attrs = attributes(l1, l2, g1.nodes, g2.nodes)
             if "type" not in attrs:
-                attrs["type"] = frozenset({"composed"})
+                attrs["type"] = composed
             links.append(Link(f"gen:compose:{l1.id}:{l2.id}", u, v, attrs))
             for nid, n in ((u, g1.nodes[u]), (v, g2.nodes[v])):
                 if nid not in nodes:

@@ -197,9 +197,10 @@ def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     items. Returns at most k positive (item, score) pairs.
 
     Only an item that shares a tagger with an acted item has positive
-    evidence, so each acted item reaches its candidates, with their
-    similarities, through the taggers' postings (``item_similarities``)
-    instead of computing one similarity per (item, acted item) pair."""
+    evidence, so each acted item reaches its unseen candidates, with
+    their similarities, through the taggers' postings (``item_similarities``
+    without the acted items) instead of computing one similarity per
+    (item, acted item) pair."""
     if k < 1:
         raise ValueError("k must be at least 1")
     _require_user(g, user_id)
@@ -208,9 +209,7 @@ def content_recommend(g: SocialContentGraph, user_id: str, k: int) -> list:
     best: dict = {}
     for other in mine:
         r = rating(g, user_id, other)
-        for item, sim in sets.item_similarities(other).items():
-            if item in mine:
-                continue
+        for item, sim in sets._similarities(other, mine).items():
             weight = sim * r
             if weight > best.get(item, 0.0):
                 best[item] = weight

@@ -14,6 +14,11 @@ attributes, and ``node``, ``link`` and ``io.load_graph`` reject an
 attribute map that holds one. ``build_graph`` does not check this, as it
 does not check value types: directly constructed ``Node``/``Link``
 objects are trusted.
+
+Elements are immutable too, so each keeps its keyword tokens once they
+are first read (``tokens``), as a graph keeps its ``out_links``. An
+operator that changes attributes builds a new element (``replace``, a
+merge), which tokenizes afresh.
 """
 
 from __future__ import annotations
@@ -83,12 +88,23 @@ def sorted_values(values: AttrValue) -> list:
     return sorted(values, key=scalar_sort_key)
 
 
+def _tokenize(element) -> frozenset:
+    toks = set()
+    for values in element.attrs.values():
+        for v in values:
+            if isinstance(v, str):
+                toks.update(t for t in _TOKEN_SPLIT.split(v.lower()) if t)
+    return frozenset(toks)
+
+
 @dataclass(frozen=True)
 class Node:
     """A graph node: opaque string id plus attribute map."""
 
     id: str
     attrs: dict
+
+    tokens = cached_property(_tokenize)  # kept on each node: see element_tokens
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,8 @@ class Link:
     src: str
     tgt: str
     attrs: dict
+
+    tokens = cached_property(_tokenize)  # kept on each link, as on a node
 
 
 Element = Union[Node, Link]
@@ -267,13 +285,9 @@ def _scalar_token(v: Scalar) -> str:
 
 def element_tokens(element: Element) -> frozenset:
     """Lowercase tokens of every string attribute value, split on
-    non-alphanumeric characters."""
-    toks = set()
-    for values in element.attrs.values():
-        for v in values:
-            if isinstance(v, str):
-                toks.update(t for t in _TOKEN_SPLIT.split(v.lower()) if t)
-    return frozenset(toks)
+    non-alphanumeric characters; read once per element and kept on it,
+    which is sound only because elements are never mutated."""
+    return element.tokens
 
 
 def is_token(word: str) -> bool:
@@ -300,7 +314,7 @@ def compile_condition(condition: Condition) -> Callable[[Element], bool]:
     tests = [_compile_pred(p) for p in condition.preds]
     if condition.keywords:
         keywords = condition.keywords
-        tests.append(lambda e: not element_tokens(e).isdisjoint(keywords))
+        tests.append(lambda e: not e.tokens.isdisjoint(keywords))
     if len(tests) == 1:
         return tests[0]
     return lambda e: all(t(e) for t in tests)
@@ -315,6 +329,8 @@ def _compile_pred(pred: StructPredicate) -> Callable[[Element], bool]:
         test = frozenset(pred.operands).issubset
     elif op == "=":  # a str never equals a float
         operand = pred.operands[0]
+        if attr not in IDENTITY_FIELDS:  # the most common selection, one call per element
+            return lambda e: operand in e.attrs.get(attr, ())
         test = lambda values: operand in values
     else:
         operand, compare, is_str = pred.operands[0], _COMPARISONS[op], isinstance(pred.operands[0], str)

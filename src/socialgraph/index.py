@@ -54,9 +54,15 @@ class SocialSets:
         overlap c is counted through the tagger -> items postings, and c
         over |taggers(item)| + |taggers(i)| - c are the two ints
         ``jaccard`` divides, so each value is bit-identical to it."""
+        return self._similarities(item, _EMPTY)
+
+    def _similarities(self, item: str, skip) -> dict:
+        """``item_similarities`` without the items of ``skip``, which are
+        dropped before any division."""
         mine, taggers = self.all_taggers(item), self._item_taggers
         n = len(mine)
-        return {i: c / (n + len(taggers[i]) - c) for i, c in _overlaps(mine, self._tagged_items).items()}
+        counts = _overlaps(mine, self._tagged_items)
+        return {i: c / (n + len(taggers[i]) - c) for i, c in counts.items() if i not in skip}
 
     @cached_property
     def _item_taggers(self) -> dict:

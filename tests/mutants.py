@@ -174,12 +174,63 @@ MUTANTS = (
         "share(values, values)",
         ("tests/test_io.py",),
     ),
-    # discovery.content_recommend's walk over unseen items only
+    # discovery.content_recommend's walk over unseen items only, which
+    # SocialSets._similarities drops before dividing
     Mutant(
         "acted items weighed and kept",
-        "discovery",
-        "            if item in mine:\n                continue\n",
+        "index",
+        "for i, c in counts.items() if i not in skip}",
+        "for i, c in counts.items()}",
+        (DIFFERENTIAL,),
+    ),
+    # the algebra's per-element paths, one call deep
+    Mutant(
+        "an equality read of an absent attribute raising",
+        "graph",
+        "return lambda e: operand in e.attrs.get(attr, ())",
+        "return lambda e: operand in e.attrs[attr]",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "tokens kept on the class instead of on each element",
+        "graph",
+        "    tokens = cached_property(_tokenize)  # kept on each node: see element_tokens\n",
+        "    _kept = {}\n    tokens = property(lambda e: Node._kept.setdefault(\"tokens\", _tokenize(e)))\n",
+        (DIFFERENTIAL, KEPT_STATE),
+    ),
+    Mutant(
+        "the merge shortcut ignoring a multi-valued score",
+        "algebra",
+        "if b is a and len(a.attrs.get(\"score\", ())) < 2:",
+        "if b is a:",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "a side read returning None for a missing attribute",
+        "aggfn",
+        "        if v is None:\n            raise CompositionFnError(f\"{side} element",
+        "        if v is None:\n            return None\n            raise CompositionFnError(f\"{side} element",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "an output of two nodes kept per the first one's id",
+        "aggfn",
+        "key = (first(l1, l2, n1, n2).id, last(l1, l2, n1, n2).id)",
+        "key = (first(l1, l2, n1, n2).id,)",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "a single output that produced nothing kept as None",
+        "aggfn",
+        "            if v is None:\n                raise CompositionFnError(\"composition function produced no attributes\")\n",
         "",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "a numeric read taking the first of a multi-valued set",
+        "aggfn",
+        "        if v is not None and len(v) == 1:\n            (value,) = v\n",
+        "        if v is not None:\n            value = next(iter(v))\n",
         (DIFFERENTIAL,),
     ),
     # index.build_index's fold into nested buckets

@@ -84,7 +84,6 @@ from socialgraph.graph import (
     attr_ne,
     build_graph,
     default_keyword_score,
-    element_tokens,
     opposite,
     sorted_values,
 )
@@ -346,6 +345,25 @@ def pred_holds(element, pred) -> bool:
     return any(_compare(v, pred.op, operand) for v in values)
 
 
+def tokens_scan(element) -> frozenset:
+    """The element's keyword tokens, read afresh at each call: the
+    maximal runs of letters and digits (``str.isalnum``) of each
+    lowercased string value, written apart from ``graph``'s split
+    pattern and the tokens an element keeps."""
+    toks = set()
+    for values in element.attrs.values():
+        for v in values:
+            if isinstance(v, str):
+                word = ""
+                for ch in v.lower() + " ":
+                    if ch.isalnum():
+                        word += ch
+                    elif word:
+                        toks.add(word)
+                        word = ""
+    return frozenset(toks)
+
+
 def satisfies(element, condition) -> bool:
     """The condition interpreter: True iff every structural predicate
     holds and, when keywords are present, at least one keyword matches a
@@ -353,7 +371,7 @@ def satisfies(element, condition) -> bool:
     if not all(pred_holds(element, p) for p in condition.preds):
         return False
     if condition.keywords:
-        toks = element_tokens(element)
+        toks = tokens_scan(element)
         return any(k in toks for k in condition.keywords)
     return True
 

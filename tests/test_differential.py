@@ -258,7 +258,10 @@ def test_equality_on_floats_and_multivalued_types():
         [Node("a", {"type": frozenset({"user", "item"}), "w": frozenset({1.0, "1.0"})})],
         [Link("l", "a", "a", {"type": frozenset({"act", "visit"}), "w": frozenset({0.5})})],
     )
-    for attr, operand in (("type", "item"), ("type", "visit"), ("w", 1.0), ("w", "1.0"), ("w", 0.5), ("w", "0.5")):
+    cases = (("type", "item"), ("type", "visit"), ("w", 1.0), ("w", "1.0"), ("w", 0.5), ("w", "0.5"))
+    # a float against string values, and an attribute no element has
+    cases += (("type", 1.0), ("type", 0.5), ("missing", "item"), ("missing", 1.0))
+    for attr, operand in cases:
         check_condition(g, Condition(preds=(StructPredicate(attr, "=", (operand,)),)))
 
 
@@ -300,6 +303,13 @@ def test_contains_all_needs_every_operand(attr):
 @pytest.mark.parametrize("keywords", [("jazz",), ("jazz", "nothing"), ("nothing", "blues"), ("club",), ("nothing",)])
 def test_keyword_conditions_need_one_matching_keyword(keywords):
     check_condition(MIXED, Condition(keywords=keywords))
+
+
+@pytest.mark.parametrize("g", [MIXED, *fixture_graphs()])
+def test_the_empty_condition_holds_for_every_element(g):
+    """``[]`` under every scan, ``laggr`` included, where the drawn
+    conditions reach it only by chance."""
+    check_condition(g, Condition())
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +392,21 @@ def check_set_ops(operand_pairs):
             assert fast == slow
             if fast[0] != "error":
                 assert exact(fast[0]) == exact(slow[0])
+
+
+def test_set_ops_merge_a_shared_element_whose_score_holds_two_floats():
+    """One object on both sides is still merged when its ``score`` holds
+    two floats, which merging collapses to their maximum; with one score
+    it is kept as it is."""
+    two, one = frozenset({0.5, 1.0}), frozenset({0.5})
+    g = build_graph(
+        [Node("a", {"type": frozenset({"user"}), "score": two}), Node("b", {"type": frozenset({"item"}), "score": one})],
+        [Link("l", "a", "b", {"type": frozenset({"visit"}), "score": frozenset({2.0, -1.5})})],
+    )
+    check_set_ops(((g, g),))
+    union = set_op(SetOpKind.UNION, g, g)
+    assert union.nodes["a"].attrs["score"] == frozenset({1.0}) and union.links["l"].attrs["score"] == frozenset({2.0})
+    assert union.nodes["b"] is g.nodes["b"]
 
 
 # One id pool for nodes and links, so that a node id of one graph may be
@@ -482,6 +507,12 @@ def value_outcome(fn, *args):
 @example(CopyAny("tgt"), [Link("a", "n0", "n2", W), Link("b", "n1", "n2", W)])
 @example(CopyAny("src"), [Link("b", "n1", "n2", W), Link("a", "n0", "n2", W)])
 @example(SumOver(ProdOver(Arith("+", ONE, SumOver(SumOver(ONE))))), [Link("a", "n0", "n2", W)])
+@example(avg_of("w"), [Link("a", "n0", "n2", W), Link("b", "n0", "n2", {**W, "w": frozenset({0.5, 2.0})})])
+@example(avg_of("w"), [Link("a", "n0", "n2", W), Link("b", "n0", "n2", {**W, "w": frozenset({"a"})})])
+@example(avg_of("w"), [Link("a", "n0", "n2", W), Link("b", "n0", "n2", {"type": W["type"]})])
+@example(sum_of("w"), [Link("b", "n0", "n2", {**W, "w": frozenset({0.5, 2.0})})])
+@example(sum_of("w"), [Link("b", "n0", "n2", {**W, "w": frozenset({"a"})})])
+@example(sum_of("w"), [Link("b", "n0", "n2", {"type": W["type"]})])
 def test_compiled_aggregates_match_the_interpreter(spec, rows):
     """Every spec form on link and chain rows: missing, multi-valued and
     non-numeric attributes, identity fields, empty
@@ -548,6 +579,22 @@ def check_composition(g1, g2, f):
 def test_compiled_composition_matches_the_interpreter(g1, g2, f):
     """Every output form on all six sides."""
     check_composition(g1, g2, f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        CompositionFn((("a", CopyFrom("left-link", "rating")),)),
+        CompositionFn((("a", CopyFrom("right-link", "rating")),)),
+        CompositionFn((("a", CopyFrom("left-link", "tags")), ("b", CopyFrom("right-tgt", "w")))),
+        CompositionFn((("a", SafExpr("missing")),)),
+        CompositionFn((("a", SafExpr("missing")), ("b", SafExpr("tags")))),
+    ],
+)
+def test_link_reads_and_single_outputs_match_the_interpreter(f):
+    """A link side's attribute that some links lack, and one output or
+    several that may produce nothing, on every pair of ``MIXED``'s links."""
+    check_composition(MIXED, MIXED, f)
 
 
 NODE_SIDES = ("left-src", "left-tgt", "right-src", "right-tgt")

@@ -9,6 +9,8 @@ of two travel graphs and one graph derived by a script, and checks
 each result, errors included, against the same call on a fresh copy of
 its graphs. After each step, every graph's ``bound_results`` must be
 what a fresh run of its latest successful parameterised plan leaves.
+Each element keeps its keyword tokens too, which must be what a fresh
+tokenization of that element gives.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from reference import exact, run_as_written
+from reference import exact, run_as_written, tokens_scan
 from script_corpus import COMBINED_SCRIPT, CORPUS, FORMS, read_script
-from socialgraph import dsl
+from socialgraph import algebra, dsl
 from socialgraph.discovery import (
     CF_SCRIPT,
     SEARCH_SCRIPT,
@@ -31,7 +33,16 @@ from socialgraph.discovery import (
     network_search,
 )
 from socialgraph.fixtures import random_travel_graph, rng_from
-from socialgraph.graph import Condition, SocialContentGraph, attr_eq, attr_gt, attr_ne, build_graph
+from socialgraph.graph import (
+    Condition,
+    Node,
+    SocialContentGraph,
+    attr_eq,
+    attr_gt,
+    attr_ne,
+    build_graph,
+    element_tokens,
+)
 from socialgraph.presentation import (
     ItemGroup,
     SocialGrouping,
@@ -255,3 +266,23 @@ def test_a_run_replaces_the_bound_results_of_the_one_before():
     cf_recommend(g, "u01", cfg)
     cf_recommend(alone, "u01", cfg)
     assert first - bound(g).keys() and bound(g).keys() == bound(alone).keys()
+
+
+def test_elements_keep_their_own_tokens():
+    """Each element's kept tokens are a fresh tokenization of it, kept on
+    that element and read again from there; an element rebuilt with a
+    score (``_scored``) or merged attributes (``_merge``) keeps nothing of
+    its parent's and tokenizes its own attributes."""
+    for g in travel_graphs():
+        elements = [*g.nodes.values(), *g.links.values()]
+        for e in elements:
+            assert element_tokens(e) == tokens_scan(e)
+            assert vars(e)["tokens"] is element_tokens(e)
+        for e in elements:
+            scored = algebra._scored(e, 0.5)
+            assert "tokens" not in vars(scored) and element_tokens(scored) == tokens_scan(scored)
+    parent = Node("n", {"type": frozenset({"place"}), "name": frozenset({"Old Town"})})
+    element_tokens(parent)
+    merged = algebra._merge(parent, Node("n", {"type": frozenset({"museum"})}))
+    assert "tokens" not in vars(merged)
+    assert element_tokens(merged) == tokens_scan(merged) == {"place", "old", "town", "museum"}

@@ -23,6 +23,7 @@ import json
 import math
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,3 +201,21 @@ def test_real_snapshots_load_alike(tmp_path_factory):
 def test_mutated_snapshots_load_or_fail_like_the_held_loader(tmp_path_factory, data):
     tmp = tmp_path_factory.getbasetemp()
     check_same_load(data.draw(mutated_snapshots(snapshots(tmp))), tmp)
+
+
+@pytest.mark.parametrize("score", BAD_SCORES, ids=repr)
+def test_each_bad_score_fails_like_the_held_loader(tmp_path_factory, score):
+    """Each bad score, written into the first entry of a real snapshot's
+    first list, fails both loaders alike; the fuzzer above is not sure to
+    write every value."""
+    tmp = tmp_path_factory.getbasetemp()
+    lines = list(snapshots(tmp)[1])
+    i, record = next((i, r) for i, line in enumerate(lines) if _entries(r := _record(line)))
+    _entries(record)[0][1] = score
+    lines[i] = _encode(record)
+    path = str(tmp / "bad_score.snap")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    got = loaded(load_index_snapshot, path)
+    assert got[0] == "error" and got[2] == i + 1
+    assert got == loaded(load_index_snapshot_held, path)
