@@ -69,7 +69,7 @@ G7  = laggr(G6, [], {score: avg(sim_sc)})
 def _plan(script: str) -> Plan:
     from . import dsl
 
-    return dsl.compile(dsl.parse(script), inputs=("G",))
+    return dsl.compile(dsl.parse(script))
 
 
 def _run(script: str, g: SocialContentGraph, params: dict) -> dict:

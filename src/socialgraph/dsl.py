@@ -48,7 +48,8 @@ runs (unbound: UnboundReferenceError). Pattern steps and standalone
 conditions (``parse_condition``) are bracketed only.
 
 A reference names an earlier binding or an input graph; ``compile``
-rejects one to a later binding or its own (UnboundReferenceError).
+rejects one to a later binding or its own (UnboundReferenceError), and
+``execute`` alone checks that its inputs hold every other name.
 
 ``parse`` builds a Program, and ``compile`` folds it into a shared
 operator DAG in two steps. It interns the program on structural keys,
@@ -525,7 +526,7 @@ def _param_key(p):
     return p
 
 
-def compile(program: Program, inputs=None) -> Plan:
+def compile(program: Program) -> Plan:
     """Fold a Program into a Plan, one binding after another. First intern
     the binding's expression on structural keys (``_key``), so that
     structurally equal subexpressions are one key, pushing each selection
@@ -537,9 +538,7 @@ def compile(program: Program, inputs=None) -> Plan:
 
     A reference names an earlier binding or an input: a later binding or
     its own raises UnboundReferenceError, and any other name becomes an
-    input leaf. When ``inputs`` (a collection of permitted input names) is
-    given, any other input name raises it too, at compile time instead of
-    at execution.
+    input leaf, which ``execute`` alone checks against its inputs.
     """
     keys: dict = {}  # key -> the one object of that key
     params_of: dict = {}  # key -> its operator call's parameters (an input's name)
@@ -591,8 +590,6 @@ def compile(program: Program, inputs=None) -> Plan:
             if expr.name in unbound:
                 raise UnboundReferenceError(expr.name)
             if expr.name not in leaves:
-                if inputs is not None and expr.name not in inputs:
-                    raise UnboundReferenceError(expr.name)
                 leaves[expr.name] = intern("input", (), (expr.name,))
             return leaves[expr.name]
         split = OPS[expr.op][2].count("e")  # sub-expressions come first

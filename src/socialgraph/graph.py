@@ -16,9 +16,9 @@ does not check value types: directly constructed ``Node``/``Link``
 objects are trusted.
 
 Elements are immutable too, so each keeps its keyword tokens once they
-are first read (``tokens``), as a graph keeps its ``out_links``. An
-operator that changes attributes builds a new element (``replace``, a
-merge), which tokenizes afresh.
+are first read (``e.tokens``, their one name), as a graph keeps its
+``out_links``. An operator that changes attributes builds a new element
+(``replace``, a merge), which tokenizes afresh.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ def sorted_values(values: AttrValue) -> list:
 
 
 def _tokenize(element) -> frozenset:
+    """Lowercase tokens of every string attribute value, split on
+    non-alphanumeric characters."""
     toks = set()
     for values in element.attrs.values():
         for v in values:
@@ -104,7 +106,7 @@ class Node:
     id: str
     attrs: dict
 
-    tokens = cached_property(_tokenize)  # kept on each node: see element_tokens
+    tokens = cached_property(_tokenize)  # kept on each node: elements are never mutated
 
 
 @dataclass(frozen=True)
@@ -283,15 +285,8 @@ def _scalar_token(v: Scalar) -> str:
     return f"s:{v}" if isinstance(v, str) else f"f:{v!r}"
 
 
-def element_tokens(element: Element) -> frozenset:
-    """Lowercase tokens of every string attribute value, split on
-    non-alphanumeric characters; read once per element and kept on it,
-    which is sound only because elements are never mutated."""
-    return element.tokens
-
-
 def is_token(word: str) -> bool:
-    """True iff ``word`` is a whole token of ``element_tokens``, after
+    """True iff ``word`` is a whole token of an element's ``tokens``, after
     lowercasing: non-empty, letters and digits only."""
     return bool(word) and not _TOKEN_SPLIT.search(word.lower())
 
@@ -346,7 +341,7 @@ def default_keyword_score(element: Element, keywords) -> float:
     keywords = tuple(keywords)
     if not keywords:
         raise EmptyKeywordsError()
-    toks = element_tokens(element)
+    toks = element.tokens
     matched = sum(1 for k in keywords if k.lower() in toks)
     return matched / len(keywords)
 

@@ -183,6 +183,79 @@ MUTANTS = (
         "for i, c in counts.items()}",
         (DIFFERENTIAL,),
     ),
+    # the discovery pipelines' bindings and their ratings
+    Mutant(
+        "a rating keeping the first float instead of the maximum",
+        "discovery",
+        "if isinstance(v, float) and (best is None or v > best):",
+        "if isinstance(v, float) and best is None:",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "provenance keeping every peer link to a ranked item",
+        "discovery",
+        "if l.tgt in ranked_set and _is_visit(l)",
+        "if l.tgt in ranked_set",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "network search binding $places to every destination",
+        "discovery",
+        "{\"user\": user, \"places\": place_condition}",
+        "{\"user\": user, \"places\": Condition(preds=(attr_eq(\"type\", \"destination\"),))}",
+        (DIFFERENTIAL, "tests/test_discovery.py"),
+    ),
+    Mutant(
+        "CF peers kept at the threshold",
+        "discovery",
+        "    attr_gt,\n",
+        "    attr_ge as attr_gt,\n",
+        (DIFFERENTIAL, "tests/test_discovery.py"),
+    ),
+    Mutant(
+        "a key joining the latest founder it is similar to",
+        "index",
+        "out.append(min(joined))",
+        "out.append(max(joined))",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "compose merging each node id once",
+        "algebra",
+        "elif merged.get(nid) is not n:",
+        "elif nid not in merged:",
+        (DIFFERENTIAL,),
+    ),
+    # presentation.explain_item's positive weights
+    Mutant(
+        "content evidence keeping every weight",
+        "presentation",
+        "            if weight > 0:\n                evidence.append((other, weight))\n",
+        "            evidence.append((other, weight))\n",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "collaborative evidence keeping every weight",
+        "presentation",
+        "                if weight > 0:\n                    evidence.append((peer, weight))\n",
+        "                evidence.append((peer, weight))\n",
+        (DIFFERENTIAL,),
+    ),
+    # dsl's tokenizer
+    Mutant(
+        "token columns off by one",
+        "dsl",
+        "col = m.start(kind) + 1",
+        "col = m.start(kind)",
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "strings ending at '#'",
+        "dsl",
+        "(?P<STRING>'[^']*')",
+        "(?P<STRING>'[^'#]*')",
+        (DIFFERENTIAL,),
+    ),
     # the algebra's per-element paths, one call deep
     Mutant(
         "an equality read of an absent attribute raising",
@@ -194,7 +267,7 @@ MUTANTS = (
     Mutant(
         "tokens kept on the class instead of on each element",
         "graph",
-        "    tokens = cached_property(_tokenize)  # kept on each node: see element_tokens\n",
+        "    tokens = cached_property(_tokenize)  # kept on each node: elements are never mutated\n",
         "    _kept = {}\n    tokens = property(lambda e: Node._kept.setdefault(\"tokens\", _tokenize(e)))\n",
         (DIFFERENTIAL, KEPT_STATE),
     ),

@@ -1,8 +1,13 @@
+import contextlib
 import io
 import json
 import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_modules_loaded, expected_cli_modules
 from socialgraph.algebra import link_select, semi_join
@@ -601,3 +606,83 @@ def test_malformed_call_loads_only_its_subcommands_modules(malformed_modules, ar
     assert code in (1, 2)
     # a call can fail before it reaches the code of every module listed
     assert {"cli", "errors"} <= modules <= expected_cli_modules(argv, code)
+
+
+# Boundary fuzz of run_command: a malformed call, or a valid call on the
+# same files, edited once or twice. Names of the malformed-input files
+# stand for their paths; OUT stands for a path in a per-call directory.
+VALID = [
+    ["recommend", "--nodes", "nodes", "--links", "links", "--user", "u1", "--k", "3", "--threshold", "0.5",
+     "--method", "content"],
+    ["discover", "--nodes", "nodes", "--links", "links", "--user", "u1", "--query", "[type='item'; kw:'jazz']",
+     "--alpha", "0.5"],
+    ["group", "--nodes", "nodes", "--links", "links", "--items", "jazz.items", "--criterion", "social:0.5",
+     "--max-groups", "3"],
+    ["explain", "--nodes", "nodes", "--links", "links", "--user", "u1", "--item", "i1", "--strategy", "content"],
+    ["topk", "--index", "jazz.snap", "--user", "u1", "--keywords", "jazz", "--k", "2"],
+    ["query", "--nodes", "nodes", "--links", "links", "--script", "users.sgs", "--name", "G", "--out-dir", "OUT"],
+    ["build-index", "--nodes", "nodes", "--links", "links", "--strategy", "network", "--theta", "0.5",
+     "--out", "OUT"],
+]
+FUZZ_VALUES = [
+    "", "-0", "nan", "inf", "1e400", "1" * 30, "[", "$x", "social:",
+    "u1", "u2", "i1", "f12", "G",
+    "nodes", "links", "jazz.snap", "jazz.items", "users.sgs", "anydiff.sgs", "strids.nodes", "dup.items",
+]
+FUZZ_FLAGS = [
+    "--nodes", "--links", "--user", "--item", "--k", "--threshold", "--alpha", "--method", "--query", "--strategy",
+    "--theta", "--out", "--out-dir", "--index", "--keywords", "--items", "--criterion", "--max-groups", "--script",
+    "--name", "--json",
+]
+USAGE_ERROR = re.compile(r"socialgraph( [a-z-]+)?: error: ")
+
+
+@st.composite
+def edited_calls(draw):
+    argv = list(draw(st.sampled_from(VALID) | st.sampled_from([argv for _, argv in MALFORMED])))
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(["replace", "delete", "insert", "json"]))
+        values = [i for i, a in enumerate(argv) if i and not a.startswith("--")]
+        if edit == "replace" and values:
+            argv[draw(st.sampled_from(values))] = draw(st.sampled_from(FUZZ_VALUES))
+        elif edit == "delete" and argv:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif edit == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_VALUES + FUZZ_FLAGS)))
+        else:
+            argv.append("--json")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    return write_malformed_inputs(tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=400)
+@given(argv=edited_calls())
+def test_edited_calls_exit_cleanly(fuzz_inputs, argv):
+    """Every call exits 0, 1 or 2: 1 with one error line and nothing on
+    stdout, 2 with argparse's error line last and nothing on stdout, and
+    0 with nothing on stderr. No call writes outside its own directory."""
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(fuzz_inputs["nodes"])) as scratch:
+        # the value of --out and --out-dir is always a path in scratch
+        call = [
+            os.path.join(scratch, "out") if i and argv[i - 1] in ("--out", "--out-dir") and not a.startswith("--")
+            else fuzz_inputs.get(a, a)
+            for i, a in enumerate(argv)
+        ]
+        out, err, usage, stray = io.StringIO(), io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(usage), contextlib.redirect_stdout(stray):
+            code = run_command(call, out=out, err=err)
+    assert stray.getvalue() == ""
+    if code == 0:
+        assert err.getvalue() == usage.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and usage.getvalue() == "", call
+    else:
+        assert code == 2 and err.getvalue() == "", call
+        assert USAGE_ERROR.match(usage.getvalue().splitlines()[-1]), call

@@ -1386,9 +1386,24 @@ def check_explanations(g, user, item, groups, strategy):
         ), (user, target, strategy)
 
 
+def check_every_explanation(g):
+    """``check_explanations`` for every user, item and strategy of g."""
+    for user in g.nodes:
+        for item in g.nodes:
+            for strategy in ("content", "collaborative"):
+                check_explanations(g, user, item, [], strategy)
+
+
 @given(explanation_cases())
 def test_explanations_match_the_two_path_reference(case):
     check_explanations(*case)
+
+
+@given(graphs())
+def test_explanations_match_the_two_path_reference_on_generic_graphs(g):
+    """Every user and item of a graph whose ratings may be 0.0 or
+    negative, which the travel graphs never hold."""
+    check_every_explanation(g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1426,14 +1441,41 @@ COLLABORATIVE_EDGES = build_graph(
 
 def test_explanations_match_the_two_path_reference_on_collaborative_edges():
     g = COLLABORATIVE_EDGES
-    for user in g.nodes:
-        for item in g.nodes:
-            for strategy in ("content", "collaborative"):
-                check_explanations(g, user, item, [], strategy)
+    check_every_explanation(g)
     assert [peer for peer, _ in explain_item(g, "u0", "i0", "collaborative").evidence] == ["u1"]
     assert explain_item(g, "u0", "u2", "collaborative").evidence == ()
     assert explain_item(g, "u0", "i2", "collaborative").evidence == ()
     assert aggregate_explanations(g, "u0", "i0", "content")[1] == 0.5
+
+
+# u1 alone tags i0-i3, so each of them is fully similar to i2. u0 rates
+# i0 0.0 and i1 -1.0 on its own links; peers u2 and u3 rate i4 0.0 and
+# -1.0 on theirs.
+ZERO_AND_NEGATIVE_RATINGS = build_graph(
+    [node(u, type="user") for u in ("u0", "u1", "u2", "u3")]
+    + [node(i, type="item") for i in ("i0", "i1", "i2", "i3", "i4")],
+    [link(f"t{i}", "u1", f"i{i}", type="tag", tags="jazz") for i in range(4)]
+    + [
+        link("a0", "u0", "i0", type="visit", rating=0.0),
+        link("a1", "u0", "i1", type="visit", rating=-1.0),
+        link("a3", "u0", "i3", type="visit", rating=2.0),
+        link("b1", "u1", "i4", type="visit", rating=1.0),
+        link("b2", "u2", "i0", type="visit"),
+        link("c2", "u2", "i4", type="visit", rating=0.0),
+        link("b3", "u3", "i1", type="visit"),
+        link("c3", "u3", "i4", type="visit", rating=-1.0),
+    ],
+)
+
+
+def test_explanations_drop_zero_and_negative_ratings():
+    """A rating of 0.0 or below gives no evidence, on the user's own
+    link (content) and on a peer's link (collaborative)."""
+    g = ZERO_AND_NEGATIVE_RATINGS
+    check_every_explanation(g)
+    assert explain_item(g, "u0", "i2", "content").evidence == (("i3", 2.0),)
+    # u1 shares 3 of 5 items with u0; u2 and u3 one of 4 each
+    assert explain_item(g, "u0", "i4", "collaborative").evidence == (("u1", 3 / 5),)
 
 
 # ---------------------------------------------------------------------------

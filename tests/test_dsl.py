@@ -95,13 +95,10 @@ USERS = parse_condition("[type='user']")
     ids=["later binding", "own binding"],
 )
 def test_hand_built_program_reads_no_later_binding_as_an_input(stmts, name):
-    """A binding of the program is never an input leaf, even where an
-    input of that name is given."""
+    """A binding of the program is never an input leaf."""
     with pytest.raises(UnboundReferenceError) as err:
         compile(Program(stmts))
     assert err.value.name == name
-    with pytest.raises(UnboundReferenceError):
-        compile(Program(stmts), inputs={"A", "B", "G"})
 
 
 def test_forward_reference_fails_before_any_binding_runs():
@@ -168,12 +165,15 @@ def test_compile_sharing_does_not_change_results():
 
 
 def test_compile_unbound_reference_with_declared_inputs():
+    """An unknown name compiles to an input leaf; execute alone checks
+    that the inputs it is given hold it."""
     program = parse("A = nsel(H, [])")
-    with pytest.raises(UnboundReferenceError) as err:
-        compile(program, inputs={"G"})
-    assert err.value.name == "H"
-    # without a declaration H is a leaf
-    assert compile(program).leaves == ("H",)
+    plan = compile(program)
+    assert plan.leaves == ("H",)
+    with pytest.raises(ExecutionError) as err:
+        execute(plan, {"G": cf_fixture()})
+    assert isinstance(err.value.cause, UnboundReferenceError)
+    assert err.value.cause.name == "H"
 
 
 def test_execute_empty_plan():

@@ -41,7 +41,6 @@ from socialgraph.graph import (
     attr_gt,
     attr_ne,
     build_graph,
-    element_tokens,
 )
 from socialgraph.presentation import (
     ItemGroup,
@@ -276,13 +275,13 @@ def test_elements_keep_their_own_tokens():
     for g in travel_graphs():
         elements = [*g.nodes.values(), *g.links.values()]
         for e in elements:
-            assert element_tokens(e) == tokens_scan(e)
-            assert vars(e)["tokens"] is element_tokens(e)
+            assert e.tokens == tokens_scan(e)
+            assert vars(e)["tokens"] is e.tokens
         for e in elements:
             scored = algebra._scored(e, 0.5)
-            assert "tokens" not in vars(scored) and element_tokens(scored) == tokens_scan(scored)
+            assert "tokens" not in vars(scored) and scored.tokens == tokens_scan(scored)
     parent = Node("n", {"type": frozenset({"place"}), "name": frozenset({"Old Town"})})
-    element_tokens(parent)
+    parent.tokens  # kept on the parent before the merge
     merged = algebra._merge(parent, Node("n", {"type": frozenset({"museum"})}))
     assert "tokens" not in vars(merged)
-    assert element_tokens(merged) == tokens_scan(merged) == {"place", "old", "town", "museum"}
+    assert merged.tokens == tokens_scan(merged) == {"place", "old", "town", "museum"}
